@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from . import oracle
 from .colorings import (alternating_path, available_colors, flip, is_proper,
                         star_root_lists, toggle_edge, uniform_lists)
-from .dynamics import block_assignments
 from .errors import ParameterError, UnsupportedRegimeError, VerificationError
 from .trees import build_hanging_root, hanging_root_edge
 
@@ -313,12 +312,6 @@ def build_path(tree, lists, sigma, b, path_kind):
 # Congestion
 
 
-def _block_rate(tree, lists, state, block):
-    """Heat-bath conditional probability of any one consistent assignment of
-    the block given the rest (the assignments are uniform)."""
-    return 1.0 / len(block_assignments(tree, lists, state, block))
-
-
 @dataclass
 class PairCongestion:
     a: int
@@ -394,22 +387,30 @@ class CongestionReport:
         }
 
 
-def compute_congestion(tree, lists, path_kind, dist=None, verify=True):
+def compute_congestion(tree, lists, path_kind, verify=True):
     """Exact expected congestion of the canonical-path family, per ordered
-    root-color pair and per tree level (plus the root-pair block class)."""
+    root-color pair and per tree level (plus the root-pair block class).
+
+    A move that changes block B out of state x has heat-bath rate 1/s, with
+    s the size of the class of x under ``DistributionTable.classes(B)``.
+    """
     r = hanging_root_edge(tree)
-    if dist is None:
-        dist = oracle.enumerate_colorings(tree, lists)
+    dist = oracle.enumerate_colorings(tree, lists)
     n = dist.size
     ell = tree.max_level
     root_colors = sorted(lists[r])
     fibers = {a: [s for s in dist.states if s[r] == a] for a in root_colors}
+    class_size = {}  # block -> class size of every state
+    for block in path_blocks_for_kind(tree, path_kind):
+        labels, sizes = dist.classes(block)
+        class_size[block] = sizes[labels]
     per_pair = {}
     for a in root_colors:
         for b in root_colors:
             if a == b:
                 continue
             usage = {}
+            moved = {}  # transition -> the sorted block it changes
             for sigma in fibers[a]:
                 path = build_path(tree, lists, sigma, b, path_kind)
                 if verify:
@@ -417,18 +418,19 @@ def compute_congestion(tree, lists, path_kind, dist=None, verify=True):
                     if not ok:
                         raise VerificationError(
                             f"canonical path failed checks: {diags[:3]}")
-                for x, y in path.transitions():
-                    usage[(x, y)] = usage.get((x, y), 0) + 1
+                for move, block in zip(path.transitions(), path.blocks):
+                    usage[move] = usage.get(move, 0) + 1
+                    moved[move] = tuple(sorted(block))
             p_ra = 1.0 / len(fibers[a])
             xi_levels = {t: 0.0 for t in range(ell + 1)}
             xi_pairs = 0.0
             r_leaf = 0.0
             for (x, y), count in usage.items():
-                diff = tuple(sorted(e for e in range(tree.n_edges) if x[e] != y[e]))
-                rate = _block_rate(tree, lists, x, diff)
+                block = moved[(x, y)]
+                rate = 1.0 / int(class_size[block][dist.index[x]])
                 load = (count * p_ra) ** 2 * n / rate
-                if len(diff) == 1:
-                    lvl = tree.edge_levels[diff[0]]
+                if len(block) == 1:
+                    lvl = tree.edge_levels[block[0]]
                     xi_levels[lvl] += load
                     if lvl == ell:
                         r_leaf += count ** 2 / n

@@ -5,11 +5,17 @@
 list), which makes state indices reproducible across runs.
 ``count_colorings`` gets the same number by dynamic programming and works on
 trees far too large to enumerate.
+``DistributionTable.classes`` groups the support into the classes of states
+that agree off a block of edges, from which every block-averaging matrix of
+the package is built.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
+
+import numpy as np
 
 from .errors import CapacityError, InfeasiblePinningError, ParameterError
 
@@ -23,11 +29,44 @@ class DistributionTable:
         self.tree = tree
         self.lists = lists
         self.states = states
-        self.index = {s: i for i, s in enumerate(states)}
         self.size = len(states)
         if self.size == 0:
             raise InfeasiblePinningError("empty support")
         self.weight = 1.0 / self.size
+
+    @cached_property
+    def index(self):
+        """State tuple -> row of the support, built on first lookup."""
+        return {s: i for i, s in enumerate(self.states)}
+
+    @cached_property
+    def array(self):
+        """The support as an (N x m) array of colors, in the narrowest
+        unsigned dtype that holds ``q``; built on first use."""
+        dtype = np.min_scalar_type(self.lists.q)
+        return np.array(self.states, dtype=dtype).reshape(self.size, self.tree.n_edges)
+
+    def classes(self, B):
+        """Partition of the support into classes of states that agree on every
+        edge outside ``B``.
+
+        Returns ``(labels, sizes)``: ``labels[i]`` numbers the class of state
+        ``i`` and ``sizes[k]`` counts the states of class ``k``.  Rows are
+        compared column by column (``np.lexsort``), so no combined key can
+        overflow however many edges lie outside ``B``.
+        """
+        B = set(B)
+        rest = [e for e in range(self.tree.n_edges) if e not in B]
+        if not rest:
+            return np.zeros(self.size, dtype=np.intp), np.array([self.size])
+        keys = self.array[:, rest]
+        order = np.lexsort(keys.T)
+        ranked = keys[order]
+        starts = np.ones(self.size, dtype=bool)
+        np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+        labels = np.empty(self.size, dtype=np.intp)
+        labels[order] = np.cumsum(starts) - 1
+        return labels, np.bincount(labels)
 
     def weights_sum(self):
         return self.weight * self.size

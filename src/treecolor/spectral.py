@@ -9,7 +9,6 @@ stationary eigenvector.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,94 +54,51 @@ class TransitionMatrix:
         return float(gap) * self.dist.weight
 
 
-def _single_edge_triplets(tree, lists, kind, dist):
-    n_edges = tree.n_edges
-    q = lists.q
-    rows, cols, vals = array("q"), array("q"), array("d")
-    for i, state in enumerate(dist.states):
-        diag = 0.0
-        for e in range(n_edges):
-            avail = available_colors(tree, lists, state, e)
-            if kind == dynamics.HEATBATH_GLAUBER:
-                p = 1.0 / (n_edges * len(avail))
-                for c in avail:
-                    if c == state[e]:
-                        diag += p
-                    else:
-                        t = list(state)
-                        t[e] = c
-                        rows.append(i)
-                        cols.append(dist.index[tuple(t)])
-                        vals.append(p)
-            else:  # uniform proposal: accept iff the color is available
-                p = 1.0 / (n_edges * q)
-                for c in avail:
-                    if c != state[e]:
-                        t = list(state)
-                        t[e] = c
-                        rows.append(i)
-                        cols.append(dist.index[tuple(t)])
-                        vals.append(p)
-                diag += (q - len(avail) + 1) * p
-        rows.append(i)
-        cols.append(i)
-        vals.append(diag)
-    return rows, cols, vals
-
-
-def _block_triplets(tree, lists, dist, blocks, weights):
-    total_w = float(sum(weights))
-    rows, cols, vals = array("q"), array("q"), array("d")
-    m = tree.n_edges
-    for block, w in zip(blocks, weights):
-        if w <= 0:
-            continue
-        share = w / total_w
-        rest = [e for e in range(m) if e not in block]
-        classes = {}
-        for i, state in enumerate(dist.states):
-            classes.setdefault(tuple(state[e] for e in rest), []).append(i)
-        for members in classes.values():
-            p = share / len(members)
-            for i in members:
-                for j in members:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(p)
-    return rows, cols, vals
-
-
 def transition_matrix(tree, lists, kind, block_spec=None, include_singletons=True,
                       dense_cap=DENSE_CAP, sparse_cap=SPARSE_CAP, dist=None):
-    """Exact one-step matrix of the chosen chain over the enumerated support."""
-    n_states = oracle.count_colorings(tree, lists)
-    if n_states > sparse_cap:
-        raise CapacityError(
-            f"state space has {n_states} states, above the sparse cap {sparse_cap}",
-            estimated=n_states)
+    """Exact one-step matrix of the chosen chain over the enumerated support.
+
+    Every kind is assembled from the block projectors Pi_B, which average over
+    the classes of states agreeing off B (``DistributionTable.classes``):
+    heat-bath kinds are sum_B (w_B / sum w) Pi_B, with the singleton blocks
+    for heat-bath Glauber; uniform Glauber is
+    (1/m) sum_e [(1/q) 1{same class of e} + diag(1 - s_e/q)], with s_e the
+    class size.
+    """
     if dist is None:
         dist = oracle.enumerate_colorings(tree, lists, cap=sparse_cap)
+    if dist.size > sparse_cap:
+        raise CapacityError(
+            f"state space has {dist.size} states, above the sparse cap {sparse_cap}",
+            estimated=dist.size)
 
+    m = tree.n_edges
     if kind in dynamics.SINGLE_EDGE_KINDS:
-        rows, cols, vals = _single_edge_triplets(tree, lists, kind, dist)
+        blocks, weights = [(e,) for e in range(m)], [1.0] * m
     elif kind == dynamics.NEIGHBOR_PAIR:
         blocks = dynamics.pair_blocks(tree, include_singletons=include_singletons)
-        rows, cols, vals = _block_triplets(tree, lists, dist, blocks, [1.0] * len(blocks))
+        weights = [1.0] * len(blocks)
     elif kind == dynamics.BLOCK:
         if block_spec is None:
             raise ParameterError("BLOCK kind needs a BlockSpec")
-        rows, cols, vals = _block_triplets(tree, lists, dist,
-                                           block_spec.blocks, block_spec.weights)
+        blocks, weights = block_spec.blocks, block_spec.weights
     else:
         raise ParameterError(f"unknown chain kind {kind!r}")
 
-    coo = sp.coo_matrix(
-        (np.frombuffer(vals, dtype=float),
-         (np.frombuffer(rows, dtype=np.int64), np.frombuffer(cols, dtype=np.int64))),
-        shape=(dist.size, dist.size))
-    csr = coo.tocsr()
-    csr.sum_duplicates()
-    if dist.size <= dense_cap:
+    n = dist.size
+    total_w = float(sum(weights))
+    csr = sp.csr_matrix((n, n))
+    for block, w in zip(blocks, weights):
+        if w <= 0:
+            continue
+        labels, sizes = dist.classes(block)
+        member = sp.csr_matrix((np.ones(n), (np.arange(n), labels)), shape=(n, len(sizes)))
+        if kind == dynamics.UNIFORM_GLAUBER:
+            csr += member @ member.T / (m * lists.q)
+            csr += sp.diags((1.0 - sizes[labels] / lists.q) / m)
+        else:
+            csr += member @ sp.diags((w / total_w) / sizes) @ member.T
+    if n <= dense_cap:
         return TransitionMatrix(kind, dist, csr.toarray(), dense=True, reversible=True)
     return TransitionMatrix(kind, dist, csr, dense=False, reversible=True)
 
@@ -376,7 +332,8 @@ def lower_bound_check(tree, e, q, kind=dynamics.HEATBATH_GLAUBER, strict=True,
 
     Returns a record with the enumerated probability, the closed-form value,
     the bound n*delta/(2(q-delta)^2) (n = edge count) and the exact
-    relaxation time.  With ``strict`` the asserted agreements are enforced.
+    relaxation time.  With ``strict`` the first of ``lower_bound_failures``
+    is raised.
     """
     delta = tree.max_degree
     u = tree.edge_parent_vertex[e]
@@ -400,14 +357,23 @@ def lower_bound_check(tree, e, q, kind=dynamics.HEATBATH_GLAUBER, strict=True,
         "t_rel": rep.t_rel,
     }
     if strict:
-        if abs(p_exact - p_formula) > tol:
-            raise VerificationError(
-                f"frozen probability mismatch: enumerated {p_exact} vs "
-                f"closed form {p_formula}")
-        if rep.t_rel < trel_bound - 1e-9:
-            raise VerificationError(
-                f"T_rel {rep.t_rel} below the bound {trel_bound}")
+        failures = lower_bound_failures(record, tol)
+        if failures:
+            raise VerificationError(failures[0])
     return record
+
+
+def lower_bound_failures(record, tol=1e-12):
+    """The asserted agreements a ``lower_bound_check`` record breaks, as
+    messages, in the order strict mode checks them."""
+    failures = []
+    p_exact, p_formula = record["p_frozen_exact"], record["p_frozen_formula"]
+    if abs(p_exact - p_formula) > tol:
+        failures.append(f"frozen probability mismatch: enumerated {p_exact} vs "
+                        f"closed form {p_formula}")
+    if record["t_rel"] < record["trel_bound"] - 1e-9:
+        failures.append(f"T_rel {record['t_rel']} below the bound {record['trel_bound']}")
+    return failures
 
 
 # ---------------------------------------------------------------------------

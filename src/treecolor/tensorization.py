@@ -26,20 +26,10 @@ FORMS_CAP = 1500
 
 
 def projector(dist, S):
-    """Matrix of the conditional expectation given the coloring outside S."""
-    m = dist.tree.n_edges
-    S = set(S)
-    rest = [e for e in range(m) if e not in S]
-    n = dist.size
-    P = np.zeros((n, n))
-    classes = {}
-    for i, s in enumerate(dist.states):
-        classes.setdefault(tuple(s[e] for e in rest), []).append(i)
-    for members in classes.values():
-        p = 1.0 / len(members)
-        for i in members:
-            P[i, members] = p
-    return P
+    """Matrix of the conditional expectation given the coloring outside S:
+    1/s on every pair of states in one class of size s, 0 elsewhere."""
+    labels, sizes = dist.classes(S)
+    return np.equal.outer(labels, labels) / sizes[labels][:, None]
 
 
 def var_form(dist):
@@ -54,7 +44,10 @@ def cond_var_form(dist, S):
     symmetric idempotent block-averaging matrix and the form is
     weight * (I - projector) with no matrix product needed.
     """
-    return dist.weight * (np.eye(dist.size) - projector(dist, S))
+    form = projector(dist, S)
+    form *= -dist.weight
+    form.flat[::dist.size + 1] += dist.weight
+    return form
 
 
 def projected_var_form(dist, S):

@@ -1,0 +1,188 @@
+"""The block-class primitive against per-state loop references.
+
+``DistributionTable.classes`` groups the support into classes of states that
+agree off a block; transition matrices, projectors and congestion rates are
+derived from it.  The references below build the same objects the direct
+way: tuple-keyed class dicts and a per-state loop over available colors and
+consistent block assignments.
+"""
+
+from array import array
+
+import numpy as np
+import scipy.sparse as sp
+
+from treecolor import dynamics, oracle, spectral
+from treecolor import tensorization as tz
+from treecolor.canonical import EDGE_PATHS, GLAUBER_PATHS, compute_congestion
+from treecolor.colorings import available_colors, star_root_lists, uniform_lists
+from treecolor.trees import (build_complete_regular, build_hanging_root,
+                             tree_from_parents)
+
+
+def path_tree(n):
+    return tree_from_parents([None] + list(range(n)), 0)
+
+
+ZOO = [
+    (path_tree(4), 3), (path_tree(3), 4),
+    (build_complete_regular(3, 1), 4),
+    (build_complete_regular(2, 2), 4),
+    (build_hanging_root(3, 1), 4),
+    (tree_from_parents([None, 0, 0, 0, 1, 1], 0), 4),
+]
+
+
+def reference_classes(dist, B):
+    """Tuple-keyed grouping of state rows by their colors off ``B``."""
+    rest = [e for e in range(dist.tree.n_edges) if e not in set(B)]
+    classes = {}
+    for i, s in enumerate(dist.states):
+        classes.setdefault(tuple(s[e] for e in rest), []).append(i)
+    return list(classes.values())
+
+
+def assert_classes_match(dist, B):
+    labels, sizes = dist.classes(B)
+    ref = reference_classes(dist, B)
+    groups = {}
+    for i, k in enumerate(labels.tolist()):
+        groups.setdefault(k, []).append(i)
+    assert sorted(groups.values()) == sorted(ref), B
+    assert sizes.tolist() == [len(groups[k]) for k in range(len(sizes))], B
+
+
+def reference_single_edge(tree, lists, kind, dist):
+    m, q = tree.n_edges, lists.q
+    rows, cols, vals = array("q"), array("q"), array("d")
+    for i, state in enumerate(dist.states):
+        diag = 0.0
+        for e in range(m):
+            avail = available_colors(tree, lists, state, e)
+            p = (1.0 / (m * len(avail)) if kind == dynamics.HEATBATH_GLAUBER
+                 else 1.0 / (m * q))
+            for c in avail:
+                if c == state[e]:
+                    continue
+                t = list(state)
+                t[e] = c
+                rows.append(i)
+                cols.append(dist.index[tuple(t)])
+                vals.append(p)
+            if kind == dynamics.HEATBATH_GLAUBER:
+                diag += p
+            else:  # rejected proposals plus the current color
+                diag += (q - len(avail) + 1) * p
+        rows.append(i)
+        cols.append(i)
+        vals.append(diag)
+    return rows, cols, vals
+
+
+def reference_blocks(dist, blocks, weights):
+    total_w = float(sum(weights))
+    rows, cols, vals = array("q"), array("q"), array("d")
+    for block, w in zip(blocks, weights):
+        if w <= 0:
+            continue
+        for members in reference_classes(dist, block):
+            p = (w / total_w) / len(members)
+            for i in members:
+                for j in members:
+                    rows.append(i)
+                    cols.append(j)
+                    vals.append(p)
+    return rows, cols, vals
+
+
+def reference_matrix(tree, lists, kind, block_spec=None):
+    dist = oracle.enumerate_colorings(tree, lists)
+    if kind in dynamics.SINGLE_EDGE_KINDS:
+        trip = reference_single_edge(tree, lists, kind, dist)
+    elif kind == dynamics.NEIGHBOR_PAIR:
+        blocks = dynamics.pair_blocks(tree)
+        trip = reference_blocks(dist, blocks, [1.0] * len(blocks))
+    else:
+        trip = reference_blocks(dist, block_spec.blocks, block_spec.weights)
+    rows, cols, vals = (np.array(x) for x in trip)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(dist.size, dist.size)).tocsr()
+
+
+def test_transition_matrix_matches_loop_reference():
+    for tree, q in ZOO:
+        lists = uniform_lists(tree, q)
+        blocks = tuple(dynamics.pair_blocks(tree))
+        spec = dynamics.BlockSpec(blocks, tuple(range(len(blocks))))
+        for kind in (dynamics.UNIFORM_GLAUBER, dynamics.HEATBATH_GLAUBER,
+                     dynamics.NEIGHBOR_PAIR, dynamics.BLOCK):
+            kw = {"block_spec": spec} if kind == dynamics.BLOCK else {}
+            got = spectral.transition_matrix(tree, lists, kind, dense_cap=0, **kw).matrix
+            want = reference_matrix(tree, lists, kind, **kw)
+            got.sort_indices()
+            want.sort_indices()
+            assert np.array_equal(got.indptr, want.indptr), (tree.n_edges, q, kind)
+            assert np.array_equal(got.indices, want.indices), (tree.n_edges, q, kind)
+            assert np.max(np.abs(got.data - want.data)) <= 1e-15, (tree.n_edges, q, kind)
+            dense = spectral.transition_matrix(tree, lists, kind, **kw)
+            assert dense.dense and np.array_equal(dense.matrix, got.toarray())
+
+
+def test_projector_equals_tuple_dict_reference():
+    for tree, q in ZOO[:4]:
+        dist = oracle.enumerate_colorings(tree, uniform_lists(tree, q))
+        m = tree.n_edges
+        for S in [(e,) for e in range(m)] + dynamics.pair_blocks(tree, False) + [(), tuple(range(m))]:
+            want = np.zeros((dist.size, dist.size))
+            for members in reference_classes(dist, S):
+                for i in members:
+                    want[i, members] = 1.0 / len(members)
+            assert np.array_equal(tz.projector(dist, S), want), S
+
+
+def test_classes_without_key_overflow():
+    # (q+1)^69 > 2^63: a mixed-radix key over the 69 edges off a singleton
+    # would wrap.
+    long_path = path_tree(70)
+    dist = oracle.enumerate_colorings(long_path, uniform_lists(long_path, 2))
+    assert dist.array.shape == (2, 70)
+    for B in ((0,), (35,), (69,), (), (10, 11)):
+        assert_classes_match(dist, B)
+
+
+def test_classes_with_more_than_255_colors():
+    star = build_complete_regular(2, 1)
+    dist = oracle.enumerate_colorings(star, uniform_lists(star, 300))
+    assert dist.array.dtype == np.uint16
+    assert int(dist.array.max()) == 300
+    for B in ((0,), (1,), (0, 1), ()):
+        assert_classes_match(dist, B)
+    assert set(dist.classes((0,))[1].tolist()) == {299}
+
+
+def test_congestion_rates_match_block_assignments():
+    cases = [((2, 1, 4), GLAUBER_PATHS), ((2, 3, 4), GLAUBER_PATHS),
+             ((3, 1, 5), GLAUBER_PATHS), ((2, 3, 3), EDGE_PATHS),
+             ((3, 1, 4), EDGE_PATHS)]
+    for (delta, ell, q), kind in cases:
+        tree = build_hanging_root(delta, ell)
+        lists = star_root_lists(tree, q)
+        rep = compute_congestion(tree, lists, kind)
+        n = rep.n_states
+        for pc in rep.per_pair.values():
+            p_ra = 1.0 / pc.fiber_a
+            xi_levels = {t: 0.0 for t in range(ell + 1)}
+            xi_pairs = r_leaf = 0.0
+            for (x, y), count in pc.usage.items():
+                diff = tuple(e for e in range(tree.n_edges) if x[e] != y[e])
+                rate = 1.0 / len(dynamics.block_assignments(tree, lists, x, diff))
+                load = (count * p_ra) ** 2 * n / rate
+                if len(diff) == 1:
+                    lvl = tree.edge_levels[diff[0]]
+                    xi_levels[lvl] += load
+                    if lvl == ell:
+                        r_leaf += count ** 2 / n
+                else:
+                    xi_pairs += load
+            assert pc.xi_levels == xi_levels
+            assert pc.xi_pairs == xi_pairs
+            assert pc.r_leaf == r_leaf

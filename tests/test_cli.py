@@ -2,10 +2,14 @@ import csv
 import glob
 import json
 import os
+import sys
 
 import yaml
 
 from treecolor.cli import main
+from treecolor.colorings import uniform_lists
+from treecolor.oracle import count_colorings
+from treecolor.trees import build_complete_regular
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -44,7 +48,26 @@ def test_config_errors(tmp_path):
     assert main(["gap", "--config", cfg3]) == 2  # declared command mismatch
 
     assert main(["gap", "--config", str(tmp_path / "missing.yaml")]) == 2
-    assert main(["gap", "--config", cfg3, "--jobs", "0"]) == 2
+
+
+def test_count_with_more_digits_than_int_str_limit(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "command": "count",
+        "tree": {"shape": "complete_regular", "delta": 5, "depth": 6},
+        "q": 7, "lists": "uniform",
+    })
+    out = str(tmp_path / "out")
+    assert main(["count", "--config", cfg, "--out", out]) == 0
+    doc = json.load(open(os.path.join(out, "count.json")))
+    tree = build_complete_regular(5, 6)
+    want = count_colorings(tree, uniform_lists(tree, 7))
+    limit = sys.get_int_max_str_digits()
+    assert len(doc["count"]) > limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(doc["count"]) == want
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_capacity_error_exit_code(tmp_path):
@@ -113,7 +136,6 @@ def test_sweep_outputs_increasing_ratio(tmp_path):
 
 def test_installed_entry_point(tmp_path):
     import subprocess
-    import sys
 
     cfg = write_cfg(tmp_path, {
         "command": "count",
