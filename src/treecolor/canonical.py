@@ -515,9 +515,15 @@ def leaf_count_check(tree, lists, report, a, b):
     """
     dist = oracle.enumerate_colorings(tree, lists)
     delta = tree.max_degree
+    ell = tree.max_level
+    lhs_of = {}  # leaf_multiplicity_sum of every source state, in one scan
+    for (x, y), count in report.per_pair[(a, b)].usage.items():
+        diff = [e for e in range(tree.n_edges) if x[e] != y[e]]
+        if len(diff) == 1 and tree.edge_levels[diff[0]] == ell:
+            lhs_of[x] = lhs_of.get(x, 0) + count ** 2
     bad = []
     for gamma in dist.states:
-        lhs = leaf_multiplicity_sum(report, a, b, gamma)
+        lhs = lhs_of.get(gamma, 0)
         if gamma[hanging_root_edge(tree)] not in (a, b):
             if lhs:
                 bad.append((gamma, lhs, 0))

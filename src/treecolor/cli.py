@@ -139,16 +139,17 @@ def cmd_count(cfg, out):
 def _spectral_doc(cfg, tree, lists, kind):
     caps = cfg.get("caps", {}) or {}
     tm = spectral.transition_matrix(
-        tree, lists, kind,
-        dense_cap=int(caps.get("dense", spectral.DENSE_CAP)),
-        sparse_cap=int(caps.get("sparse", spectral.SPARSE_CAP)))
-    rep = spectral.spectral_report(tm)
+        tree, lists, kind, sparse_cap=int(caps.get("sparse", spectral.SPARSE_CAP)))
+    seed = cfg.get("seed")
+    rep = (spectral.spectral_report(tm) if seed is None
+           else spectral.spectral_report(tm, seed=int(seed)))
     doc = _base_doc(cfg, tree)
     doc.update({"kind": kind, "q": lists.q, "N": tm.n,
                 "lambda2": rep.lambda2, "lambda_min": rep.lambda_min,
-                "t_rel": rep.t_rel})
+                "t_rel": rep.t_rel, "method": rep.method,
+                "residual": rep.residual, "matvecs": rep.matvecs})
     mix_cap = int(caps.get("mixing", spectral.MIXING_CAP))
-    if tm.dense and tm.n <= mix_cap:
+    if tm.n <= mix_cap:
         doc["t_mix_quarter"] = spectral.mixing_time(tm, 0.25, cap=mix_cap)
     else:
         doc["t_mix_quarter"] = None

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .colorings import available_colors, is_proper
 from .errors import ParameterError
@@ -192,25 +193,14 @@ def one_step_targets(tree, lists, kind, state, block_spec=None, include_singleto
 
 
 def check_ergodicity(tree, lists, kind, cap=oracle.ENUMERATION_CAP, **kw):
-    """Connectivity of the one-step move graph over the enumerated support.
+    """Connectivity of the one-step move graph over the enumerated support,
+    read off the pattern of the class-built transition matrix.
 
     Returns (connected, component_count).
     """
+    from . import spectral  # spectral imports this module
+
     dist = oracle.enumerate_colorings(tree, lists, cap=cap)
-    n = dist.size
-    comp = [-1] * n
-    ncomp = 0
-    for s0 in range(n):
-        if comp[s0] != -1:
-            continue
-        comp[s0] = ncomp
-        stack = [s0]
-        while stack:
-            i = stack.pop()
-            for t in one_step_targets(tree, lists, kind, dist.states[i], **kw):
-                j = dist.index[t]
-                if comp[j] == -1:
-                    comp[j] = ncomp
-                    stack.append(j)
-        ncomp += 1
+    tm = spectral.transition_matrix(tree, lists, kind, sparse_cap=cap, dist=dist, **kw)
+    ncomp, _ = connected_components(tm.matrix, directed=False)
     return ncomp == 1, ncomp

@@ -1,9 +1,9 @@
 """Exact transition matrices, spectra, mixing times and conductance.
 
-Dense matrices are handled with LAPACK (``numpy.linalg.eigh`` on the
-symmetrized kernel); above the dense cap a sparse matrix is assembled and the
-second eigenvalue is located by power iteration after deflating the known
-stationary eigenvector.
+Transition matrices are sparse (CSR).  Their extreme eigenvalues come from
+implicitly restarted Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``):
+the report carries the residual and the operator applications, and a solve
+that does not converge, or whose residual is too large, raises.
 """
 
 from __future__ import annotations
@@ -14,22 +14,22 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import dynamics, oracle
 from .colorings import available_colors, uniform_lists
 from .errors import CapacityError, NonErgodicError, ParameterError, VerificationError
 
-DENSE_CAP = 6000
 SPARSE_CAP = 300000
 MIXING_CAP = 4000
+RESIDUAL_TOL = 1e-8
 
 
 @dataclass
 class TransitionMatrix:
     kind: str
     dist: oracle.DistributionTable
-    matrix: object  # ndarray (dense) or scipy.sparse.csr_matrix
-    dense: bool
+    matrix: sp.csr_matrix
     reversible: bool
 
     @property
@@ -46,16 +46,13 @@ class TransitionMatrix:
     def detailed_balance_error(self):
         """max |mu(x)P(x,y) - mu(y)P(y,x)|; mu is uniform so this is matrix
         asymmetry times the state weight."""
-        if self.dense:
-            gap = np.max(np.abs(self.matrix - self.matrix.T))
-        else:
-            diff = self.matrix - self.matrix.T
-            gap = np.max(np.abs(diff.data)) if diff.nnz else 0.0
+        diff = self.matrix - self.matrix.T
+        gap = np.max(np.abs(diff.data)) if diff.nnz else 0.0
         return float(gap) * self.dist.weight
 
 
 def transition_matrix(tree, lists, kind, block_spec=None, include_singletons=True,
-                      dense_cap=DENSE_CAP, sparse_cap=SPARSE_CAP, dist=None):
+                      sparse_cap=SPARSE_CAP, dist=None):
     """Exact one-step matrix of the chosen chain over the enumerated support.
 
     Every kind is assembled from the block projectors Pi_B, which average over
@@ -98,33 +95,13 @@ def transition_matrix(tree, lists, kind, block_spec=None, include_singletons=Tru
             csr += sp.diags((1.0 - sizes[labels] / lists.q) / m)
         else:
             csr += member @ sp.diags((w / total_w) / sizes) @ member.T
-    if n <= dense_cap:
-        return TransitionMatrix(kind, dist, csr.toarray(), dense=True, reversible=True)
-    return TransitionMatrix(kind, dist, csr, dense=False, reversible=True)
+    return TransitionMatrix(kind, dist, csr, reversible=True)
 
 
 def _require_ergodic(tm):
-    pattern = tm.matrix if not tm.dense else sp.csr_matrix(tm.matrix)
-    ncomp, _ = connected_components(pattern, directed=False)
+    ncomp, _ = connected_components(tm.matrix, directed=False)
     if ncomp != 1:
         raise NonErgodicError(f"chain splits into {ncomp} components")
-
-
-def _symmetrized(tm):
-    """D^{1/2} P D^{-1/2} with D the stationary weights.
-
-    The stationary law here is uniform, so this is numerically P itself; the
-    conjugation is kept for clarity and symmetrized against roundoff.
-    """
-    mu = tm.stationary()
-    if tm.dense:
-        d = np.sqrt(mu)
-        s = (tm.matrix * (1.0 / d)[None, :]) * d[:, None]
-        return 0.5 * (s + s.T)
-    d = sp.diags(np.sqrt(mu))
-    dinv = sp.diags(1.0 / np.sqrt(mu))
-    s = d @ tm.matrix @ dinv
-    return 0.5 * (s + s.T)
 
 
 @dataclass
@@ -135,68 +112,70 @@ class SpectralReport:
     gap: float
     t_rel: float
     method: str
+    residual: float
+    matvecs: int
 
     def export(self):
         return {"N": self.n_states, "lambda2": self.lambda2,
                 "lambda_min": self.lambda_min, "gap": self.gap,
-                "t_rel": self.t_rel, "method": self.method}
+                "t_rel": self.t_rel, "method": self.method,
+                "residual": self.residual, "matvecs": self.matvecs}
 
 
-def _power_iteration(matvec, n, deflate, rng, tol=1e-10, max_iter=1_000_000):
-    """Largest eigenvalue of a symmetric operator restricted to the
-    complement of the ``deflate`` directions (orthonormal columns)."""
-    x = rng.standard_normal(n)
-    for v in deflate:
-        x -= (v @ x) * v
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        y = matvec(x)
-        for v in deflate:
-            y -= (v @ y) * v
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        x_new = y / norm
-        lam_new = float(x_new @ matvec(x_new))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)) and it > 5:
-            return lam_new
-        lam = lam_new
-        x = x_new
-    return lam
+def _lanczos(matvec, n, k, seed):
+    """k largest eigenpairs of a symmetric operator on R^n by ARPACK, from a
+    start vector drawn with ``seed``; returns (values, vectors, matvecs)."""
+    matvecs = 0
+
+    def counted(x):
+        nonlocal matvecs
+        matvecs += 1
+        return matvec(x)
+
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        vals, vecs = eigsh(LinearOperator((n, n), matvec=counted, dtype=float),
+                           k=k, which="LA", v0=v0)
+    except ArpackNoConvergence as exc:
+        raise VerificationError(f"Lanczos did not converge: {exc}") from exc
+    return vals, vecs, matvecs
 
 
 def spectral_report(tm, check_ergodic=True, compute_lambda_min=True, seed=7,
                     heatbath_floor=-1e-9):
     """Second eigenvalue, minimal eigenvalue and relaxation time.
 
-    Heat-bath kinds are averages of projections, so their spectrum must be
-    nonnegative; a violation below ``heatbath_floor`` raises.
+    Lanczos gives the top two eigenvalues 1 and lambda_2 of P and, with
+    ``compute_lambda_min``, the top eigenvalue 1 - lambda_min of I - P;
+    lambda_min is NaN when not computed.  Heat-bath kinds are averages of
+    projections, so their spectrum must be nonnegative; a violation below
+    ``heatbath_floor`` raises, as do non-convergence and a residual
+    max ||Px - lambda x|| above ``RESIDUAL_TOL``.
     """
     if check_ergodic:
         _require_ergodic(tm)
-    s = _symmetrized(tm)
-    if tm.dense:
-        eigs = np.linalg.eigvalsh(s)
-        if abs(eigs[-1] - 1.0) > 1e-9:
-            raise VerificationError(
-                f"top eigenvalue {eigs[-1]} is not 1; matrix is not stochastic")
-        lam2 = float(eigs[-2]) if tm.n > 1 else 1.0
-        lam_min = float(eigs[0])
-        method = "dense-eigh"
+    # mu is uniform, so P is symmetric; an asymmetric P fails the residual.
+    P = tm.matrix
+    if tm.n <= 3:  # too few states for ARPACK's k=2 solve
+        vals, vecs = np.linalg.eigh(P.toarray())
+        matvecs, method = 0, "dense-eigh"
     else:
-        rng = np.random.default_rng(seed)
-        mu_vec = np.sqrt(tm.stationary())
-        mu_vec /= np.linalg.norm(mu_vec)
-        matvec = lambda x: s @ x
-        lam2 = _power_iteration(matvec, tm.n, [mu_vec], rng)
+        vals, vecs, matvecs = _lanczos(lambda x: P @ x, tm.n, 2, seed)
         if compute_lambda_min:
-            shifted = lambda x: x - s @ x  # eigenvalues 1 - lambda >= 0
-            top = _power_iteration(shifted, tm.n, [], rng)
-            lam_min = 1.0 - top
-        else:
-            lam_min = 0.0
-        method = "power-iteration"
+            top, vec, count = _lanczos(lambda x: x - P @ x, tm.n, 1, seed)
+            vals = np.concatenate([1.0 - top, vals])
+            vecs = np.hstack([vec, vecs])
+            matvecs += count
+        method = "lanczos"
+    residual = float(np.max(np.linalg.norm(P @ vecs - vecs * vals, axis=0)))
+    if residual > RESIDUAL_TOL:
+        raise VerificationError(
+            f"eigenpair residual {residual:.3g} is above {RESIDUAL_TOL:g}")
+    if abs(vals[-1] - 1.0) > 1e-9:
+        raise VerificationError(
+            f"top eigenvalue {vals[-1]} is not 1; matrix is not stochastic")
+    lam2 = float(vals[-2]) if tm.n > 1 else 1.0
+    lam_min = float(vals[0]) if compute_lambda_min else math.nan
     if tm.kind != dynamics.UNIFORM_GLAUBER and compute_lambda_min:
         if lam_min < heatbath_floor:
             raise VerificationError(
@@ -205,7 +184,8 @@ def spectral_report(tm, check_ergodic=True, compute_lambda_min=True, seed=7,
     gap = 1.0 - lam_star
     if gap <= 0:
         raise NonErgodicError("absolute spectral gap is zero")
-    return SpectralReport(tm.n, lam2, lam_min, gap, 1.0 / gap, method)
+    return SpectralReport(tm.n, lam2, lam_min, gap, 1.0 / gap, method,
+                          residual, matvecs)
 
 
 def _tv_from_uniform(mat, weight):
@@ -224,7 +204,7 @@ def mixing_time(tm, eps=0.25, cap=MIXING_CAP):
         raise CapacityError(f"{tm.n} states is above the mixing cap {cap}",
                             estimated=tm.n)
     w = tm.dist.weight
-    P = tm.matrix if tm.dense else tm.matrix.toarray()
+    P = tm.matrix.toarray()
     if _tv_from_uniform(np.eye(tm.n), w) <= eps:
         return 0
     powers = [P]  # powers[j] = P^(2^j)
@@ -269,10 +249,7 @@ def conductance(tm, S):
     mask = np.zeros(tm.n, dtype=bool)
     mask[S] = True
     mu = tm.stationary()
-    if tm.dense:
-        out_rows = tm.matrix[mask][:, ~mask].sum(axis=1)
-    else:
-        out_rows = np.asarray(tm.matrix[mask][:, ~mask].sum(axis=1)).ravel()
+    out_rows = np.asarray(tm.matrix[mask][:, ~mask].sum(axis=1)).ravel()
     flow = float(mu[mask] @ out_rows)
     return flow / float(mu[mask].sum())
 

@@ -5,7 +5,9 @@ Every functional of interest (global variance, summed conditional variances
 over blocks, variance of a conditional expectation) is assembled as a
 symmetric matrix over the enumerated support, so "for all f" inequalities
 become positive-semidefiniteness of a matrix difference, decided by an exact
-eigensolve with tolerance -1e-9 on the minimum eigenvalue.
+eigensolve with tolerance -1e-9 on the minimum eigenvalue.  Optimal
+tensorization constants come from the spectral gap of the matching block
+dynamics, through the Lanczos solver of ``spectral.spectral_report``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import dynamics, oracle, spectral
 from .colorings import pinned_root_lists, uniform_lists
@@ -22,7 +23,6 @@ from .errors import NonErgodicError, ParameterError
 from .trees import Tree, build_complete_regular, build_hanging_root
 
 PSD_TOL = -1e-9
-FORMS_CAP = 1500
 
 
 def projector(dist, S):
@@ -83,22 +83,12 @@ def certify_inequality(lhs, rhs, tol=PSD_TOL):
     return Certificate(ok=lam >= tol, min_eigenvalue=lam, marginal=tol <= lam < 0)
 
 
-def _complement_basis(n):
-    """Orthonormal basis of the complement of the constant vector."""
-    v = np.full(n, 1.0 / math.sqrt(n))
-    v[0] -= 1.0
-    v /= np.linalg.norm(v)
-    H = np.eye(n) - 2.0 * np.outer(v, v)
-    return H[:, 1:]
-
-
-def optimal_at_constant(dist, blocks, forms_cap=FORMS_CAP, chain_tol=1e-12):
+def optimal_at_constant(dist, blocks, chain_tol=1e-12):
     """Smallest uniform C with Var(f) <= C * sum_B mu[Var_B f] for all f.
 
-    Computed as the top generalized eigenvalue of the variance form against
-    the block Dirichlet form on the complement of constants.  Above the dense
-    cap the equivalent route through the block-dynamics transition matrix is
-    used: with uniform weights the optimum equals 1 / (#blocks * gap).
+    The right side is #blocks times the Dirichlet form of the block dynamics
+    that heat-bath updates a uniformly random block, so with uniform weights
+    the optimum is 1 / (#blocks * (1 - lambda_2)) of that chain.
     """
     blocks = [tuple(b) for b in blocks]
     covered = set()
@@ -106,18 +96,6 @@ def optimal_at_constant(dist, blocks, forms_cap=FORMS_CAP, chain_tol=1e-12):
         covered.update(b)
     if covered != set(range(dist.tree.n_edges)):
         raise ParameterError("blocks must cover all edges")
-    if dist.size <= forms_cap:
-        A = var_form(dist)
-        B = sum(cond_var_form(dist, b) for b in blocks)
-        Q = _complement_basis(dist.size)
-        Ap = Q.T @ A @ Q
-        Bp = Q.T @ B @ Q
-        floor = np.linalg.eigvalsh(0.5 * (Bp + Bp.T))[0]
-        if floor <= 1e-12 * len(blocks):
-            raise NonErgodicError("block Dirichlet form is singular beyond constants")
-        eigs = scipy.linalg.eigh(0.5 * (Ap + Ap.T), 0.5 * (Bp + Bp.T),
-                                 eigvals_only=True)
-        return float(eigs[-1])
     spec = dynamics.BlockSpec(tuple(blocks), tuple([1.0] * len(blocks)))
     tm = spectral.transition_matrix(dist.tree, dist.lists, dynamics.BLOCK,
                                     block_spec=spec, dist=dist)
@@ -210,17 +188,17 @@ def f_hat(k, t, ell, alpha, gamma):
     return gamma * (geom * alpha[t - top] + 1.0) * (alpha[0] if in_class else 1.0)
 
 
-def gamma_constant(delta, q, ell, forms_cap=FORMS_CAP):
+def gamma_constant(delta, q, ell):
     """Largest optimal tensorization constant over the depth <= ell pieces:
     the uniform complete trees and the root-pinned hanging trees."""
     best = 0.0
     for j in range(1, ell + 1):
         t = build_complete_regular(delta, j)
         d = oracle.enumerate_colorings(t, uniform_lists(t, q))
-        best = max(best, optimal_at_constant(d, singleton_blocks(t), forms_cap))
+        best = max(best, optimal_at_constant(d, singleton_blocks(t)))
         ts = build_hanging_root(delta, j)
         d2 = oracle.enumerate_colorings(ts, pinned_root_lists(ts, q, 1))
-        best = max(best, optimal_at_constant(d2, singleton_blocks(ts), forms_cap))
+        best = max(best, optimal_at_constant(d2, singleton_blocks(ts)))
     return best
 
 
@@ -270,7 +248,7 @@ def restrict_tree(tree, sub_edges):
     return Tree(parent, root=relabel[tree.root])
 
 
-def check_monotonicity(super_tree, sub_edges, q, forms_cap=FORMS_CAP):
+def check_monotonicity(super_tree, sub_edges, q):
     """Optimal constants of a rooted subtree against the full tree.
 
     Asserts the factor-q bound for singleton blocks and the factor-(q+1)^2
@@ -281,8 +259,8 @@ def check_monotonicity(super_tree, sub_edges, q, forms_cap=FORMS_CAP):
     for name, tr in (("super", super_tree), ("sub", sub_tree)):
         d = oracle.enumerate_colorings(tr, uniform_lists(tr, q))
         recs[name] = {
-            "singleton": optimal_at_constant(d, singleton_blocks(tr), forms_cap),
-            "pairs": optimal_at_constant(d, dynamics.pair_blocks(tr), forms_cap),
+            "singleton": optimal_at_constant(d, singleton_blocks(tr)),
+            "pairs": optimal_at_constant(d, dynamics.pair_blocks(tr)),
         }
     ok_single = recs["sub"]["singleton"] <= q * recs["super"]["singleton"] + 1e-9
     ok_pairs = recs["sub"]["pairs"] <= (q + 1) ** 2 * recs["super"]["pairs"] + 1e-9

@@ -16,6 +16,7 @@ from treecolor import dynamics, oracle, spectral
 from treecolor import tensorization as tz
 from treecolor.canonical import EDGE_PATHS, GLAUBER_PATHS, compute_congestion
 from treecolor.colorings import available_colors, star_root_lists, uniform_lists
+from treecolor.dynamics import check_ergodicity, one_step_targets
 from treecolor.trees import (build_complete_regular, build_hanging_root,
                              tree_from_parents)
 
@@ -116,15 +117,15 @@ def test_transition_matrix_matches_loop_reference():
         for kind in (dynamics.UNIFORM_GLAUBER, dynamics.HEATBATH_GLAUBER,
                      dynamics.NEIGHBOR_PAIR, dynamics.BLOCK):
             kw = {"block_spec": spec} if kind == dynamics.BLOCK else {}
-            got = spectral.transition_matrix(tree, lists, kind, dense_cap=0, **kw).matrix
+            got = spectral.transition_matrix(tree, lists, kind, **kw).matrix
             want = reference_matrix(tree, lists, kind, **kw)
+            assert got.format == "csr"
             got.sort_indices()
             want.sort_indices()
             assert np.array_equal(got.indptr, want.indptr), (tree.n_edges, q, kind)
             assert np.array_equal(got.indices, want.indices), (tree.n_edges, q, kind)
             assert np.max(np.abs(got.data - want.data)) <= 1e-15, (tree.n_edges, q, kind)
-            dense = spectral.transition_matrix(tree, lists, kind, **kw)
-            assert dense.dense and np.array_equal(dense.matrix, got.toarray())
+            assert np.max(np.abs(got.toarray() - want.toarray())) <= 1e-15
 
 
 def test_projector_equals_tuple_dict_reference():
@@ -186,3 +187,41 @@ def test_congestion_rates_match_block_assignments():
             assert pc.xi_levels == xi_levels
             assert pc.xi_pairs == xi_pairs
             assert pc.r_leaf == r_leaf
+
+
+def reference_ergodicity(tree, lists, kind, **kw):
+    """Component count of the move graph by a per-state walk over
+    ``one_step_targets``."""
+    dist = oracle.enumerate_colorings(tree, lists)
+    comp = [-1] * dist.size
+    ncomp = 0
+    for s0 in range(dist.size):
+        if comp[s0] != -1:
+            continue
+        comp[s0] = ncomp
+        stack = [s0]
+        while stack:
+            i = stack.pop()
+            for t in one_step_targets(tree, lists, kind, dist.states[i], **kw):
+                j = dist.index[t]
+                if comp[j] == -1:
+                    comp[j] = ncomp
+                    stack.append(j)
+        ncomp += 1
+    return ncomp == 1, ncomp
+
+
+def test_check_ergodicity_matches_move_graph_walk():
+    frozen_star = (build_complete_regular(3, 1), 3)  # q = delta: 6 components
+    for tree, q in ZOO + [frozen_star]:
+        lists = uniform_lists(tree, q)
+        blocks = tuple(dynamics.pair_blocks(tree))
+        spec = dynamics.BlockSpec(blocks, tuple(range(len(blocks))))
+        for kind in (dynamics.UNIFORM_GLAUBER, dynamics.HEATBATH_GLAUBER,
+                     dynamics.NEIGHBOR_PAIR, dynamics.BLOCK):
+            kw = {"block_spec": spec} if kind == dynamics.BLOCK else {}
+            want = reference_ergodicity(tree, lists, kind, **kw)
+            assert check_ergodicity(tree, lists, kind, **kw) == want, (tree.n_edges, q, kind)
+    tree, q = frozen_star
+    assert check_ergodicity(tree, uniform_lists(tree, q),
+                            dynamics.HEATBATH_GLAUBER) == (False, 6)

@@ -237,6 +237,38 @@ def test_leaf_count_bound_exhaustive():
         assert ok, bad[:3]
 
 
+def reference_leaf_count_check(tree, lists, report, a, b):
+    """The per-coloring loop: one ``leaf_multiplicity_sum`` scan per state."""
+    dist = oracle.enumerate_colorings(tree, lists)
+    bad = []
+    for gamma in dist.states:
+        lhs = leaf_multiplicity_sum(report, a, b, gamma)
+        if gamma[hanging_root_edge(tree)] not in (a, b):
+            if lhs:
+                bad.append((gamma, lhs, 0))
+            continue
+        rhs = canonical.leaf_count_bound(gamma_stats(tree, lists, gamma, a, b),
+                                         tree.max_degree)
+        if lhs > rhs:
+            bad.append((gamma, lhs, rhs))
+    return not bad, bad
+
+
+def test_leaf_count_check_matches_per_state_loop():
+    # (2, 2, 4) breaks the bound at one coloring per pair, so ``bad`` is
+    # compared on a nonempty list too.
+    cases = [((2, 3, 4), GLAUBER_PATHS), ((3, 1, 5), GLAUBER_PATHS),
+             ((2, 1, 4), GLAUBER_PATHS), ((2, 2, 4), GLAUBER_PATHS),
+             ((3, 1, 4), EDGE_PATHS)]
+    for (delta, ell, q), kind in cases:
+        tree, lists, _ = star_instance(delta, ell, q)
+        rep = compute_congestion(tree, lists, kind)
+        for a, b in rep.per_pair:
+            got = leaf_count_check(tree, lists, rep, a, b)
+            assert got == reference_leaf_count_check(tree, lists, rep, a, b)
+            assert got[0] == ((delta, ell) != (2, 2))
+
+
 def test_leaf_multiplicity_zero_off_the_coupling():
     tree, lists, dist = star_instance(2, 3, 4)
     rep = compute_congestion(tree, lists, GLAUBER_PATHS)

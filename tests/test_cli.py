@@ -6,6 +6,7 @@ import sys
 
 import yaml
 
+from treecolor import spectral
 from treecolor.cli import main
 from treecolor.colorings import uniform_lists
 from treecolor.oracle import count_colorings
@@ -32,6 +33,31 @@ def test_gap_command(tmp_path):
     assert abs(doc["t_rel"] - 1.0) < 1e-9
     assert doc["t_mix_quarter"] == 1
     assert "tree_hash" in doc and "config" in doc
+
+
+def test_spectral_commands_report_the_solver(tmp_path, monkeypatch):
+    seeds = []
+    report = spectral.spectral_report
+
+    def recording(tm, **kw):
+        seeds.append(kw.get("seed"))
+        return report(tm, **kw)
+
+    monkeypatch.setattr(spectral, "spectral_report", recording)
+    for command in ("gap", "mix", "conductance"):
+        cfg = write_cfg(tmp_path, {
+            "command": command,
+            "tree": {"shape": "path", "n_edges": 4},
+            "q": 3, "lists": "uniform", "kind": "HEATBATH_GLAUBER",
+            "caps": {"dense": 16},  # no longer a cap; accepted and ignored
+        }, name=f"{command}.yaml")
+        out = str(tmp_path / command)
+        assert main([command, "--config", cfg, "--out", out, "--seed", "5"]) == 0
+        doc = json.load(open(os.path.join(out, f"{command}.json")))
+        assert doc["method"] == "lanczos" and doc["N"] == 24
+        assert 0 <= doc["residual"] <= 1e-8 and doc["matvecs"] > 0
+        assert doc["t_mix_quarter"] is not None
+    assert seeds == [5, 5, 5]
 
 
 def test_config_errors(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from treecolor import dynamics, oracle, spectral
 from treecolor.colorings import uniform_lists
@@ -23,7 +24,7 @@ def double_star():
 def test_single_edge_heatbath():
     t1 = path_tree(1)
     tm = spectral.transition_matrix(t1, uniform_lists(t1, 3), dynamics.HEATBATH_GLAUBER)
-    assert np.allclose(tm.matrix, np.full((3, 3), 1.0 / 3.0))
+    assert np.allclose(tm.matrix.toarray(), np.full((3, 3), 1.0 / 3.0))
     rep = spectral.spectral_report(tm)
     assert abs(rep.lambda2) < 1e-12
     assert abs(rep.t_rel - 1.0) < 1e-9
@@ -35,7 +36,7 @@ def test_path2_uniform_glauber_structure():
     # with probability 1/(n q) = 1/6
     p2 = path_tree(2)
     tm = spectral.transition_matrix(p2, uniform_lists(p2, 3), dynamics.UNIFORM_GLAUBER)
-    P = tm.matrix
+    P = tm.matrix.toarray()
     assert tm.row_sum_error() < 1e-12
     assert tm.detailed_balance_error() < 1e-12
     for i in range(tm.n):
@@ -55,39 +56,96 @@ def test_neighbor_pair_beats_glauber_on_path2():
     assert np_rep.lambda2 < g.lambda2 - 1e-9
 
 
-def test_dense_vs_power_iteration():
-    p2 = path_tree(2)
-    l3 = uniform_lists(p2, 3)
-    dense = spectral.transition_matrix(p2, l3, dynamics.HEATBATH_GLAUBER)
-    sparse = spectral.transition_matrix(p2, l3, dynamics.HEATBATH_GLAUBER,
-                                        dense_cap=0)
-    assert dense.dense and not sparse.dense
-    r1 = spectral.spectral_report(dense)
-    r2 = spectral.spectral_report(sparse)
-    assert abs(r1.t_rel - r2.t_rel) < 1e-8 * r1.t_rel
+ZOO = [
+    (path_tree(4), 3), (path_tree(3), 4),
+    (build_complete_regular(3, 1), 4),
+    (build_complete_regular(2, 2), 4),
+    (build_hanging_root(3, 1), 4),
+    (double_star(), 4),
+]
 
 
-def test_sparse_route_matches_dense_at_scale():
-    # same chain, both assembly and eigensolver paths
+def assert_matches_dense_oracle(tm, tol=1e-10):
+    """Lanczos lambda_2 and lambda_min against LAPACK's full spectrum."""
+    eigs = np.linalg.eigvalsh(tm.matrix.toarray())
+    rep = spectral.spectral_report(tm)
+    assert rep.method == "lanczos"
+    assert rep.residual <= spectral.RESIDUAL_TOL and rep.matvecs > 0
+    assert abs(rep.lambda2 - eigs[-2]) < tol, (tm.kind, tm.n)
+    assert abs(rep.lambda_min - eigs[0]) < tol, (tm.kind, tm.n)
+    lam2_only = spectral.spectral_report(tm, compute_lambda_min=False)
+    assert abs(lam2_only.lambda2 - eigs[-2]) < tol, (tm.kind, tm.n)
+
+
+def test_lanczos_matches_dense_oracle_zoo():
+    # complete_regular(2, 2) with q=4 has a threefold lambda_2 under heat-bath
+    for tree, q in ZOO:
+        lists = uniform_lists(tree, q)
+        blocks = tuple(dynamics.pair_blocks(tree))
+        spec = dynamics.BlockSpec(blocks, tuple(range(1, len(blocks) + 1)))
+        for kind in (dynamics.UNIFORM_GLAUBER, dynamics.HEATBATH_GLAUBER,
+                     dynamics.NEIGHBOR_PAIR, dynamics.BLOCK):
+            kw = {"block_spec": spec} if kind == dynamics.BLOCK else {}
+            assert_matches_dense_oracle(
+                spectral.transition_matrix(tree, lists, kind, **kw))
+
+
+def test_lanczos_matches_dense_oracle_at_scale():
     t2 = build_complete_regular(3, 2)
-    lists = uniform_lists(t2, 4)
-    dense = spectral.transition_matrix(t2, lists, dynamics.HEATBATH_GLAUBER)
-    rep_dense = spectral.spectral_report(dense)
-    sparse = spectral.transition_matrix(t2, lists, dynamics.HEATBATH_GLAUBER,
-                                        dense_cap=0)
-    rep_sparse = spectral.spectral_report(sparse, compute_lambda_min=False)
-    assert abs(rep_dense.lambda2 - rep_sparse.lambda2) < 1e-8
+    tm = spectral.transition_matrix(t2, uniform_lists(t2, 4),
+                                    dynamics.HEATBATH_GLAUBER)
+    assert tm.n == 5184
+    assert_matches_dense_oracle(tm)
+
+
+def test_tiny_chain_takes_dense_branch():
+    t1 = path_tree(1)
+    tm = spectral.transition_matrix(t1, uniform_lists(t1, 3),
+                                    dynamics.HEATBATH_GLAUBER)
+    rep = spectral.spectral_report(tm)
+    assert rep.method == "dense-eigh" and rep.matvecs == 0
+    assert set(rep.export()) >= {"method", "residual", "matvecs"}
+
+
+def test_nonconvergence_raises(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(spectral, "eigsh", no_convergence)
+    p4 = path_tree(4)
+    tm = spectral.transition_matrix(p4, uniform_lists(p4, 3),
+                                    dynamics.HEATBATH_GLAUBER)
+    for lam_min in (True, False):
+        with pytest.raises(VerificationError, match="did not converge"):
+            spectral.spectral_report(tm, compute_lambda_min=lam_min)
+
+
+def test_large_residual_raises(monkeypatch):
+    def perturbed(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        return vals + 1e-6, vecs
+
+    monkeypatch.setattr(spectral, "eigsh", perturbed)
+    p4 = path_tree(4)
+    tm = spectral.transition_matrix(p4, uniform_lists(p4, 3),
+                                    dynamics.HEATBATH_GLAUBER)
+    with pytest.raises(VerificationError, match="residual"):
+        spectral.spectral_report(tm)
+
+
+def test_seeded_start_vector():
+    p6 = path_tree(6)
+    tm = spectral.transition_matrix(p6, uniform_lists(p6, 3),
+                                    dynamics.HEATBATH_GLAUBER)
+    a = spectral.spectral_report(tm, seed=3)
+    b = spectral.spectral_report(tm, seed=3)
+    c = spectral.spectral_report(tm, seed=4)
+    assert a.lambda2 == b.lambda2 and a.matvecs == b.matvecs
+    assert abs(a.lambda2 - c.lambda2) < 1e-12
 
 
 def test_heatbath_spectrum_nonnegative_zoo():
-    zoo = [
-        (path_tree(4), 3), (path_tree(3), 4),
-        (build_complete_regular(3, 1), 4),
-        (build_complete_regular(2, 2), 4),
-        (build_hanging_root(3, 1), 4),
-        (double_star(), 4),
-    ]
-    for tree, q in zoo:
+    for tree, q in ZOO:
         tm = spectral.transition_matrix(tree, uniform_lists(tree, q),
                                         dynamics.HEATBATH_GLAUBER)
         assert tm.detailed_balance_error() < 1e-12
@@ -114,7 +172,7 @@ def test_uniform_and_heatbath_share_stationary_law():
     for kind in (dynamics.UNIFORM_GLAUBER, dynamics.HEATBATH_GLAUBER):
         tm = spectral.transition_matrix(p3, l3, kind)
         mu = tm.stationary()
-        assert np.max(np.abs(mu @ tm.matrix - mu)) < 1e-12
+        assert np.max(np.abs(mu @ tm.matrix.toarray() - mu)) < 1e-12
 
 
 def test_trel_over_n_increasing_paths():
@@ -159,7 +217,8 @@ def test_conductance_color_cut():
 
     # direct double-sum oracle for Phi(S)
     mu = tm.stationary()
-    flow = sum(mu[i] * tm.matrix[i, j] for i in S for j in range(tm.n)
+    P = tm.matrix.toarray()
+    flow = sum(mu[i] * P[i, j] for i in S for j in range(tm.n)
                if j not in set(S))
     assert abs(spectral.conductance(tm, S) - flow / (len(S) / tm.n)) < 1e-12
     with pytest.raises(ParameterError):
@@ -259,9 +318,9 @@ def test_local_to_global_constants():
     assert abs(spectral.lambda2(spectral.star_local_walk(2)) - 0.5) < 1e-12
 
 
-def test_symmetrized_is_symmetric():
+def test_transition_matrix_is_symmetric():
     p3 = path_tree(3)
     tm = spectral.transition_matrix(p3, uniform_lists(p3, 4),
                                     dynamics.NEIGHBOR_PAIR)
-    s = spectral._symmetrized(tm)
-    assert np.max(np.abs(s - s.T)) < 1e-12
+    diff = tm.matrix - tm.matrix.T
+    assert diff.nnz == 0 or np.max(np.abs(diff.data)) < 1e-12

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from treecolor import canonical, dynamics, oracle, spectral
 from treecolor import tensorization as tz
@@ -114,12 +115,26 @@ def test_at_constant_times_n_equals_relaxation_time():
         assert abs(C * tree.n_edges - t_rel) <= 1e-6 * t_rel
 
 
+def optimal_at_constant_via_forms(d, blocks):
+    """Top generalized eigenvalue of the variance form against the summed
+    conditional-variance forms, on the complement of constants."""
+    n = d.size
+    v = np.full(n, 1.0 / np.sqrt(n))
+    v[0] -= 1.0
+    v /= np.linalg.norm(v)
+    Q = (np.eye(n) - 2.0 * np.outer(v, v))[:, 1:]  # Householder: Q.T 1 = 0
+    A = Q.T @ tz.var_form(d) @ Q
+    B = Q.T @ sum(tz.cond_var_form(d, b) for b in blocks) @ Q
+    eigs = scipy.linalg.eigh(0.5 * (A + A.T), 0.5 * (B + B.T), eigvals_only=True)
+    return float(eigs[-1])
+
+
 def test_forms_route_matches_chain_route():
     t, d = path_dist(4, 3)
-    blocks = dynamics.pair_blocks(t)
-    via_forms = tz.optimal_at_constant(d, blocks)
-    via_chain = tz.optimal_at_constant(d, blocks, forms_cap=1)
-    assert abs(via_forms - via_chain) < 1e-8 * via_forms
+    for blocks in (dynamics.pair_blocks(t), tz.singleton_blocks(t)):
+        via_forms = optimal_at_constant_via_forms(d, blocks)
+        via_chain = tz.optimal_at_constant(d, blocks)
+        assert abs(via_forms - via_chain) < 1e-8 * via_forms
 
 
 def test_star_at_constant_bound():
