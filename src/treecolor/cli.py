@@ -171,9 +171,12 @@ def cmd_mix(cfg, out):
     kind = _kind(cfg)
     tm, rep, doc = _spectral_doc(cfg, tree, lists, kind)
     eps = float(cfg.get("eps", 0.25))
-    caps = cfg.get("caps", {}) or {}
-    t_mix = spectral.mixing_time(tm, eps,
-                                 cap=int(caps.get("mixing", spectral.MIXING_CAP)))
+    if eps == 0.25 and doc["t_mix_quarter"] is not None:
+        t_mix = doc["t_mix_quarter"]
+    else:
+        caps = cfg.get("caps", {}) or {}
+        t_mix = spectral.mixing_time(
+            tm, eps, cap=int(caps.get("mixing", spectral.MIXING_CAP)))
     bound = rep.t_rel * (1.0 + tree.n_edges * math.log(lists.q))
     doc.update({"eps": eps, "t_mix": t_mix, "t_rel_bound": bound})
     path = _write_json(out, "mix.json", doc)

@@ -1,8 +1,10 @@
 """Exact enumeration and counting of proper list edge colorings.
 
-``enumerate_colorings`` materializes the whole support in a canonical order
-(depth-first assignment along BFS edge ids, colors ascending inside each
-list), which makes state indices reproducible across runs.
+``enumerate_colorings`` materializes the whole support as an (N x m) array
+of colors in a canonical order (lexicographic over BFS edge ids, colors
+ascending inside each list), which makes state indices reproducible across
+runs.  The support is kept only as that array: ``DistributionTable.states``
+(one tuple per coloring) and its ``index`` are built on first use.
 ``count_colorings`` gets the same number by dynamic programming and works on
 trees far too large to enumerate.
 ``DistributionTable.classes`` groups the support into the classes of states
@@ -23,28 +25,30 @@ ENUMERATION_CAP = 2_000_000
 
 
 class DistributionTable:
-    """Uniform distribution over an enumerated support of colorings."""
+    """Uniform distribution over an enumerated support of colorings.
 
-    def __init__(self, tree, lists, states):
+    ``array`` holds the support, one coloring per row, in the narrowest
+    unsigned dtype that holds ``q``.
+    """
+
+    def __init__(self, tree, lists, array):
         self.tree = tree
         self.lists = lists
-        self.states = states
-        self.size = len(states)
+        self.array = array
+        self.size = len(array)
         if self.size == 0:
             raise InfeasiblePinningError("empty support")
         self.weight = 1.0 / self.size
 
     @cached_property
+    def states(self):
+        """The support as a list of color tuples, built on first use."""
+        return list(map(tuple, self.array.tolist()))
+
+    @cached_property
     def index(self):
         """State tuple -> row of the support, built on first lookup."""
         return {s: i for i, s in enumerate(self.states)}
-
-    @cached_property
-    def array(self):
-        """The support as an (N x m) array of colors, in the narrowest
-        unsigned dtype that holds ``q``; built on first use."""
-        dtype = np.min_scalar_type(self.lists.q)
-        return np.array(self.states, dtype=dtype).reshape(self.size, self.tree.n_edges)
 
     def classes(self, B):
         """Partition of the support into classes of states that agree on every
@@ -76,22 +80,24 @@ class DistributionTable:
         for e in pinned:
             if not (0 <= e < self.tree.n_edges):
                 raise ParameterError(f"pinned edge {e} out of range")
-        items = tuple(pinned.items())
-        sub = [s for s in self.states if all(s[e] == c for e, c in items)]
-        if not sub:
+        mask = np.ones(self.size, dtype=bool)
+        for e, c in pinned.items():
+            mask &= self.array[:, e] == c
+        if not mask.any():
             raise InfeasiblePinningError(f"pinning {pinned} has no extension")
-        return DistributionTable(self.tree, self.lists, sub)
+        return DistributionTable(self.tree, self.lists, self.array[mask])
 
     def marginal(self, S):
-        """Map color-tuple on the sorted edge set ``S`` -> probability."""
+        """Map color-tuple on the sorted edge set ``S`` -> probability, keyed
+        in order of first appearance in the support."""
         S = sorted(S)
         if not S:
             raise ParameterError("marginal needs a nonempty edge set")
-        out = {}
-        for s in self.states:
-            key = tuple(s[e] for e in S)
-            out[key] = out.get(key, 0) + 1
-        return {k: v / self.size for k, v in out.items()}
+        keys, first, counts = np.unique(self.array[:, S], axis=0,
+                                        return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return {tuple(k): v / self.size
+                for k, v in zip(keys[order].tolist(), counts[order].tolist())}
 
     def export(self, include_states=False):
         doc = {
@@ -100,7 +106,7 @@ class DistributionTable:
             "size": self.size,
         }
         if include_states:
-            doc["states"] = [list(s) for s in self.states]
+            doc["states"] = self.array.tolist()
         return doc
 
     def export_json(self, include_states=False):
@@ -116,30 +122,32 @@ def _earlier_neighbors(tree):
 
 
 def enumerate_colorings(tree, lists, cap=ENUMERATION_CAP):
+    """The support of the uniform distribution, one edge at a time in BFS
+    order: each partial coloring is extended by every color of the edge's
+    sorted list, and the extensions that repeat an earlier neighbor's color
+    are dropped.  Extending rows in order keeps the support lexicographic."""
     total = count_colorings(tree, lists)
     if total > cap:
         raise CapacityError(
             f"support has {total} states, above the cap {cap}", estimated=total
         )
-    m = tree.n_edges
-    earlier = _earlier_neighbors(tree)
-    options = [sorted(lists[e]) for e in range(m)]
-    states = []
-    current = [0] * m
-
-    def assign(e):
-        if e == m:
-            states.append(tuple(current))
-            return
-        blocked = {current[f] for f in earlier[e]}
-        for c in options[e]:
-            if c not in blocked:
-                current[e] = c
-                assign(e + 1)
-        current[e] = 0
-
-    assign(0)
-    return DistributionTable(tree, lists, states)
+    dtype = np.min_scalar_type(lists.q)
+    rows = np.zeros((1, tree.n_edges), dtype=dtype)
+    for e, earlier in enumerate(_earlier_neighbors(tree)):
+        colors = np.array(sorted(lists[e]), dtype=dtype)
+        allowed = np.ones((len(rows), len(colors)), dtype=bool)
+        for f in earlier:
+            allowed &= rows[:, f, None] != colors
+        counts = allowed.sum(axis=1)
+        prefixes = int(counts.sum())
+        # Prefixes can outnumber the support when custom lists kill them late.
+        if prefixes > cap:
+            raise CapacityError(
+                f"{prefixes} partial colorings of edges 0..{e}, above the "
+                f"cap {cap}", estimated=prefixes)
+        rows = np.repeat(rows, counts, axis=0)
+        rows[:, e] = np.broadcast_to(colors, allowed.shape)[allowed]
+    return DistributionTable(tree, lists, rows)
 
 
 def count_colorings(tree, lists):

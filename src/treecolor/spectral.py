@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import dynamics, oracle
-from .colorings import available_colors, uniform_lists
+from .colorings import uniform_lists
 from .errors import CapacityError, NonErgodicError, ParameterError, VerificationError
 
 SPARSE_CAP = 300000
@@ -255,7 +255,7 @@ def conductance(tm, S):
 
 
 def color_cut(dist, e, c):
-    return [i for i, s in enumerate(dist.states) if s[e] == c]
+    return np.flatnonzero(dist.array[:, e] == c).tolist()
 
 
 def conductance_star(tm, extra_cuts=()):
@@ -296,11 +296,10 @@ def frozen_probability_formula(delta, q):
 def frozen_probability_exact(tree, lists, e, cap=oracle.ENUMERATION_CAP):
     """Enumerated Pr[|available(e)| <= 1] under the root-color-1 pinning."""
     dist = oracle.enumerate_colorings(tree, lists, cap=cap)
-    cond = dist.conditional({e: 1})
-    hits = sum(
-        1 for s in cond.states
-        if len(available_colors(tree, lists, s, e)) <= 1)
-    return hits / cond.size
+    fiber = dist.conditional({e: 1}).array
+    around = fiber[:, list(tree.neighbors[e])]
+    available = sum(~np.any(around == c, axis=1) for c in lists[e])
+    return int(np.count_nonzero(available <= 1)) / len(fiber)
 
 
 def lower_bound_check(tree, e, q, kind=dynamics.HEATBATH_GLAUBER, strict=True,

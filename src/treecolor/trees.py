@@ -88,6 +88,10 @@ class Tree:
         self.edge_levels = edge_levels
         self.max_level = max(edge_levels)
         self.min_level = min(edge_levels)
+        by_level = {}
+        for e, lv in enumerate(edge_levels):
+            by_level.setdefault(lv, []).append(e)
+        self._level_edges = {lv: frozenset(es) for lv, es in by_level.items()}
 
         deg = [0] * n
         for v in order:
@@ -130,7 +134,7 @@ class Tree:
         if not (self.min_level <= i <= self.max_level):
             raise ParameterError(f"level {i} out of range "
                                  f"[{self.min_level}, {self.max_level}]")
-        return frozenset(e for e in range(self.n_edges) if self.edge_levels[e] == i)
+        return self._level_edges.get(i, frozenset())
 
     def edge_neighbors(self, e):
         if not (0 <= e < self.n_edges):

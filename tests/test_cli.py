@@ -186,3 +186,24 @@ def test_bundled_acceptance_configs_run_clean(tmp_path):
         out = str(tmp_path / os.path.basename(path).replace(".yaml", ""))
         code = main([command, "--config", path, "--out", out])
         assert code == 0, f"{path} exited {code}"
+
+
+def test_mix_computes_the_quarter_mixing_time_once(tmp_path, monkeypatch):
+    calls = []
+    mixing_time = spectral.mixing_time
+
+    def counting(tm, eps=0.25, **kw):
+        calls.append(eps)
+        return mixing_time(tm, eps, **kw)
+
+    monkeypatch.setattr(spectral, "mixing_time", counting)
+    cfg = write_cfg(tmp_path, {
+        "command": "mix",
+        "tree": {"shape": "path", "n_edges": 4},
+        "q": 3, "lists": "uniform", "kind": "HEATBATH_GLAUBER",
+    })
+    out = str(tmp_path / "out")
+    assert main(["mix", "--config", cfg, "--out", out]) == 0
+    doc = json.load(open(os.path.join(out, "mix.json")))
+    assert calls == [0.25]
+    assert doc["t_mix"] == doc["t_mix_quarter"] >= 1

@@ -1,0 +1,125 @@
+"""The array-built support against the recursive enumerator it replaced.
+
+``enumerate_colorings`` builds the (N x m) color array one edge at a time;
+the reference below assigns colors depth first and appends one tuple per
+coloring.  Both must give the same rows in the same order, and every view
+of the support (tuples, index, conditionals, marginals, export) must agree.
+"""
+
+import numpy as np
+import pytest
+
+from treecolor import oracle
+from treecolor.colorings import (ListSpec, pinned_root_lists, star_root_lists,
+                                 uniform_lists)
+from treecolor.errors import CapacityError, InfeasiblePinningError
+from treecolor.trees import (build_complete_regular, build_hanging_root,
+                             tree_from_parents)
+
+
+def path_tree(n):
+    return tree_from_parents([None] + list(range(n)), 0)
+
+
+ZOO = [
+    (path_tree(4), 3), (path_tree(3), 4),
+    (build_complete_regular(3, 1), 4),
+    (build_complete_regular(2, 2), 4),
+    (build_hanging_root(3, 1), 4),
+    (tree_from_parents([None, 0, 0, 0, 1, 1], 0), 4),
+]
+
+HANGING = [(build_hanging_root(3, 1), 4), (build_hanging_root(2, 3), 4),
+           (build_hanging_root(3, 2), 5)]
+
+
+def reference_states(tree, lists):
+    """Depth-first assignment along BFS edge ids, colors ascending."""
+    m = tree.n_edges
+    earlier = oracle._earlier_neighbors(tree)
+    options = [sorted(lists[e]) for e in range(m)]
+    states = []
+    current = [0] * m
+
+    def assign(e):
+        if e == m:
+            states.append(tuple(current))
+            return
+        blocked = {current[f] for f in earlier[e]}
+        for c in options[e]:
+            if c not in blocked:
+                current[e] = c
+                assign(e + 1)
+        current[e] = 0
+
+    assign(0)
+    return states
+
+
+def reference_marginal(states, S):
+    out = {}
+    for s in states:
+        key = tuple(s[e] for e in S)
+        out[key] = out.get(key, 0) + 1
+    return {k: v / len(states) for k, v in out.items()}
+
+
+def assert_matches_reference(tree, lists):
+    dist = oracle.enumerate_colorings(tree, lists)
+    states = reference_states(tree, lists)
+    rows = [list(s) for s in states]
+    assert dist.array.dtype == np.min_scalar_type(lists.q)
+    assert dist.array.tolist() == rows
+    assert dist.states == states
+    assert dist.index == {s: i for i, s in enumerate(states)}
+    assert dist.export(include_states=True)["states"] == rows
+    m = tree.n_edges
+    for e in range(m):
+        for c in sorted(lists[e]):
+            sub = [s for s in states if s[e] == c]
+            if not sub:
+                with pytest.raises(InfeasiblePinningError):
+                    dist.conditional({e: c})
+                continue
+            cond = dist.conditional({e: c})
+            assert cond.states == sub
+            if m > 1:
+                f = tree.neighbors[e][0]
+                pair = {e: c, f: sub[-1][f]}
+                pinned = [s for s in sub if s[f] == sub[-1][f]]
+                assert dist.conditional(pair).array.tolist() == [list(s) for s in pinned]
+    for S in [[e] for e in range(m)] + [list(tree.neighbors[0]) + [0], list(range(m))]:
+        got = dist.marginal(S)
+        assert list(got.items()) == list(reference_marginal(states, sorted(S)).items())
+        assert all(type(k[0]) is int and type(p) is float for k, p in got.items())
+
+
+@pytest.mark.parametrize("tree,q", ZOO)
+def test_uniform_support_matches_recursive_enumerator(tree, q):
+    assert_matches_reference(tree, uniform_lists(tree, q))
+
+
+@pytest.mark.parametrize("tree,q", HANGING)
+def test_root_list_supports_match_recursive_enumerator(tree, q):
+    assert_matches_reference(tree, star_root_lists(tree, q))
+    assert_matches_reference(tree, pinned_root_lists(tree, q, 2))
+
+
+# Three mutually adjacent edges; the last may only take color 1, so four of
+# the six colorings of the first two edges have no extension.
+STAR = build_complete_regular(3, 1)
+FULL = frozenset({1, 2, 3})
+DYING_LISTS = ListSpec(3, [FULL, FULL, frozenset({1})])
+
+
+def test_prefixes_that_die_before_the_last_edge():
+    assert_matches_reference(STAR, DYING_LISTS)
+    dist = oracle.enumerate_colorings(STAR, DYING_LISTS)
+    assert dist.states == [(2, 3, 1), (3, 2, 1)]
+
+
+def test_prefix_cap_guard():
+    assert oracle.count_colorings(STAR, DYING_LISTS) == 2
+    with pytest.raises(CapacityError) as err:
+        oracle.enumerate_colorings(STAR, DYING_LISTS, cap=3)
+    assert err.value.estimated == 6
