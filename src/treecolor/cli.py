@@ -32,7 +32,7 @@ from .trees import (build_complete_regular, build_hanging_root, load_tree,
 _TOP_KEYS = {
     "command", "tree", "q", "lists", "pinned_color", "kind", "seed", "caps",
     "out", "eps", "edge", "paths", "alpha", "beta", "gamma", "ell", "blocks",
-    "strict", "sweep", "delta_range", "include_states", "t_steps",
+    "strict", "sweep", "delta_range", "include_states",
 }
 _TREE_KEYS = {"shape", "delta", "depth", "n_edges", "file"}
 
@@ -148,11 +148,6 @@ def _spectral_doc(cfg, tree, lists, kind):
                 "lambda2": rep.lambda2, "lambda_min": rep.lambda_min,
                 "t_rel": rep.t_rel, "method": rep.method,
                 "residual": rep.residual, "matvecs": rep.matvecs})
-    mix_cap = int(caps.get("mixing", spectral.MIXING_CAP))
-    if tm.n <= mix_cap:
-        doc["t_mix_quarter"] = spectral.mixing_time(tm, 0.25, cap=mix_cap)
-    else:
-        doc["t_mix_quarter"] = None
     return tm, rep, doc
 
 
@@ -171,12 +166,9 @@ def cmd_mix(cfg, out):
     kind = _kind(cfg)
     tm, rep, doc = _spectral_doc(cfg, tree, lists, kind)
     eps = float(cfg.get("eps", 0.25))
-    if eps == 0.25 and doc["t_mix_quarter"] is not None:
-        t_mix = doc["t_mix_quarter"]
-    else:
-        caps = cfg.get("caps", {}) or {}
-        t_mix = spectral.mixing_time(
-            tm, eps, cap=int(caps.get("mixing", spectral.MIXING_CAP)))
+    caps = cfg.get("caps", {}) or {}
+    t_mix = spectral.mixing_time(
+        tm, eps, cap=int(caps.get("mixing", spectral.MIXING_CAP)))
     bound = rep.t_rel * (1.0 + tree.n_edges * math.log(lists.q))
     doc.update({"eps": eps, "t_mix": t_mix, "t_rel_bound": bound})
     path = _write_json(out, "mix.json", doc)

@@ -168,30 +168,6 @@ def trace_to_csv(rows):
     return "\n".join(lines) + "\n"
 
 
-def one_step_targets(tree, lists, kind, state, block_spec=None, include_singletons=True):
-    """States reachable from ``state`` in one step with positive probability
-    (excluding the state itself)."""
-    out = set()
-    if kind in SINGLE_EDGE_KINDS:
-        for e in range(tree.n_edges):
-            for c in available_colors(tree, lists, state, e):
-                if c != state[e]:
-                    out.add(_apply_block(state, (e,), (c,)))
-        return out
-    if kind == NEIGHBOR_PAIR:
-        blocks = pair_blocks(tree, include_singletons=include_singletons)
-    elif kind == BLOCK:
-        blocks = [b for b, w in zip(block_spec.blocks, block_spec.weights) if w > 0]
-    else:
-        raise ParameterError(f"unknown chain kind {kind!r}")
-    for b in blocks:
-        for pick in block_assignments(tree, lists, state, b):
-            t = _apply_block(state, b, pick)
-            if t != state:
-                out.add(t)
-    return out
-
-
 def check_ergodicity(tree, lists, kind, cap=oracle.ENUMERATION_CAP, **kw):
     """Connectivity of the one-step move graph over the enumerated support,
     read off the pattern of the class-built transition matrix.

@@ -14,7 +14,6 @@ the package is built.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 
 import numpy as np
@@ -72,9 +71,6 @@ class DistributionTable:
         labels[order] = np.cumsum(starts) - 1
         return labels, np.bincount(labels)
 
-    def weights_sum(self):
-        return self.weight * self.size
-
     def conditional(self, pinned):
         """Restrict to states matching a partial coloring {edge: color}."""
         for e in pinned:
@@ -108,9 +104,6 @@ class DistributionTable:
         if include_states:
             doc["states"] = self.array.tolist()
         return doc
-
-    def export_json(self, include_states=False):
-        return json.dumps(self.export(include_states), indent=2)
 
     def __repr__(self):
         return f"DistributionTable(size={self.size})"
@@ -197,11 +190,3 @@ def _combine_children(kid_edges, below, lists, forbidden):
         if not acc:
             return 0
     return sum(acc.values())
-
-
-def conditional(dist, pinned):
-    return dist.conditional(pinned)
-
-
-def marginal(dist, S):
-    return dist.marginal(S)

@@ -23,6 +23,8 @@ from .errors import CapacityError, NonErgodicError, ParameterError, Verification
 SPARSE_CAP = 300000
 MIXING_CAP = 4000
 RESIDUAL_TOL = 1e-8
+# Heat-bath kinds are averages of projections, so lambda_min >= 0 up to this.
+HEATBATH_FLOOR = -1e-9
 
 
 @dataclass
@@ -51,16 +53,26 @@ class TransitionMatrix:
         return float(gap) * self.dist.weight
 
 
+def block_projector(dist, B):
+    """Pi_B as a sparse matrix: the average over each class of states that
+    agree off ``B`` (``DistributionTable.classes``), 1/s on every pair of
+    states in one class of size s."""
+    labels, sizes = dist.classes(B)
+    n = dist.size
+    member = sp.csr_matrix((np.ones(n), (np.arange(n), labels)), shape=(n, len(sizes)))
+    return member @ sp.diags(1.0 / sizes) @ member.T
+
+
 def transition_matrix(tree, lists, kind, block_spec=None, include_singletons=True,
                       sparse_cap=SPARSE_CAP, dist=None):
     """Exact one-step matrix of the chosen chain over the enumerated support.
 
-    Every kind is assembled from the block projectors Pi_B, which average over
-    the classes of states agreeing off B (``DistributionTable.classes``):
-    heat-bath kinds are sum_B (w_B / sum w) Pi_B, with the singleton blocks
-    for heat-bath Glauber; uniform Glauber is
-    (1/m) sum_e [(1/q) 1{same class of e} + diag(1 - s_e/q)], with s_e the
-    class size.
+    Every kind is assembled from the block projectors Pi_B
+    (``block_projector``): heat-bath kinds are sum_B (w_B / sum w) Pi_B, with
+    the singleton blocks for heat-bath Glauber; uniform Glauber is
+    (1/m) sum_e [I + diag(s_e/q) (Pi_e - I)], with s_e the class size: each
+    of the q proposed colors leads to one of the s_e class members, the
+    others are rejected.
     """
     if dist is None:
         dist = oracle.enumerate_colorings(tree, lists, cap=sparse_cap)
@@ -88,13 +100,12 @@ def transition_matrix(tree, lists, kind, block_spec=None, include_singletons=Tru
     for block, w in zip(blocks, weights):
         if w <= 0:
             continue
-        labels, sizes = dist.classes(block)
-        member = sp.csr_matrix((np.ones(n), (np.arange(n), labels)), shape=(n, len(sizes)))
+        proj = block_projector(dist, block)
         if kind == dynamics.UNIFORM_GLAUBER:
-            csr += member @ member.T / (m * lists.q)
-            csr += sp.diags((1.0 - sizes[labels] / lists.q) / m)
+            accept = 1.0 / (proj.diagonal() * lists.q)  # s_e / q
+            csr += sp.diags(accept / m) @ proj + sp.diags((1.0 - accept) / m)
         else:
-            csr += member @ sp.diags((w / total_w) / sizes) @ member.T
+            csr += (w / total_w) * proj
     return TransitionMatrix(kind, dist, csr, reversible=True)
 
 
@@ -141,15 +152,14 @@ def _lanczos(matvec, n, k, seed):
     return vals, vecs, matvecs
 
 
-def spectral_report(tm, check_ergodic=True, compute_lambda_min=True, seed=7,
-                    heatbath_floor=-1e-9):
+def spectral_report(tm, check_ergodic=True, compute_lambda_min=True, seed=7):
     """Second eigenvalue, minimal eigenvalue and relaxation time.
 
     Lanczos gives the top two eigenvalues 1 and lambda_2 of P and, with
     ``compute_lambda_min``, the top eigenvalue 1 - lambda_min of I - P;
     lambda_min is NaN when not computed.  Heat-bath kinds are averages of
     projections, so their spectrum must be nonnegative; a violation below
-    ``heatbath_floor`` raises, as do non-convergence and a residual
+    ``HEATBATH_FLOOR`` raises, as do non-convergence and a residual
     max ||Px - lambda x|| above ``RESIDUAL_TOL``.
     """
     if check_ergodic:
@@ -177,7 +187,7 @@ def spectral_report(tm, check_ergodic=True, compute_lambda_min=True, seed=7,
     lam2 = float(vals[-2]) if tm.n > 1 else 1.0
     lam_min = float(vals[0]) if compute_lambda_min else math.nan
     if tm.kind != dynamics.UNIFORM_GLAUBER and compute_lambda_min:
-        if lam_min < heatbath_floor:
+        if lam_min < HEATBATH_FLOOR:
             raise VerificationError(
                 f"heat-bath spectrum should be nonnegative, found {lam_min}")
     lam_star = max(abs(lam2), abs(lam_min)) if compute_lambda_min else lam2
@@ -233,12 +243,6 @@ def mixing_time(tm, eps=0.25, cap=MIXING_CAP):
         else:
             lo = mid
     return hi
-
-
-def mixing_bound_constant(tm, q):
-    """The product form T_rel * (1 + n ln q) with n the edge count."""
-    n_edges = tm.dist.tree.n_edges
-    return 1.0 + n_edges * math.log(q)
 
 
 def conductance(tm, S):

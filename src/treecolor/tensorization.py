@@ -1,158 +1,174 @@
-"""Variance functionals as quadratic forms, and PSD certification of the
-factorization inequalities.
+"""Approximate tensorization of variance, decided on the block chain.
 
-Every functional of interest (global variance, summed conditional variances
-over blocks, variance of a conditional expectation) is assembled as a
-symmetric matrix over the enumerated support, so "for all f" inequalities
-become positive-semidefiniteness of a matrix difference, decided by an exact
-eigensolve with tolerance -1e-9 on the minimum eigenvalue.  Optimal
-tensorization constants come from the spectral gap of the matching block
-dynamics, through the Lanczos solver of ``spectral.spectral_report``.
+Every inequality certified here reads lhs <= sum_B c_B mu[Var_B f] for all
+f, where lhs is Var f or, for root tensorization, Var(mu[f | sigma_given]).
+With mu[Var_B f] = w f^T (I - Pi_B) f and w = 1/N, the right side is
+w f^T L f for the sparse Laplacian L = sum_B c_B (I - Pi_B) = sum c (I - P)
+of the weighted heat-bath block chain P.  ``factorization_constant`` returns
+the smallest C with lhs <= C * rhs:
+
+* full variance: C = 1 / (sum c (1 - lambda_2(P))), by the Lanczos solver of
+  ``spectral.spectral_report``;
+* projected variance, of rank below the number k of classes of ``given``:
+  C is the top eigenvalue of the k x k matrix V^T L^+ V, for the normalized
+  class indicators V, from k grounded sparse LU solves, each residual-checked;
+* a reducible block chain, or all-zero weights: C = infinity.
+
+A ``Certificate`` holds C.  The weights carry the inequality iff its slack
+1/C - 1 is at least -SLACK_TOL; for full variance the slack is
+lambda_min(L) - 1 on the functions orthogonal to constants.  No N x N dense
+matrix is built.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from . import dynamics, oracle, spectral
 from .colorings import pinned_root_lists, uniform_lists
-from .errors import NonErgodicError, ParameterError
+from .errors import NonErgodicError, ParameterError, VerificationError
 from .trees import Tree, build_complete_regular, build_hanging_root
 
-PSD_TOL = -1e-9
+SLACK_TOL = 1e-9
 
 
-def projector(dist, S):
-    """Matrix of the conditional expectation given the coloring outside S:
-    1/s on every pair of states in one class of size s, 0 elsewhere."""
-    labels, sizes = dist.classes(S)
-    return np.equal.outer(labels, labels) / sizes[labels][:, None]
+def factorization_constant(dist, weights, given=None):
+    """Smallest C with lhs <= C * sum_B c_B mu[Var_B f] for all f, for a
+    block -> c_B map ``weights``; lhs is Var f, or Var(mu[f | sigma_given])
+    when the edge set ``given`` is named.
 
-
-def var_form(dist):
-    w = np.full(dist.size, dist.weight)
-    return np.diag(w) - np.outer(w, w)
-
-
-def cond_var_form(dist, S):
-    """Form of f -> mu[Var_S f].
-
-    The support carries uniform weights, so the conditional expectation is a
-    symmetric idempotent block-averaging matrix and the form is
-    weight * (I - projector) with no matrix product needed.
+    0 when lhs vanishes (one state, or one class of ``given``).  Infinity
+    when every weight is zero or the block chain is reducible; for the
+    projected lhs that is a safe bound rather than always the optimum.
     """
-    form = projector(dist, S)
-    form *= -dist.weight
-    form.flat[::dist.size + 1] += dist.weight
-    return form
+    if any(c < 0 for c in weights.values()):
+        raise ParameterError("block weights must be nonnegative")
+    weights = {tuple(b): float(c) for b, c in weights.items() if c > 0}
+    if given is None:
+        k = dist.size
+    else:
+        given = set(given)
+        labels, sizes = dist.classes(
+            [e for e in range(dist.tree.n_edges) if e not in given])
+        k = len(sizes)
+    if k == 1:
+        return 0.0
+    if not weights:
+        return math.inf
+    spec = dynamics.BlockSpec(tuple(weights), tuple(weights.values()))
+    tm = spectral.transition_matrix(dist.tree, dist.lists, dynamics.BLOCK,
+                                    block_spec=spec, dist=dist)
+    if connected_components(tm.matrix, directed=False)[0] > 1:
+        return math.inf
+    total = sum(weights.values())
+    if given is None:
+        rep = spectral.spectral_report(tm, check_ergodic=False,
+                                       compute_lambda_min=False)
+        return 1.0 / (total * (1.0 - rep.lambda2))
+    laplacian = total * (sp.identity(dist.size, format="csr") - tm.matrix)
+    return _projected_constant(laplacian, labels, sizes)
 
 
-def projected_var_form(dist, S):
-    """Form of f -> Var_mu(mu_S[f])."""
-    w = np.full(dist.size, dist.weight)
-    return dist.weight * projector(dist, S) - np.outer(w, w)
+def _projected_constant(laplacian, labels, sizes):
+    """Top eigenvalue of V^T L^+ V for the normalized class indicators V.
+
+    L^+ annihilates constants, so the columns of V are centered first.  A
+    centered right side b sums to zero, so the solve with state 0 grounded
+    (its row and column dropped, which leaves L nonsingular on a connected
+    chain) meets L x = b in every row, and b^T x = b^T L^+ b.
+    """
+    n = len(labels)
+    V = np.zeros((n, len(sizes)))
+    V[np.arange(n), labels] = 1.0 / np.sqrt(sizes[labels])
+    b = V - V.mean(axis=0)
+    x = np.zeros_like(b)
+    x[1:] = splu(laplacian[1:, 1:].tocsc()).solve(b[1:])
+    residual = float(np.max(np.linalg.norm(laplacian @ x - b, axis=0)))
+    if residual > spectral.RESIDUAL_TOL:
+        raise VerificationError(f"grounded solve residual {residual:.3g} is "
+                                f"above {spectral.RESIDUAL_TOL:g}")
+    gram = b.T @ x
+    return float(np.linalg.eigvalsh(0.5 * (gram + gram.T))[-1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
-    ok: bool
-    min_eigenvalue: float
-    marginal: bool
+    """Verdict on lhs <= sum_B c_B mu[Var_B f] from its smallest constant."""
+
+    constant: float
+
+    @property
+    def slack(self):
+        return 1.0 / self.constant - 1.0 if self.constant else math.inf
+
+    @property
+    def ok(self):
+        return self.slack >= -SLACK_TOL
+
+    @property
+    def marginal(self):
+        """A pass only within the tolerance."""
+        return self.ok and self.slack < 0
 
     def export(self, instance="", inequality=""):
+        """JSON fields; strict JSON has no infinity, so it exports as null."""
         return {"instance": instance, "inequality": inequality,
-                "min_eigenvalue": self.min_eigenvalue,
+                "constant": _finite_or_none(self.constant),
+                "slack": _finite_or_none(self.slack),
                 "verdict": "pass" if self.ok else "fail",
                 "marginal": self.marginal}
 
 
-def certify_inequality(lhs, rhs, tol=PSD_TOL):
-    """True iff rhs - lhs is PSD orthogonally to constants.
-
-    Both sides annihilate constants by construction, so a plain eigensolve of
-    the difference decides it; eigenvalues in [tol, 0) mark the certificate
-    as marginal.
-    """
-    if lhs.shape != rhs.shape:
-        raise ParameterError("forms must share a dimension")
-    diff = rhs - lhs
-    lam = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
-    return Certificate(ok=lam >= tol, min_eigenvalue=lam, marginal=tol <= lam < 0)
+def _finite_or_none(x):
+    return x if math.isfinite(x) else None
 
 
-def optimal_at_constant(dist, blocks, chain_tol=1e-12):
-    """Smallest uniform C with Var(f) <= C * sum_B mu[Var_B f] for all f.
-
-    The right side is #blocks times the Dirichlet form of the block dynamics
-    that heat-bath updates a uniformly random block, so with uniform weights
-    the optimum is 1 / (#blocks * (1 - lambda_2)) of that chain.
-    """
+def optimal_at_constant(dist, blocks):
+    """Smallest uniform C with Var(f) <= C * sum_B mu[Var_B f] for all f:
+    1 / (#blocks * (1 - lambda_2)) of the block dynamics that heat-bath
+    updates a uniformly random block."""
     blocks = [tuple(b) for b in blocks]
-    covered = set()
-    for b in blocks:
-        covered.update(b)
-    if covered != set(range(dist.tree.n_edges)):
+    if set().union(*blocks) != set(range(dist.tree.n_edges)):
         raise ParameterError("blocks must cover all edges")
-    spec = dynamics.BlockSpec(tuple(blocks), tuple([1.0] * len(blocks)))
-    tm = spectral.transition_matrix(dist.tree, dist.lists, dynamics.BLOCK,
-                                    block_spec=spec, dist=dist)
-    rep = spectral.spectral_report(tm, compute_lambda_min=False)
-    gap2 = 1.0 - rep.lambda2
-    if gap2 <= chain_tol:
+    C = factorization_constant(dist, Counter(blocks))
+    if math.isinf(C):
         raise NonErgodicError("block dynamics has no spectral gap")
-    return 1.0 / (len(blocks) * gap2)
+    return C
 
 
 def singleton_blocks(tree):
     return [(e,) for e in range(tree.n_edges)]
 
 
-def check_root_tensorization(tree, lists, alpha):
-    """Certify Var(mu_{everything below}[f]) against per-level conditional
-    variances with weights ``alpha[level]``."""
-    dist = oracle.enumerate_colorings(tree, lists)
-    r_level = tree.min_level
-    if r_level != 0:
+def check_root_tensorization(tree, lists, alpha, beta=0.0):
+    """Certify Var(mu[f | root edge color]) against per-level conditional
+    variances with weights ``alpha[level]``, plus weight ``beta`` on every
+    {root edge, level-1 edge} block."""
+    if tree.min_level != 0:
         raise ParameterError("root tensorization needs a hanging-root tree")
     (r,) = tree.level_edges(0)
-    rest = [e for e in range(tree.n_edges) if e != r]
-    lhs = projected_var_form(dist, rest)
-    rhs = np.zeros_like(lhs)
-    for t in range(tree.max_level + 1):
-        for e in tree.level_edges(t):
-            rhs += alpha[t] * cond_var_form(dist, (e,))
-    return certify_inequality(lhs, rhs)
+    weights = {(e,): alpha[tree.edge_levels[e]] for e in range(tree.n_edges)}
+    for e in tree.level_edges(1):
+        weights[tuple(sorted((r, e)))] = beta
+    dist = oracle.enumerate_colorings(tree, lists)
+    return Certificate(factorization_constant(dist, weights, given=(r,)))
 
 
 def check_root_factorization(tree, lists, alpha, beta):
-    """Pair-block variant: singleton weights per level plus weight ``beta``
-    on every {root edge, level-1 edge} block."""
-    dist = oracle.enumerate_colorings(tree, lists)
-    (r,) = tree.level_edges(0)
-    rest = [e for e in range(tree.n_edges) if e != r]
-    lhs = projected_var_form(dist, rest)
-    rhs = np.zeros_like(lhs)
-    for t in range(tree.max_level + 1):
-        for e in tree.level_edges(t):
-            rhs += alpha[t] * cond_var_form(dist, (e,))
-    for e in tree.level_edges(1):
-        rhs += beta * cond_var_form(dist, tuple(sorted((r, e))))
-    return certify_inequality(lhs, rhs)
+    """The pair-block form of ``check_root_tensorization``."""
+    return check_root_tensorization(tree, lists, alpha, beta)
 
 
 def check_block_factorization(dist, weights):
     """Certify Var(f) <= sum_B C(B) mu[Var_B f] for a block->weight map."""
-    lhs = var_form(dist)
-    rhs = np.zeros_like(lhs)
-    for block, c in weights.items():
-        if c < 0:
-            raise ParameterError("block weights must be nonnegative")
-        if c:
-            rhs += c * cond_var_form(dist, tuple(block))
-    return certify_inequality(lhs, rhs)
+    return Certificate(factorization_constant(dist, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +224,8 @@ def verify_induction(tree, lists, ell, alpha, gamma):
     k = tree.max_level
     dist = oracle.enumerate_colorings(tree, lists)
     consts = {t: f_recursion(k, t, ell, alpha, gamma) for t in range(1, k + 1)}
-    lhs = var_form(dist)
-    rhs = np.zeros_like(lhs)
-    for t, c in consts.items():
-        for e in tree.level_edges(t):
-            rhs += c * cond_var_form(dist, (e,))
-    cert = certify_inequality(lhs, rhs)
+    weights = {(e,): c for t, c in consts.items() for e in tree.level_edges(t)}
+    cert = check_block_factorization(dist, weights)
     return {"constants": consts, "certificate": cert, "ok": cert.ok}
 
 
@@ -298,31 +310,29 @@ def variance_exchange_checks(dist, S1, S2, n_random=100, seed=11, tol=1e-12):
     """Projection-exchange facts on an enumerated distribution.
 
     Requires the exterior boundary of S1 to avoid S2; checks the variance
-    comparison on random functions, and operator commutation as matrices
-    (plus the containment identity when one set contains the other).
+    comparison mu[Var_S1(mu_S2 f)] <= mu[Var_S1(mu_{S1 & S2} f)] on random
+    functions, and operator commutation as sparse matrices (plus the
+    containment identity when one set contains the other).
     """
     tree = dist.tree
     S1, S2 = set(S1), set(S2)
     if exterior_boundary(tree, S1) & S2:
         raise ParameterError("exterior boundary of S1 must avoid S2")
-    P1 = projector(dist, S1)
-    P2 = projector(dist, S2)
-    if np.max(np.abs(P1 @ P2 - P2 @ P1)) > tol:
+    P1 = spectral.block_projector(dist, S1)
+    P2 = spectral.block_projector(dist, S2)
+    if abs(P1 @ P2 - P2 @ P1).max() > tol:
         return False
-    if S2 <= S1:
-        if np.max(np.abs(P1 @ P2 - P1)) > tol:
-            return False
-    inner = projector(dist, S1 & S2) if S1 & S2 else np.eye(dist.size)
-    w = np.full(dist.size, dist.weight)
-    form_s1 = np.diag(w) - P1.T @ (w[:, None] * P1)
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        f = rng.standard_normal(dist.size)
-        lhs = float((P2 @ f) @ form_s1 @ (P2 @ f))
-        rhs = float((inner @ f) @ form_s1 @ (inner @ f))
-        if lhs > rhs + 1e-9 * max(1.0, abs(rhs)):
-            return False
-    return True
+    if S2 <= S1 and abs(P1 @ P2 - P1).max() > tol:
+        return False
+    inner = spectral.block_projector(dist, S1 & S2)  # the identity if empty
+    F = np.random.default_rng(seed).standard_normal((n_random, dist.size)).T
+
+    def cond_var_s1(G):  # mu[Var_S1 g] for every column g of G
+        return dist.weight * np.sum((G - P1 @ G) ** 2, axis=0)
+
+    lhs = cond_var_s1(P2 @ F)
+    rhs = cond_var_s1(inner @ F)
+    return bool(np.all(lhs <= rhs + 1e-9 * np.maximum(1.0, np.abs(rhs))))
 
 
 def commutation_holds(dist, S, T, tol=1e-12):
@@ -330,6 +340,6 @@ def commutation_holds(dist, S, T, tol=1e-12):
     distance >= 2."""
     if _line_distance(dist.tree, S, T) < 2:
         raise ParameterError("sets must be at line-graph distance >= 2")
-    P1 = projector(dist, S)
-    P2 = projector(dist, T)
-    return bool(np.max(np.abs(P1 @ P2 - P2 @ P1)) <= tol)
+    P1 = spectral.block_projector(dist, S)
+    P2 = spectral.block_projector(dist, T)
+    return bool(abs(P1 @ P2 - P2 @ P1).max() <= tol)

@@ -123,13 +123,6 @@ class Tree:
 
         self._hash = None
 
-    def parent_edge(self, e):
-        """Edge above ``e``, or None if ``e`` is incident to the root."""
-        p = self.edge_parent_vertex[e]
-        if p == self.root:
-            return None
-        return self.edge_of_child[p]
-
     def level_edges(self, i):
         if not (self.min_level <= i <= self.max_level):
             raise ParameterError(f"level {i} out of range "

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import dense_forms as df
 from conftest import record_criterion
 from treecolor import canonical, dynamics, oracle, spectral
 from treecolor import tensorization as tz
@@ -246,8 +247,8 @@ def test_criterion_8_tensorization_certificates():
     p4 = path_tree(4)
     d = oracle.enumerate_colorings(p4, uniform_lists(p4, 3))
     for S in ({0}, {1, 2}):
-        gap = np.max(np.abs(tz.var_form(d)
-                            - tz.cond_var_form(d, S) - tz.projected_var_form(d, S)))
+        gap = np.max(np.abs(df.var_form(d)
+                            - df.cond_var_form(d, S) - df.projected_var_form(d, S)))
         ok &= float(gap) <= 1e-12
     # congestion-weighted root tensorization on the coupling instances
     for delta, ell, tree, lists in GLAUBER_INSTANCES:

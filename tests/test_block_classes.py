@@ -13,10 +13,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from treecolor import dynamics, oracle, spectral
-from treecolor import tensorization as tz
 from treecolor.canonical import EDGE_PATHS, GLAUBER_PATHS, compute_congestion
 from treecolor.colorings import available_colors, star_root_lists, uniform_lists
-from treecolor.dynamics import check_ergodicity, one_step_targets
+from treecolor.dynamics import block_assignments, check_ergodicity, pair_blocks
 from treecolor.trees import (build_complete_regular, build_hanging_root,
                              tree_from_parents)
 
@@ -137,7 +136,9 @@ def test_projector_equals_tuple_dict_reference():
             for members in reference_classes(dist, S):
                 for i in members:
                     want[i, members] = 1.0 / len(members)
-            assert np.array_equal(tz.projector(dist, S), want), S
+            got = spectral.block_projector(dist, S)
+            assert sp.issparse(got), S
+            assert np.array_equal(got.toarray(), want), S
 
 
 def test_classes_without_key_overflow():
@@ -187,6 +188,27 @@ def test_congestion_rates_match_block_assignments():
             assert pc.xi_levels == xi_levels
             assert pc.xi_pairs == xi_pairs
             assert pc.r_leaf == r_leaf
+
+
+def one_step_targets(tree, lists, kind, state, block_spec=None):
+    """States reachable from ``state`` in one step with positive probability
+    (excluding the state itself), by trying every edge color or consistent
+    block assignment."""
+    if kind in dynamics.SINGLE_EDGE_KINDS:
+        blocks = [(e,) for e in range(tree.n_edges)]
+    elif kind == dynamics.NEIGHBOR_PAIR:
+        blocks = pair_blocks(tree)
+    else:
+        blocks = [b for b, w in zip(block_spec.blocks, block_spec.weights) if w > 0]
+    out = set()
+    for b in blocks:
+        for pick in block_assignments(tree, lists, state, b):
+            t = list(state)
+            for e, c in zip(b, pick):
+                t[e] = c
+            if tuple(t) != state:
+                out.add(tuple(t))
+    return out
 
 
 def reference_ergodicity(tree, lists, kind, **kw):

@@ -1,7 +1,12 @@
+import json
+import math
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import dense_forms as df
 from treecolor import canonical, dynamics, oracle, spectral
 from treecolor import tensorization as tz
 from treecolor.colorings import star_root_lists, uniform_lists
@@ -22,21 +27,21 @@ def path_dist(n, q):
 def test_law_of_total_variance_matrix_identity():
     t, d = path_dist(4, 3)
     for S in ({0}, {1, 2}, {0, 3}):
-        lhs = tz.var_form(d)
-        rhs = tz.cond_var_form(d, S) + tz.projected_var_form(d, S)
+        lhs = df.var_form(d)
+        rhs = df.cond_var_form(d, S) + df.projected_var_form(d, S)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_cond_var_full_set_equals_var():
     t, d = path_dist(3, 3)
-    assert np.max(np.abs(tz.cond_var_form(d, {0, 1, 2}) - tz.var_form(d))) < 1e-12
+    assert np.max(np.abs(df.cond_var_form(d, {0, 1, 2}) - df.var_form(d))) < 1e-12
 
 
 def test_forms_annihilate_constants():
     t, d = path_dist(3, 4)
     ones = np.ones(d.size)
-    for M in (tz.var_form(d), tz.cond_var_form(d, {1}),
-              tz.projected_var_form(d, {0, 1})):
+    for M in (df.var_form(d), df.cond_var_form(d, {1}),
+              df.projected_var_form(d, {0, 1})):
         assert np.max(np.abs(M @ ones)) < 1e-12
         assert np.max(np.abs(M - M.T)) < 1e-12
 
@@ -46,9 +51,9 @@ def test_cond_var_form_matches_generic_assembly():
     t, d = path_dist(3, 3)
     w = np.full(d.size, d.weight)
     for S in ({0}, {1}, {0, 2}):
-        P = tz.projector(d, S)
+        P = df.projector(d, S)
         generic = np.diag(w) - P.T @ (w[:, None] * P)
-        assert np.max(np.abs(generic - tz.cond_var_form(d, S))) < 1e-14
+        assert np.max(np.abs(generic - df.cond_var_form(d, S))) < 1e-14
         assert np.max(np.abs(P @ P - P)) < 1e-14  # idempotent
         assert np.max(np.abs(P - P.T)) < 1e-14    # symmetric
 
@@ -58,10 +63,11 @@ def test_product_distribution_tensorizes_with_constant_one():
     # independent, so their conditional variances control the variance
     t = path_tree(3)
     d = oracle.enumerate_colorings(t, uniform_lists(t, 3)).conditional({1: 1})
-    lhs = tz.var_form(d)
-    rhs = tz.cond_var_form(d, {0}) + tz.cond_var_form(d, {2})
-    cert = tz.certify_inequality(lhs, rhs)
-    assert cert.ok
+    lhs = df.var_form(d)
+    rhs = df.cond_var_form(d, {0}) + df.cond_var_form(d, {2})
+    assert df.certify_inequality(lhs, rhs).ok
+    cert = tz.check_block_factorization(d, {(0,): 1.0, (2,): 1.0})
+    assert cert.ok and abs(cert.constant - 1.0) < 1e-9
     rng = np.random.default_rng(0)
     for _ in range(100):
         f = rng.standard_normal(d.size)
@@ -70,11 +76,11 @@ def test_product_distribution_tensorizes_with_constant_one():
 
 def test_certify_inequality_edges():
     t, d = path_dist(3, 3)
-    A = tz.var_form(d)
-    assert tz.certify_inequality(A, A).ok
-    assert not tz.certify_inequality(A, 0.99 * A).ok
+    A = df.var_form(d)
+    assert df.certify_inequality(A, A).ok
+    assert not df.certify_inequality(A, 0.99 * A).ok
     with pytest.raises(ParameterError):
-        tz.certify_inequality(A, np.eye(3))
+        df.certify_inequality(A, np.eye(3))
 
 
 def test_certification_monotone_in_weights():
@@ -115,16 +121,23 @@ def test_at_constant_times_n_equals_relaxation_time():
         assert abs(C * tree.n_edges - t_rel) <= 1e-6 * t_rel
 
 
-def optimal_at_constant_via_forms(d, blocks):
-    """Top generalized eigenvalue of the variance form against the summed
-    conditional-variance forms, on the complement of constants."""
+def constant_via_forms(d, weights, given=None):
+    """Top generalized eigenvalue of the lhs form (the variance, or the
+    variance of the conditional expectation given the edges ``given``)
+    against the weighted conditional-variance forms, on the complement of
+    constants."""
     n = d.size
     v = np.full(n, 1.0 / np.sqrt(n))
     v[0] -= 1.0
     v /= np.linalg.norm(v)
     Q = (np.eye(n) - 2.0 * np.outer(v, v))[:, 1:]  # Householder: Q.T 1 = 0
-    A = Q.T @ tz.var_form(d) @ Q
-    B = Q.T @ sum(tz.cond_var_form(d, b) for b in blocks) @ Q
+    if given is None:
+        lhs = df.var_form(d)
+    else:
+        lhs = df.projected_var_form(
+            d, [e for e in range(d.tree.n_edges) if e not in set(given)])
+    A = Q.T @ lhs @ Q
+    B = Q.T @ sum(c * df.cond_var_form(d, b) for b, c in weights.items()) @ Q
     eigs = scipy.linalg.eigh(0.5 * (A + A.T), 0.5 * (B + B.T), eigvals_only=True)
     return float(eigs[-1])
 
@@ -132,9 +145,99 @@ def optimal_at_constant_via_forms(d, blocks):
 def test_forms_route_matches_chain_route():
     t, d = path_dist(4, 3)
     for blocks in (dynamics.pair_blocks(t), tz.singleton_blocks(t)):
-        via_forms = optimal_at_constant_via_forms(d, blocks)
+        via_forms = constant_via_forms(d, {b: 1.0 for b in blocks})
         via_chain = tz.optimal_at_constant(d, blocks)
         assert abs(via_forms - via_chain) < 1e-8 * via_forms
+
+
+FACTORIZATION_CASES = [
+    (tree, preset(tree, q)) for tree, preset, q in (
+        (path_tree(4), uniform_lists, 3),
+        (build_complete_regular(3, 1), uniform_lists, 4),
+        (build_complete_regular(2, 2), uniform_lists, 4),
+        (build_hanging_root(2, 2), star_root_lists, 4))]
+
+
+def case_weights(tree, beta, seed=3):
+    """Seeded random singleton weights in [1, 3), plus ``beta`` on every
+    pair of adjacent edges."""
+    rng = np.random.default_rng(seed)
+    weights = {(e,): float(rng.uniform(1.0, 3.0)) for e in range(tree.n_edges)}
+    weights.update({b: beta for b in dynamics.pair_blocks(tree, False)})
+    return weights
+
+
+def test_factorization_constant_matches_dense_generalized_eigenvalue():
+    for tree, lists in FACTORIZATION_CASES:
+        d = oracle.enumerate_colorings(tree, lists)
+        for beta in (0.0, 0.5):
+            weights = case_weights(tree, beta)
+            for given in (None, (0,)):
+                want = constant_via_forms(d, weights, given)
+                got = tz.factorization_constant(d, weights, given)
+                assert abs(got - want) <= 1e-8 * want, (tree.n_edges, beta, given)
+
+
+def test_root_tensorization_constant_matches_dense_forms():
+    # the merged check puts alpha on levels and beta on {root, level-1} pairs
+    tree = build_hanging_root(2, 2)
+    lists = star_root_lists(tree, 4)
+    d = oracle.enumerate_colorings(tree, lists)
+    (r,) = tree.level_edges(0)
+    alpha = (3.0, 2.0, 1.5)
+    for beta in (0.0, 0.7):
+        weights = {(e,): alpha[tree.edge_levels[e]] for e in range(tree.n_edges)}
+        weights.update({tuple(sorted((r, e))): beta for e in tree.level_edges(1)})
+        want = constant_via_forms(d, weights, given=(r,))
+        cert = tz.check_root_tensorization(tree, lists, alpha, beta)
+        assert abs(cert.constant - want) <= 1e-8 * want
+        assert abs(cert.slack - (1.0 / want - 1.0)) <= 1e-8 / want
+
+
+def test_certificate_threshold_sits_at_the_constant():
+    for tree, lists in FACTORIZATION_CASES:
+        d = oracle.enumerate_colorings(tree, lists)
+        weights = case_weights(tree, 0.5)
+        for given in (None, (0,)):
+            C = tz.factorization_constant(d, weights, given)
+            for scale, verdict in ((0.999, False), (1.001, True)):
+                scaled = {b: scale * C * c for b, c in weights.items()}
+                got = tz.factorization_constant(d, scaled, given)
+                assert tz.Certificate(got).ok == verdict, (tree.n_edges, given, scale)
+    tree, lists = FACTORIZATION_CASES[-1]
+    cert = tz.check_root_tensorization(tree, lists, (1.0, 1.0, 1.0), 1.0)
+    for scale, verdict in ((0.999, False), (1.001, True)):
+        w = scale * cert.constant
+        assert tz.check_root_tensorization(tree, lists, (w, w, w), w).ok == verdict
+
+
+def test_slack_grows_with_the_weights():
+    tree = build_hanging_root(2, 1)
+    lists = star_root_lists(tree, 4)
+    t, d = path_dist(4, 3)
+    root_slacks, block_slacks = [], []
+    for scale in (0.5, 1.0, 2.0, 4.0):
+        root_slacks.append(tz.check_root_tensorization(
+            tree, lists, (scale, scale)).slack)
+        block_slacks.append(tz.check_block_factorization(
+            d, {(e,): 3.0 * scale for e in range(t.n_edges)}).slack)
+    for slacks in (root_slacks, block_slacks):
+        assert all(a < b for a, b in zip(slacks, slacks[1:]))
+        assert slacks[0] < 0 < slacks[-1]
+
+
+def test_unbounded_inequalities_fail_without_raising():
+    tree = build_hanging_root(2, 1)
+    cert = tz.check_root_tensorization(tree, star_root_lists(tree, 4), (0.0, 0.0))
+    assert not cert.ok and cert.constant == math.inf and cert.slack == -1.0
+    doc = cert.export()
+    assert doc["constant"] is None and doc["verdict"] == "fail"
+    json.dumps(doc, allow_nan=False)
+    frozen = build_complete_regular(3, 1)  # q = delta: every state is frozen
+    d = oracle.enumerate_colorings(frozen, uniform_lists(frozen, 3))
+    cert = tz.check_block_factorization(d, {(e,): 1.0 for e in range(3)})
+    assert not cert.ok and cert.constant == math.inf
+    assert not tz.check_block_factorization(d, {(0,): 0.0}).ok
 
 
 def test_star_at_constant_bound():
@@ -148,12 +251,13 @@ def test_star_at_constant_bound():
 
 def test_certificate_export_schema():
     t, d = path_dist(3, 3)
-    cert = tz.certify_inequality(tz.var_form(d), 2.0 * tz.var_form(d))
+    cert = tz.check_block_factorization(d, {(e,): 10.0 for e in range(3)})
     doc = cert.export(instance="abc", inequality="demo")
-    assert doc == {"instance": "abc", "inequality": "demo",
-                   "min_eigenvalue": doc["min_eigenvalue"],
-                   "verdict": "pass", "marginal": False}
-    assert doc["min_eigenvalue"] >= -1e-12
+    assert list(doc) == ["instance", "inequality", "constant", "slack",
+                         "verdict", "marginal"]
+    assert doc["instance"] == "abc" and doc["inequality"] == "demo"
+    assert doc["verdict"] == "pass" and doc["marginal"] is False
+    assert doc["slack"] == 1.0 / doc["constant"] - 1.0 > 0
 
 
 def test_gamma_constant_one_spare_color():
@@ -261,9 +365,13 @@ def test_verify_induction_one_spare_color_published_constants():
     # q = delta + 1 as well
     for delta in (2, 3):
         t2 = build_complete_regular(delta, 2)
+        start = time.perf_counter()
         res = tz.verify_induction(t2, uniform_lists(t2, delta + 1), 1,
                                   (4.0 * delta, 8.0), 6.0)
+        assert time.perf_counter() - start < 1.0
         assert res["ok"]
+    # N = 5184: lambda_min of the weighted block Laplacian off constants is 7.97
+    assert abs(res["certificate"].slack - 6.97) <= 0.01
 
 
 def test_restrict_tree_and_monotonicity():
