@@ -2,8 +2,9 @@
 
 from treecolor import oracle
 from treecolor.canonical import (GLAUBER_PATHS, flip_coupling,
-                                 glauber_canonical_path, verify_path)
+                                 glauber_canonical_path, verify_paths)
 from treecolor.colorings import star_root_lists
+from treecolor.errors import VerificationError
 from treecolor.trees import build_hanging_root, hanging_root_edge
 
 tree = build_hanging_root(2, 3)      # path below a restricted root edge
@@ -24,7 +25,11 @@ print("tau   =", tau)
 for state, block, stage in zip(path.states[1:], path.blocks, path.stages):
     print(f"  stage {stage}: recolor edge {block[0]} -> {state}")
 
-ok, diags = verify_path(tree, lists, path, GLAUBER_PATHS)
+try:
+    verify_paths(dist, [path], GLAUBER_PATHS)
+    ok = True
+except VerificationError:
+    ok = False
 print("path verifies (proper, simple, legal single moves):", ok)
 
 lengths = {}

@@ -22,9 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import oracle
-from .colorings import (alternating_path, available_colors, flip, is_proper,
-                        star_root_lists, toggle_edge, uniform_lists)
+from .colorings import (alternating_path, available_colors, flip,
+                        star_root_lists, toggle_edge)
 from .errors import ParameterError, UnsupportedRegimeError, VerificationError
 from .trees import build_hanging_root, hanging_root_edge
 
@@ -93,16 +95,13 @@ class _StageOnePlan:
     "odd" for the single-move construction, "even" for the pair-move one.
     """
 
-    def __init__(self, tree, lists, rho, x, y, order, side="odd"):
-        self.estar = alternating_path(tree, rho, hanging_root_edge(tree), y)
-        self.detours = {}
+    def __init__(self, tree, lists, rho, r, x, y, order, side="odd"):
+        self.estar = alternating_path(tree, rho, r, y)
         self.newcolor = {}
         s = len(self.estar) - 1
         start = 1 if side == "odd" else 2
         for i in range(start, s + 1, 2):
-            e_i = self.estar[i]
-            detour, colors = _branch_path(tree, lists, rho, e_i, {x, y}, order)
-            self.detours[i] = detour
+            _, colors = _branch_path(tree, lists, rho, self.estar[i], {x, y}, order)
             self.newcolor.update(colors)
         members = set(self.newcolor)
         estar_set = set(self.estar)
@@ -179,85 +178,85 @@ def _tau_color(plan, sigma, a, b, e):
     return sigma[e]
 
 
-def _staged_path(tree, lists, sigma, a, b, order, side, stage_two_moves):
-    """Shared three-stage skeleton; ``stage_two_moves`` emits Stage II."""
-    plan = _StageOnePlan(tree, lists, sigma, a, b, order, side=side)
-    states = [sigma]
-    blocks, stages = [], []
+def _staged_path(family, sigma, pair):
+    """Shared three-stage skeleton.  Stage II recolors the even
+    alternating-path edges a -> b, or with ``pair`` exchanges a and b on the
+    root edge and its successor and recolors the later odd edges b -> a."""
+    tree, a, b = family.tree, family.a, family.b
+    plan = _StageOnePlan(tree, family.lists, sigma, family.r, a, b,
+                         family.order, "even" if pair else "odd")
+    states, blocks, stages = [sigma], [], []
     cur = sigma
     for e in plan.order:
         cur = _apply_move(states, blocks, stages, cur, [(e, plan.newcolor[e])], "I")
-    cur = stage_two_moves(states, blocks, stages, cur, plan)
+    if pair:
+        cur = _apply_move(states, blocks, stages, cur,
+                          [(plan.estar[0], b), (plan.estar[1], a)], "II")
+    for e in plan.estar[3::2] if pair else plan.estar[::2]:
+        cur = _apply_move(states, blocks, stages, cur, [(e, a if pair else b)], "II")
     for e in reversed(plan.order):
         cur = _apply_move(states, blocks, stages, cur,
                           [(e, _tau_color(plan, sigma, a, b, e))], "III")
-    path = CanonicalPath(states, blocks, stages, a=a, b=b)
-    expected = flip(tree, sigma, hanging_root_edge(tree), b)
-    if path.tau != expected:
-        raise VerificationError("canonical path does not end at the flipped coloring")
-    return path
+    return CanonicalPath(states, blocks, stages, a=a, b=b)
+
+
+@dataclass(frozen=True)
+class PathFamily:
+    """What the canonical paths from root color ``a`` to ``b`` share."""
+    tree: object
+    lists: object
+    kind: str
+    a: int
+    b: int
+    r: int               # the hanging root edge
+    order: tuple         # color_order(q, a, b)
+
+
+def path_family(tree, lists, a, b, path_kind):
+    """The (a, b) family of ``path_kind`` paths, once its regime is checked:
+    single moves need q = delta + 2, pair moves q = delta + 1 and odd depth."""
+    r = hanging_root_edge(tree)
+    if path_kind not in (GLAUBER_PATHS, EDGE_PATHS):
+        raise ParameterError(f"unknown path kind {path_kind!r}")
+    name, spare = ("single", 2) if path_kind == GLAUBER_PATHS else ("pair", 1)
+    if lists.q != tree.max_degree + spare:
+        raise UnsupportedRegimeError(f"the {name}-move construction needs q = delta + {spare}")
+    if path_kind == EDGE_PATHS and tree.max_level % 2 == 0:
+        raise UnsupportedRegimeError("the construction assumes odd depth")
+    if b == a or b not in lists[r]:
+        raise ParameterError("b must be another color from the root list")
+    return PathFamily(tree, lists, path_kind, a, b, r, color_order(lists.q, a, b))
+
+
+def build_path(family, sigma):
+    """The path of ``family`` from ``sigma`` (root color ``family.a``) to its
+    flip.  Pair-move paths use the pair move exactly when the alternating
+    path has even length and stops above the leaves."""
+    pair = False
+    if family.kind == EDGE_PATHS:
+        m = len(alternating_path(family.tree, sigma, family.r, family.b))
+        pair = m % 2 == 0 and m != family.tree.max_level + 1
+    return _staged_path(family, sigma, pair)
 
 
 def glauber_canonical_path(tree, lists, sigma, b):
     """Single-edge-move path from ``sigma`` to its flip, two colors free."""
-    r = hanging_root_edge(tree)
-    a = sigma[r]
-    delta = tree.max_degree
-    if lists.q != delta + 2:
-        raise UnsupportedRegimeError(
-            "the single-move construction needs q = delta + 2")
-    if b == a or b not in lists[r]:
-        raise ParameterError("b must be another color from the root list")
-    order = color_order(lists.q, a, b)
-
-    def stage_two(states, blocks, stages, cur, plan):
-        for i in range(0, len(plan.estar), 2):
-            cur = _apply_move(states, blocks, stages, cur, [(plan.estar[i], b)], "II")
-        return cur
-
-    return _staged_path(tree, lists, sigma, a, b, order, "odd", stage_two)
+    a = sigma[hanging_root_edge(tree)]
+    return build_path(path_family(tree, lists, a, b, GLAUBER_PATHS), sigma)
 
 
 def edge_dynamics_canonical_path(tree, lists, sigma, b):
     """Path of singleton moves plus (possibly) one root-pair exchange, for the
     one-extra-color regime q = delta + 1.  Depth must be odd."""
-    r = hanging_root_edge(tree)
-    a = sigma[r]
-    delta = tree.max_degree
-    if lists.q != delta + 1:
-        raise UnsupportedRegimeError("the pair-move construction needs q = delta + 1")
-    ell = tree.max_level
-    if ell % 2 == 0:
-        raise UnsupportedRegimeError("the construction assumes odd depth")
-    if b == a or b not in lists[r]:
-        raise ParameterError("b must be another color from the root list")
-    order = color_order(lists.q, a, b)
-    m = len(alternating_path(tree, sigma, r, b))
-
-    if m % 2 == 1 or m == ell + 1:
-        def stage_two(states, blocks, stages, cur, plan):
-            for i in range(0, len(plan.estar), 2):
-                cur = _apply_move(states, blocks, stages, cur,
-                                  [(plan.estar[i], b)], "II")
-            return cur
-
-        return _staged_path(tree, lists, sigma, a, b, order, "odd", stage_two)
-
-    def stage_two(states, blocks, stages, cur, plan):
-        e1 = plan.estar[1]
-        cur = _apply_move(states, blocks, stages, cur,
-                          [(plan.estar[0], b), (e1, a)], "II")
-        for i in range(3, len(plan.estar), 2):
-            cur = _apply_move(states, blocks, stages, cur, [(plan.estar[i], a)], "II")
-        return cur
-
-    return _staged_path(tree, lists, sigma, a, b, order, "even", stage_two)
+    a = sigma[hanging_root_edge(tree)]
+    return build_path(path_family(tree, lists, a, b, EDGE_PATHS), sigma)
 
 
 def stage_one_moves(tree, lists, rho, x, y, order, side="odd"):
     """The Stage-I move list started from ``rho`` with root color ``x``
     heading to ``y``; used by the reversal check."""
-    plan = _StageOnePlan(tree, lists, rho, x, y, order, side=side)
+    plan = _StageOnePlan(tree, lists, rho, hanging_root_edge(tree), x, y,
+                         order, side)
     return [(e, plan.newcolor[e]) for e in plan.order]
 
 
@@ -271,41 +270,67 @@ def path_blocks_for_kind(tree, path_kind):
     return singles | pairs
 
 
-def verify_path(tree, lists, path, path_kind=GLAUBER_PATHS):
-    """Properness, legal-single-block moves, simplicity and endpoint checks.
+def verify_paths(dist, paths, path_kind=GLAUBER_PATHS):
+    """Check canonical paths (any iterable) against the support ``dist``, the
+    set of proper list colorings: every state must be a row of ``dist``; every
+    step must change a nonempty block, equal to the recorded one and legal for
+    ``path_kind``; no path may revisit a state (so none reuses a transition);
+    each must end at the flip of its start.  The first failure raises
+    ``VerificationError`` naming the start row and the state or step.
 
-    Returns (ok, diagnostics).
+    Returns ``(src, dst, moved)``: per step, in path order, the support rows
+    it moves between and the sorted edge tuple of its changed block.
     """
-    diags = []
-    allowed = path_blocks_for_kind(tree, path_kind)
-    for i, state in enumerate(path.states):
-        if not is_proper(tree, lists, state):
-            diags.append(f"state {i} is not a proper list coloring")
-    for i, (x, y) in enumerate(path.transitions()):
-        diff = tuple(sorted(e for e in range(tree.n_edges) if x[e] != y[e]))
-        if not diff:
-            diags.append(f"step {i} does not change the coloring")
-            continue
-        if diff != tuple(sorted(path.blocks[i])):
-            diags.append(f"step {i} changed {diff}, recorded {path.blocks[i]}")
-        if diff not in allowed:
-            diags.append(f"step {i} changed a disallowed block {diff}")
-    if len(set(path.states)) != len(path.states):
-        diags.append("path revisits a state")
-    if len(set(path.transitions())) != len(path.transitions()):
-        diags.append("path reuses a transition")
+    tree, index = dist.tree, dist.index
     r = hanging_root_edge(tree)
-    if path.tau != flip(tree, path.sigma, r, path.b):
-        diags.append("endpoints are not a flip-coupled pair")
-    return not diags, diags
+    rows, lengths, recorded, target = [], [], [], []
+    for p in paths:  # keep rows and blocks only, so paths may come one by one
+        rows += [index.get(s, -1) for s in p.states]
+        lengths.append(len(p.states))
+        recorded += p.blocks
+        target.append(index.get(flip(tree, p.sigma, r, p.b), -1))
+    rows, lengths = np.array(rows, dtype=np.intp), np.array(lengths, dtype=np.intp)
+    path_of = np.repeat(np.arange(len(lengths)), lengths)
+    first = np.cumsum(lengths) - lengths
+    at = np.flatnonzero(path_of[:-1] == path_of[1:])  # the state each step leaves
+    if len(recorded) != len(at):
+        raise VerificationError("paths must record one block per step")
 
+    def check(bad, noun, what):  # raise at the first flagged state (or step)
+        if bad.any():
+            i = int(np.argmax(bad))
+            pos = at[i] if noun == "step" else i
+            p = path_of[pos]
+            raise VerificationError(f"canonical path from row {rows[first[p]]}, "
+                                    f"{noun} {pos - first[p]}: {what(i)}")
 
-def build_path(tree, lists, sigma, b, path_kind):
-    if path_kind == GLAUBER_PATHS:
-        return glauber_canonical_path(tree, lists, sigma, b)
-    if path_kind == EDGE_PATHS:
-        return edge_dynamics_canonical_path(tree, lists, sigma, b)
-    raise ParameterError(f"unknown path kind {path_kind!r}")
+    check(rows < 0, "state", lambda i: "not a proper list coloring")
+    src, dst = rows[at], rows[at + 1]
+    changed = dist.array[src] != dist.array[dst]
+    check(~changed.any(axis=1), "step", lambda i: "changes nothing")
+    sizes = np.array([len(blk) for blk in recorded], dtype=np.intp)
+    mask = np.zeros_like(changed)
+    mask[np.repeat(np.arange(len(at)), sizes),
+         [e for blk in recorded for e in blk]] = True
+    check((changed != mask).any(axis=1) | (changed.sum(axis=1) != sizes), "step",
+          lambda i: f"changed {tuple(np.flatnonzero(changed[i]).tolist())}, "
+                    f"recorded {recorded[i]}")
+    packed = np.packbits(changed, axis=1)  # each step's mask as a byte string
+    _, one, block_of = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
+                                 return_index=True, return_inverse=True)
+    blocks = [tuple(np.flatnonzero(changed[i]).tolist()) for i in one]
+    allowed = path_blocks_for_kind(tree, path_kind)
+    legal = np.array([blk in allowed for blk in blocks], dtype=bool)
+    check(~legal[block_of], "step",
+          lambda i: f"changed a disallowed block {blocks[block_of[i]]}")
+    _, seen = np.unique(path_of * dist.size + rows, return_index=True)
+    flat = np.arange(len(rows))
+    check(~np.isin(flat, seen), "state", lambda i: "revisits an earlier state")
+    last = first + lengths - 1
+    check(np.isin(flat, last[rows[last] != target]), "state",
+          lambda i: f"ends at row {rows[i]}, not at row {target[path_of[i]]}, "
+                    f"the flip of the start")
+    return src, dst, [blocks[k] for k in block_of.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +343,11 @@ class PairCongestion:
     b: int
     fiber_a: int
     fiber_b: int
-    usage: dict                # (state, state) -> number of paths using it
+    usage: dict                # (row, row) of the support -> paths using it
     xi_levels: dict            # level -> full-measure congestion sum
     xi_pairs: float            # same for the root-pair blocks
     r_leaf: float              # full-measure expected squared leaf multiplicity
+    leaf_sums: dict            # row -> sum of count**2 over its leaf transitions
 
     def restricted_scale(self, n_states):
         """Reweighting factor when the ambient law is conditioned on the two
@@ -336,37 +362,25 @@ class CongestionReport:
     path_kind: str
     n_states: int
     per_pair: dict             # (a, b) -> PairCongestion
+    dist: object               # the support whose rows key ``usage``
+
+    def _scale(self, pc, root_restricted):
+        return pc.restricted_scale(self.n_states) if root_restricted else 1.0
 
     def xi(self, level, root_restricted=False):
-        vals = []
-        for pc in self.per_pair.values():
-            v = pc.xi_levels.get(level, 0.0)
-            if root_restricted:
-                v *= pc.restricted_scale(self.n_states)
-            vals.append(v)
-        return max(vals)
+        return max(self.xi_ab(a, b, level, root_restricted) for a, b in self.per_pair)
 
     def xi_pair_blocks(self, root_restricted=False):
-        vals = []
-        for pc in self.per_pair.values():
-            v = pc.xi_pairs
-            if root_restricted:
-                v *= pc.restricted_scale(self.n_states)
-            vals.append(v)
-        return max(vals)
+        return max(pc.xi_pairs * self._scale(pc, root_restricted)
+                   for pc in self.per_pair.values())
 
     def r_ab(self, a, b, root_restricted=False):
         pc = self.per_pair[(a, b)]
-        if root_restricted:
-            return pc.r_leaf / pc.restricted_scale(self.n_states)
-        return pc.r_leaf
+        return pc.r_leaf / self._scale(pc, root_restricted)
 
     def xi_ab(self, a, b, level, root_restricted=False):
         pc = self.per_pair[(a, b)]
-        v = pc.xi_levels.get(level, 0.0)
-        if root_restricted:
-            v *= pc.restricted_scale(self.n_states)
-        return v
+        return pc.xi_levels.get(level, 0.0) * self._scale(pc, root_restricted)
 
     def alpha_vector(self, root_restricted=False):
         """Per-level root-tensorization constants (depth+1) * xi."""
@@ -387,19 +401,20 @@ class CongestionReport:
         }
 
 
-def compute_congestion(tree, lists, path_kind, verify=True):
+def compute_congestion(tree, lists, path_kind):
     """Exact expected congestion of the canonical-path family, per ordered
     root-color pair and per tree level (plus the root-pair block class).
 
-    A move that changes block B out of state x has heat-bath rate 1/s, with
-    s the size of the class of x under ``DistributionTable.classes(B)``.
+    Paths are checked by ``verify_paths`` and counted on support rows.  A move
+    that changes block B out of state x has heat-bath rate 1/s, with s the
+    size of the class of x under ``DistributionTable.classes(B)``.
     """
     r = hanging_root_edge(tree)
     dist = oracle.enumerate_colorings(tree, lists)
     n = dist.size
     ell = tree.max_level
     root_colors = sorted(lists[r])
-    fibers = {a: [s for s in dist.states if s[r] == a] for a in root_colors}
+    fibers = {a: np.flatnonzero(dist.array[:, r] == a) for a in root_colors}
     class_size = {}  # block -> class size of every state
     for block in path_blocks_for_kind(tree, path_kind):
         labels, sizes = dist.classes(block)
@@ -409,37 +424,34 @@ def compute_congestion(tree, lists, path_kind, verify=True):
         for b in root_colors:
             if a == b:
                 continue
-            usage = {}
-            moved = {}  # transition -> the sorted block it changes
-            for sigma in fibers[a]:
-                path = build_path(tree, lists, sigma, b, path_kind)
-                if verify:
-                    ok, diags = verify_path(tree, lists, path, path_kind)
-                    if not ok:
-                        raise VerificationError(
-                            f"canonical path failed checks: {diags[:3]}")
-                for move, block in zip(path.transitions(), path.blocks):
-                    usage[move] = usage.get(move, 0) + 1
-                    moved[move] = tuple(sorted(block))
+            family = path_family(tree, lists, a, b, path_kind)
+            src, dst, blocks = verify_paths(
+                dist, (build_path(family, dist.states[i]) for i in fibers[a].tolist()),
+                path_kind)
+            usage, moved = {}, {}  # (row, row) -> count, and -> its block
+            for move, block in zip(zip(src.tolist(), dst.tolist()), blocks):
+                usage[move] = usage.get(move, 0) + 1
+                moved[move] = block
             p_ra = 1.0 / len(fibers[a])
             xi_levels = {t: 0.0 for t in range(ell + 1)}
-            xi_pairs = 0.0
-            r_leaf = 0.0
+            xi_pairs = r_leaf = 0.0
+            leaf_sums = {}
             for (x, y), count in usage.items():
                 block = moved[(x, y)]
-                rate = 1.0 / int(class_size[block][dist.index[x]])
+                rate = 1.0 / int(class_size[block][x])
                 load = (count * p_ra) ** 2 * n / rate
                 if len(block) == 1:
                     lvl = tree.edge_levels[block[0]]
                     xi_levels[lvl] += load
                     if lvl == ell:
                         r_leaf += count ** 2 / n
+                        leaf_sums[x] = leaf_sums.get(x, 0) + count ** 2
                 else:
                     xi_pairs += load
             per_pair[(a, b)] = PairCongestion(
                 a, b, len(fibers[a]), len(fibers[b]), usage,
-                xi_levels, xi_pairs, r_leaf)
-    return CongestionReport(tree, lists, path_kind, n, per_pair)
+                xi_levels, xi_pairs, r_leaf, leaf_sums)
+    return CongestionReport(tree, lists, path_kind, n, per_pair, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -486,19 +498,9 @@ def gamma_stats(tree, lists, gamma, a, b):
 
 
 def leaf_multiplicity_sum(report, a, b, gamma):
-    """Sum over leaf transitions out of ``gamma`` of the squared number of
-    start colorings whose path uses that transition."""
-    tree = report.tree
-    ell = tree.max_level
-    usage = report.per_pair[(a, b)].usage
-    total = 0
-    for (x, y), count in usage.items():
-        if x != gamma:
-            continue
-        diff = [e for e in range(tree.n_edges) if x[e] != y[e]]
-        if len(diff) == 1 and tree.edge_levels[diff[0]] == ell:
-            total += count ** 2
-    return total
+    """Sum over leaf transitions out of ``gamma`` (single-edge moves at level
+    ell) of the squared number of start colorings whose path uses them."""
+    return report.per_pair[(a, b)].leaf_sums.get(report.dist.index[gamma], 0)
 
 
 def leaf_count_bound(stats, delta):
@@ -513,23 +515,17 @@ def leaf_count_check(tree, lists, report, a, b):
     Returns (ok, worst examples) over all colorings whose root carries one of
     the coupled colors; other colorings must carry no leaf transitions.
     """
-    dist = oracle.enumerate_colorings(tree, lists)
-    delta = tree.max_degree
-    ell = tree.max_level
-    lhs_of = {}  # leaf_multiplicity_sum of every source state, in one scan
-    for (x, y), count in report.per_pair[(a, b)].usage.items():
-        diff = [e for e in range(tree.n_edges) if x[e] != y[e]]
-        if len(diff) == 1 and tree.edge_levels[diff[0]] == ell:
-            lhs_of[x] = lhs_of.get(x, 0) + count ** 2
+    r = hanging_root_edge(tree)
+    sums = report.per_pair[(a, b)].leaf_sums
     bad = []
-    for gamma in dist.states:
-        lhs = lhs_of.get(gamma, 0)
-        if gamma[hanging_root_edge(tree)] not in (a, b):
+    for row, gamma in enumerate(report.dist.states):
+        lhs = sums.get(row, 0)
+        if gamma[r] not in (a, b):
             if lhs:
                 bad.append((gamma, lhs, 0))
             continue
         stats = gamma_stats(tree, lists, gamma, a, b)
-        rhs = leaf_count_bound(stats, delta)
+        rhs = leaf_count_bound(stats, tree.max_degree)
         if lhs > rhs:
             bad.append((gamma, lhs, rhs))
     return not bad, bad

@@ -431,11 +431,6 @@ def star_correlation_closed_form(delta):
     return psi
 
 
-def lambda2(matrix):
-    eigs = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
-    return float(eigs[-2])
-
-
 def local_to_global_constant(delta, strict=True):
     """prod_{j=2..delta} 1/(1 - lambda_2(local walk of the j-star)); the empty
     product for delta = 1."""
@@ -443,7 +438,8 @@ def local_to_global_constant(delta, strict=True):
         raise ParameterError("delta must be >= 1")
     value = 1.0
     for j in range(delta, 1, -1):
-        lam = lambda2(star_local_walk(j))
+        walk = star_local_walk(j)
+        lam = float(np.linalg.eigvalsh(0.5 * (walk + walk.T))[-2])
         value /= (1.0 - lam)
     if strict and value > math.exp(math.pi ** 2 / 6) + 1e-9:
         raise VerificationError(

@@ -23,8 +23,9 @@ from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS,
                                  edge_dynamics_canonical_path,
                                  glauber_canonical_path, leaf_count_check,
                                  tail_probability_check, stage_one_moves,
-                                 verify_path)
+                                 verify_paths)
 from treecolor.colorings import star_root_lists, uniform_lists
+from treecolor.errors import VerificationError
 from treecolor.trees import (build_complete_regular, build_hanging_root,
                              hanging_root_edge, tree_from_parents)
 
@@ -199,6 +200,14 @@ def _reversal_matches(tree, lists, path, a, b):
     return [(e, new, old) for e, old, new in reversed(replay)] == stage3
 
 
+def _batch_verifies(dist, paths, kind):
+    try:
+        verify_paths(dist, paths, kind)
+    except VerificationError:
+        return False
+    return True
+
+
 def test_criterion_6_coupling_paths():
     start = time.time()
     ok = True
@@ -209,10 +218,10 @@ def test_criterion_6_coupling_paths():
             for b in sorted(lists[r]):
                 if a == b:
                     continue
-                for sigma in (s for s in dist.states if s[r] == a):
-                    path = glauber_canonical_path(tree, lists, sigma, b)
-                    good, _diags = verify_path(tree, lists, path, GLAUBER_PATHS)
-                    ok &= good
+                paths = [glauber_canonical_path(tree, lists, sigma, b)
+                         for sigma in dist.states if sigma[r] == a]
+                ok &= _batch_verifies(dist, paths, GLAUBER_PATHS)
+                for path in paths:
                     ok &= len(set(path.transitions())) == len(path)
                     ok &= _reversal_matches(tree, lists, path, a, b)
     elapsed = time.time() - start
@@ -288,10 +297,9 @@ def test_criterion_9_edge_dynamics():
             for b in sorted(lists[r]):
                 if a == b:
                     continue
-                for sigma in (s for s in dist.states if s[r] == a):
-                    path = edge_dynamics_canonical_path(tree, lists, sigma, b)
-                    good, _ = verify_path(tree, lists, path, EDGE_PATHS)
-                    ok &= good
+                paths = [edge_dynamics_canonical_path(tree, lists, sigma, b)
+                         for sigma in dist.states if sigma[r] == a]
+                ok &= _batch_verifies(dist, paths, EDGE_PATHS)
     # block factorization with a finite constant on the 4-edge path
     p4 = path_tree(4)
     d4 = oracle.enumerate_colorings(p4, uniform_lists(p4, 3))

@@ -175,6 +175,7 @@ def test_congestion_rates_match_block_assignments():
             xi_levels = {t: 0.0 for t in range(ell + 1)}
             xi_pairs = r_leaf = 0.0
             for (x, y), count in pc.usage.items():
+                x, y = rep.dist.states[x], rep.dist.states[y]
                 diff = tuple(e for e in range(tree.n_edges) if x[e] != y[e])
                 rate = 1.0 / len(dynamics.block_assignments(tree, lists, x, diff))
                 load = (count * p_ra) ** 2 * n / rate

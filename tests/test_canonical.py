@@ -2,16 +2,18 @@ import math
 
 import pytest
 
-from treecolor import canonical, oracle
+from path_reference import verify_path
+from treecolor import canonical, colorings, oracle
 from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, CanonicalPath,
                                  color_order, compute_congestion,
                                  edge_dynamics_canonical_path, flip_coupling,
                                  gamma_stats, glauber_canonical_path,
                                  leaf_count_check, leaf_multiplicity_sum,
                                  routing_bound_ell1, stage_one_moves,
-                                 tail_probability_check, verify_path)
+                                 tail_probability_check, verify_paths)
 from treecolor.colorings import (alternating_path, flip, star_root_lists)
-from treecolor.errors import ParameterError, UnsupportedRegimeError
+from treecolor.errors import (ParameterError, UnsupportedRegimeError,
+                              VerificationError)
 from treecolor.trees import build_hanging_root, hanging_root_edge
 
 
@@ -61,10 +63,9 @@ def test_glauber_paths_verify_exhaustively():
             for b in sorted(lists[r]):
                 if a == b:
                     continue
-                for sigma in (s for s in dist.states if s[r] == a):
-                    path = glauber_canonical_path(tree, lists, sigma, b)
-                    ok, diags = verify_path(tree, lists, path, GLAUBER_PATHS)
-                    assert ok, diags
+                paths = [glauber_canonical_path(tree, lists, sigma, b)
+                         for sigma in dist.states if sigma[r] == a]
+                verify_paths(dist, paths, GLAUBER_PATHS)
 
 
 def test_glauber_stage_two_avoids_leaves_when_depth_odd():
@@ -114,10 +115,9 @@ def test_edge_paths_verify_exhaustively():
             for b in sorted(lists[r]):
                 if a == b:
                     continue
-                for sigma in (s for s in dist.states if s[r] == a):
-                    path = edge_dynamics_canonical_path(tree, lists, sigma, b)
-                    ok, diags = verify_path(tree, lists, path, EDGE_PATHS)
-                    assert ok, diags
+                paths = [edge_dynamics_canonical_path(tree, lists, sigma, b)
+                         for sigma in dist.states if sigma[r] == a]
+                verify_paths(dist, paths, EDGE_PATHS)
 
 
 def test_edge_path_pair_exchange_cases():
@@ -155,8 +155,96 @@ def test_verify_path_catches_corruption():
     broken = CanonicalPath(path.states + [path.states[0]],
                            path.blocks + [(r,)],
                            path.stages + ["III"], a=1, b=2)
-    ok, diags = verify_path(tree, lists, broken, GLAUBER_PATHS)
-    assert not ok and diags
+    with pytest.raises(VerificationError):
+        verify_paths(dist, [broken], GLAUBER_PATHS)
+
+
+def test_batch_verdict_matches_reference_verifier():
+    families = [((2, 1), GLAUBER_PATHS), ((2, 3), GLAUBER_PATHS),
+                ((3, 1), GLAUBER_PATHS), ((2, 3), EDGE_PATHS),
+                ((3, 1), EDGE_PATHS)]
+    for (delta, ell), kind in families:
+        spare = 2 if kind == GLAUBER_PATHS else 1
+        tree, lists, dist = star_instance(delta, ell, delta + spare)
+        r = hanging_root_edge(tree)
+        for a in sorted(lists[r]):
+            for b in sorted(lists[r]):
+                if a == b:
+                    continue
+                family = canonical.path_family(tree, lists, a, b, kind)
+                paths = [canonical.build_path(family, sigma)
+                         for sigma in dist.states if sigma[r] == a]
+                verify_paths(dist, paths, kind)  # raises unless every path passes
+                assert all(verify_path(tree, lists, p, kind)[0] for p in paths)
+
+
+def _corruptions(tree, path):
+    """(name, corrupted path, batch message pattern, reference diagnostic)."""
+    s, blk = path.states, path.blocks
+    e0, e1 = blk[0][0], blk[1][0]
+    improper = list(s[1])
+    improper[e1] = s[1][e0]  # e0 and e1 meet at a vertex in this path
+    other = next(e for e in range(tree.n_edges) if e != e0)
+
+    def make(states, blocks):
+        return CanonicalPath(states, blocks, ["I"] * len(blocks), a=path.a, b=path.b)
+
+    return [
+        ("improper", make([s[0], tuple(improper)] + s[2:], blk),
+         r"state 1: not a proper list coloring", "state 1 is not a proper"),
+        ("no change", make([s[0]] + s, [(e0,)] + blk),
+         r"step 0: changes nothing", "step 0 does not change"),
+        ("unrecorded", make(s, [(other,)] + blk[1:]),
+         rf"step 0: changed \({e0},\), recorded \({other},\)", "step 0 changed"),
+        ("disallowed", make([s[0]] + s[2:], [tuple(sorted((e0, e1)))] + blk[2:]),
+         rf"step 0: changed a disallowed block \({min(e0, e1)}, {max(e0, e1)}\)",
+         "step 0 changed a disallowed block"),
+        ("revisit", make(s + [s[-2]], blk + [blk[-1]]),
+         rf"state {len(s)}: revisits an earlier state", "path revisits a state"),
+        ("endpoint", make(s[:-1], blk[:-1]),
+         rf"state {len(s) - 2}: ends at row \d+, not at row \d+",
+         "endpoints are not a flip-coupled"),
+    ]
+
+
+def test_each_corruption_has_its_own_diagnostic():
+    tree, lists, dist = star_instance(2, 3, 4)
+    r = hanging_root_edge(tree)
+    # a path whose first two moves recolor adjacent edges
+    path = next(p for p in (glauber_canonical_path(tree, lists, s, 2)
+                            for s in dist.states if s[r] == 1)
+                if len(p) >= 3 and set(tree.neighbors[p.blocks[0][0]])
+                & {p.blocks[1][0]})
+    verify_paths(dist, [path], GLAUBER_PATHS)
+    for name, broken, pattern, reference in _corruptions(tree, path):
+        with pytest.raises(VerificationError, match=pattern):
+            verify_paths(dist, [path, broken], GLAUBER_PATHS)
+        ok, diags = verify_path(tree, lists, broken, GLAUBER_PATHS)
+        assert not ok and any(d.startswith(reference) for d in diags), (name, diags)
+
+
+def test_congestion_checks_paths_on_support_rows(monkeypatch):
+    # properness is support membership, and the flip of each start coloring
+    # is computed once
+    calls = {"is_proper": 0, "flip": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(colorings, "is_proper",
+                        counting("is_proper", colorings.is_proper))
+    monkeypatch.setattr(canonical, "is_proper", colorings.is_proper, raising=False)
+    monkeypatch.setattr(canonical, "flip", counting("flip", canonical.flip))
+    for (delta, ell, q), kind in (((2, 3, 4), GLAUBER_PATHS),
+                                  ((3, 1, 4), EDGE_PATHS)):
+        tree, lists, _ = star_instance(delta, ell, q)
+        calls.update(is_proper=0, flip=0)
+        rep = compute_congestion(tree, lists, kind)
+        assert calls["is_proper"] == 0
+        assert calls["flip"] == sum(pc.fiber_a for pc in rep.per_pair.values())
 
 
 def test_congestion_values_depth_one():
@@ -207,7 +295,7 @@ def test_unused_transitions_do_not_appear():
     tree, lists, dist = star_instance(2, 1, 4)
     rep = compute_congestion(tree, lists, GLAUBER_PATHS)
     usage = rep.per_pair[(1, 2)].usage
-    used_sources = {x for (x, _y) in usage}
+    used_sources = {rep.dist.states[x] for (x, _y) in usage}
     assert used_sources < set(dist.states)  # strictly fewer than all states
 
 
@@ -237,12 +325,28 @@ def test_leaf_count_bound_exhaustive():
         assert ok, bad[:3]
 
 
+def reference_leaf_multiplicity_sum(report, a, b, gamma):
+    """One scan of the usage, diffing every edge of each transition out of
+    ``gamma`` to find the single-edge moves at the leaf level."""
+    tree, states = report.tree, report.dist.states
+    total = 0
+    for (x, y), count in report.per_pair[(a, b)].usage.items():
+        x, y = states[x], states[y]
+        if x != gamma:
+            continue
+        diff = [e for e in range(tree.n_edges) if x[e] != y[e]]
+        if len(diff) == 1 and tree.edge_levels[diff[0]] == tree.max_level:
+            total += count ** 2
+    return total
+
+
 def reference_leaf_count_check(tree, lists, report, a, b):
-    """The per-coloring loop: one ``leaf_multiplicity_sum`` scan per state."""
+    """The per-coloring loop: one usage scan per state."""
     dist = oracle.enumerate_colorings(tree, lists)
     bad = []
     for gamma in dist.states:
-        lhs = leaf_multiplicity_sum(report, a, b, gamma)
+        lhs = reference_leaf_multiplicity_sum(report, a, b, gamma)
+        assert leaf_multiplicity_sum(report, a, b, gamma) == lhs
         if gamma[hanging_root_edge(tree)] not in (a, b):
             if lhs:
                 bad.append((gamma, lhs, 0))
