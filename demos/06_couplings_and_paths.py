@@ -1,8 +1,9 @@
 """Flip couplings and the staged canonical paths between coupled colorings."""
 
 from treecolor import oracle
-from treecolor.canonical import (GLAUBER_PATHS, flip_coupling,
-                                 glauber_canonical_path, verify_paths)
+from treecolor.canonical import (GLAUBER_PATHS, build_paths, flip_coupling,
+                                 glauber_canonical_path, path_family,
+                                 verify_paths)
 from treecolor.colorings import star_root_lists
 from treecolor.errors import VerificationError
 from treecolor.trees import build_hanging_root, hanging_root_edge
@@ -25,8 +26,9 @@ print("tau   =", tau)
 for state, block, stage in zip(path.states[1:], path.blocks, path.stages):
     print(f"  stage {stage}: recolor edge {block[0]} -> {state}")
 
-try:
-    verify_paths(dist, [path], GLAUBER_PATHS)
+try:  # the batch of the one path from sigma, checked on support rows
+    family = path_family(tree, lists, 1, 2, GLAUBER_PATHS)
+    verify_paths(dist, build_paths(family, dist, dist.rows_of([sigma])))
     ok = True
 except VerificationError:
     ok = False

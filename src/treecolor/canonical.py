@@ -13,7 +13,11 @@ realize that flip as a sequence of legal chain moves in three stages:
   pair-move variant instead exchanges the root edge with its successor).
 * Stage III undoes Stage I in exact reverse order, landing on the target.
 
-The expected congestion these paths place on each tree level, and the
+Each (a, b) family of paths is built in one batch on rows of the enumerated
+support (``build_paths``): numpy walks over all start colorings at once give
+the alternating paths, the Stage-I detours and every step's edits, and each
+state is looked up as a support row, so no coloring becomes a tuple.  The
+expected congestion these paths place on each tree level, and the
 per-coloring statistics controlling it, are computed exactly by enumeration.
 """
 
@@ -25,13 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .colorings import (alternating_path, available_colors, flip,
-                        star_root_lists, toggle_edge)
+from .colorings import alternating_path, flip, star_root_lists, toggle_edge
 from .errors import ParameterError, UnsupportedRegimeError, VerificationError
 from .trees import build_hanging_root, hanging_root_edge
 
 GLAUBER_PATHS = "glauber"
 EDGE_PATHS = "edge"
+STAGE_NAMES = {1: "I", 2: "II", 3: "III"}  # the stage codes of a PathBatch
 
 
 def color_order(q, a, b):
@@ -40,6 +44,85 @@ def color_order(q, a, b):
         raise ParameterError("the two special colors must differ")
     rest = [c for c in range(1, q + 1) if c not in (a, b)]
     return tuple(rest) + (a, b)
+
+
+class _Tables:
+    """A tree's index tables, padded for row-wise numpy walks.  Edge id m is
+    the sentinel that pads them; ``widen`` gives a color array the sentinel
+    column m, all zeros, so the sentinel edge never carries a color."""
+
+    def __init__(self, tree, lists=None):
+        m = self.m = tree.n_edges
+        self.kids = _padded(tree.child_edges + ((),), m)
+        self.nbrs = _padded(tree.neighbors + ((),), m)
+        self.at_vertex = _padded(tree.edges_at_vertex, m)
+        self.up = np.array(tree.edge_parent_vertex)
+        self.down = np.array(tree.edge_child_vertex)
+        self.level = np.array(tree.edge_levels)
+        if lists is not None:
+            self.q = lists.q
+            self.allowed = np.zeros((m, lists.q + 1), dtype=bool)
+            for e in range(m):
+                self.allowed[e, sorted(lists[e])] = True
+
+    def widen(self, colors):
+        colors = np.asarray(colors)
+        out = np.zeros((len(colors), self.m + 1), dtype=colors.dtype)
+        out[:, :self.m] = colors
+        return out
+
+
+def _padded(seqs, fill):
+    out = np.full((len(seqs), max(1, max(map(len, seqs)))), fill, dtype=np.intp)
+    for i, s in enumerate(seqs):
+        out[i, :len(s)] = s
+    return out
+
+
+def _present(tab, C, rows, edges):
+    """present[j, c]: one of the edges ``edges[j]`` has color c in row
+    ``rows[j]`` of ``C`` (column 0 collects the sentinel)."""
+    present = np.zeros((len(rows), tab.q + 1), dtype=bool)
+    present[np.arange(len(rows))[:, None], C[rows[:, None], edges]] = True
+    return present
+
+
+def _first(ok, order):
+    """Per row, the first color of ``order`` with ``ok`` set, 0 if none."""
+    hit = ok[:, order]
+    return np.where(hit.any(axis=1), order[hit.argmax(axis=1)], 0)
+
+
+def _alternating(tab, C, e, b):
+    """``alternating_path`` of every row of ``C`` (b may differ per row), one
+    numpy step per tree level: an (n x depth) array whose column k is the
+    path's edge k levels below ``e``, padded with the sentinel."""
+    n = len(C)
+    a, b = C[:, e], np.broadcast_to(b, (n,))
+    if (a == b).any():
+        raise ParameterError("alternating color must differ from the edge color")
+    path = np.full((n, tab.level.max() - tab.level[e] + 1), tab.m, dtype=np.intp)
+    path[:, 0] = e
+    live, cur = np.arange(n), np.full(n, e)
+    for k in range(1, path.shape[1]):
+        kids = tab.kids[cur]
+        hit = C[live[:, None], kids] == (b if k % 2 else a)[live, None]
+        go = hit.any(axis=1)
+        live, cur = live[go], kids[go, hit[go].argmax(axis=1)]
+        path[live, k] = cur
+    return path
+
+
+def flip_rows(tree, colors, e, b):
+    """``colorings.flip`` of every coloring in ``colors`` (n x m) at once."""
+    tab = _Tables(tree)
+    C = tab.widen(colors)
+    path = _alternating(tab, C, e, b)
+    rows, k = np.nonzero(path < tab.m)
+    edges = path[rows, k]
+    a = C[rows, e]
+    C[rows, edges] = np.where(C[rows, edges] == a, b, a)
+    return C[:, :tab.m]
 
 
 @dataclass
@@ -57,11 +140,13 @@ def flip_coupling(tree, lists, a, b, dist=None):
         raise ParameterError("a, b must be distinct colors from the root list")
     if dist is None:
         dist = oracle.enumerate_colorings(tree, lists)
-    fiber_a = [s for s in dist.states if s[r] == a]
-    fiber_b = {s for s in dist.states if s[r] == b}
-    pairs = [(s, flip(tree, s, r, b)) for s in fiber_a]
-    if {t for _, t in pairs} != fiber_b or len(pairs) != len(fiber_b):
+    fiber_a = np.flatnonzero(dist.array[:, r] == a)
+    fiber_b = np.flatnonzero(dist.array[:, r] == b)
+    flipped = dist.rows_of(flip_rows(tree, dist.array[fiber_a], r, b))
+    if not np.array_equal(np.sort(flipped), fiber_b):
         raise VerificationError("flip is not a bijection between the fibers")
+    pairs = list(zip(map(tuple, dist.array[fiber_a].tolist()),
+                     map(tuple, dist.array[flipped].tolist())))
     return Coupling(a, b, pairs, 1.0 / len(pairs))
 
 
@@ -86,118 +171,6 @@ class CanonicalPath:
 
     def __len__(self):
         return len(self.blocks)
-
-
-class _StageOnePlan:
-    """Detour paths and recoloring targets computed from a reference coloring.
-
-    ``side`` selects which alternating-path edges are recolored in Stage I:
-    "odd" for the single-move construction, "even" for the pair-move one.
-    """
-
-    def __init__(self, tree, lists, rho, r, x, y, order, side="odd"):
-        self.estar = alternating_path(tree, rho, r, y)
-        self.newcolor = {}
-        s = len(self.estar) - 1
-        start = 1 if side == "odd" else 2
-        for i in range(start, s + 1, 2):
-            _, colors = _branch_path(tree, lists, rho, self.estar[i], {x, y}, order)
-            self.newcolor.update(colors)
-        members = set(self.newcolor)
-        estar_set = set(self.estar)
-        self.order = sorted(
-            members,
-            key=lambda e: (-tree.edge_levels[e], e in estar_set, e))
-
-
-def _first_missing_at_vertex(tree, rho, v, order):
-    present = {rho[f] for f in tree.edges_at_vertex[v]}
-    for c in order:
-        if c not in present:
-            return c
-    raise ParameterError("vertex has no missing color; q too small")
-
-
-def _edge_at_vertex_colored(tree, rho, v, color, skip):
-    for f in tree.edges_at_vertex[v]:
-        if f != skip and rho[f] == color:
-            return f
-    return None
-
-
-def _branch_path(tree, lists, rho, e_i, excluded, order):
-    """Detour path below the upper endpoint of ``e_i`` that frees a color
-    outside ``excluded`` for it, together with the recoloring targets.
-
-    Returns (detour_edges, {edge: new color}); the map always contains e_i.
-    """
-    avail = available_colors(tree, lists, rho, e_i)
-    for c in order:
-        if c in avail and c not in excluded:
-            return [], {e_i: c}
-    v_up = tree.edge_parent_vertex[e_i]
-    v_dn = tree.edge_child_vertex[e_i]
-    target = _first_missing_at_vertex(tree, rho, v_dn, order)
-    first = _edge_at_vertex_colored(tree, rho, v_up, target, skip=e_i)
-    if first is None:
-        raise VerificationError("freed color should block e_i at its upper vertex")
-    colors = {e_i: target}
-    detour = [first]
-    cur = first
-    while True:
-        avail_cur = available_colors(tree, lists, rho, cur)
-        if len(avail_cur) >= 2:
-            for c in order:
-                if c in avail_cur and c != rho[cur]:
-                    colors[cur] = c
-                    break
-            return detour, colors
-        c2 = _first_missing_at_vertex(tree, rho, tree.edge_parent_vertex[cur], order)
-        nxt = _edge_at_vertex_colored(tree, rho, tree.edge_child_vertex[cur], c2, skip=cur)
-        if nxt is None:
-            raise VerificationError("detour construction lost its continuation")
-        colors[cur] = c2
-        detour.append(nxt)
-        cur = nxt
-
-
-def _apply_move(states, blocks, stages, state, edits, stage):
-    out = list(state)
-    for e, c in edits:
-        out[e] = c
-    out = tuple(out)
-    states.append(out)
-    blocks.append(tuple(e for e, _ in edits))
-    stages.append(stage)
-    return out
-
-
-def _tau_color(plan, sigma, a, b, e):
-    if e in set(plan.estar):
-        return a if sigma[e] == b else b
-    return sigma[e]
-
-
-def _staged_path(family, sigma, pair):
-    """Shared three-stage skeleton.  Stage II recolors the even
-    alternating-path edges a -> b, or with ``pair`` exchanges a and b on the
-    root edge and its successor and recolors the later odd edges b -> a."""
-    tree, a, b = family.tree, family.a, family.b
-    plan = _StageOnePlan(tree, family.lists, sigma, family.r, a, b,
-                         family.order, "even" if pair else "odd")
-    states, blocks, stages = [sigma], [], []
-    cur = sigma
-    for e in plan.order:
-        cur = _apply_move(states, blocks, stages, cur, [(e, plan.newcolor[e])], "I")
-    if pair:
-        cur = _apply_move(states, blocks, stages, cur,
-                          [(plan.estar[0], b), (plan.estar[1], a)], "II")
-    for e in plan.estar[3::2] if pair else plan.estar[::2]:
-        cur = _apply_move(states, blocks, stages, cur, [(e, a if pair else b)], "II")
-    for e in reversed(plan.order):
-        cur = _apply_move(states, blocks, stages, cur,
-                          [(e, _tau_color(plan, sigma, a, b, e))], "III")
-    return CanonicalPath(states, blocks, stages, a=a, b=b)
 
 
 @dataclass(frozen=True)
@@ -228,15 +201,179 @@ def path_family(tree, lists, a, b, path_kind):
     return PathFamily(tree, lists, path_kind, a, b, r, color_order(lists.q, a, b))
 
 
+def _walks(tab, C, estar, start, pair, order):
+    """The Stage-I walks of every row of ``C``: one per alternating-path edge
+    e_i (``estar``) with i >= start and i - start even, all run at once.
+
+    A walk recolors e_i to the first color of ``order`` it may take outside
+    ``pair``.  If there is none, e_i takes the first color missing at its
+    lower vertex, and a detour frees that color at the upper vertex: from
+    the sibling carrying it, each detour edge takes the first color of
+    ``order`` other than its own if it has two available, or else the first
+    color missing at its upper vertex, and the detour goes on through the
+    child edge that carries that color.  The detours run as a masked loop
+    over the walks still going.  Colors are read from ``C`` throughout.
+
+    Returns the walks as (row, i) and their recolorings as arrays (row,
+    edge, color, walk, step, on the detour), in no particular order; each
+    walk writes in increasing step.
+    """
+    i = np.arange(estar.shape[1])
+    rows, idx = np.nonzero((estar < tab.m) & (i >= start[:, None])
+                           & ((i - start[:, None]) % 2 == 0))
+    walks = (rows, idx)
+    edge, walk = estar[rows, idx], np.arange(len(rows))
+    out = []
+
+    def emit(sel, color, step, detour):
+        out.append((rows[sel], edge[sel], color[sel], walk[sel],
+                    np.full(sel.sum(), step), np.full(sel.sum(), detour)))
+
+    allowed = tab.allowed[edge] & ~_present(tab, C, rows, tab.nbrs[edge])
+    allowed[:, list(pair)] = False
+    color = _first(allowed, order)
+    emit(color > 0, color, 0, False)
+    rows, edge, walk = rows[color == 0], edge[color == 0], walk[color == 0]
+    color = _first(~_present(tab, C, rows, tab.at_vertex[tab.down[edge]]), order)
+    if (color == 0).any():
+        raise ParameterError("vertex has no missing color; q too small")
+    nxt = tab.at_vertex[tab.up[edge]]
+    hit = (C[rows[:, None], nxt] == color[:, None]) & (nxt != edge[:, None])
+    if not hit.any(axis=1).all():
+        raise VerificationError("freed color should block e_i at its upper vertex")
+    emit(np.ones(len(rows), dtype=bool), color, 0, False)
+    edge, step = nxt[np.arange(len(rows)), hit.argmax(axis=1)], 1
+    while len(rows):
+        allowed = tab.allowed[edge] & ~_present(tab, C, rows, tab.nbrs[edge])
+        done = allowed.sum(axis=1) >= 2
+        allowed[np.arange(len(rows)), C[rows, edge]] = False
+        emit(done, _first(allowed, order), step, True)
+        rows, edge, walk = rows[~done], edge[~done], walk[~done]
+        color = _first(~_present(tab, C, rows, tab.at_vertex[tab.up[edge]]), order)
+        if (color == 0).any():
+            raise ParameterError("vertex has no missing color; q too small")
+        nxt = tab.kids[edge]
+        hit = C[rows[:, None], nxt] == color[:, None]
+        if not hit.any(axis=1).all():
+            raise VerificationError("detour construction lost its continuation")
+        emit(np.ones(len(rows), dtype=bool), color, step, True)
+        edge, step = nxt[np.arange(len(rows)), hit.argmax(axis=1)], step + 1
+    return walks, tuple(map(np.concatenate, zip(*out)))
+
+
+def _stage_one(tab, C, estar, start, pair, order):
+    """The Stage-I moves of every row: (row, edge, new color, on the
+    alternating path) sorted by row and then by the key (-level, on the
+    alternating path, edge).  An edge two walks write keeps the last color."""
+    _, (rows, edge, color, walk, step, _) = _walks(tab, C, estar, start, pair, order)
+    last = np.lexsort((step, walk, edge, rows))
+    keep = np.ones(len(last), dtype=bool)
+    keep[:-1] = (rows[last[1:]] != rows[last[:-1]]) | (edge[last[1:]] != edge[last[:-1]])
+    last = last[keep]
+    rows, edge, color = rows[last], edge[last], color[last]
+    on_path = estar[rows, tab.level[edge]] == edge
+    key = np.lexsort((edge, on_path, -tab.level[edge], rows))
+    return rows[key], edge[key], color[key], on_path[key]
+
+
+def _rank(rows, counts):
+    """Position of each entry among those of its row; ``rows`` is sorted."""
+    return np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+
+
+@dataclass
+class PathBatch:
+    """The paths of one family, stored flat: every step of every path, in
+    path order, as up to two edits (edge, new color)."""
+    family: PathFamily
+    lengths: np.ndarray        # steps per path
+    edges: np.ndarray          # (steps, 2) edges a step recolors, sentinel m pads
+    colors: np.ndarray         # (steps, 2) their new colors
+    stages: np.ndarray         # (steps,) 1, 2 or 3 for Stage I, II, III
+    rows: np.ndarray = None    # per state, its support row, -1 if none
+
+
+def _path_edits(family, colors):
+    """The family's paths from the start colorings ``colors`` (n x m, root
+    color ``family.a``), without rows.  Pair-move paths use the pair move
+    exactly when the alternating path has even length and stops above the
+    leaves."""
+    a, b, r = family.a, family.b, family.r
+    tab = _Tables(family.tree, family.lists)
+    C = tab.widen(colors)
+    estar = _alternating(tab, C, r, b)
+    s = (estar < tab.m).sum(axis=1) - 1
+    pair = np.zeros(len(C), dtype=bool)
+    if family.kind == EDGE_PATHS:
+        pair = (s % 2 == 1) & (s != family.tree.max_level)
+    rows1, edge1, color1, on_path = _stage_one(
+        tab, C, estar, np.where(pair, 2, 1), (a, b), np.array(family.order))
+    i = np.arange(estar.shape[1])
+    rows2, idx2 = np.nonzero((estar < tab.m) & np.where(
+        pair[:, None], (i >= 3) & (i % 2 == 1), i % 2 == 0))
+    n1 = np.bincount(rows1, minlength=len(C))
+    n2 = np.bincount(rows2, minlength=len(C))
+    lengths = 2 * n1 + n2 + pair
+    first = np.cumsum(lengths) - lengths
+    edges = np.full((int(lengths.sum()), 2), tab.m, dtype=np.intp)
+    new = np.zeros(edges.shape, dtype=C.dtype)
+    stages = np.empty(len(edges), dtype=np.uint8)
+    rank1 = _rank(rows1, n1)
+    edges[first[rows1] + rank1, 0] = edge1
+    new[first[rows1] + rank1, 0] = color1
+    stages[first[rows1] + rank1] = 1
+    at = first[pair] + n1[pair]  # the pair move: r -> b and e_1 -> a
+    edges[at, 0], edges[at, 1] = r, estar[pair, 1]
+    new[at, 0], new[at, 1] = b, a
+    stages[at] = 2
+    at = first[rows2] + n1[rows2] + pair[rows2] + _rank(rows2, n2)
+    edges[at, 0] = estar[rows2, idx2]
+    new[at, 0] = np.where(pair[rows2], a, b)
+    stages[at] = 2
+    at = first[rows1] + lengths[rows1] - 1 - rank1
+    sigma = C[rows1, edge1]
+    edges[at, 0] = edge1
+    new[at, 0] = np.where(on_path, np.where(sigma == b, a, b), sigma)
+    stages[at] = 3
+    return PathBatch(family, lengths, edges, new, stages)
+
+
+def build_paths(family, dist, starts):
+    """The paths of ``family`` from the support rows ``starts`` to their
+    flips, with every state mapped to its support row (-1 if it is none).
+    States are built one step index at a time for all paths still going."""
+    starts = np.asarray(starts, dtype=np.intp)
+    batch = _path_edits(family, dist.array[starts])
+    state0 = np.cumsum(batch.lengths) - batch.lengths + np.arange(len(starts))
+    rows = np.empty(len(batch.edges) + len(starts), dtype=np.intp)
+    rows[state0] = starts
+    m = dist.tree.n_edges
+    C = np.zeros((len(starts), m + 1), dtype=dist.array.dtype)
+    C[:, :m] = dist.array[starts]
+    for k in range(int(batch.lengths.max(initial=0))):
+        live = np.flatnonzero(batch.lengths > k)
+        step = state0[live] - live + k
+        for j in (0, 1):
+            C[live, batch.edges[step, j]] = batch.colors[step, j]
+        rows[state0[live] + k + 1] = dist.rows_of(C[live, :m])
+    batch.rows = rows
+    return batch
+
+
 def build_path(family, sigma):
     """The path of ``family`` from ``sigma`` (root color ``family.a``) to its
-    flip.  Pair-move paths use the pair move exactly when the alternating
-    path has even length and stops above the leaves."""
-    pair = False
-    if family.kind == EDGE_PATHS:
-        m = len(alternating_path(family.tree, sigma, family.r, family.b))
-        pair = m % 2 == 0 and m != family.tree.max_level + 1
-    return _staged_path(family, sigma, pair)
+    flip, as one-row ``build_paths`` without the support."""
+    batch = _path_edits(family, [sigma])
+    m = family.tree.n_edges
+    cur, states, blocks = list(sigma), [sigma], []
+    for (e, f), (c, d) in zip(batch.edges.tolist(), batch.colors.tolist()):
+        cur[e] = c
+        if f < m:
+            cur[f] = d
+        states.append(tuple(cur))
+        blocks.append((e, f) if f < m else (e,))
+    return CanonicalPath(states, blocks, [STAGE_NAMES[s] for s in batch.stages.tolist()],
+                         a=family.a, b=family.b)
 
 
 def glauber_canonical_path(tree, lists, sigma, b):
@@ -255,9 +392,12 @@ def edge_dynamics_canonical_path(tree, lists, sigma, b):
 def stage_one_moves(tree, lists, rho, x, y, order, side="odd"):
     """The Stage-I move list started from ``rho`` with root color ``x``
     heading to ``y``; used by the reversal check."""
-    plan = _StageOnePlan(tree, lists, rho, hanging_root_edge(tree), x, y,
-                         order, side)
-    return [(e, plan.newcolor[e]) for e in plan.order]
+    tab = _Tables(tree, lists)
+    C = tab.widen([rho])
+    estar = _alternating(tab, C, hanging_root_edge(tree), y)
+    _, edge, color, _ = _stage_one(tab, C, estar, np.array([1 if side == "odd" else 2]),
+                                   (x, y), np.array(order))
+    return list(zip(edge.tolist(), color.tolist()))
 
 
 def path_blocks_for_kind(tree, path_kind):
@@ -270,30 +410,25 @@ def path_blocks_for_kind(tree, path_kind):
     return singles | pairs
 
 
-def verify_paths(dist, paths, path_kind=GLAUBER_PATHS):
-    """Check canonical paths (any iterable) against the support ``dist``, the
-    set of proper list colorings: every state must be a row of ``dist``; every
-    step must change a nonempty block, equal to the recorded one and legal for
-    ``path_kind``; no path may revisit a state (so none reuses a transition);
-    each must end at the flip of its start.  The first failure raises
-    ``VerificationError`` naming the start row and the state or step.
+def verify_paths(dist, batch):
+    """Check a ``PathBatch`` against the support ``dist``, the set of proper
+    list colorings: every state must be a row of ``dist``; every step must
+    change a nonempty block, equal to the recorded one and legal for the
+    family's kind; no path may revisit a state (so none reuses a
+    transition); each must end at the flip of its start, which is computed
+    here by ``flip_rows``.  The first failure raises ``VerificationError``
+    naming the start row and the state or step.
 
-    Returns ``(src, dst, moved)``: per step, in path order, the support rows
-    it moves between and the sorted edge tuple of its changed block.
+    Returns ``(src, dst, block_of, blocks)``: per step, in path order, the
+    support rows it moves between and the index in ``blocks`` (sorted edge
+    tuples) of its changed block.
     """
-    tree, index = dist.tree, dist.index
-    r = hanging_root_edge(tree)
-    rows, lengths, recorded, target = [], [], [], []
-    for p in paths:  # keep rows and blocks only, so paths may come one by one
-        rows += [index.get(s, -1) for s in p.states]
-        lengths.append(len(p.states))
-        recorded += p.blocks
-        target.append(index.get(flip(tree, p.sigma, r, p.b), -1))
-    rows, lengths = np.array(rows, dtype=np.intp), np.array(lengths, dtype=np.intp)
+    tree, m, rows = dist.tree, dist.tree.n_edges, batch.rows
+    lengths = batch.lengths + 1
     path_of = np.repeat(np.arange(len(lengths)), lengths)
     first = np.cumsum(lengths) - lengths
     at = np.flatnonzero(path_of[:-1] == path_of[1:])  # the state each step leaves
-    if len(recorded) != len(at):
+    if len(rows) != len(path_of) or len(batch.edges) != len(at):
         raise VerificationError("paths must record one block per step")
 
     def check(bad, noun, what):  # raise at the first flagged state (or step)
@@ -308,29 +443,30 @@ def verify_paths(dist, paths, path_kind=GLAUBER_PATHS):
     src, dst = rows[at], rows[at + 1]
     changed = dist.array[src] != dist.array[dst]
     check(~changed.any(axis=1), "step", lambda i: "changes nothing")
-    sizes = np.array([len(blk) for blk in recorded], dtype=np.intp)
-    mask = np.zeros_like(changed)
-    mask[np.repeat(np.arange(len(at)), sizes),
-         [e for blk in recorded for e in blk]] = True
-    check((changed != mask).any(axis=1) | (changed.sum(axis=1) != sizes), "step",
+    mask = np.zeros((len(at), m + 1), dtype=bool)
+    mask[np.arange(len(at))[:, None], batch.edges] = True
+    check((changed != mask[:, :m]).any(axis=1)
+          | (changed.sum(axis=1) != (batch.edges < m).sum(axis=1)), "step",
           lambda i: f"changed {tuple(np.flatnonzero(changed[i]).tolist())}, "
-                    f"recorded {recorded[i]}")
+                    f"recorded {tuple(e for e in batch.edges[i].tolist() if e < m)}")
     packed = np.packbits(changed, axis=1)  # each step's mask as a byte string
     _, one, block_of = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
                                  return_index=True, return_inverse=True)
     blocks = [tuple(np.flatnonzero(changed[i]).tolist()) for i in one]
-    allowed = path_blocks_for_kind(tree, path_kind)
+    allowed = path_blocks_for_kind(tree, batch.family.kind)
     legal = np.array([blk in allowed for blk in blocks], dtype=bool)
     check(~legal[block_of], "step",
           lambda i: f"changed a disallowed block {blocks[block_of[i]]}")
     _, seen = np.unique(path_of * dist.size + rows, return_index=True)
     flat = np.arange(len(rows))
     check(~np.isin(flat, seen), "state", lambda i: "revisits an earlier state")
+    target = dist.rows_of(flip_rows(tree, dist.array[rows[first]],
+                                    batch.family.r, batch.family.b))
     last = first + lengths - 1
     check(np.isin(flat, last[rows[last] != target]), "state",
           lambda i: f"ends at row {rows[i]}, not at row {target[path_of[i]]}, "
                     f"the flip of the start")
-    return src, dst, [blocks[k] for k in block_of.tolist()]
+    return src, dst, block_of, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -425,33 +561,41 @@ def compute_congestion(tree, lists, path_kind):
             if a == b:
                 continue
             family = path_family(tree, lists, a, b, path_kind)
-            src, dst, blocks = verify_paths(
-                dist, (build_path(family, dist.states[i]) for i in fibers[a].tolist()),
-                path_kind)
-            usage, moved = {}, {}  # (row, row) -> count, and -> its block
-            for move, block in zip(zip(src.tolist(), dst.tolist()), blocks):
-                usage[move] = usage.get(move, 0) + 1
-                moved[move] = block
+            src, dst, block_of, blocks = verify_paths(
+                dist, build_paths(family, dist, fibers[a]))
+            _, first, counts = np.unique(src * n + dst, return_index=True,
+                                         return_counts=True)
+            used = np.argsort(first)  # the transitions in order of first use
+            first, counts = first[used], counts[used]
+            x, y, block = src[first], dst[first], block_of[first]
+            usage = dict(zip(zip(x.tolist(), y.tolist()), counts.tolist()))
+            size = np.empty(len(x), dtype=np.int64)
+            for k, blk in enumerate(blocks):
+                size[block == k] = class_size[blk][x[block == k]]
+            # float_power is libm pow, as Python's ** is, so the loads and
+            # their running sums are the floats of a per-transition loop
             p_ra = 1.0 / len(fibers[a])
-            xi_levels = {t: 0.0 for t in range(ell + 1)}
-            xi_pairs = r_leaf = 0.0
-            leaf_sums = {}
-            for (x, y), count in usage.items():
-                block = moved[(x, y)]
-                rate = 1.0 / int(class_size[block][x])
-                load = (count * p_ra) ** 2 * n / rate
-                if len(block) == 1:
-                    lvl = tree.edge_levels[block[0]]
-                    xi_levels[lvl] += load
-                    if lvl == ell:
-                        r_leaf += count ** 2 / n
-                        leaf_sums[x] = leaf_sums.get(x, 0) + count ** 2
-                else:
-                    xi_pairs += load
+            load = np.float_power(counts * p_ra, 2) * n / (1.0 / size)
+            level = np.array([tree.edge_levels[blk[0]] if len(blk) == 1 else -1
+                              for blk in blocks], dtype=np.intp)[block]
+            leaf = level == ell
+            rows, where, inverse = np.unique(x[leaf], return_index=True,
+                                             return_inverse=True)
+            sums = np.zeros(len(rows), dtype=np.int64)
+            np.add.at(sums, inverse, counts[leaf] ** 2)
+            order = np.argsort(where)
             per_pair[(a, b)] = PairCongestion(
                 a, b, len(fibers[a]), len(fibers[b]), usage,
-                xi_levels, xi_pairs, r_leaf, leaf_sums)
+                {t: _running_sum(load[level == t]) for t in range(ell + 1)},
+                _running_sum(load[level < 0]),
+                _running_sum(counts[leaf] ** 2 / n),
+                dict(zip(rows[order].tolist(), sums[order].tolist())))
     return CongestionReport(tree, lists, path_kind, n, per_pair, dist)
+
+
+def _running_sum(values):
+    """The float sum of ``values`` added left to right from 0.0."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -466,41 +610,52 @@ class GammaStats:
     P_i: dict = field(default_factory=dict)
 
 
+def _gamma_arrays(tree, lists, colors, a, b):
+    """``gamma_stats`` of every coloring in ``colors`` at once: arrays S, Z
+    and the (n x ceil(ell/2)) matrix of P_i for the odd i."""
+    r, ell = hanging_root_edge(tree), tree.max_level
+    tab = _Tables(tree, lists)
+    C = tab.widen(colors)
+    root = C[:, r]
+    if not np.isin(root, (a, b)).all():
+        raise ParameterError("root color must be one of the coupled colors")
+    estar = _alternating(tab, C, r, np.where(root == a, b, a))
+    S = (estar < tab.m).sum(axis=1) - 1
+    try:
+        (rows, idx), (_, edge, _, walk, _, detour) = _walks(
+            tab, C, estar, np.ones(len(C), dtype=np.intp), (a, b),
+            np.array(color_order(lists.q, a, b)))
+    except VerificationError as err:
+        if lists.q < tree.max_degree + 2:
+            raise UnsupportedRegimeError(
+                "the Stage-I detours need two spare colors, q = delta + 2") from err
+        raise
+    deep = np.zeros(len(rows), dtype=bool)
+    deep[walk[detour & (tab.level[edge] >= ell - 1)]] = True
+    P_i = np.zeros((len(C), (ell + 1) // 2), dtype=np.int64)
+    P_i[rows, idx // 2] = deep
+    if ((S > ell) | (P_i.sum(axis=1) > (S + 1) // 2)).any():
+        raise VerificationError("path statistics out of range")
+    return S, (S >= ell - 1).astype(np.int64), P_i
+
+
 def gamma_stats(tree, lists, gamma, a, b):
     """Recompute the Stage-I geometry from an intermediate coloring.
 
     The root color must be a or b; for root color b the roles swap while the
-    tie-break order stays the one fixed for the (a, b) family.
+    tie-break order stays the one fixed for the (a, b) family.  At q = delta
+    + 1 a detour can be undefined, which raises ``UnsupportedRegimeError``.
     """
-    r = hanging_root_edge(tree)
-    ell = tree.max_level
-    if gamma[r] == a:
-        x, y = a, b
-    elif gamma[r] == b:
-        x, y = b, a
-    else:
-        raise ParameterError("root color must be one of the coupled colors")
-    order = color_order(lists.q, a, b)
-    estar = alternating_path(tree, gamma, r, y)
-    S = len(estar) - 1
-    P_i = {}
-    for i in range(1, ell + 1, 2):
-        if i > S:
-            P_i[i] = 0
-            continue
-        detour, _ = _branch_path(tree, lists, gamma, estar[i], {x, y}, order)
-        P_i[i] = int(any(tree.edge_levels[e] >= ell - 1 for e in detour))
-    Z = int(S >= ell - 1)
-    stats = GammaStats(S=S, P=sum(P_i.values()), Z=Z, P_i=P_i)
-    if not (0 <= stats.S <= ell and stats.P <= math.ceil(stats.S / 2) and stats.Z in (0, 1)):
-        raise VerificationError("path statistics out of range")
-    return stats
+    S, Z, P_i = _gamma_arrays(tree, lists, [gamma], a, b)
+    P_i = {2 * k + 1: p for k, p in enumerate(P_i[0].tolist())}
+    return GammaStats(S=int(S[0]), P=sum(P_i.values()), Z=int(Z[0]), P_i=P_i)
 
 
 def leaf_multiplicity_sum(report, a, b, gamma):
     """Sum over leaf transitions out of ``gamma`` (single-edge moves at level
     ell) of the squared number of start colorings whose path uses them."""
-    return report.per_pair[(a, b)].leaf_sums.get(report.dist.index[gamma], 0)
+    row = int(report.dist.rows_of([gamma])[0])
+    return report.per_pair[(a, b)].leaf_sums.get(row, 0)
 
 
 def leaf_count_bound(stats, delta):
@@ -515,19 +670,19 @@ def leaf_count_check(tree, lists, report, a, b):
     Returns (ok, worst examples) over all colorings whose root carries one of
     the coupled colors; other colorings must carry no leaf transitions.
     """
-    r = hanging_root_edge(tree)
-    sums = report.per_pair[(a, b)].leaf_sums
+    array = report.dist.array
+    coupled = np.isin(array[:, hanging_root_edge(tree)], (a, b))
+    S, Z, P_i = _gamma_arrays(tree, lists, array[coupled], a, b)
+    at = np.cumsum(coupled) - 1  # row -> its place among the coupled rows
     bad = []
-    for row, gamma in enumerate(report.dist.states):
-        lhs = sums.get(row, 0)
-        if gamma[r] not in (a, b):
-            if lhs:
-                bad.append((gamma, lhs, 0))
-            continue
-        stats = gamma_stats(tree, lists, gamma, a, b)
-        rhs = leaf_count_bound(stats, tree.max_degree)
+    for row, lhs in sorted(report.per_pair[(a, b)].leaf_sums.items()):
+        rhs = 0
+        if coupled[row]:
+            j = at[row]
+            rhs = leaf_count_bound(GammaStats(int(S[j]), int(P_i[j].sum()), int(Z[j])),
+                                   tree.max_degree)
         if lhs > rhs:
-            bad.append((gamma, lhs, rhs))
+            bad.append((tuple(array[row].tolist()), lhs, rhs))
     return not bad, bad
 
 
@@ -554,13 +709,9 @@ def tail_probability_check(tree, lists, a, b, s, x, dist=None):
         dist = oracle.enumerate_colorings(tree, lists)
     tree_ell = tree.max_level
     delta = tree.max_degree
-    r = hanging_root_edge(tree)
-    coupled = [g for g in dist.states if g[r] in (a, b)]
-    hits = 0
-    for gamma in coupled:
-        st = gamma_stats(tree, lists, gamma, a, b)
-        if st.S == s and st.P == x:
-            hits += 1
+    coupled = dist.array[np.isin(dist.array[:, hanging_root_edge(tree)], (a, b))]
+    S, _, P_i = _gamma_arrays(tree, lists, coupled, a, b)
+    hits = int(np.count_nonzero((S == s) & (P_i.sum(axis=1) == x)))
     empirical = hits / len(coupled)
     checkable = (x == 0) or (tree_ell + 2 - s - 3 >= 0)
     if checkable:

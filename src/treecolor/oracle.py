@@ -7,6 +7,7 @@ runs.  The support is kept only as that array: ``DistributionTable.states``
 (one tuple per coloring) and its ``index`` are built on first use.
 ``count_colorings`` gets the same number by dynamic programming and works on
 trees far too large to enumerate.
+``DistributionTable.rows_of`` maps colorings back to rows without them.
 ``DistributionTable.classes`` groups the support into the classes of states
 that agree off a block of edges, from which every block-averaging matrix of
 the package is built.
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import CapacityError, InfeasiblePinningError, ParameterError
 
 ENUMERATION_CAP = 2_000_000
+KEY_LIMIT = 2 ** 62      # bound on the integer keys of ``rows_of``
 
 
 class DistributionTable:
@@ -48,6 +50,49 @@ class DistributionTable:
     def index(self):
         """State tuple -> row of the support, built on first lookup."""
         return {s: i for i, s in enumerate(self.states)}
+
+    @cached_property
+    def _row_keys(self):
+        """The tables of ``rows_of``: the colors in use, one group of columns
+        after another as (first column, stop, span, weights, the sorted
+        distinct keys of the support's prefixes), and the row of each key of
+        the last group."""
+        used = np.unique(self.array)
+        codes = np.searchsorted(used, self.array)
+        radix, m = len(used), self.array.shape[1]
+        groups, node, width, lo = [], np.zeros(self.size, dtype=np.int64), 1, 0
+        while lo < m:
+            hi, span = lo + 1, radix
+            while hi < m and width * span * radix < KEY_LIMIT:
+                hi, span = hi + 1, span * radix
+            weights = np.array([radix ** (hi - 1 - e) for e in range(lo, hi)],
+                               dtype=np.int64)
+            keys, node = np.unique(node * span + codes[:, lo:hi] @ weights,
+                                   return_inverse=True)
+            groups.append((lo, hi, span, weights, keys))
+            width, lo = len(keys), hi
+        return used, groups, np.argsort(node)
+
+    def rows_of(self, colors):
+        """The support row of each coloring in ``colors`` (k x m), or -1 for
+        a coloring outside the support.
+
+        A color is read as its rank among the colors in use, and the columns
+        in groups: a group's key is the previous group's key number times its
+        mixed-radix span plus its digits, and groups are cut so that every
+        key stays below ``KEY_LIMIT``.  So the lookup is exact whatever q and
+        m are (it needs N times the number of colors in use below the limit).
+        """
+        used, groups, row_of_key = self._row_keys
+        colors = np.asarray(colors)
+        codes = np.minimum(np.searchsorted(used, colors), len(used) - 1)
+        found = (used[codes] == colors).all(axis=1)
+        node = np.zeros(len(colors), dtype=np.int64)
+        for lo, hi, span, weights, keys in groups:
+            want = node * span + codes[:, lo:hi] @ weights
+            node = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+            found &= keys[node] == want
+        return np.where(found, row_of_key[node], -1)
 
     def classes(self, B):
         """Partition of the support into classes of states that agree on every

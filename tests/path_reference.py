@@ -1,13 +1,204 @@
-"""The per-path canonical-path verifier: the test oracle for the batched
-``treecolor.canonical.verify_paths``.
+"""The per-path canonical-path builder and verifier: the test oracles for
+the batched ``treecolor.canonical.build_paths`` and ``verify_paths``.
 
-It checks one path state by state with ``is_proper`` and diffs every edge of
-every step, so it is slow, but it needs nothing from the enumerated support.
+The builder walks one start coloring at a time on color tuples
+(``_StageOnePlan``, ``_branch_path``, ``_staged_path``); the verifier checks
+one path state by state with ``is_proper`` and diffs every edge of every
+step.  Both are slow, but they need nothing from the enumerated support.
 """
 
-from treecolor.canonical import GLAUBER_PATHS, path_blocks_for_kind
-from treecolor.colorings import flip, is_proper
+import numpy as np
+
+from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, STAGE_NAMES,
+                                 CanonicalPath, GammaStats, PathBatch,
+                                 color_order, path_blocks_for_kind,
+                                 path_family)
+from treecolor.colorings import (alternating_path, available_colors, flip,
+                                 is_proper)
+from treecolor.errors import ParameterError, VerificationError
 from treecolor.trees import hanging_root_edge
+
+
+class _StageOnePlan:
+    """Detour paths and recoloring targets computed from a reference coloring.
+
+    ``side`` selects which alternating-path edges are recolored in Stage I:
+    "odd" for the single-move construction, "even" for the pair-move one.
+    """
+
+    def __init__(self, tree, lists, rho, r, x, y, order, side="odd"):
+        self.estar = alternating_path(tree, rho, r, y)
+        self.newcolor = {}
+        s = len(self.estar) - 1
+        start = 1 if side == "odd" else 2
+        for i in range(start, s + 1, 2):
+            _, colors = _branch_path(tree, lists, rho, self.estar[i], {x, y}, order)
+            self.newcolor.update(colors)
+        members = set(self.newcolor)
+        estar_set = set(self.estar)
+        self.order = sorted(
+            members,
+            key=lambda e: (-tree.edge_levels[e], e in estar_set, e))
+
+
+def _first_missing_at_vertex(tree, rho, v, order):
+    present = {rho[f] for f in tree.edges_at_vertex[v]}
+    for c in order:
+        if c not in present:
+            return c
+    raise ParameterError("vertex has no missing color; q too small")
+
+
+def _edge_at_vertex_colored(tree, rho, v, color, skip):
+    for f in tree.edges_at_vertex[v]:
+        if f != skip and rho[f] == color:
+            return f
+    return None
+
+
+def _branch_path(tree, lists, rho, e_i, excluded, order):
+    """Detour path below the upper endpoint of ``e_i`` that frees a color
+    outside ``excluded`` for it, together with the recoloring targets.
+
+    Returns (detour_edges, {edge: new color}); the map always contains e_i.
+    """
+    avail = available_colors(tree, lists, rho, e_i)
+    for c in order:
+        if c in avail and c not in excluded:
+            return [], {e_i: c}
+    v_up = tree.edge_parent_vertex[e_i]
+    v_dn = tree.edge_child_vertex[e_i]
+    target = _first_missing_at_vertex(tree, rho, v_dn, order)
+    first = _edge_at_vertex_colored(tree, rho, v_up, target, skip=e_i)
+    if first is None:
+        raise VerificationError("freed color should block e_i at its upper vertex")
+    colors = {e_i: target}
+    detour = [first]
+    cur = first
+    while True:
+        avail_cur = available_colors(tree, lists, rho, cur)
+        if len(avail_cur) >= 2:
+            for c in order:
+                if c in avail_cur and c != rho[cur]:
+                    colors[cur] = c
+                    break
+            return detour, colors
+        c2 = _first_missing_at_vertex(tree, rho, tree.edge_parent_vertex[cur], order)
+        nxt = _edge_at_vertex_colored(tree, rho, tree.edge_child_vertex[cur], c2, skip=cur)
+        if nxt is None:
+            raise VerificationError("detour construction lost its continuation")
+        colors[cur] = c2
+        detour.append(nxt)
+        cur = nxt
+
+
+def _apply_move(states, blocks, stages, state, edits, stage):
+    out = list(state)
+    for e, c in edits:
+        out[e] = c
+    out = tuple(out)
+    states.append(out)
+    blocks.append(tuple(e for e, _ in edits))
+    stages.append(stage)
+    return out
+
+
+def _tau_color(plan, sigma, a, b, e):
+    if e in set(plan.estar):
+        return a if sigma[e] == b else b
+    return sigma[e]
+
+
+def _staged_path(family, sigma, pair):
+    """Shared three-stage skeleton.  Stage II recolors the even
+    alternating-path edges a -> b, or with ``pair`` exchanges a and b on the
+    root edge and its successor and recolors the later odd edges b -> a."""
+    tree, a, b = family.tree, family.a, family.b
+    plan = _StageOnePlan(tree, family.lists, sigma, family.r, a, b,
+                         family.order, "even" if pair else "odd")
+    states, blocks, stages = [sigma], [], []
+    cur = sigma
+    for e in plan.order:
+        cur = _apply_move(states, blocks, stages, cur, [(e, plan.newcolor[e])], "I")
+    if pair:
+        cur = _apply_move(states, blocks, stages, cur,
+                          [(plan.estar[0], b), (plan.estar[1], a)], "II")
+    for e in plan.estar[3::2] if pair else plan.estar[::2]:
+        cur = _apply_move(states, blocks, stages, cur, [(e, a if pair else b)], "II")
+    for e in reversed(plan.order):
+        cur = _apply_move(states, blocks, stages, cur,
+                          [(e, _tau_color(plan, sigma, a, b, e))], "III")
+    return CanonicalPath(states, blocks, stages, a=a, b=b)
+
+
+def reference_path(family, sigma):
+    """The per-start path; pair-move paths use the pair move exactly when
+    the alternating path has even length and stops above the leaves."""
+    pair = False
+    if family.kind == EDGE_PATHS:
+        m = len(alternating_path(family.tree, sigma, family.r, family.b))
+        pair = m % 2 == 0 and m != family.tree.max_level + 1
+    return _staged_path(family, sigma, pair)
+
+
+def reference_stage_one_moves(tree, lists, rho, x, y, order, side="odd"):
+    plan = _StageOnePlan(tree, lists, rho, hanging_root_edge(tree), x, y,
+                         order, side)
+    return [(e, plan.newcolor[e]) for e in plan.order]
+
+
+def reference_gamma_stats(tree, lists, gamma, a, b):
+    """Stage-I geometry of one coloring, by one detour walk per odd edge."""
+    r = hanging_root_edge(tree)
+    ell = tree.max_level
+    if gamma[r] == a:
+        x, y = a, b
+    elif gamma[r] == b:
+        x, y = b, a
+    else:
+        raise ParameterError("root color must be one of the coupled colors")
+    order = color_order(lists.q, a, b)
+    estar = alternating_path(tree, gamma, r, y)
+    S = len(estar) - 1
+    P_i = {}
+    for i in range(1, ell + 1, 2):
+        if i > S:
+            P_i[i] = 0
+            continue
+        detour, _ = _branch_path(tree, lists, gamma, estar[i], {x, y}, order)
+        P_i[i] = int(any(tree.edge_levels[e] >= ell - 1 for e in detour))
+    return GammaStats(S=S, P=sum(P_i.values()), Z=int(S >= ell - 1), P_i=P_i)
+
+
+def batch_of_paths(dist, paths, path_kind=GLAUBER_PATHS):
+    """``CanonicalPath`` objects of one family as a ``PathBatch`` whose
+    states are looked up among the rows of ``dist``."""
+    tree, m = dist.tree, dist.tree.n_edges
+    family = path_family(tree, dist.lists, paths[0].a, paths[0].b, path_kind)
+    edits = [[(e, p.states[k + 1][e]) for e in blk] + [(m, 0)] * (2 - len(blk))
+             for p in paths for k, blk in enumerate(p.blocks)]
+    codes = {name: code for code, name in STAGE_NAMES.items()}
+    return PathBatch(
+        family, np.array([len(p.blocks) for p in paths], dtype=np.intp),
+        np.array([[e for e, _ in step] for step in edits], dtype=np.intp).reshape(-1, 2),
+        np.array([[c for _, c in step] for step in edits]).reshape(-1, 2),
+        np.array([codes[s] for p in paths for s in p.stages], dtype=np.uint8),
+        dist.rows_of([s for p in paths for s in p.states]))
+
+
+def unpack(dist, batch):
+    """Per path of a built batch: (states as tuples, blocks, stage names)."""
+    m = dist.tree.n_edges
+    out, state, step = [], 0, 0
+    for n in batch.lengths.tolist():
+        rows = batch.rows[state:state + n + 1]
+        states = [tuple(s) for s in dist.array[rows].tolist()] if (rows >= 0).all() else None
+        blocks = [tuple(e for e in pair if e < m)
+                  for pair in batch.edges[step:step + n].tolist()]
+        stages = [STAGE_NAMES[s] for s in batch.stages[step:step + n].tolist()]
+        out.append((states, blocks, stages))
+        state, step = state + n + 1, step + n
+    return out
 
 
 def verify_path(tree, lists, path, path_kind=GLAUBER_PATHS):

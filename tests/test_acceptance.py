@@ -18,10 +18,9 @@ import dense_forms as df
 from conftest import record_criterion
 from treecolor import canonical, dynamics, oracle, spectral
 from treecolor import tensorization as tz
-from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS,
-                                 compute_congestion,
-                                 edge_dynamics_canonical_path,
-                                 glauber_canonical_path, leaf_count_check,
+from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, build_path,
+                                 build_paths, compute_congestion,
+                                 leaf_count_check, path_family,
                                  tail_probability_check, stage_one_moves,
                                  verify_paths)
 from treecolor.colorings import star_root_lists, uniform_lists
@@ -200,9 +199,9 @@ def _reversal_matches(tree, lists, path, a, b):
     return [(e, new, old) for e, old, new in reversed(replay)] == stage3
 
 
-def _batch_verifies(dist, paths, kind):
+def _batch_verifies(dist, family, starts):
     try:
-        verify_paths(dist, paths, kind)
+        verify_paths(dist, build_paths(family, dist, starts))
     except VerificationError:
         return False
     return True
@@ -218,10 +217,10 @@ def test_criterion_6_coupling_paths():
             for b in sorted(lists[r]):
                 if a == b:
                     continue
-                paths = [glauber_canonical_path(tree, lists, sigma, b)
-                         for sigma in dist.states if sigma[r] == a]
-                ok &= _batch_verifies(dist, paths, GLAUBER_PATHS)
-                for path in paths:
+                family = path_family(tree, lists, a, b, GLAUBER_PATHS)
+                starts = np.flatnonzero(dist.array[:, r] == a)
+                ok &= _batch_verifies(dist, family, starts)
+                for path in (build_path(family, dist.states[i]) for i in starts):
                     ok &= len(set(path.transitions())) == len(path)
                     ok &= _reversal_matches(tree, lists, path, a, b)
     elapsed = time.time() - start
@@ -297,9 +296,9 @@ def test_criterion_9_edge_dynamics():
             for b in sorted(lists[r]):
                 if a == b:
                     continue
-                paths = [edge_dynamics_canonical_path(tree, lists, sigma, b)
-                         for sigma in dist.states if sigma[r] == a]
-                ok &= _batch_verifies(dist, paths, EDGE_PATHS)
+                family = path_family(tree, lists, a, b, EDGE_PATHS)
+                ok &= _batch_verifies(dist, family,
+                                      np.flatnonzero(dist.array[:, r] == a))
     # block factorization with a finite constant on the 4-edge path
     p4 = path_tree(4)
     d4 = oracle.enumerate_colorings(p4, uniform_lists(p4, 3))

@@ -2,16 +2,22 @@ import math
 
 import pytest
 
-from path_reference import verify_path
+import numpy as np
+
+from path_reference import (batch_of_paths, reference_gamma_stats,
+                            reference_path, reference_stage_one_moves, unpack,
+                            verify_path)
 from treecolor import canonical, colorings, oracle
 from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, CanonicalPath,
-                                 color_order, compute_congestion,
+                                 build_paths, color_order, compute_congestion,
                                  edge_dynamics_canonical_path, flip_coupling,
-                                 gamma_stats, glauber_canonical_path,
+                                 flip_rows, gamma_stats, glauber_canonical_path,
                                  leaf_count_check, leaf_multiplicity_sum,
-                                 routing_bound_ell1, stage_one_moves,
-                                 tail_probability_check, verify_paths)
-from treecolor.colorings import (alternating_path, flip, star_root_lists)
+                                 path_family, routing_bound_ell1,
+                                 stage_one_moves, tail_probability_check,
+                                 verify_paths)
+from treecolor.colorings import (alternating_path, flip, star_root_lists,
+                                 uniform_lists)
 from treecolor.errors import (ParameterError, UnsupportedRegimeError,
                               VerificationError)
 from treecolor.trees import build_hanging_root, hanging_root_edge
@@ -22,6 +28,25 @@ def star_instance(delta, ell, q):
     lists = star_root_lists(tree, q)
     dist = oracle.enumerate_colorings(tree, lists)
     return tree, lists, dist
+
+
+def families(lists, r):
+    """Every ordered pair of distinct root colors."""
+    return [(a, b) for a in sorted(lists[r]) for b in sorted(lists[r]) if a != b]
+
+
+def fiber(dist, r, a):
+    return np.flatnonzero(dist.array[:, r] == a)
+
+
+# (delta, ell, q, kind): the instances of the tests below plus the two
+# hanging-root trees of the congestion benchmark
+PATH_INSTANCES = [
+    (2, 1, 4, GLAUBER_PATHS), (2, 2, 4, GLAUBER_PATHS), (2, 3, 4, GLAUBER_PATHS),
+    (3, 1, 5, GLAUBER_PATHS), (2, 7, 4, GLAUBER_PATHS), (3, 2, 5, GLAUBER_PATHS),
+    (2, 3, 3, EDGE_PATHS), (3, 1, 4, EDGE_PATHS), (2, 5, 3, EDGE_PATHS),
+    (4, 1, 5, EDGE_PATHS),
+]
 
 
 def test_color_order():
@@ -63,9 +88,8 @@ def test_glauber_paths_verify_exhaustively():
             for b in sorted(lists[r]):
                 if a == b:
                     continue
-                paths = [glauber_canonical_path(tree, lists, sigma, b)
-                         for sigma in dist.states if sigma[r] == a]
-                verify_paths(dist, paths, GLAUBER_PATHS)
+                family = path_family(tree, lists, a, b, GLAUBER_PATHS)
+                verify_paths(dist, build_paths(family, dist, fiber(dist, r, a)))
 
 
 def test_glauber_stage_two_avoids_leaves_when_depth_odd():
@@ -115,9 +139,8 @@ def test_edge_paths_verify_exhaustively():
             for b in sorted(lists[r]):
                 if a == b:
                     continue
-                paths = [edge_dynamics_canonical_path(tree, lists, sigma, b)
-                         for sigma in dist.states if sigma[r] == a]
-                verify_paths(dist, paths, EDGE_PATHS)
+                family = path_family(tree, lists, a, b, EDGE_PATHS)
+                verify_paths(dist, build_paths(family, dist, fiber(dist, r, a)))
 
 
 def test_edge_path_pair_exchange_cases():
@@ -156,26 +179,74 @@ def test_verify_path_catches_corruption():
                            path.blocks + [(r,)],
                            path.stages + ["III"], a=1, b=2)
     with pytest.raises(VerificationError):
-        verify_paths(dist, [broken], GLAUBER_PATHS)
+        verify_paths(dist, batch_of_paths(dist, [broken]))
 
 
 def test_batch_verdict_matches_reference_verifier():
-    families = [((2, 1), GLAUBER_PATHS), ((2, 3), GLAUBER_PATHS),
-                ((3, 1), GLAUBER_PATHS), ((2, 3), EDGE_PATHS),
-                ((3, 1), EDGE_PATHS)]
-    for (delta, ell), kind in families:
+    families_ = [((2, 1), GLAUBER_PATHS), ((2, 3), GLAUBER_PATHS),
+                 ((3, 1), GLAUBER_PATHS), ((2, 3), EDGE_PATHS),
+                 ((3, 1), EDGE_PATHS)]
+    for (delta, ell), kind in families_:
         spare = 2 if kind == GLAUBER_PATHS else 1
         tree, lists, dist = star_instance(delta, ell, delta + spare)
         r = hanging_root_edge(tree)
-        for a in sorted(lists[r]):
-            for b in sorted(lists[r]):
-                if a == b:
-                    continue
-                family = canonical.path_family(tree, lists, a, b, kind)
-                paths = [canonical.build_path(family, sigma)
-                         for sigma in dist.states if sigma[r] == a]
-                verify_paths(dist, paths, kind)  # raises unless every path passes
-                assert all(verify_path(tree, lists, p, kind)[0] for p in paths)
+        for a, b in families(lists, r):
+            batch = build_paths(path_family(tree, lists, a, b, kind), dist,
+                                fiber(dist, r, a))
+            verify_paths(dist, batch)  # raises unless every path passes
+            assert all(verify_path(tree, lists, CanonicalPath(*p, a=a, b=b), kind)[0]
+                       for p in unpack(dist, batch))
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except (ParameterError, VerificationError) as err:
+        return type(err)
+
+
+def test_batch_builder_matches_per_start_reference():
+    for delta, ell, q, kind in PATH_INSTANCES:
+        tree, lists, dist = star_instance(delta, ell, q)
+        r = hanging_root_edge(tree)
+        small = dist.size < 100
+        for a, b in families(lists, r):
+            family = path_family(tree, lists, a, b, kind)
+            starts = fiber(dist, r, a)
+            got = unpack(dist, build_paths(family, dist, starts))
+            assert len(got) == len(starts)
+            for row, built in zip(starts.tolist(), got):
+                sigma = dist.states[row]
+                ref = reference_path(family, sigma)
+                assert built == (ref.states, ref.blocks, ref.stages)
+                if small:  # the one-row calls on tuples, without the support
+                    one = canonical.build_path(family, sigma)
+                    assert (one.states, one.blocks, one.stages, one.a, one.b) == (
+                        ref.states, ref.blocks, ref.stages, a, b)
+                    order = color_order(q, a, b)
+                    for x, y, rho in ((a, b, sigma), (b, a, ref.tau)):
+                        for side in ("odd", "even"):
+                            args = (tree, lists, rho, x, y, order, side)
+                            assert outcome(stage_one_moves, *args) == outcome(
+                                reference_stage_one_moves, *args)
+
+
+def test_flip_rows_match_flip():
+    instances = [(build_hanging_root(3, 1), 4), (build_hanging_root(2, 3), 4),
+                 (build_hanging_root(3, 2), 5), (build_hanging_root(2, 3), 3)]
+    for tree, q in instances:
+        for lists in (uniform_lists(tree, q), star_root_lists(tree, q)):
+            dist = oracle.enumerate_colorings(tree, lists)
+            r = hanging_root_edge(tree)
+            for a, b in families(lists, r):
+                starts = fiber(dist, r, a)
+                got = flip_rows(tree, dist.array[starts], r, b)
+                assert got.dtype == dist.array.dtype
+                assert [tuple(t) for t in got.tolist()] == [
+                    flip(tree, dist.states[i], r, b) for i in starts.tolist()]
+    with pytest.raises(ParameterError):
+        flip_rows(tree, dist.array[:1], r, int(dist.array[0, r]))
 
 
 def _corruptions(tree, path):
@@ -215,17 +286,17 @@ def test_each_corruption_has_its_own_diagnostic():
                             for s in dist.states if s[r] == 1)
                 if len(p) >= 3 and set(tree.neighbors[p.blocks[0][0]])
                 & {p.blocks[1][0]})
-    verify_paths(dist, [path], GLAUBER_PATHS)
+    verify_paths(dist, batch_of_paths(dist, [path]))
     for name, broken, pattern, reference in _corruptions(tree, path):
         with pytest.raises(VerificationError, match=pattern):
-            verify_paths(dist, [path, broken], GLAUBER_PATHS)
+            verify_paths(dist, batch_of_paths(dist, [path, broken]))
         ok, diags = verify_path(tree, lists, broken, GLAUBER_PATHS)
         assert not ok and any(d.startswith(reference) for d in diags), (name, diags)
 
 
 def test_congestion_checks_paths_on_support_rows(monkeypatch):
-    # properness is support membership, and the flip of each start coloring
-    # is computed once
+    # properness is support membership, endpoints come from the batched
+    # flip, and no coloring is ever held as a tuple
     calls = {"is_proper": 0, "flip": 0}
 
     def counting(name, fn):
@@ -237,14 +308,65 @@ def test_congestion_checks_paths_on_support_rows(monkeypatch):
     monkeypatch.setattr(colorings, "is_proper",
                         counting("is_proper", colorings.is_proper))
     monkeypatch.setattr(canonical, "is_proper", colorings.is_proper, raising=False)
+    monkeypatch.setattr(colorings, "flip", counting("flip", colorings.flip))
     monkeypatch.setattr(canonical, "flip", counting("flip", canonical.flip))
     for (delta, ell, q), kind in (((2, 3, 4), GLAUBER_PATHS),
                                   ((3, 1, 4), EDGE_PATHS)):
         tree, lists, _ = star_instance(delta, ell, q)
         calls.update(is_proper=0, flip=0)
         rep = compute_congestion(tree, lists, kind)
-        assert calls["is_proper"] == 0
-        assert calls["flip"] == sum(pc.fiber_a for pc in rep.per_pair.values())
+        assert calls == {"is_proper": 0, "flip": 0}
+        assert "states" not in vars(rep.dist) and "index" not in vars(rep.dist)
+
+
+def reference_congestion(tree, lists, kind):
+    """Usage and loads from the per-start reference paths, counted per
+    transition of state tuples in first-use order and summed in that order."""
+    dist = oracle.enumerate_colorings(tree, lists)
+    r, n, ell = hanging_root_edge(tree), dist.size, tree.max_level
+    out = {}
+    for a, b in families(lists, r):
+        family = path_family(tree, lists, a, b, kind)
+        starts = [s for s in dist.states if s[r] == a]
+        usage, moved = {}, {}
+        for sigma in starts:
+            path = reference_path(family, sigma)
+            for move, block in zip(path.transitions(), path.blocks):
+                usage[move] = usage.get(move, 0) + 1
+                moved[move] = tuple(sorted(block))
+        p_ra = 1.0 / len(starts)
+        class_size = {block: dist.classes(block) for block in set(moved.values())}
+        xi_levels = {t: 0.0 for t in range(ell + 1)}
+        xi_pairs = r_leaf = 0.0
+        leaf_sums = {}
+        for (x, y), count in usage.items():
+            block = moved[(x, y)]
+            labels, sizes = class_size[block]
+            rate = 1.0 / int(sizes[labels[dist.index[x]]])
+            load = (count * p_ra) ** 2 * n / rate
+            if len(block) == 1:
+                xi_levels[tree.edge_levels[block[0]]] += load
+                if tree.edge_levels[block[0]] == ell:
+                    r_leaf += count ** 2 / n
+                    leaf_sums[dist.index[x]] = leaf_sums.get(dist.index[x], 0) + count ** 2
+            else:
+                xi_pairs += load
+        out[(a, b)] = ([((dist.index[x], dist.index[y]), c) for (x, y), c in usage.items()],
+                       xi_levels, xi_pairs, r_leaf, list(leaf_sums.items()))
+    return out
+
+
+def test_congestion_is_bit_identical_to_per_transition_loop():
+    for delta, ell, q, kind in PATH_INSTANCES:
+        tree, lists, _ = star_instance(delta, ell, q)
+        rep = compute_congestion(tree, lists, kind)
+        for ab, (usage, xi_levels, xi_pairs, r_leaf, leaf_sums) in (
+                reference_congestion(tree, lists, kind).items()):
+            pc = rep.per_pair[ab]
+            assert list(pc.usage.items()) == usage
+            assert repr((pc.xi_levels, pc.xi_pairs, pc.r_leaf)) == repr(
+                (xi_levels, xi_pairs, r_leaf))
+            assert list(pc.leaf_sums.items()) == leaf_sums
 
 
 def test_congestion_values_depth_one():
@@ -351,7 +473,7 @@ def reference_leaf_count_check(tree, lists, report, a, b):
             if lhs:
                 bad.append((gamma, lhs, 0))
             continue
-        rhs = canonical.leaf_count_bound(gamma_stats(tree, lists, gamma, a, b),
+        rhs = canonical.leaf_count_bound(reference_gamma_stats(tree, lists, gamma, a, b),
                                          tree.max_degree)
         if lhs > rhs:
             bad.append((gamma, lhs, rhs))
@@ -371,6 +493,70 @@ def test_leaf_count_check_matches_per_state_loop():
             got = leaf_count_check(tree, lists, rep, a, b)
             assert got == reference_leaf_count_check(tree, lists, rep, a, b)
             assert got[0] == ((delta, ell) != (2, 2))
+
+
+def reference_tail_probability_check(tree, lists, a, b, s, x, dist):
+    r, ell = hanging_root_edge(tree), tree.max_level
+    stats = [reference_gamma_stats(tree, lists, g, a, b)
+             for g in dist.states if g[r] in (a, b)]
+    empirical = sum(st.S == s and st.P == x for st in stats) / len(stats)
+    checked = x == 0 or ell - s - 1 >= 0
+    bound = canonical.tail_probability_bound(tree.max_degree, ell, s, x) if checked else None
+    return {"empirical": empirical, "bound": bound, "checked": checked,
+            "ok": not checked or empirical <= bound + 1e-12}
+
+
+def test_statistics_match_per_coloring_reference():
+    for delta, ell, q, kind in PATH_INSTANCES:
+        tree, lists, dist = star_instance(delta, ell, q)
+        if dist.size > 500:
+            continue
+        r = hanging_root_edge(tree)
+        rep = compute_congestion(tree, lists, kind)
+        for a, b in families(lists, r):
+            expect = {}
+            for gamma in dist.states:
+                ref = outcome(reference_gamma_stats, tree, lists, gamma, a, b)
+                if ref is VerificationError and q < delta + 2:
+                    ref = UnsupportedRegimeError  # the detour is undefined here
+                assert outcome(gamma_stats, tree, lists, gamma, a, b) == ref
+                expect[ref if isinstance(ref, type) else "stats"] = ref
+            if UnsupportedRegimeError in expect:
+                with pytest.raises(UnsupportedRegimeError):
+                    leaf_count_check(tree, lists, rep, a, b)
+                continue
+            assert leaf_count_check(tree, lists, rep, a, b) == (
+                reference_leaf_count_check(tree, lists, rep, a, b))
+            for s in range(ell + 1):
+                for x in range(math.ceil(s / 2) + 1):
+                    assert tail_probability_check(tree, lists, a, b, s, x, dist) == (
+                        reference_tail_probability_check(tree, lists, a, b, s, x, dist))
+
+
+def test_pair_move_statistics_are_unsupported_at_depth_three():
+    # gamma_stats recomputes the single-move detours, which need two spare
+    # colors; at q = delta + 1 and depth 3 some of them cannot be walked
+    tree, lists, dist = star_instance(2, 3, 3)
+    rep = compute_congestion(tree, lists, EDGE_PATHS)
+    for a, b in rep.per_pair:
+        with pytest.raises(UnsupportedRegimeError):
+            leaf_count_check(tree, lists, rep, a, b)
+        with pytest.raises(UnsupportedRegimeError):
+            tail_probability_check(tree, lists, a, b, 0, 0, dist)
+    tree, lists, dist = star_instance(3, 3, 4)
+    gamma = (1, 2, 4, 3, 4, 1, 2, 1, 2, 1, 2, 2, 3, 3, 1)
+    with pytest.raises(VerificationError, match="lost its continuation"):
+        reference_gamma_stats(tree, lists, gamma, 1, 2)
+    with pytest.raises(UnsupportedRegimeError):
+        gamma_stats(tree, lists, gamma, 1, 2)
+    with pytest.raises(UnsupportedRegimeError):
+        tail_probability_check(tree, lists, 1, 2, 0, 0, dist)
+    # with two spare colors a walk that fails is still a failed check
+    tree = build_hanging_root(2, 3)
+    full = {1, 2, 3, 4}
+    lists = colorings.ListSpec(4, [{1, 2}, {1, 2}, full, full])
+    with pytest.raises(VerificationError, match="freed color"):
+        gamma_stats(tree, lists, (1, 2, 1, 2), 1, 2)
 
 
 def test_leaf_multiplicity_zero_off_the_coupling():

@@ -123,3 +123,40 @@ def test_prefix_cap_guard():
     with pytest.raises(CapacityError) as err:
         oracle.enumerate_colorings(STAR, DYING_LISTS, cap=3)
     assert err.value.estimated == 6
+
+
+def assert_rows_of_matches_index(dist, rng):
+    index = dist.index
+    assert dist.rows_of(dist.array).tolist() == list(range(dist.size))
+    assert dist.rows_of(dist.array[::-1]).tolist() == list(range(dist.size))[::-1]
+    # one edge recolored at random: a member exactly when the index has it
+    probe = dist.array.astype(np.int64)
+    cols = rng.integers(0, probe.shape[1], len(probe))
+    probe[np.arange(len(probe)), cols] = rng.integers(0, dist.lists.q + 2, len(probe))
+    want = [index.get(tuple(s), -1) for s in probe.tolist()]
+    assert dist.rows_of(probe).tolist() == want
+    assert -1 in want
+
+
+@pytest.mark.parametrize("tree,q", ZOO + HANGING)
+def test_rows_of_matches_index(tree, q):
+    rng = np.random.default_rng(7)
+    assert_rows_of_matches_index(oracle.enumerate_colorings(tree, uniform_lists(tree, q)), rng)
+    if (tree, q) in HANGING:
+        assert_rows_of_matches_index(
+            oracle.enumerate_colorings(tree, star_root_lists(tree, q)), rng)
+
+
+def test_rows_of_without_key_overflow():
+    rng = np.random.default_rng(8)
+    # 70 edges, two colors: 2^70 exceeds any int64 key, so the columns
+    # split into groups
+    long = oracle.enumerate_colorings(path_tree(70), uniform_lists(path_tree(70), 2))
+    assert long.size == 2 and len(long._row_keys[1]) == 2
+    assert_rows_of_matches_index(long, rng)
+    # 300 colors are stored as uint16
+    star = build_complete_regular(2, 1)
+    wide = oracle.enumerate_colorings(star, uniform_lists(star, 300))
+    assert wide.array.dtype == np.uint16 and wide.size == 300 * 299
+    assert_rows_of_matches_index(wide, rng)
+    assert wide.rows_of([[300, 299], [299, 299], [301, 1]]).tolist() == [wide.size - 1, -1, -1]
