@@ -1,9 +1,10 @@
 """Flip couplings and the staged canonical paths between coupled colorings."""
 
+import numpy as np
+
 from treecolor import oracle
 from treecolor.canonical import (GLAUBER_PATHS, build_paths, flip_coupling,
-                                 glauber_canonical_path, path_family,
-                                 verify_paths)
+                                 path_family, verify_paths)
 from treecolor.colorings import star_root_lists
 from treecolor.errors import VerificationError
 from treecolor.trees import build_hanging_root, hanging_root_edge
@@ -17,25 +18,29 @@ coupling = flip_coupling(tree, lists, 1, 2, dist)
 print(f"flip coupling 1<->2: {len(coupling.pairs)} pairs, "
       f"each with weight {coupling.weight:.4f}")
 
+# every path from root color 1 to 2, in one batch on the rows of the support
+# (the coupling pairs come in the same order as the paths)
+family = path_family(tree, lists, 1, 2, GLAUBER_PATHS)
+batch = build_paths(family, dist, np.flatnonzero(dist.array[:, r] == 1))
+
 # pick the pair with the longest alternating path and walk through its stages
-sigma, tau = max(coupling.pairs,
-                 key=lambda p: sum(x != y for x, y in zip(*p)))
-path = glauber_canonical_path(tree, lists, sigma, 2)
+j, (sigma, tau) = max(enumerate(coupling.pairs),
+                      key=lambda p: sum(x != y for x, y in zip(*p[1])))
 print("sigma =", sigma)
 print("tau   =", tau)
-for state, block, stage in zip(path.states[1:], path.blocks, path.stages):
-    print(f"  stage {stage}: recolor edge {block[0]} -> {state}")
+step = int(batch.lengths[:j].sum())  # the path's first step; j states precede it
+for k in range(step, step + batch.lengths[j]):
+    state = tuple(dist.array[batch.rows[k + j + 1]].tolist())
+    stage = ("", "I", "II", "III")[batch.stages[k]]
+    print(f"  stage {stage}: recolor edge {batch.edges[k, 0]} -> {state}")
 
-try:  # the batch of the one path from sigma, checked on support rows
-    family = path_family(tree, lists, 1, 2, GLAUBER_PATHS)
-    verify_paths(dist, build_paths(family, dist, dist.rows_of([sigma])))
+try:  # every path of the batch, checked on support rows
+    verify_paths(dist, batch)
     ok = True
 except VerificationError:
     ok = False
 print("path verifies (proper, simple, legal single moves):", ok)
 
-lengths = {}
-for sigma, _tau in coupling.pairs:
-    lengths.setdefault(len(glauber_canonical_path(tree, lists, sigma, 2)), 0)
-    lengths[len(glauber_canonical_path(tree, lists, sigma, 2))] += 1
-print("path length distribution over the coupling:", dict(sorted(lengths.items())))
+lengths, counts = np.unique(batch.lengths, return_counts=True)
+print("path length distribution over the coupling:",
+      dict(zip(lengths.tolist(), counts.tolist())))

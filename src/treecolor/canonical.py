@@ -29,13 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .colorings import alternating_path, flip, star_root_lists, toggle_edge
+from .colorings import star_root_lists
 from .errors import ParameterError, UnsupportedRegimeError, VerificationError
 from .trees import build_hanging_root, hanging_root_edge
 
 GLAUBER_PATHS = "glauber"
 EDGE_PATHS = "edge"
-STAGE_NAMES = {1: "I", 2: "II", 3: "III"}  # the stage codes of a PathBatch
 
 
 def color_order(q, a, b):
@@ -94,9 +93,10 @@ def _first(ok, order):
 
 
 def _alternating(tab, C, e, b):
-    """``alternating_path`` of every row of ``C`` (b may differ per row), one
-    numpy step per tree level: an (n x depth) array whose column k is the
-    path's edge k levels below ``e``, padded with the sentinel."""
+    """The maximal alternating path from ``e`` of every row of ``C`` (b may
+    differ per row), one numpy step per tree level: an (n x depth) array
+    whose column k is the path's edge k levels below ``e``, padded with the
+    sentinel."""
     n = len(C)
     a, b = C[:, e], np.broadcast_to(b, (n,))
     if (a == b).any():
@@ -129,7 +129,7 @@ def flip_rows(tree, colors, e, b):
 class Coupling:
     a: int
     b: int
-    pairs: list          # [(sigma, tau)] with tau = flip(sigma, r, b)
+    pairs: list          # [(sigma, tau)], tau the flip of sigma at r toward b
     weight: float        # uniform pair probability 1/|pairs|
 
 
@@ -148,29 +148,6 @@ def flip_coupling(tree, lists, a, b, dist=None):
     pairs = list(zip(map(tuple, dist.array[fiber_a].tolist()),
                      map(tuple, dist.array[flipped].tolist())))
     return Coupling(a, b, pairs, 1.0 / len(pairs))
-
-
-@dataclass
-class CanonicalPath:
-    states: list         # colorings gamma_0 .. gamma_m
-    blocks: list         # per step, the tuple of changed edges
-    stages: list         # per step, "I", "II" or "III"
-    a: int = 0
-    b: int = 0
-
-    @property
-    def sigma(self):
-        return self.states[0]
-
-    @property
-    def tau(self):
-        return self.states[-1]
-
-    def transitions(self):
-        return list(zip(self.states[:-1], self.states[1:]))
-
-    def __len__(self):
-        return len(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -358,35 +335,6 @@ def build_paths(family, dist, starts):
         rows[state0[live] + k + 1] = dist.rows_of(C[live, :m])
     batch.rows = rows
     return batch
-
-
-def build_path(family, sigma):
-    """The path of ``family`` from ``sigma`` (root color ``family.a``) to its
-    flip, as one-row ``build_paths`` without the support."""
-    batch = _path_edits(family, [sigma])
-    m = family.tree.n_edges
-    cur, states, blocks = list(sigma), [sigma], []
-    for (e, f), (c, d) in zip(batch.edges.tolist(), batch.colors.tolist()):
-        cur[e] = c
-        if f < m:
-            cur[f] = d
-        states.append(tuple(cur))
-        blocks.append((e, f) if f < m else (e,))
-    return CanonicalPath(states, blocks, [STAGE_NAMES[s] for s in batch.stages.tolist()],
-                         a=family.a, b=family.b)
-
-
-def glauber_canonical_path(tree, lists, sigma, b):
-    """Single-edge-move path from ``sigma`` to its flip, two colors free."""
-    a = sigma[hanging_root_edge(tree)]
-    return build_path(path_family(tree, lists, a, b, GLAUBER_PATHS), sigma)
-
-
-def edge_dynamics_canonical_path(tree, lists, sigma, b):
-    """Path of singleton moves plus (possibly) one root-pair exchange, for the
-    one-extra-color regime q = delta + 1.  Depth must be odd."""
-    a = sigma[hanging_root_edge(tree)]
-    return build_path(path_family(tree, lists, a, b, EDGE_PATHS), sigma)
 
 
 def stage_one_moves(tree, lists, rho, x, y, order, side="odd"):
@@ -730,35 +678,26 @@ def tail_probability_check(tree, lists, a, b, s, x, dist=None):
 
 def routing_bound_ell1(delta):
     """Exact step counts and transition multiplicities of the depth-one
-    toggle routing, certifying the per-level constants 4*delta and 8."""
-    q = delta + 1
+    routing, certifying the per-level constants 4*delta and 8.
+
+    The routes are the verified ``EDGE_PATHS`` batch of the (1, 2) family
+    at q = delta + 1 from every root-color-1 row.  At depth one that family
+    recolors single edges only: the root edge alone, or the level-1 edge
+    carrying color 2, then the root edge, then that edge again.
+    """
     tree = build_hanging_root(delta, 1)
-    lists = star_root_lists(tree, q)
-    r = hanging_root_edge(tree)
+    lists = star_root_lists(tree, delta + 1)
     dist = oracle.enumerate_colorings(tree, lists)
-    fiber = [s for s in dist.states if s[r] == 1]
-    usage = {}
-    steps_at = {0: 0, 1: 0}
-    for sigma in fiber:
-        ap = alternating_path(tree, sigma, r, 2)
-        cur = sigma
-        moves = [r] if len(ap) == 1 else [ap[1], r, ap[1]]
-        for e in moves:
-            nxt = toggle_edge(tree, lists, cur, e)
-            if nxt == cur:
-                raise VerificationError("toggle routing hit a frozen edge")
-            usage[(cur, nxt)] = usage.get((cur, nxt), 0) + 1
-            steps_at[tree.edge_levels[e]] += 1
-            cur = nxt
-        if cur != flip(tree, sigma, r, 2):
-            raise VerificationError("toggle routing missed the flipped coloring")
-    n_fiber = len(fiber)
-    expected = {t: steps_at[t] / n_fiber for t in (0, 1)}
-    maxmult = {0: 0, 1: 0}
-    for (x, y), count in usage.items():
-        diff = [e for e in range(tree.n_edges) if x[e] != y[e]]
-        maxmult[tree.edge_levels[diff[0]]] = max(
-            maxmult[tree.edge_levels[diff[0]]], count)
+    family = path_family(tree, lists, 1, 2, EDGE_PATHS)
+    starts = np.flatnonzero(dist.array[:, family.r] == 1)
+    src, dst, block_of, blocks = verify_paths(dist, build_paths(family, dist, starts))
+    if any(len(blk) != 1 for blk in blocks):
+        raise VerificationError("depth-one routing made a pair move")
+    level = np.array([tree.edge_levels[blk[0]] for blk in blocks])[block_of]
+    _, first, counts = np.unique(src * dist.size + dst, return_index=True,
+                                 return_counts=True)
+    expected = {t: int(np.count_nonzero(level == t)) / len(starts) for t in (0, 1)}
+    maxmult = {t: int(counts[level[first] == t].max(initial=0)) for t in (0, 1)}
     alpha0 = 4.0 * expected[0] * maxmult[0]
     alpha1 = 4.0 * expected[1] * maxmult[1]
     if alpha0 > 4 * delta + 1e-12 or alpha1 > 8 + 1e-12:

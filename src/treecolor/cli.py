@@ -52,6 +52,8 @@ def load_config(path, overrides):
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
     _check_keys(doc, _TOP_KEYS, "config")
+    if not isinstance(doc.get("caps") or {}, dict):
+        raise ConfigError("caps must be a mapping")
     doc.update({k: v for k, v in overrides.items() if v is not None})
     return doc
 
@@ -97,6 +99,10 @@ def _kind(cfg):
     return kind
 
 
+def _cap(cfg, name, default):
+    return int((cfg.get("caps") or {}).get(name, default))
+
+
 def _write_json(out_dir, name, doc):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
@@ -113,9 +119,8 @@ def _base_doc(cfg, tree):
 def cmd_enumerate(cfg, out):
     tree = build_tree(cfg["tree"])
     lists = build_lists(tree, cfg)
-    caps = cfg.get("caps", {}) or {}
-    dist = oracle.enumerate_colorings(tree, lists,
-                                      cap=int(caps.get("enumeration", oracle.ENUMERATION_CAP)))
+    dist = oracle.enumerate_colorings(
+        tree, lists, cap=_cap(cfg, "enumeration", oracle.ENUMERATION_CAP))
     doc = _base_doc(cfg, tree)
     doc.update(dist.export(include_states=bool(cfg.get("include_states", False))))
     path = _write_json(out, "enumerate.json", doc)
@@ -137,9 +142,8 @@ def cmd_count(cfg, out):
 
 
 def _spectral_doc(cfg, tree, lists, kind):
-    caps = cfg.get("caps", {}) or {}
     tm = spectral.transition_matrix(
-        tree, lists, kind, sparse_cap=int(caps.get("sparse", spectral.SPARSE_CAP)))
+        tree, lists, kind, sparse_cap=_cap(cfg, "sparse", spectral.SPARSE_CAP))
     seed = cfg.get("seed")
     rep = (spectral.spectral_report(tm) if seed is None
            else spectral.spectral_report(tm, seed=int(seed)))
@@ -166,9 +170,7 @@ def cmd_mix(cfg, out):
     kind = _kind(cfg)
     tm, rep, doc = _spectral_doc(cfg, tree, lists, kind)
     eps = float(cfg.get("eps", 0.25))
-    caps = cfg.get("caps", {}) or {}
-    t_mix = spectral.mixing_time(
-        tm, eps, cap=int(caps.get("mixing", spectral.MIXING_CAP)))
+    t_mix = spectral.mixing_time(tm, eps, cap=_cap(cfg, "mixing", spectral.MIXING_CAP))
     bound = rep.t_rel * (1.0 + tree.n_edges * math.log(lists.q))
     doc.update({"eps": eps, "t_mix": t_mix, "t_rel_bound": bound})
     path = _write_json(out, "mix.json", doc)
@@ -319,8 +321,8 @@ def cmd_star_analysis(cfg, out):
 
 def cmd_sweep(cfg, out):
     spec = cfg.get("sweep")
-    if not isinstance(spec, dict) or "param" not in spec or "values" not in spec:
-        raise ConfigError("sweep needs {param, values, command}")
+    if not isinstance(spec, dict) or "param" not in spec or not spec.get("values"):
+        raise ConfigError("sweep needs {param, values, command}, with at least one value")
     sub = spec.get("command", "gap")
     if sub != "gap":
         raise ConfigError("sweep currently drives the gap command")

@@ -134,21 +134,6 @@ def flip(tree, coloring, e, b):
     return tuple(out)
 
 
-def toggle_edge(tree, lists, coloring, e):
-    """Recolor ``e`` to its unique other available color, if it has exactly
-    one; otherwise return the coloring unchanged.
-
-    Only meaningful when every edge has at most two available colors, as in
-    the two-colors-free regime where single-edge moves are forced.
-    """
-    others = sorted(available_colors(tree, lists, coloring, e) - {coloring[e]})
-    if len(others) != 1:
-        return coloring
-    out = list(coloring)
-    out[e] = others[0]
-    return tuple(out)
-
-
 def greedy_coloring(tree, lists):
     """A proper list coloring by first-fit along BFS edge ids; exists whenever
     every list keeps a color after removing the neighbor colors (always true

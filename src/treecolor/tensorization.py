@@ -161,11 +161,6 @@ def check_root_tensorization(tree, lists, alpha, beta=0.0):
     return Certificate(factorization_constant(dist, weights, given=(r,)))
 
 
-def check_root_factorization(tree, lists, alpha, beta):
-    """The pair-block form of ``check_root_tensorization``."""
-    return check_root_tensorization(tree, lists, alpha, beta)
-
-
 def check_block_factorization(dist, weights):
     """Certify Var(f) <= sum_B C(B) mu[Var_B f] for a block->weight map."""
     return Certificate(factorization_constant(dist, weights))

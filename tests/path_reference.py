@@ -5,18 +5,47 @@ The builder walks one start coloring at a time on color tuples
 (``_StageOnePlan``, ``_branch_path``, ``_staged_path``); the verifier checks
 one path state by state with ``is_proper`` and diffs every edge of every
 step.  Both are slow, but they need nothing from the enumerated support.
+The depth-one toggle routing (``toggle_routes``) is the oracle for
+``routing_bound_ell1``.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, STAGE_NAMES,
-                                 CanonicalPath, GammaStats, PathBatch,
-                                 color_order, path_blocks_for_kind,
+from treecolor import oracle
+from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, GammaStats,
+                                 PathBatch, color_order, path_blocks_for_kind,
                                  path_family)
 from treecolor.colorings import (alternating_path, available_colors, flip,
-                                 is_proper)
+                                 is_proper, star_root_lists)
 from treecolor.errors import ParameterError, VerificationError
-from treecolor.trees import hanging_root_edge
+from treecolor.trees import build_hanging_root, hanging_root_edge
+
+STAGE_NAMES = {1: "I", 2: "II", 3: "III"}  # the stage codes of a PathBatch
+
+
+@dataclass
+class CanonicalPath:
+    states: list         # colorings gamma_0 .. gamma_m
+    blocks: list         # per step, the tuple of changed edges
+    stages: list         # per step, "I", "II" or "III"
+    a: int = 0
+    b: int = 0
+
+    @property
+    def sigma(self):
+        return self.states[0]
+
+    @property
+    def tau(self):
+        return self.states[-1]
+
+    def transitions(self):
+        return list(zip(self.states[:-1], self.states[1:]))
+
+    def __len__(self):
+        return len(self.blocks)
 
 
 class _StageOnePlan:
@@ -187,8 +216,9 @@ def batch_of_paths(dist, paths, path_kind=GLAUBER_PATHS):
 
 
 def unpack(dist, batch):
-    """Per path of a built batch: (states as tuples, blocks, stage names)."""
-    m = dist.tree.n_edges
+    """The paths of a built batch as ``CanonicalPath`` objects, states as
+    tuples (None for a path with a state outside the support)."""
+    m, family = dist.tree.n_edges, batch.family
     out, state, step = [], 0, 0
     for n in batch.lengths.tolist():
         rows = batch.rows[state:state + n + 1]
@@ -196,7 +226,7 @@ def unpack(dist, batch):
         blocks = [tuple(e for e in pair if e < m)
                   for pair in batch.edges[step:step + n].tolist()]
         stages = [STAGE_NAMES[s] for s in batch.stages[step:step + n].tolist()]
-        out.append((states, blocks, stages))
+        out.append(CanonicalPath(states, blocks, stages, a=family.a, b=family.b))
         state, step = state + n + 1, step + n
     return out
 
@@ -228,3 +258,64 @@ def verify_path(tree, lists, path, path_kind=GLAUBER_PATHS):
     if path.tau != flip(tree, path.sigma, r, path.b):
         diags.append("endpoints are not a flip-coupled pair")
     return not diags, diags
+
+
+def toggle_edge(tree, lists, coloring, e):
+    """Recolor ``e`` to its unique other available color, if it has exactly
+    one; otherwise return the coloring unchanged.
+
+    Only meaningful when every edge has at most two available colors, as in
+    the two-colors-free regime where single-edge moves are forced.
+    """
+    others = sorted(available_colors(tree, lists, coloring, e) - {coloring[e]})
+    if len(others) != 1:
+        return coloring
+    out = list(coloring)
+    out[e] = others[0]
+    return tuple(out)
+
+
+def toggle_routes(tree, lists, dist):
+    """The depth-one toggle routing from every root-color-1 state to its flip
+    toward color 2: toggle the root edge, or, when the alternating path has
+    a second edge, toggle it, the root edge and it again.  One state list per
+    start, in support order."""
+    r = hanging_root_edge(tree)
+    routes = []
+    for sigma in (s for s in dist.states if s[r] == 1):
+        ap = alternating_path(tree, sigma, r, 2)
+        route = [sigma]
+        for e in [r] if len(ap) == 1 else [ap[1], r, ap[1]]:
+            nxt = toggle_edge(tree, lists, route[-1], e)
+            if nxt == route[-1]:
+                raise VerificationError("toggle routing hit a frozen edge")
+            route.append(nxt)
+        if route[-1] != flip(tree, sigma, r, 2):
+            raise VerificationError("toggle routing missed the flipped coloring")
+        routes.append(route)
+    return routes
+
+
+def reference_routing_bound_ell1(delta):
+    """``routing_bound_ell1`` counted on tuples over the toggle routes."""
+    tree = build_hanging_root(delta, 1)
+    lists = star_root_lists(tree, delta + 1)
+    routes = toggle_routes(tree, lists, oracle.enumerate_colorings(tree, lists))
+    usage, level = {}, {}
+    steps_at = {0: 0, 1: 0}
+    for route in routes:
+        for move in zip(route[:-1], route[1:]):
+            (e,) = [e for e in range(tree.n_edges) if move[0][e] != move[1][e]]
+            usage[move] = usage.get(move, 0) + 1
+            level[move] = tree.edge_levels[e]
+            steps_at[level[move]] += 1
+    expected = {t: steps_at[t] / len(routes) for t in (0, 1)}
+    maxmult = {0: 0, 1: 0}
+    for move, count in usage.items():
+        maxmult[level[move]] = max(maxmult[level[move]], count)
+    alpha0 = 4.0 * expected[0] * maxmult[0]
+    alpha1 = 4.0 * expected[1] * maxmult[1]
+    if alpha0 > 4 * delta + 1e-12 or alpha1 > 8 + 1e-12:
+        raise VerificationError("routing constants exceed the certified bounds")
+    return {"alpha0": alpha0, "alpha1": alpha1,
+            "expected_steps": expected, "max_multiplicity": maxmult}

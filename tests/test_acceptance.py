@@ -16,13 +16,13 @@ import pytest
 
 import dense_forms as df
 from conftest import record_criterion
+from path_reference import unpack
 from treecolor import canonical, dynamics, oracle, spectral
 from treecolor import tensorization as tz
-from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, build_path,
-                                 build_paths, compute_congestion,
-                                 leaf_count_check, path_family,
-                                 tail_probability_check, stage_one_moves,
-                                 verify_paths)
+from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, build_paths,
+                                 compute_congestion, leaf_count_check,
+                                 path_family, tail_probability_check,
+                                 stage_one_moves, verify_paths)
 from treecolor.colorings import star_root_lists, uniform_lists
 from treecolor.errors import VerificationError
 from treecolor.trees import (build_complete_regular, build_hanging_root,
@@ -199,9 +199,9 @@ def _reversal_matches(tree, lists, path, a, b):
     return [(e, new, old) for e, old, new in reversed(replay)] == stage3
 
 
-def _batch_verifies(dist, family, starts):
+def _batch_verifies(dist, batch):
     try:
-        verify_paths(dist, build_paths(family, dist, starts))
+        verify_paths(dist, batch)
     except VerificationError:
         return False
     return True
@@ -218,9 +218,9 @@ def test_criterion_6_coupling_paths():
                 if a == b:
                     continue
                 family = path_family(tree, lists, a, b, GLAUBER_PATHS)
-                starts = np.flatnonzero(dist.array[:, r] == a)
-                ok &= _batch_verifies(dist, family, starts)
-                for path in (build_path(family, dist.states[i]) for i in starts):
+                batch = build_paths(family, dist, np.flatnonzero(dist.array[:, r] == a))
+                ok &= _batch_verifies(dist, batch)
+                for path in unpack(dist, batch):
                     ok &= len(set(path.transitions())) == len(path)
                     ok &= _reversal_matches(tree, lists, path, a, b)
     elapsed = time.time() - start
@@ -297,8 +297,8 @@ def test_criterion_9_edge_dynamics():
                 if a == b:
                     continue
                 family = path_family(tree, lists, a, b, EDGE_PATHS)
-                ok &= _batch_verifies(dist, family,
-                                      np.flatnonzero(dist.array[:, r] == a))
+                ok &= _batch_verifies(dist, build_paths(
+                    family, dist, np.flatnonzero(dist.array[:, r] == a)))
     # block factorization with a finite constant on the 4-edge path
     p4 = path_tree(4)
     d4 = oracle.enumerate_colorings(p4, uniform_lists(p4, 3))

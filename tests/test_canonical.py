@@ -4,14 +4,15 @@ import pytest
 
 import numpy as np
 
-from path_reference import (batch_of_paths, reference_gamma_stats,
-                            reference_path, reference_stage_one_moves, unpack,
+from path_reference import (CanonicalPath, batch_of_paths,
+                            reference_gamma_stats, reference_path,
+                            reference_routing_bound_ell1,
+                            reference_stage_one_moves, toggle_routes, unpack,
                             verify_path)
 from treecolor import canonical, colorings, oracle
-from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, CanonicalPath,
-                                 build_paths, color_order, compute_congestion,
-                                 edge_dynamics_canonical_path, flip_coupling,
-                                 flip_rows, gamma_stats, glauber_canonical_path,
+from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, build_paths,
+                                 color_order, compute_congestion,
+                                 flip_coupling, flip_rows, gamma_stats,
                                  leaf_count_check, leaf_multiplicity_sum,
                                  path_family, routing_bound_ell1,
                                  stage_one_moves, tail_probability_check,
@@ -37,6 +38,15 @@ def families(lists, r):
 
 def fiber(dist, r, a):
     return np.flatnonzero(dist.array[:, r] == a)
+
+
+def fiber_paths(dist, a, b, kind):
+    """The (a, b) family's paths from every root-color-a row, read out of one
+    ``build_paths`` batch."""
+    tree = dist.tree
+    family = path_family(tree, dist.lists, a, b, kind)
+    starts = fiber(dist, hanging_root_edge(tree), a)
+    return unpack(dist, build_paths(family, dist, starts))
 
 
 # (delta, ell, q, kind): the instances of the tests below plus the two
@@ -74,7 +84,7 @@ def test_trivial_path_single_move():
     r = hanging_root_edge(tree)
     sigma = next(s for s in dist.states
                  if s[r] == 1 and all(s[e] != 2 for e in tree.child_edges[r]))
-    path = glauber_canonical_path(tree, lists, sigma, 2)
+    path = next(p for p in fiber_paths(dist, 1, 2, GLAUBER_PATHS) if p.sigma == sigma)
     assert len(path) == 1
     assert path.stages == ["II"]
     assert path.tau == flip(tree, sigma, r, 2)
@@ -94,10 +104,8 @@ def test_glauber_paths_verify_exhaustively():
 
 def test_glauber_stage_two_avoids_leaves_when_depth_odd():
     tree, lists, dist = star_instance(2, 3, 4)
-    r = hanging_root_edge(tree)
     ell = tree.max_level
-    for sigma in (s for s in dist.states if s[r] == 1):
-        path = glauber_canonical_path(tree, lists, sigma, 2)
+    for path in fiber_paths(dist, 1, 2, GLAUBER_PATHS):
         for block, stage in zip(path.blocks, path.stages):
             if stage == "II":
                 assert tree.edge_levels[block[0]] < ell
@@ -105,17 +113,14 @@ def test_glauber_stage_two_avoids_leaves_when_depth_odd():
 
 def test_glauber_regime_guard():
     tree, lists, dist = star_instance(2, 1, 3)  # q = delta + 1
-    sigma = next(s for s in dist.states if s[0] == 1)
     with pytest.raises(UnsupportedRegimeError):
-        glauber_canonical_path(tree, lists, sigma, 2)
+        fiber_paths(dist, 1, 2, GLAUBER_PATHS)
 
 
 def test_stage_three_is_reverse_stage_one_with_roles_swapped():
     tree, lists, dist = star_instance(2, 3, 4)
-    r = hanging_root_edge(tree)
     order = color_order(lists.q, 1, 2)
-    for sigma in (s for s in dist.states if s[r] == 1):
-        path = glauber_canonical_path(tree, lists, sigma, 2)
+    for path in fiber_paths(dist, 1, 2, GLAUBER_PATHS):
         tau = path.tau
         # moves of stage III as (edge, old, new) triples
         stage3 = [(path.blocks[i][0], path.states[i][path.blocks[i][0]],
@@ -146,9 +151,8 @@ def test_edge_paths_verify_exhaustively():
 def test_edge_path_pair_exchange_cases():
     tree, lists, dist = star_instance(2, 3, 3)
     r = hanging_root_edge(tree)
-    for sigma in (s for s in dist.states if s[r] == 1):
-        estar = alternating_path(tree, sigma, r, 2)
-        path = edge_dynamics_canonical_path(tree, lists, sigma, 2)
+    for path in fiber_paths(dist, 1, 2, EDGE_PATHS):
+        estar = alternating_path(tree, path.sigma, r, 2)
         pair_moves = [b for b in path.blocks if len(b) == 2]
         if len(estar) % 2 == 1 or len(estar) == tree.max_level + 1:
             assert not pair_moves
@@ -161,20 +165,17 @@ def test_edge_path_pair_exchange_cases():
 
 def test_edge_path_regime_guards():
     tree, lists, dist = star_instance(2, 2, 3)  # even depth
-    sigma = next(s for s in dist.states if s[0] == 1)
     with pytest.raises(UnsupportedRegimeError):
-        edge_dynamics_canonical_path(tree, lists, sigma, 2)
+        fiber_paths(dist, 1, 2, EDGE_PATHS)
     tree2, lists2, dist2 = star_instance(2, 1, 4)  # q = delta + 2
-    sigma2 = next(s for s in dist2.states if s[0] == 1)
     with pytest.raises(UnsupportedRegimeError):
-        edge_dynamics_canonical_path(tree2, lists2, sigma2, 2)
+        fiber_paths(dist2, 1, 2, EDGE_PATHS)
 
 
 def test_verify_path_catches_corruption():
     tree, lists, dist = star_instance(2, 1, 4)
     r = hanging_root_edge(tree)
-    sigma = next(s for s in dist.states if s[r] == 1)
-    path = glauber_canonical_path(tree, lists, sigma, 2)
+    path = fiber_paths(dist, 1, 2, GLAUBER_PATHS)[0]
     broken = CanonicalPath(path.states + [path.states[0]],
                            path.blocks + [(r,)],
                            path.stages + ["III"], a=1, b=2)
@@ -194,7 +195,7 @@ def test_batch_verdict_matches_reference_verifier():
             batch = build_paths(path_family(tree, lists, a, b, kind), dist,
                                 fiber(dist, r, a))
             verify_paths(dist, batch)  # raises unless every path passes
-            assert all(verify_path(tree, lists, CanonicalPath(*p, a=a, b=b), kind)[0]
+            assert all(verify_path(tree, lists, p, kind)[0]
                        for p in unpack(dist, batch))
 
 
@@ -219,11 +220,8 @@ def test_batch_builder_matches_per_start_reference():
             for row, built in zip(starts.tolist(), got):
                 sigma = dist.states[row]
                 ref = reference_path(family, sigma)
-                assert built == (ref.states, ref.blocks, ref.stages)
-                if small:  # the one-row calls on tuples, without the support
-                    one = canonical.build_path(family, sigma)
-                    assert (one.states, one.blocks, one.stages, one.a, one.b) == (
-                        ref.states, ref.blocks, ref.stages, a, b)
+                assert built == ref
+                if small:  # the one-row Stage-I call on tuples
                     order = color_order(q, a, b)
                     for x, y, rho in ((a, b, sigma), (b, a, ref.tau)):
                         for side in ("odd", "even"):
@@ -280,10 +278,8 @@ def _corruptions(tree, path):
 
 def test_each_corruption_has_its_own_diagnostic():
     tree, lists, dist = star_instance(2, 3, 4)
-    r = hanging_root_edge(tree)
     # a path whose first two moves recolor adjacent edges
-    path = next(p for p in (glauber_canonical_path(tree, lists, s, 2)
-                            for s in dist.states if s[r] == 1)
+    path = next(p for p in fiber_paths(dist, 1, 2, GLAUBER_PATHS)
                 if len(p) >= 3 and set(tree.neighbors[p.blocks[0][0]])
                 & {p.blocks[1][0]})
     verify_paths(dist, batch_of_paths(dist, [path]))
@@ -296,8 +292,10 @@ def test_each_corruption_has_its_own_diagnostic():
 
 def test_congestion_checks_paths_on_support_rows(monkeypatch):
     # properness is support membership, endpoints come from the batched
-    # flip, and no coloring is ever held as a tuple
+    # flip, and no coloring is ever held as a tuple; the same holds for the
+    # depth-one routing, whose support is caught as it is enumerated
     calls = {"is_proper": 0, "flip": 0}
+    supports = []
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -309,7 +307,7 @@ def test_congestion_checks_paths_on_support_rows(monkeypatch):
                         counting("is_proper", colorings.is_proper))
     monkeypatch.setattr(canonical, "is_proper", colorings.is_proper, raising=False)
     monkeypatch.setattr(colorings, "flip", counting("flip", colorings.flip))
-    monkeypatch.setattr(canonical, "flip", counting("flip", canonical.flip))
+    monkeypatch.setattr(canonical, "flip", colorings.flip, raising=False)
     for (delta, ell, q), kind in (((2, 3, 4), GLAUBER_PATHS),
                                   ((3, 1, 4), EDGE_PATHS)):
         tree, lists, _ = star_instance(delta, ell, q)
@@ -317,6 +315,21 @@ def test_congestion_checks_paths_on_support_rows(monkeypatch):
         rep = compute_congestion(tree, lists, kind)
         assert calls == {"is_proper": 0, "flip": 0}
         assert "states" not in vars(rep.dist) and "index" not in vars(rep.dist)
+
+    enumerate_colorings = oracle.enumerate_colorings
+
+    def capturing(*args, **kwargs):
+        supports.append(enumerate_colorings(*args, **kwargs))
+        return supports[-1]
+
+    monkeypatch.setattr(oracle, "enumerate_colorings", capturing)
+    for delta in (2, 3):
+        calls.update(is_proper=0, flip=0)
+        routing_bound_ell1(delta)
+        assert calls == {"is_proper": 0, "flip": 0}
+        (dist,) = supports
+        assert "states" not in vars(dist) and "index" not in vars(dist)
+        supports.clear()
 
 
 def reference_congestion(tree, lists, kind):
@@ -623,12 +636,12 @@ def test_congestion_export_schema():
 
 
 def test_routing_matches_edge_dynamics_paths():
-    # at depth one the toggle routing visits the same states as the staged
-    # pair-move construction (which never needs its pair move there)
-    delta = 3
-    tree, lists, dist = star_instance(delta, 1, delta + 1)
-    r = hanging_root_edge(tree)
-    for sigma in (s for s in dist.states if s[r] == 1):
-        path = edge_dynamics_canonical_path(tree, lists, sigma, 2)
-        assert path.tau == flip(tree, sigma, r, 2)
-        assert all(len(b) == 1 for b in path.blocks)
+    # the depth-one toggle routing visits, state by state, the states of the
+    # pair-move batch (which never needs its pair move there), and counting
+    # it on tuples gives the same record
+    for delta in range(2, 6):
+        assert routing_bound_ell1(delta) == reference_routing_bound_ell1(delta)
+        tree, lists, dist = star_instance(delta, 1, delta + 1)
+        built = fiber_paths(dist, 1, 2, EDGE_PATHS)
+        assert [p.states for p in built] == toggle_routes(tree, lists, dist)
+        assert all(len(b) == 1 for p in built for b in p.blocks)

@@ -75,6 +75,15 @@ def test_config_errors(tmp_path):
 
     assert main(["gap", "--config", str(tmp_path / "missing.yaml")]) == 2
 
+    cfg4 = write_cfg(tmp_path, {"tree": {"shape": "path", "n_edges": 2},
+                                "q": 3, "caps": 5}, "c4.yaml")
+    assert main(["gap", "--config", cfg4]) == 2  # caps must be a mapping
+
+    cfg5 = write_cfg(tmp_path, {"tree": {"shape": "path", "n_edges": 2},
+                                "q": 3, "sweep": {"param": "q", "values": []}},
+                     "c5.yaml")
+    assert main(["sweep", "--config", cfg5, "--out", str(tmp_path / "o5")]) == 2
+
 
 def test_count_with_more_digits_than_int_str_limit(tmp_path):
     cfg = write_cfg(tmp_path, {

@@ -1,10 +1,11 @@
 import pytest
 
+from path_reference import toggle_edge
 from treecolor import oracle
 from treecolor.colorings import (alternating_path, available_colors,
                                  coloring_from_csv, coloring_to_csv, flip,
                                  greedy_coloring, is_proper, star_root_lists,
-                                 toggle_edge, uniform_lists)
+                                 uniform_lists)
 from treecolor.dynamics import RngSpec, run_chain, HEATBATH_GLAUBER
 from treecolor.errors import ParameterError
 from treecolor.trees import (build_complete_regular, build_hanging_root,
@@ -127,6 +128,7 @@ def test_flip_bijection_between_fibers():
 
 
 def test_toggle_edge():
+    # the move of the depth-one reference routing
     p2 = path_tree(2)
     l3 = uniform_lists(p2, 3)
     # edge 1 has two available colors {2,3}; toggling switches between them

@@ -341,7 +341,7 @@ def test_pair_block_seed_and_uniform_constant():
     rep = canonical.compute_congestion(star, lists, canonical.EDGE_PATHS)
     alpha = tuple(2 * (ell + 1) * rep.xi(t) for t in range(ell + 1))
     beta = 2 * rep.xi_pair_blocks()
-    assert tz.check_root_factorization(star, lists, alpha, beta).ok
+    assert tz.check_root_tensorization(star, lists, alpha, beta).ok
 
     # depth one needs no pair moves at all, so the pair weight vanishes
     star1 = build_hanging_root(3, 1)
@@ -349,7 +349,7 @@ def test_pair_block_seed_and_uniform_constant():
     rep1 = canonical.compute_congestion(star1, lists1, canonical.EDGE_PATHS)
     assert rep1.xi_pair_blocks() == 0.0
     alpha1 = tuple(2 * 2 * rep1.xi(t) for t in range(2))
-    assert tz.check_root_factorization(star1, lists1, alpha1, 0.0).ok
+    assert tz.check_root_tensorization(star1, lists1, alpha1, 0.0).ok
 
     gamma = tz.gamma_constant(delta, q, ell)
     k = 2
