@@ -1,9 +1,10 @@
 """Exact transition matrices, spectra, mixing times and conductance.
 
-Transition matrices are sparse (CSR).  Their extreme eigenvalues come from
-implicitly restarted Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``):
-the report carries the residual and the operator applications, and a solve
-that does not converge, or whose residual is too large, raises.
+Transition matrices are sparse (CSR), one product over the block classes.
+Their extreme eigenvalues come from one-vector implicitly restarted Lanczos
+solves (ARPACK through ``scipy.sparse.linalg.eigsh``): the report carries the
+residual and the operator applications, and a solve that does not converge,
+or whose residual is too large, raises.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .errors import CapacityError, NonErgodicError, ParameterError, Verification
 SPARSE_CAP = 300000
 MIXING_CAP = 4000
 RESIDUAL_TOL = 1e-8
+# ARPACK's relative stopping tolerance, well inside the residual check.
+LANCZOS_TOL = RESIDUAL_TOL / 100
 # Heat-bath kinds are averages of projections, so lambda_min >= 0 up to this.
 HEATBATH_FLOOR = -1e-9
 
@@ -32,7 +35,6 @@ class TransitionMatrix:
     kind: str
     dist: oracle.DistributionTable
     matrix: sp.csr_matrix
-    reversible: bool
 
     @property
     def n(self):
@@ -53,26 +55,39 @@ class TransitionMatrix:
         return float(gap) * self.dist.weight
 
 
+def block_average(dist, blocks, weights):
+    """sum_B w_B Pi_B as one product (M D) M^T with sorted indices: M stacks
+    the class membership of the blocks (``DistributionTable.classes``), one
+    unit entry per state and block, and D is w_B / s on a class of size s."""
+    n, nb, k = dist.size, len(blocks), 0
+    cols = np.empty((n, nb), dtype=np.int32 if n * nb < 2 ** 31 else np.int64)
+    vals = np.empty((n, nb))
+    for b, (B, w) in enumerate(zip(blocks, weights)):
+        labels, sizes = dist.classes(B)
+        cols[:, b], vals[:, b] = labels + k, (w * (1.0 / sizes))[labels]
+        k += len(sizes)
+    cols, indptr = cols.ravel(), np.arange(n + 1, dtype=cols.dtype) * nb
+    MD = sp.csr_matrix((vals.ravel(), cols, indptr), shape=(n, k))
+    P = (MD @ sp.csr_matrix((np.ones(n * nb), cols, indptr), shape=(n, k)).T).tocsc()
+    # P is symmetric: its CSC arrays, unlike the product's, are sorted and nnz long.
+    return sp.csr_matrix((P.data, P.indices, P.indptr), shape=P.shape)
+
+
 def block_projector(dist, B):
     """Pi_B as a sparse matrix: the average over each class of states that
     agree off ``B`` (``DistributionTable.classes``), 1/s on every pair of
     states in one class of size s."""
-    labels, sizes = dist.classes(B)
-    n = dist.size
-    member = sp.csr_matrix((np.ones(n), (np.arange(n), labels)), shape=(n, len(sizes)))
-    return member @ sp.diags(1.0 / sizes) @ member.T
+    return block_average(dist, [B], [1.0])
 
 
-def transition_matrix(tree, lists, kind, block_spec=None, include_singletons=True,
-                      sparse_cap=SPARSE_CAP, dist=None):
+def transition_matrix(tree, lists, kind, block_spec=None, sparse_cap=SPARSE_CAP,
+                      dist=None):
     """Exact one-step matrix of the chosen chain over the enumerated support.
 
-    Every kind is assembled from the block projectors Pi_B
-    (``block_projector``): heat-bath kinds are sum_B (w_B / sum w) Pi_B, with
-    the singleton blocks for heat-bath Glauber; uniform Glauber is
-    (1/m) sum_e [I + diag(s_e/q) (Pi_e - I)], with s_e the class size: each
-    of the q proposed colors leads to one of the s_e class members, the
-    others are rejected.
+    Heat-bath kinds are sum_B (w_B / sum w) Pi_B (``block_average``), with
+    the singleton blocks for heat-bath Glauber.  Uniform Glauber makes the
+    moves of heat-bath Glauber, each with probability 1/(q m): a proposed
+    color is accepted iff it is available.  Its rejections stay put.
     """
     if dist is None:
         dist = oracle.enumerate_colorings(tree, lists, cap=sparse_cap)
@@ -85,7 +100,7 @@ def transition_matrix(tree, lists, kind, block_spec=None, include_singletons=Tru
     if kind in dynamics.SINGLE_EDGE_KINDS:
         blocks, weights = [(e,) for e in range(m)], [1.0] * m
     elif kind == dynamics.NEIGHBOR_PAIR:
-        blocks = dynamics.pair_blocks(tree, include_singletons=include_singletons)
+        blocks = dynamics.pair_blocks(tree)
         weights = [1.0] * len(blocks)
     elif kind == dynamics.BLOCK:
         if block_spec is None:
@@ -94,25 +109,13 @@ def transition_matrix(tree, lists, kind, block_spec=None, include_singletons=Tru
     else:
         raise ParameterError(f"unknown chain kind {kind!r}")
 
-    n = dist.size
     total_w = float(sum(weights))
-    csr = sp.csr_matrix((n, n))
-    for block, w in zip(blocks, weights):
-        if w <= 0:
-            continue
-        proj = block_projector(dist, block)
-        if kind == dynamics.UNIFORM_GLAUBER:
-            accept = 1.0 / (proj.diagonal() * lists.q)  # s_e / q
-            csr += sp.diags(accept / m) @ proj + sp.diags((1.0 - accept) / m)
-        else:
-            csr += (w / total_w) * proj
-    return TransitionMatrix(kind, dist, csr, reversible=True)
-
-
-def _require_ergodic(tm):
-    ncomp, _ = connected_components(tm.matrix, directed=False)
-    if ncomp != 1:
-        raise NonErgodicError(f"chain splits into {ncomp} components")
+    csr = block_average(dist, blocks, [w / total_w for w in weights])
+    if kind == dynamics.UNIFORM_GLAUBER:
+        rate = 1.0 / (lists.q * m)
+        csr.data[:] = rate  # every row holds its diagonal, which is reset below
+        csr.setdiag(1.0 - (np.diff(csr.indptr) - 1) * rate)
+    return TransitionMatrix(kind, dist, csr)
 
 
 @dataclass
@@ -133,9 +136,9 @@ class SpectralReport:
                 "residual": self.residual, "matvecs": self.matvecs}
 
 
-def _lanczos(matvec, n, k, seed):
-    """k largest eigenpairs of a symmetric operator on R^n by ARPACK, from a
-    start vector drawn with ``seed``; returns (values, vectors, matvecs)."""
+def _lanczos(matvec, n, seed):
+    """Top eigenpair of a symmetric operator on R^n by ARPACK, from a start
+    vector drawn with ``seed``; returns (value, vector, matvecs)."""
     matvecs = 0
 
     def counted(x):
@@ -146,50 +149,50 @@ def _lanczos(matvec, n, k, seed):
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
         vals, vecs = eigsh(LinearOperator((n, n), matvec=counted, dtype=float),
-                           k=k, which="LA", v0=v0)
+                           k=1, which="LA", v0=v0, tol=LANCZOS_TOL)
     except ArpackNoConvergence as exc:
         raise VerificationError(f"Lanczos did not converge: {exc}") from exc
-    return vals, vecs, matvecs
+    return float(vals[0]), vecs, matvecs
 
 
 def spectral_report(tm, check_ergodic=True, compute_lambda_min=True, seed=7):
     """Second eigenvalue, minimal eigenvalue and relaxation time.
 
-    Lanczos gives the top two eigenvalues 1 and lambda_2 of P and, with
-    ``compute_lambda_min``, the top eigenvalue 1 - lambda_min of I - P;
-    lambda_min is NaN when not computed.  Heat-bath kinds are averages of
-    projections, so their spectrum must be nonnegative; a violation below
-    ``HEATBATH_FLOOR`` raises, as do non-convergence and a residual
-    max ||Px - lambda x|| above ``RESIDUAL_TOL``.
+    P must have unit row sums and is symmetric (mu is uniform), so its top
+    pair (1, 1/sqrt(N)) is known.  Lanczos, stopped at ``LANCZOS_TOL``, gives
+    lambda_2 as the top eigenvalue of P - 2J/N, which sends the constant
+    vector to -1, and 1 - lambda_min as that of I - P (lambda_min is NaN
+    without ``compute_lambda_min``).  Row sums off 1 or lambda_2 above 1,
+    non-convergence, a residual max ||Px - lambda x|| over the reported pairs
+    above ``RESIDUAL_TOL`` and a heat-bath lambda_min below the floor raise.
     """
-    if check_ergodic:
-        _require_ergodic(tm)
-    # mu is uniform, so P is symmetric; an asymmetric P fails the residual.
+    ncomp = connected_components(tm.matrix, directed=False)[0] if check_ergodic else 1
+    if ncomp != 1:
+        raise NonErgodicError(f"chain splits into {ncomp} components")
+    if tm.row_sum_error() > 1e-9:
+        raise VerificationError(f"row sums miss 1 by {tm.row_sum_error():.3g}: not stochastic")
     P = tm.matrix
-    if tm.n <= 3:  # too few states for ARPACK's k=2 solve
+    if tm.n <= 3:  # tiny chains take LAPACK
         vals, vecs = np.linalg.eigh(P.toarray())
         matvecs, method = 0, "dense-eigh"
     else:
-        vals, vecs, matvecs = _lanczos(lambda x: P @ x, tm.n, 2, seed)
+        lam2, vec, matvecs = _lanczos(lambda x: P @ x - 2.0 * x.mean(), tm.n, seed)
+        vals, vecs = [lam2, 1.0], [vec, np.full((tm.n, 1), tm.n ** -0.5)]
         if compute_lambda_min:
-            top, vec, count = _lanczos(lambda x: x - P @ x, tm.n, 1, seed)
-            vals = np.concatenate([1.0 - top, vals])
-            vecs = np.hstack([vec, vecs])
-            matvecs += count
-        method = "lanczos"
+            top, vec, count = _lanczos(lambda x: x - P @ x, tm.n, seed)
+            vals, vecs, matvecs = [1.0 - top] + vals, [vec] + vecs, matvecs + count
+        vals, vecs, method = np.array(vals), np.hstack(vecs), "lanczos"
     residual = float(np.max(np.linalg.norm(P @ vecs - vecs * vals, axis=0)))
     if residual > RESIDUAL_TOL:
         raise VerificationError(
             f"eigenpair residual {residual:.3g} is above {RESIDUAL_TOL:g}")
-    if abs(vals[-1] - 1.0) > 1e-9:
-        raise VerificationError(
-            f"top eigenvalue {vals[-1]} is not 1; matrix is not stochastic")
+    if np.max(vals) > 1.0 + 1e-9:
+        raise VerificationError(f"eigenvalue {np.max(vals)} is above 1: not stochastic")
     lam2 = float(vals[-2]) if tm.n > 1 else 1.0
     lam_min = float(vals[0]) if compute_lambda_min else math.nan
-    if tm.kind != dynamics.UNIFORM_GLAUBER and compute_lambda_min:
-        if lam_min < HEATBATH_FLOOR:
-            raise VerificationError(
-                f"heat-bath spectrum should be nonnegative, found {lam_min}")
+    if tm.kind != dynamics.UNIFORM_GLAUBER and lam_min < HEATBATH_FLOOR:
+        raise VerificationError(
+            f"heat-bath spectrum should be nonnegative, found {lam_min}")
     lam_star = max(abs(lam2), abs(lam_min)) if compute_lambda_min else lam2
     gap = 1.0 - lam_star
     if gap <= 0:
@@ -219,11 +222,8 @@ def mixing_time(tm, eps=0.25, cap=MIXING_CAP):
         return 0
     powers = [P]  # powers[j] = P^(2^j)
     t = 1
-    cur = P
-    while _tv_from_uniform(cur, w) > eps:
-        nxt = powers[-1] @ powers[-1]
-        powers.append(nxt)
-        cur = nxt
+    while _tv_from_uniform(powers[-1], w) > eps:
+        powers.append(powers[-1] @ powers[-1])
         t *= 2
         if t > 10 ** 9:
             raise CapacityError("mixing time beyond doubling horizon")

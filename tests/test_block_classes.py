@@ -108,6 +108,14 @@ def reference_matrix(tree, lists, kind, block_spec=None):
     return sp.coo_matrix((vals, (rows, cols)), shape=(dist.size, dist.size)).tocsr()
 
 
+def assert_canonical(csr):
+    """Sorted column indices, no duplicates and no explicit zeros, as built."""
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    key = rows * csr.shape[1] + csr.indices
+    assert np.all(key[1:] > key[:-1])
+    assert np.all(csr.data != 0)
+
+
 def test_transition_matrix_matches_loop_reference():
     for tree, q in ZOO:
         lists = uniform_lists(tree, q)
@@ -119,6 +127,7 @@ def test_transition_matrix_matches_loop_reference():
             got = spectral.transition_matrix(tree, lists, kind, **kw).matrix
             want = reference_matrix(tree, lists, kind, **kw)
             assert got.format == "csr"
+            assert_canonical(got)
             got.sort_indices()
             want.sort_indices()
             assert np.array_equal(got.indptr, want.indptr), (tree.n_edges, q, kind)
@@ -128,7 +137,7 @@ def test_transition_matrix_matches_loop_reference():
 
 
 def test_projector_equals_tuple_dict_reference():
-    for tree, q in ZOO[:4]:
+    for tree, q in ZOO:
         dist = oracle.enumerate_colorings(tree, uniform_lists(tree, q))
         m = tree.n_edges
         for S in [(e,) for e in range(m)] + dynamics.pair_blocks(tree, False) + [(), tuple(range(m))]:
@@ -139,6 +148,10 @@ def test_projector_equals_tuple_dict_reference():
             got = spectral.block_projector(dist, S)
             assert sp.issparse(got), S
             assert np.array_equal(got.toarray(), want), S
+            assert_canonical(got)
+            one_block = spectral.block_average(dist, [S], [1.0])
+            for a in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, a), getattr(one_block, a)), S
 
 
 def test_classes_without_key_overflow():

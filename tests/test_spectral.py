@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from treecolor import dynamics, oracle, spectral
@@ -131,6 +132,39 @@ def test_large_residual_raises(monkeypatch):
                                     dynamics.HEATBATH_GLAUBER)
     with pytest.raises(VerificationError, match="residual"):
         spectral.spectral_report(tm)
+
+
+def hand_built(q, P):
+    """A TransitionMatrix with matrix ``P`` on the q colorings of one edge.
+    Uniform Glauber is the kind not held to the heat-bath floor."""
+    t1 = path_tree(1)
+    dist = oracle.enumerate_colorings(t1, uniform_lists(t1, q))
+    return spectral.TransitionMatrix(dynamics.UNIFORM_GLAUBER, dist, sp.csr_matrix(P))
+
+
+def test_negative_lambda2():
+    # the walk on K5: lambda_2 = lambda_min = -1/4, which projecting the
+    # constant vector out instead of shifting it to -1 would report as 0
+    tm = hand_built(5, (np.ones((5, 5)) - np.eye(5)) / 4)
+    rep = spectral.spectral_report(tm)
+    assert rep.method == "lanczos"
+    assert abs(rep.lambda2 + 0.25) < 1e-10 and abs(rep.lambda_min + 0.25) < 1e-10
+    lam2_only = spectral.spectral_report(tm, compute_lambda_min=False)
+    assert abs(lam2_only.lambda2 + 0.25) < 1e-10
+
+
+def test_not_stochastic_raises():
+    p4 = path_tree(4)
+    tm = spectral.transition_matrix(p4, uniform_lists(p4, 3),
+                                    dynamics.HEATBATH_GLAUBER)
+    short_rows = spectral.TransitionMatrix(tm.kind, tm.dist, 0.9 * tm.matrix)
+    # I + (D - A)/2 of a 4-cycle: symmetric, unit row sums, eigenvalues 1, 2, 2, 3
+    cycle = np.roll(np.eye(4), 1, axis=1) + np.roll(np.eye(4), -1, axis=1)
+    above_one = hand_built(4, np.eye(4) + (2 * np.eye(4) - cycle) / 2)
+    for bad in (short_rows, above_one):
+        for lam_min in (True, False):
+            with pytest.raises(VerificationError, match="not stochastic"):
+                spectral.spectral_report(bad, compute_lambda_min=lam_min)
 
 
 def test_seeded_start_vector():
