@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .colorings import available_colors, is_proper
 from .errors import ParameterError
@@ -178,5 +177,5 @@ def check_ergodicity(tree, lists, kind, cap=oracle.ENUMERATION_CAP, **kw):
 
     dist = oracle.enumerate_colorings(tree, lists, cap=cap)
     tm = spectral.transition_matrix(tree, lists, kind, sparse_cap=cap, dist=dist, **kw)
-    ncomp, _ = connected_components(tm.matrix, directed=False)
+    ncomp = tm.components()
     return ncomp == 1, ncomp

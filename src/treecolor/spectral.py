@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import dynamics, oracle
 from .colorings import uniform_lists
 from .errors import CapacityError, NonErgodicError, ParameterError, VerificationError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 SPARSE_CAP = 300000
 MIXING_CAP = 4000
@@ -43,6 +44,13 @@ class TransitionMatrix:
     def stationary(self):
         return np.full(self.n, self.dist.weight)
 
+    def components(self):
+        """Connected components of the matrix pattern; 1 iff the chain is
+        irreducible."""
+        from scipy.sparse.csgraph import connected_components
+
+        return connected_components(self.matrix, directed=False)[0]
+
     def row_sum_error(self):
         s = np.asarray(self.matrix.sum(axis=1)).ravel()
         return float(np.max(np.abs(s - 1.0)))
@@ -59,6 +67,8 @@ def block_average(dist, blocks, weights):
     """sum_B w_B Pi_B as one product (M D) M^T with sorted indices: M stacks
     the class membership of the blocks (``DistributionTable.classes``), one
     unit entry per state and block, and D is w_B / s on a class of size s."""
+    import scipy.sparse as sp
+
     n, nb, k = dist.size, len(blocks), 0
     cols = np.empty((n, nb), dtype=np.int32 if n * nb < 2 ** 31 else np.int64)
     vals = np.empty((n, nb))
@@ -139,6 +149,8 @@ class SpectralReport:
 def _lanczos(matvec, n, seed):
     """Top eigenpair of a symmetric operator on R^n by ARPACK, from a start
     vector drawn with ``seed``; returns (value, vector, matvecs)."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     matvecs = 0
 
     def counted(x):
@@ -166,7 +178,7 @@ def spectral_report(tm, check_ergodic=True, compute_lambda_min=True, seed=7):
     non-convergence, a residual max ||Px - lambda x|| over the reported pairs
     above ``RESIDUAL_TOL`` and a heat-bath lambda_min below the floor raise.
     """
-    ncomp = connected_components(tm.matrix, directed=False)[0] if check_ergodic else 1
+    ncomp = tm.components() if check_ergodic else 1
     if ncomp != 1:
         raise NonErgodicError(f"chain splits into {ncomp} components")
     if tm.row_sum_error() > 1e-9:

@@ -27,9 +27,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from . import dynamics, oracle, spectral
 from .colorings import pinned_root_lists, uniform_lists
@@ -48,6 +45,8 @@ def factorization_constant(dist, weights, given=None):
     when every weight is zero or the block chain is reducible; for the
     projected lhs that is a safe bound rather than always the optimum.
     """
+    import scipy.sparse as sp
+
     if any(c < 0 for c in weights.values()):
         raise ParameterError("block weights must be nonnegative")
     weights = {tuple(b): float(c) for b, c in weights.items() if c > 0}
@@ -65,7 +64,7 @@ def factorization_constant(dist, weights, given=None):
     spec = dynamics.BlockSpec(tuple(weights), tuple(weights.values()))
     tm = spectral.transition_matrix(dist.tree, dist.lists, dynamics.BLOCK,
                                     block_spec=spec, dist=dist)
-    if connected_components(tm.matrix, directed=False)[0] > 1:
+    if tm.components() > 1:
         return math.inf
     total = sum(weights.values())
     if given is None:
@@ -84,6 +83,8 @@ def _projected_constant(laplacian, labels, sizes):
     (its row and column dropped, which leaves L nonsingular on a connected
     chain) meets L x = b in every row, and b^T x = b^T L^+ b.
     """
+    from scipy.sparse.linalg import splu
+
     n = len(labels)
     V = np.zeros((n, len(sizes)))
     V[np.arange(n), labels] = 1.0 / np.sqrt(sizes[labels])

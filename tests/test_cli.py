@@ -2,10 +2,13 @@ import csv
 import glob
 import json
 import os
+import subprocess
 import sys
+import textwrap
 
 import yaml
 
+import treecolor
 from treecolor import spectral
 from treecolor.cli import main
 from treecolor.colorings import uniform_lists
@@ -13,6 +16,12 @@ from treecolor.oracle import count_colorings
 from treecolor.trees import build_complete_regular
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(treecolor.__file__)))
+
+
+def src_env():
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
 
 
 def write_cfg(tmp_path, doc, name="cfg.yaml"):
@@ -170,8 +179,6 @@ def test_sweep_outputs_increasing_ratio(tmp_path):
 
 
 def test_installed_entry_point(tmp_path):
-    import subprocess
-
     cfg = write_cfg(tmp_path, {
         "command": "count",
         "tree": {"shape": "path", "n_edges": 5},
@@ -180,7 +187,7 @@ def test_installed_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "treecolor.cli", "count", "--config", cfg,
          "--out", str(tmp_path / "o")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert "48" in proc.stdout
 
@@ -195,6 +202,27 @@ def test_bundled_acceptance_configs_run_clean(tmp_path):
         out = str(tmp_path / os.path.basename(path).replace(".yaml", ""))
         code = main([command, "--config", path, "--out", out])
         assert code == 0, f"{path} exited {code}"
+
+
+def test_combinatorial_commands_never_import_scipy(tmp_path):
+    # numpy alone serves these four; gap, run last, shows the probe sees scipy
+    probe = textwrap.dedent('''
+        import json, sys, yaml
+        from treecolor.cli import main
+        loaded = []
+        for path in sys.argv[2:]:
+            command = yaml.safe_load(open(path))["command"]
+            assert main([command, "--config", path, "--out", sys.argv[1]]) == 0
+            loaded.append("scipy" in sys.modules)
+        print(json.dumps(loaded))
+    ''')
+    names = ("01_enumerate", "02_count", "07_congestion", "11_star_analysis",
+             "03_gap")
+    configs = [os.path.join(REPO, "configs", "acceptance", n + ".yaml") for n in names]
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path), *configs],
+                          cwd=REPO, env=src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False] * 4 + [True]
 
 
 def test_mix_computes_the_quarter_mixing_time_once(tmp_path, monkeypatch):

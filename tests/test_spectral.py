@@ -112,7 +112,7 @@ def test_nonconvergence_raises(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
 
-    monkeypatch.setattr(spectral, "eigsh", no_convergence)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
     p4 = path_tree(4)
     tm = spectral.transition_matrix(p4, uniform_lists(p4, 3),
                                     dynamics.HEATBATH_GLAUBER)
@@ -126,7 +126,7 @@ def test_large_residual_raises(monkeypatch):
         vals, vecs = eigsh(*args, **kwargs)
         return vals + 1e-6, vecs
 
-    monkeypatch.setattr(spectral, "eigsh", perturbed)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", perturbed)
     p4 = path_tree(4)
     tm = spectral.transition_matrix(p4, uniform_lists(p4, 3),
                                     dynamics.HEATBATH_GLAUBER)
@@ -236,9 +236,11 @@ def test_mixing_time_contracts():
 
 def test_non_ergodic_raises():
     star = build_complete_regular(3, 1)
-    tm = spectral.transition_matrix(star, uniform_lists(star, 3),
-                                    dynamics.HEATBATH_GLAUBER)
-    with pytest.raises(NonErgodicError):
+    for q, ncomp in ((4, 1), (3, 6)):  # q = delta freezes all 6 colorings
+        tm = spectral.transition_matrix(star, uniform_lists(star, q),
+                                        dynamics.HEATBATH_GLAUBER)
+        assert tm.components() == ncomp
+    with pytest.raises(NonErgodicError, match="6 components"):
         spectral.spectral_report(tm)
 
 
