@@ -1,10 +1,10 @@
 """Exact transition matrices, spectra, mixing times and conductance.
 
 Transition matrices are sparse (CSR), one product over the block classes.
-Their extreme eigenvalues come from one-vector implicitly restarted Lanczos
-solves (ARPACK through ``scipy.sparse.linalg.eigsh``): the report carries the
-residual and the operator applications, and a solve that does not converge,
-or whose residual is too large, raises.
+Both ends of their spectrum off the constants come from one plain Lanczos
+recurrence, with the Ritz vectors summed on a second pass: the report carries
+the residual and the operator applications, and a solve that does not
+converge, or whose residual is too large, raises.
 """
 
 from __future__ import annotations
@@ -25,8 +25,11 @@ if TYPE_CHECKING:
 SPARSE_CAP = 300000
 MIXING_CAP = 4000
 RESIDUAL_TOL = 1e-8
-# ARPACK's relative stopping tolerance, well inside the residual check.
+# Lanczos stopping tolerance on |beta_k s_k|, well inside the residual check.
 LANCZOS_TOL = RESIDUAL_TOL / 100
+# Recurrence steps between Ritz checks, and before a solve has not converged.
+LANCZOS_CHECK = 8
+LANCZOS_STEPS = 10000
 # Heat-bath kinds are averages of projections, so lambda_min >= 0 up to this.
 HEATBATH_FLOOR = -1e-9
 
@@ -146,61 +149,93 @@ class SpectralReport:
                 "residual": self.residual, "matvecs": self.matvecs}
 
 
-def _lanczos(matvec, n, seed):
-    """Top eigenpair of a symmetric operator on R^n by ARPACK, from a start
-    vector drawn with ``seed``; returns (value, vector, matvecs)."""
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+def _recurrence(P, v):
+    """The Lanczos recurrence of P on the mean-zero vectors, from a unit
+    mean-zero ``v``: yields (v_j, alpha_j, beta_j).  The mean leaves
+    w = P v_j - alpha_j v_j - beta_{j-1} v_{j-1} last, so the rounding these
+    subtractions put back on the constant is gone before a small beta_j
+    scales w up."""
+    v_prev, beta = np.zeros_like(v), 0.0
+    while True:
+        w = P @ v
+        alpha = float(v @ w)
+        w -= alpha * v
+        w -= beta * v_prev
+        w -= w.mean()
+        beta = float(np.linalg.norm(w))
+        yield v, alpha, beta
+        v_prev, v = v, w / beta
 
-    matvecs = 0
 
-    def counted(x):
-        nonlocal matvecs
-        matvecs += 1
-        return matvec(x)
+def _lanczos_ends(P, seed, want_min):
+    """Top eigenpair of symmetric P off the constants and, with
+    ``want_min``, the bottom one, from one recurrence (``_recurrence``) on a
+    start drawn with ``seed``; returns (values ascending, vectors as columns,
+    matvecs).
 
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    try:
-        vals, vecs = eigsh(LinearOperator((n, n), matvec=counted, dtype=float),
-                           k=1, which="LA", v0=v0, tol=LANCZOS_TOL)
-    except ArpackNoConvergence as exc:
-        raise VerificationError(f"Lanczos did not converge: {exc}") from exc
-    return float(vals[0]), vecs, matvecs
+    Every ``LANCZOS_CHECK`` steps the extreme Ritz pairs (theta, s) of the
+    tridiagonal T_k are taken; the recurrence stops once every wanted pair
+    has |beta_k s_k| <= ``LANCZOS_TOL``, or once beta_k <= ``LANCZOS_TOL``
+    (an invariant subspace).  A second pass replays it from the same start
+    to sum the Ritz vectors, so no Krylov basis is stored.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    v0 = np.random.default_rng(seed).standard_normal(P.shape[0])
+    v0 -= v0.mean()
+    v0 /= np.linalg.norm(v0)
+    alphas, betas = [], []
+    for _, alpha, beta in _recurrence(P, v0):
+        alphas.append(alpha)
+        betas.append(beta)
+        k = len(alphas)
+        if beta <= LANCZOS_TOL or k % LANCZOS_CHECK == 0:
+            ends = [eigh_tridiagonal(np.array(alphas), np.array(betas[:-1]),
+                                     select="i", select_range=(i, i))
+                    for i in ([0, k - 1] if want_min else [k - 1])]
+            # |s_k| <= 1, so beta_k <= LANCZOS_TOL also stops here
+            if all(beta * abs(s[-1, 0]) <= LANCZOS_TOL for _, s in ends):
+                break
+        if k >= LANCZOS_STEPS:
+            raise VerificationError(f"Lanczos did not converge in {k} steps")
+    vecs = np.zeros((len(ends), len(v0)))
+    for c, (v, _, _) in zip(np.hstack([s for _, s in ends]), _recurrence(P, v0)):
+        vecs += c[:, None] * v
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return np.concatenate([theta for theta, _ in ends]), vecs.T, 2 * k
 
 
 def spectral_report(tm, check_ergodic=True, compute_lambda_min=True, seed=7):
     """Second eigenvalue, minimal eigenvalue and relaxation time.
 
     P must have unit row sums and is symmetric (mu is uniform), so its top
-    pair (1, 1/sqrt(N)) is known.  Lanczos, stopped at ``LANCZOS_TOL``, gives
-    lambda_2 as the top eigenvalue of P - 2J/N, which sends the constant
-    vector to -1, and 1 - lambda_min as that of I - P (lambda_min is NaN
-    without ``compute_lambda_min``).  Row sums off 1 or lambda_2 above 1,
-    non-convergence, a residual max ||Px - lambda x|| over the reported pairs
-    above ``RESIDUAL_TOL`` and a heat-bath lambda_min below the floor raise.
+    pair (1, 1/sqrt(N)) is known.  One Lanczos recurrence off the constants
+    (``_lanczos_ends``, from a start drawn with ``seed``) gives lambda_2 as
+    its top Ritz value and lambda_min as its bottom one (NaN without
+    ``compute_lambda_min``).  Row sums off 1 (or not finite), lambda_2 above
+    1, non-convergence, a residual max ||Px - lambda x|| over the reported
+    pairs above ``RESIDUAL_TOL`` and a heat-bath lambda_min below the floor
+    raise; a single state has no gap.
     """
     ncomp = tm.components() if check_ergodic else 1
     if ncomp != 1:
         raise NonErgodicError(f"chain splits into {ncomp} components")
-    if tm.row_sum_error() > 1e-9:
-        raise VerificationError(f"row sums miss 1 by {tm.row_sum_error():.3g}: not stochastic")
+    err = tm.row_sum_error()
+    if not err <= 1e-9:  # a NaN entry makes err NaN
+        raise VerificationError(f"row sums miss 1 by {err:.3g}: not stochastic")
+    if tm.n == 1:
+        raise NonErgodicError("absolute spectral gap is zero")
     P = tm.matrix
-    if tm.n <= 3:  # tiny chains take LAPACK
-        vals, vecs = np.linalg.eigh(P.toarray())
-        matvecs, method = 0, "dense-eigh"
-    else:
-        lam2, vec, matvecs = _lanczos(lambda x: P @ x - 2.0 * x.mean(), tm.n, seed)
-        vals, vecs = [lam2, 1.0], [vec, np.full((tm.n, 1), tm.n ** -0.5)]
-        if compute_lambda_min:
-            top, vec, count = _lanczos(lambda x: x - P @ x, tm.n, seed)
-            vals, vecs, matvecs = [1.0 - top] + vals, [vec] + vecs, matvecs + count
-        vals, vecs, method = np.array(vals), np.hstack(vecs), "lanczos"
+    vals, vecs, matvecs = _lanczos_ends(P, seed, compute_lambda_min)
+    vals = np.append(vals, 1.0)
+    vecs = np.hstack([vecs, np.full((tm.n, 1), tm.n ** -0.5)])
     residual = float(np.max(np.linalg.norm(P @ vecs - vecs * vals, axis=0)))
     if residual > RESIDUAL_TOL:
         raise VerificationError(
             f"eigenpair residual {residual:.3g} is above {RESIDUAL_TOL:g}")
     if np.max(vals) > 1.0 + 1e-9:
         raise VerificationError(f"eigenvalue {np.max(vals)} is above 1: not stochastic")
-    lam2 = float(vals[-2]) if tm.n > 1 else 1.0
+    lam2 = float(vals[-2])
     lam_min = float(vals[0]) if compute_lambda_min else math.nan
     if tm.kind != dynamics.UNIFORM_GLAUBER and lam_min < HEATBATH_FLOOR:
         raise VerificationError(
@@ -209,7 +244,7 @@ def spectral_report(tm, check_ergodic=True, compute_lambda_min=True, seed=7):
     gap = 1.0 - lam_star
     if gap <= 0:
         raise NonErgodicError("absolute spectral gap is zero")
-    return SpectralReport(tm.n, lam2, lam_min, gap, 1.0 / gap, method,
+    return SpectralReport(tm.n, lam2, lam_min, gap, 1.0 / gap, "lanczos",
                           residual, matvecs)
 
 

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from treecolor import dynamics, oracle, spectral
-from treecolor.colorings import uniform_lists
+from treecolor.colorings import ListSpec, uniform_lists
 from treecolor.errors import (CapacityError, NonErgodicError, ParameterError,
                               VerificationError)
 from treecolor.trees import (build_complete_regular, build_hanging_root,
@@ -99,20 +98,27 @@ def test_lanczos_matches_dense_oracle_at_scale():
     assert_matches_dense_oracle(tm)
 
 
-def test_tiny_chain_takes_dense_branch():
+def test_tiny_chain_takes_lanczos():
+    # P = J/3 is zero off the constants: an invariant subspace at the first step
     t1 = path_tree(1)
     tm = spectral.transition_matrix(t1, uniform_lists(t1, 3),
                                     dynamics.HEATBATH_GLAUBER)
-    rep = spectral.spectral_report(tm)
-    assert rep.method == "dense-eigh" and rep.matvecs == 0
-    assert set(rep.export()) >= {"method", "residual", "matvecs"}
+    assert tm.n == 3
+    assert_matches_dense_oracle(tm)
+    assert set(spectral.spectral_report(tm).export()) >= {"method", "residual", "matvecs"}
+
+
+def test_single_state_has_no_gap():
+    t1 = path_tree(1)
+    tm = spectral.transition_matrix(t1, ListSpec(3, [{2}]), dynamics.HEATBATH_GLAUBER)
+    assert tm.n == 1
+    for lam_min in (True, False):
+        with pytest.raises(NonErgodicError, match="gap is zero"):
+            spectral.spectral_report(tm, compute_lambda_min=lam_min)
 
 
 def test_nonconvergence_raises(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
-
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
+    monkeypatch.setattr(spectral, "LANCZOS_STEPS", 2)
     p4 = path_tree(4)
     tm = spectral.transition_matrix(p4, uniform_lists(p4, 3),
                                     dynamics.HEATBATH_GLAUBER)
@@ -122,16 +128,19 @@ def test_nonconvergence_raises(monkeypatch):
 
 
 def test_large_residual_raises(monkeypatch):
-    def perturbed(*args, **kwargs):
-        vals, vecs = eigsh(*args, **kwargs)
-        return vals + 1e-6, vecs
+    solve = spectral._lanczos_ends
 
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", perturbed)
+    def perturbed(*args, **kwargs):
+        vals, vecs, matvecs = solve(*args, **kwargs)
+        return vals + 1e-6, vecs, matvecs
+
+    monkeypatch.setattr(spectral, "_lanczos_ends", perturbed)
     p4 = path_tree(4)
     tm = spectral.transition_matrix(p4, uniform_lists(p4, 3),
                                     dynamics.HEATBATH_GLAUBER)
-    with pytest.raises(VerificationError, match="residual"):
-        spectral.spectral_report(tm)
+    for lam_min in (True, False):
+        with pytest.raises(VerificationError, match="residual"):
+            spectral.spectral_report(tm, compute_lambda_min=lam_min)
 
 
 def hand_built(q, P):
@@ -161,10 +170,36 @@ def test_not_stochastic_raises():
     # I + (D - A)/2 of a 4-cycle: symmetric, unit row sums, eigenvalues 1, 2, 2, 3
     cycle = np.roll(np.eye(4), 1, axis=1) + np.roll(np.eye(4), -1, axis=1)
     above_one = hand_built(4, np.eye(4) + (2 * np.eye(4) - cycle) / 2)
-    for bad in (short_rows, above_one):
+    # a NaN entry makes its row sum NaN, which compares False against any bound
+    non_finite = []
+    for entry in (math.nan, math.inf):
+        P = np.full((4, 4), 0.25)
+        P[1, 2] = P[2, 1] = entry
+        non_finite.append(hand_built(4, P))
+    for bad in (short_rows, above_one, *non_finite):
         for lam_min in (True, False):
             with pytest.raises(VerificationError, match="not stochastic"):
                 spectral.spectral_report(bad, compute_lambda_min=lam_min)
+
+
+def test_near_breakdown_keeps_constant_out():
+    # Both Krylov spaces end well before N - 1 steps: uniform Glauber on the
+    # 4-edge path, q=3 (N=24), at step 13, and the K5 walk at step 1.  Taking
+    # the mean out of w before alpha v and beta v_prev leaves their rounding
+    # on the constant, which the small beta of a breakdown then scales up.
+    p4 = path_tree(4)
+    chains = [spectral.transition_matrix(p4, uniform_lists(p4, 3),
+                                         dynamics.UNIFORM_GLAUBER),
+              hand_built(5, (np.ones((5, 5)) - np.eye(5)) / 4)]
+    for tm in chains:
+        eigs = np.linalg.eigvalsh(tm.matrix.toarray())
+        for seed in range(6):
+            rep = spectral.spectral_report(tm, seed=seed)
+            assert abs(rep.lambda2 - eigs[-2]) < 1e-10, (tm.n, seed)
+            assert abs(rep.lambda_min - eigs[0]) < 1e-10, (tm.n, seed)
+            lam2_only = spectral.spectral_report(tm, seed=seed,
+                                                 compute_lambda_min=False)
+            assert abs(lam2_only.lambda2 - eigs[-2]) < 1e-10, (tm.n, seed)
 
 
 def test_seeded_start_vector():
