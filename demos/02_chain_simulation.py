@@ -1,38 +1,36 @@
-"""Run the coloring chains and check ergodicity by exhaustive move graphs."""
+"""Run the coloring chains on their exact matrices and check ergodicity by
+exhaustive move graphs."""
 
-from collections import Counter
+import numpy as np
 
-from treecolor import oracle
-from treecolor.colorings import greedy_coloring, uniform_lists
+from treecolor import oracle, spectral
+from treecolor.colorings import uniform_lists
 from treecolor.dynamics import (HEATBATH_GLAUBER, NEIGHBOR_PAIR,
-                                UNIFORM_GLAUBER, RngSpec, check_ergodicity,
-                                pair_blocks, run_chain)
+                                UNIFORM_GLAUBER, check_ergodicity, pair_blocks)
 from treecolor.trees import build_complete_regular, tree_from_parents
 
 tree = build_complete_regular(3, 2)
 lists = uniform_lists(tree, 5)
-start = greedy_coloring(tree, lists)
-print("start:", start)
+
+dist = oracle.enumerate_colorings(tree, lists)
+print(f"{dist.size} proper colorings; start: {tuple(dist.array[0].tolist())}")
 
 for kind in (UNIFORM_GLAUBER, HEATBATH_GLAUBER, NEIGHBOR_PAIR):
-    state = run_chain(tree, lists, kind, 2000, RngSpec(42), start)
-    print(f"{kind:18s} after 2000 steps: {state}")
+    tm = spectral.transition_matrix(tree, lists, kind, dist=dist)
+    (row,) = tm.sample([0], 2000, 42)
+    print(f"{kind:18s} after 2000 steps: {tuple(dist.array[row].tolist())}")
 
 print("pair blocks on this tree:", len(pair_blocks(tree)),
       "(9 singletons + 12 adjacent pairs)")
 
 # empirical edge marginal from independent replicas vs the oracle
 path = tree_from_parents([None, 0, 1], 0)
-plists = uniform_lists(path, 4)
-d = oracle.enumerate_colorings(path, plists)
-finals = [run_chain(path, plists, HEATBATH_GLAUBER, 80,
-                    RngSpec(7, stream=k), greedy_coloring(path, plists))
-          for k in range(500)]
-counts = Counter(s[1] for s in finals)
-marg = d.marginal([1])
+tm = spectral.transition_matrix(path, uniform_lists(path, 4), HEATBATH_GLAUBER)
+finals = tm.dist.array[tm.sample(np.zeros(500, dtype=int), 80, 7), 1]
+marg = tm.dist.marginal([1])
 print("middle-edge empirical vs exact marginal:")
 for c in sorted(marg):
-    print(f"  color {c[0]}: {counts[c[0]] / 500:.3f} vs {marg[c]:.3f}")
+    print(f"  color {c[0]}: {np.mean(finals == c[0]):.3f} vs {marg[c]:.3f}")
 
 # connectivity of the move graph, and how it breaks with too few colors
 star = build_complete_regular(3, 1)

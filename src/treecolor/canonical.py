@@ -114,7 +114,8 @@ def _alternating(tab, C, e, b):
 
 
 def flip_rows(tree, colors, e, b):
-    """``colorings.flip`` of every coloring in ``colors`` (n x m) at once."""
+    """The flip of every coloring in ``colors`` (n x m) at once: its color on
+    ``e`` and ``b`` swap along its maximal alternating path (``_alternating``)."""
     tab = _Tables(tree)
     C = tab.widen(colors)
     path = _alternating(tab, C, e, b)

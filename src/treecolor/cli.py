@@ -258,10 +258,10 @@ def cmd_tensorize(cfg, out):
 
 def cmd_induction(cfg, out):
     tree_cfg = cfg["tree"]
-    if tree_cfg.get("shape") != "complete_regular":
+    tree = build_tree(tree_cfg)
+    if tree_cfg["shape"] != "complete_regular":
         raise ConfigError("induction expects a complete_regular tree")
     delta = int(tree_cfg["delta"])
-    k = int(tree_cfg["depth"])
     ell = int(cfg.get("ell", 1))
     q = int(cfg["q"])
     star = build_hanging_root(delta, ell)
@@ -269,7 +269,6 @@ def cmd_induction(cfg, out):
     crep = canonical.compute_congestion(star, star_lists, canonical.GLAUBER_PATHS)
     alpha = cfg.get("alpha") or crep.alpha_vector()
     gamma = float(cfg.get("gamma") or tz.gamma_constant(delta, q, ell))
-    tree = build_complete_regular(delta, k)
     res = tz.verify_induction(tree, uniform_lists(tree, q), ell,
                               [float(x) for x in alpha], gamma)
     doc = _base_doc(cfg, tree)

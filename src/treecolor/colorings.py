@@ -1,7 +1,8 @@
-"""Per-edge color lists, proper colorings, alternating paths and flips.
+"""Per-edge color lists: the palette ``1..q`` and the colors allowed on each
+edge, with the uniform, star-root and pinned-root presets.
 
-A coloring is a plain tuple of colors in ``1..q`` indexed by edge id, so it
-is hashable and cheap to copy.  All operations are pure.
+Colorings themselves live as rows of the enumerated support
+(``oracle.DistributionTable``).
 """
 
 from __future__ import annotations
@@ -69,94 +70,3 @@ def pinned_root_lists(tree, q, c):
     lists = [full] * tree.n_edges
     lists[r] = frozenset([c])
     return ListSpec(q, lists, preset=PINNED_ROOT)
-
-
-def is_proper(tree, lists, coloring):
-    """True iff every edge color is in its list and differs from all
-    line-graph neighbors."""
-    if len(coloring) != tree.n_edges or any(c is None for c in coloring):
-        raise ParameterError("coloring must assign every edge")
-    for e in range(tree.n_edges):
-        if coloring[e] not in lists[e]:
-            return False
-        for f in tree.neighbors[e]:
-            if f > e and coloring[f] == coloring[e]:
-                return False
-    return True
-
-
-def available_colors(tree, lists, coloring, e):
-    """Colors of ``lists[e]`` not used by any neighbor of ``e``.
-
-    The edge's own current color is not excluded, so for a proper coloring it
-    is always a member.
-    """
-    used = {coloring[f] for f in tree.neighbors[e]}
-    return frozenset(lists[e] - used)
-
-
-def alternating_path(tree, coloring, e, b):
-    """Maximal path from ``e`` away from the root whose colors alternate
-    ``coloring[e], b, coloring[e], b, ...``.
-
-    Each step continues through the child vertex of the previous edge; the
-    continuation is unique because colors at a vertex are distinct.
-    """
-    a = coloring[e]
-    if b == a:
-        raise ParameterError("alternating color must differ from the edge color")
-    path = [e]
-    want = b
-    cur = e
-    while True:
-        v = tree.edge_child_vertex[cur]
-        nxt = None
-        for f in tree.child_edges[cur]:
-            if coloring[f] == want:
-                nxt = f
-                break
-        if nxt is None:
-            return path
-        path.append(nxt)
-        cur = nxt
-        want = a if want == b else b
-
-
-def flip(tree, coloring, e, b):
-    """Interchange ``coloring[e]`` and ``b`` along the maximal alternating
-    path below ``e``.  An involution: flipping back with the old color
-    restores the input."""
-    a = coloring[e]
-    path = alternating_path(tree, coloring, e, b)
-    out = list(coloring)
-    for f in path:
-        out[f] = b if out[f] == a else a
-    return tuple(out)
-
-
-def greedy_coloring(tree, lists):
-    """A proper list coloring by first-fit along BFS edge ids; exists whenever
-    every list keeps a color after removing the neighbor colors (always true
-    for full lists with q >= max degree + 1 on a tree)."""
-    out = [None] * tree.n_edges
-    for e in range(tree.n_edges):
-        used = {out[f] for f in tree.neighbors[e] if f < e}
-        pick = next((c for c in sorted(lists[e]) if c not in used), None)
-        if pick is None:
-            raise ParameterError("greedy coloring failed; lists too tight")
-        out[e] = pick
-    return tuple(out)
-
-
-def coloring_to_csv(coloring):
-    return "\n".join(f"{e},{c}" for e, c in enumerate(coloring)) + "\n"
-
-
-def coloring_from_csv(text, n_edges):
-    seen = {}
-    for line in text.strip().splitlines():
-        e_str, c_str = line.split(",")
-        seen[int(e_str)] = int(c_str)
-    if sorted(seen) != list(range(n_edges)):
-        raise ParameterError("coloring CSV must cover edge ids 0..n_edges-1")
-    return tuple(seen[e] for e in range(n_edges))

@@ -1,6 +1,7 @@
 """Exact transition matrices, spectra, mixing times and conductance.
 
-Transition matrices are sparse (CSR), one product over the block classes.
+Transition matrices are sparse (CSR), one product over the block classes,
+and chains are simulated on their rows (``TransitionMatrix.sample``).
 Both ends of their spectrum off the constants come from one plain Lanczos
 recurrence, with the Ritz vectors summed on a second pass: the report carries
 the residual and the operator applications, and a solve that does not
@@ -64,6 +65,29 @@ class TransitionMatrix:
         diff = self.matrix - self.matrix.T
         gap = np.max(np.abs(diff.data)) if diff.nnz else 0.0
         return float(gap) * self.dist.weight
+
+    def _require_stochastic(self):
+        err = self.row_sum_error()
+        if not err <= 1e-9:  # a NaN entry makes err NaN
+            raise VerificationError(f"row sums miss 1 by {err:.3g}: not stochastic")
+
+    def sample(self, starts, t_steps, seed):
+        """Rows reached after ``t_steps`` steps from each support row of
+        ``starts``, one independent replica each: per step the inverse CDF of
+        every replica's CSR row, drawn with ``np.random.default_rng(seed)``.
+        Rows that do not sum to 1 raise, as in ``spectral_report``."""
+        self._require_stochastic()
+        rows = np.array(starts, dtype=np.intp)
+        if rows.size and not (rows.min() >= 0 and rows.max() < self.n):
+            raise ParameterError(f"start rows must lie in 0..{self.n - 1}")
+        P, rng = self.matrix, np.random.default_rng(seed)
+        cdf = np.concatenate(([0.0], np.cumsum(P.data)))
+        for _ in range(t_steps):
+            u = cdf[P.indptr[rows]] + rng.random(rows.shape)
+            k = np.searchsorted(cdf, u, side="right") - 1
+            # rounding can put u past the row's end
+            rows = P.indices[np.minimum(k, P.indptr[rows + 1] - 1)]
+        return rows
 
 
 def block_average(dist, blocks, weights):
@@ -220,9 +244,7 @@ def spectral_report(tm, check_ergodic=True, compute_lambda_min=True, seed=7):
     ncomp = tm.components() if check_ergodic else 1
     if ncomp != 1:
         raise NonErgodicError(f"chain splits into {ncomp} components")
-    err = tm.row_sum_error()
-    if not err <= 1e-9:  # a NaN entry makes err NaN
-        raise VerificationError(f"row sums miss 1 by {err:.3g}: not stochastic")
+    tm._require_stochastic()
     if tm.n == 1:
         raise NonErgodicError("absolute spectral gap is zero")
     P = tm.matrix

@@ -47,8 +47,8 @@ def factorization_constant(dist, weights, given=None):
     """
     import scipy.sparse as sp
 
-    if any(c < 0 for c in weights.values()):
-        raise ParameterError("block weights must be nonnegative")
+    if not all(math.isfinite(c) and c >= 0 for c in weights.values()):
+        raise ParameterError("block weights must be finite and nonnegative")
     weights = {tuple(b): float(c) for b, c in weights.items() if c > 0}
     if given is None:
         k = dist.size
@@ -154,6 +154,9 @@ def check_root_tensorization(tree, lists, alpha, beta=0.0):
     {root edge, level-1 edge} block."""
     if tree.min_level != 0:
         raise ParameterError("root tensorization needs a hanging-root tree")
+    if len(alpha) != tree.max_level + 1:
+        raise ParameterError(f"alpha needs one weight per level, "
+                             f"{tree.max_level + 1}, not {len(alpha)}")
     (r,) = tree.level_edges(0)
     weights = {(e,): alpha[tree.edge_levels[e]] for e in range(tree.n_edges)}
     for e in tree.level_edges(1):

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from coloring_reference import (alternating_path, available_colors, flip,
+                                is_proper)
 from treecolor import oracle
 from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, GammaStats,
                                  PathBatch, color_order, path_blocks_for_kind,
                                  path_family)
-from treecolor.colorings import (alternating_path, available_colors, flip,
-                                 is_proper, star_root_lists)
+from treecolor.colorings import star_root_lists
 from treecolor.errors import ParameterError, VerificationError
 from treecolor.trees import build_hanging_root, hanging_root_edge
 

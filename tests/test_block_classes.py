@@ -12,10 +12,11 @@ from array import array
 import numpy as np
 import scipy.sparse as sp
 
+from coloring_reference import available_colors, block_assignments
 from treecolor import dynamics, oracle, spectral
 from treecolor.canonical import EDGE_PATHS, GLAUBER_PATHS, compute_congestion
-from treecolor.colorings import available_colors, star_root_lists, uniform_lists
-from treecolor.dynamics import block_assignments, check_ergodicity, pair_blocks
+from treecolor.colorings import star_root_lists, uniform_lists
+from treecolor.dynamics import check_ergodicity, pair_blocks
 from treecolor.trees import (build_complete_regular, build_hanging_root,
                              tree_from_parents)
 
@@ -190,7 +191,7 @@ def test_congestion_rates_match_block_assignments():
             for (x, y), count in pc.usage.items():
                 x, y = rep.dist.states[x], rep.dist.states[y]
                 diff = tuple(e for e in range(tree.n_edges) if x[e] != y[e])
-                rate = 1.0 / len(dynamics.block_assignments(tree, lists, x, diff))
+                rate = 1.0 / len(block_assignments(tree, lists, x, diff))
                 load = (count * p_ra) ** 2 * n / rate
                 if len(diff) == 1:
                     lvl = tree.edge_levels[diff[0]]

@@ -1,6 +1,7 @@
 import csv
 import glob
 import json
+import math
 import os
 import subprocess
 import sys
@@ -92,6 +93,19 @@ def test_config_errors(tmp_path):
                                 "q": 3, "sweep": {"param": "q", "values": []}},
                      "c5.yaml")
     assert main(["sweep", "--config", cfg5, "--out", str(tmp_path / "o5")]) == 2
+
+    # root-tensorization weights: one finite, nonnegative weight per level
+    star = {"command": "tensorize", "tree": {"shape": "hanging_root", "delta": 2,
+                                             "depth": 2},
+            "q": 4, "lists": "star_root"}
+    for i, alpha in enumerate(([math.nan, 1.0, 1.0], [1.0])):
+        cfg6 = write_cfg(tmp_path, dict(star, alpha=alpha), f"c6_{i}.yaml")
+        assert main(["tensorize", "--config", cfg6, "--out",
+                     str(tmp_path / f"o6_{i}")]) == 2
+
+    cfg7 = write_cfg(tmp_path, {"command": "induction", "tree": [1, 2], "q": 4},
+                     "c7.yaml")
+    assert main(["induction", "--config", cfg7, "--out", str(tmp_path / "o7")]) == 2
 
 
 def test_count_with_more_digits_than_int_str_limit(tmp_path):

@@ -1,14 +1,14 @@
-from collections import Counter
+import math
 
 import numpy as np
 import pytest
 
-from treecolor import oracle
-from treecolor.colorings import greedy_coloring, is_proper, uniform_lists
-from treecolor.dynamics import (BLOCK, HEATBATH_GLAUBER, NEIGHBOR_PAIR,
-                                UNIFORM_GLAUBER, BlockSpec, RngSpec,
-                                block_assignments, check_ergodicity,
-                                pair_blocks, run_chain, step, trace_to_csv)
+from coloring_reference import block_assignments
+from treecolor import oracle, spectral
+from treecolor.colorings import uniform_lists
+from treecolor.dynamics import (HEATBATH_GLAUBER, NEIGHBOR_PAIR,
+                                UNIFORM_GLAUBER, BlockSpec, check_ergodicity,
+                                pair_blocks)
 from treecolor.errors import ParameterError
 from treecolor.trees import build_complete_regular, tree_from_parents
 
@@ -52,95 +52,16 @@ def test_block_assignments_consistency_filter():
     assert set(opts) == {(1, 2), (1, 3), (2, 3), (3, 2)}
 
 
-def test_step_single_edge_heatbath_uniform():
-    t1 = path_tree(1)
-    l3 = uniform_lists(t1, 3)
-    rng = RngSpec(1).generator()
-    seen = Counter()
-    state = (1,)
-    for _ in range(3000):
-        state, _, _, _ = step(t1, l3, HEATBATH_GLAUBER, state, rng)
-        seen[state[0]] += 1
-    freq = np.array([seen[c] for c in (1, 2, 3)]) / 3000
-    assert np.max(np.abs(freq - 1 / 3)) < 0.05
-
-
-def test_step_uniform_glauber_rejects():
-    p2 = path_tree(2)
-    l3 = uniform_lists(p2, 3)
-    rng = RngSpec(5).generator()
-    state = (1, 2)
-    for _ in range(200):
-        new, block, old, newc = step(p2, l3, UNIFORM_GLAUBER, state, rng)
-        assert is_proper(p2, l3, new)
-        if old == newc:
-            assert new == state
-        state = new
-
-
-def test_run_chain_contracts():
-    p3 = path_tree(3)
-    l4 = uniform_lists(p3, 4)
-    start = greedy_coloring(p3, l4)
-    assert run_chain(p3, l4, HEATBATH_GLAUBER, 0, RngSpec(2), start) == start
-    a = run_chain(p3, l4, NEIGHBOR_PAIR, 250, RngSpec(9), start)
-    b = run_chain(p3, l4, NEIGHBOR_PAIR, 250, RngSpec(9), start)
-    assert a == b
-    c = run_chain(p3, l4, NEIGHBOR_PAIR, 250, RngSpec(10), start)
-    assert is_proper(p3, l4, c)
-
-
-def test_trace_output():
-    p2 = path_tree(2)
-    l3 = uniform_lists(p2, 3)
-    start = greedy_coloring(p2, l3)
-    _, rows = run_chain(p2, l3, HEATBATH_GLAUBER, 5, RngSpec(0), start, trace=True)
-    text = trace_to_csv(rows)
-    lines = text.strip().splitlines()
-    assert lines[0] == "step,edge_or_block,old_colors,new_colors"
-    assert len(lines) == 6
-
-
 def test_long_run_marginals_match_oracle():
     p3 = path_tree(3)
     l4 = uniform_lists(p3, 4)
-    dist = oracle.enumerate_colorings(p3, l4)
-    marg = [dist.marginal([e]) for e in range(3)]
-    start = greedy_coloring(p3, l4)
-    finals = [run_chain(p3, l4, HEATBATH_GLAUBER, 60, RngSpec(1234, stream=k), start)
-              for k in range(400)]
+    tm = spectral.transition_matrix(p3, l4, HEATBATH_GLAUBER)
+    finals = tm.dist.array[tm.sample(np.zeros(400, dtype=int), 60, 1234)]
     for e in range(3):
-        counts = Counter(s[e] for s in finals)
+        marg = tm.dist.marginal([e])
         for c in (1, 2, 3, 4):
-            expect = marg[e].get((c,), 0.0)
-            assert abs(counts[c] / 400 - expect) < 0.1
-
-
-def test_properness_preserved_all_kinds():
-    t = build_complete_regular(3, 2)
-    l5 = uniform_lists(t, 5)
-    start = greedy_coloring(t, l5)
-    spec = BlockSpec(tuple(pair_blocks(t)), tuple([1.0] * len(pair_blocks(t))))
-    for kind, kw in ((UNIFORM_GLAUBER, {}), (HEATBATH_GLAUBER, {}),
-                     (NEIGHBOR_PAIR, {}), (BLOCK, {"block_spec": spec})):
-        rng = RngSpec(77).generator()
-        state = start
-        for _ in range(300):
-            state, _, _, _ = step(t, l5, kind, state, rng, **kw)
-            assert is_proper(t, l5, state)
-
-
-def test_neighbor_pair_without_singletons():
-    p3 = path_tree(3)
-    l3 = uniform_lists(p3, 3)
-    assert all(len(b) == 2 for b in pair_blocks(p3, include_singletons=False))
-    rng = RngSpec(4).generator()
-    state = greedy_coloring(p3, l3)
-    for _ in range(100):
-        state, block, _, _ = step(p3, l3, NEIGHBOR_PAIR, state, rng,
-                                  include_singletons=False)
-        assert len(block) == 2
-        assert is_proper(p3, l3, state)
+            expect = marg.get((c,), 0.0)
+            assert abs(np.mean(finals[:, e] == c) - expect) < 0.1
 
 
 def test_check_ergodicity():
@@ -167,3 +88,6 @@ def test_block_spec_validation():
         BlockSpec(((0,),), (-1.0,))
     with pytest.raises(ParameterError):
         BlockSpec(((0,), (1,)), (0.0, 0.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            BlockSpec(((0,), (1,)), (1.0, bad))

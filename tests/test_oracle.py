@@ -3,7 +3,8 @@ import math
 import pytest
 
 from treecolor import oracle
-from treecolor.colorings import (is_proper, star_root_lists, uniform_lists)
+from coloring_reference import is_proper
+from treecolor.colorings import star_root_lists, uniform_lists
 from treecolor.errors import (CapacityError, InfeasiblePinningError,
                               ParameterError)
 from treecolor.trees import (build_complete_regular, build_hanging_root,

@@ -180,6 +180,9 @@ def test_not_stochastic_raises():
         for lam_min in (True, False):
             with pytest.raises(VerificationError, match="not stochastic"):
                 spectral.spectral_report(bad, compute_lambda_min=lam_min)
+    for bad in (short_rows, *non_finite):
+        with pytest.raises(VerificationError, match="not stochastic"):
+            bad.sample([0], 1, 0)
 
 
 def test_near_breakdown_keeps_constant_out():
@@ -397,3 +400,36 @@ def test_transition_matrix_is_symmetric():
                                     dynamics.NEIGHBOR_PAIR)
     diff = tm.matrix - tm.matrix.T
     assert diff.nnz == 0 or np.max(np.abs(diff.data)) < 1e-12
+
+
+def test_sample_one_step_matches_rows():
+    # each row's one-step frequencies lie within five standard errors of
+    # its entries, so a zero entry is never drawn
+    p3 = path_tree(3)
+    l3 = uniform_lists(p3, 3)
+    blocks = tuple(dynamics.pair_blocks(p3))
+    spec = dynamics.BlockSpec(blocks, tuple(range(1, len(blocks) + 1)))
+    reps = 20000
+    for kind in (dynamics.UNIFORM_GLAUBER, dynamics.HEATBATH_GLAUBER,
+                 dynamics.NEIGHBOR_PAIR, dynamics.BLOCK):
+        kw = {"block_spec": spec} if kind == dynamics.BLOCK else {}
+        tm = spectral.transition_matrix(p3, l3, kind, **kw)
+        starts = np.repeat(np.arange(tm.n), reps)
+        ends = tm.sample(starts, 1, 11)
+        freq = np.bincount(starts * tm.n + ends, minlength=tm.n ** 2) / reps
+        P = tm.matrix.toarray().ravel()
+        assert np.all(np.abs(freq - P) <= 5 * np.sqrt(P * (1 - P) / reps)), kind
+
+
+def test_sample_contracts():
+    p3 = path_tree(3)
+    tm = spectral.transition_matrix(p3, uniform_lists(p3, 4), dynamics.NEIGHBOR_PAIR)
+    starts = np.arange(tm.n)
+    assert np.array_equal(tm.sample(starts, 0, 9), starts)
+    a = tm.sample(starts, 250, 9)
+    assert np.array_equal(a, tm.sample(starts, 250, 9))
+    assert not np.array_equal(a, tm.sample(starts, 250, 10))
+    # -1 is how rows_of marks a coloring off the support
+    for bad in ([0, -1], [tm.n]):
+        with pytest.raises(ParameterError, match="start rows"):
+            tm.sample(bad, 1, 9)
