@@ -31,7 +31,7 @@ from .trees import (build_complete_regular, build_hanging_root, load_tree,
 
 _TOP_KEYS = {
     "command", "tree", "q", "lists", "pinned_color", "kind", "seed", "caps",
-    "out", "eps", "edge", "paths", "alpha", "beta", "gamma", "ell", "blocks",
+    "out", "eps", "edge", "paths", "alpha", "gamma", "ell", "blocks",
     "strict", "sweep", "delta_range", "include_states",
 }
 _TREE_KEYS = {"shape", "delta", "depth", "n_edges", "file"}
@@ -172,7 +172,8 @@ def cmd_mix(cfg, out):
     eps = float(cfg.get("eps", 0.25))
     t_mix = spectral.mixing_time(tm, eps, cap=_cap(cfg, "mixing", spectral.MIXING_CAP))
     bound = rep.t_rel * (1.0 + tree.n_edges * math.log(lists.q))
-    doc.update({"eps": eps, "t_mix": t_mix, "t_rel_bound": bound})
+    doc.update({"eps": eps, "t_mix": t_mix, "t_rel_bound": bound,
+                "t_mix_starts": len(spectral.orbit_starts(tm.dist))})
     path = _write_json(out, "mix.json", doc)
     print(f"mix: t_mix({eps})={t_mix} bound={bound:.3f} -> {path}")
     if eps == 0.25 and t_mix > bound:
@@ -264,11 +265,12 @@ def cmd_induction(cfg, out):
     delta = int(tree_cfg["delta"])
     ell = int(cfg.get("ell", 1))
     q = int(cfg["q"])
-    star = build_hanging_root(delta, ell)
-    star_lists = star_root_lists(star, q)
-    crep = canonical.compute_congestion(star, star_lists, canonical.GLAUBER_PATHS)
-    alpha = cfg.get("alpha") or crep.alpha_vector()
-    gamma = float(cfg.get("gamma") or tz.gamma_constant(delta, q, ell))
+    alpha, gamma = cfg.get("alpha"), cfg.get("gamma")
+    if alpha is None:
+        star = build_hanging_root(delta, ell)
+        alpha = canonical.compute_congestion(
+            star, star_root_lists(star, q), canonical.GLAUBER_PATHS).alpha_vector()
+    gamma = float(tz.gamma_constant(delta, q, ell) if gamma is None else gamma)
     res = tz.verify_induction(tree, uniform_lists(tree, q), ell,
                               [float(x) for x in alpha], gamma)
     doc = _base_doc(cfg, tree)

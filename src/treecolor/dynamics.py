@@ -49,11 +49,9 @@ class BlockSpec:
             raise ParameterError("at least one block weight must be positive")
 
 
-def pair_blocks(tree, include_singletons=True):
+def pair_blocks(tree):
     """All singleton edges plus all adjacent edge pairs, as sorted tuples."""
-    blocks = []
-    if include_singletons:
-        blocks.extend((e,) for e in range(tree.n_edges))
+    blocks = [(e,) for e in range(tree.n_edges)]
     seen = set()
     for e in range(tree.n_edges):
         for f in tree.neighbors[e]:

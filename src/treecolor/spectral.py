@@ -5,7 +5,9 @@ and chains are simulated on their rows (``TransitionMatrix.sample``).
 Both ends of their spectrum off the constants come from one plain Lanczos
 recurrence, with the Ritz vectors summed on a second pass: the report carries
 the residual and the operator applications, and a solve that does not
-converge, or whose residual is too large, raises.
+converge, or whose residual is too large, raises.  Mixing times evolve the
+distributions from one start per color orbit on the same matrix, up to
+``MIXING_CAP`` states.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 SPARSE_CAP = 300000
-MIXING_CAP = 4000
+MIXING_CAP = 30000
+MIXING_CHUNK = 256
 RESIDUAL_TOL = 1e-8
 # Lanczos stopping tolerance on |beta_k s_k|, well inside the residual check.
 LANCZOS_TOL = RESIDUAL_TOL / 100
@@ -229,7 +232,7 @@ def _lanczos_ends(P, seed, want_min):
     return np.concatenate([theta for theta, _ in ends]), vecs.T, 2 * k
 
 
-def spectral_report(tm, check_ergodic=True, compute_lambda_min=True, seed=7):
+def spectral_report(tm, compute_lambda_min=True, seed=7):
     """Second eigenvalue, minimal eigenvalue and relaxation time.
 
     P must have unit row sums and is symmetric (mu is uniform), so its top
@@ -241,7 +244,7 @@ def spectral_report(tm, check_ergodic=True, compute_lambda_min=True, seed=7):
     pairs above ``RESIDUAL_TOL`` and a heat-bath lambda_min below the floor
     raise; a single state has no gap.
     """
-    ncomp = tm.components() if check_ergodic else 1
+    ncomp = tm.components()
     if ncomp != 1:
         raise NonErgodicError(f"chain splits into {ncomp} components")
     tm._require_stochastic()
@@ -270,48 +273,54 @@ def spectral_report(tm, check_ergodic=True, compute_lambda_min=True, seed=7):
                           residual, matvecs)
 
 
-def _tv_from_uniform(mat, weight):
-    """max over rows of TV(row, uniform)."""
-    return float(0.5 * np.max(np.abs(mat - weight).sum(axis=1)))
+def orbit_starts(dist):
+    """One support row per orbit of the color permutations that keep every
+    list.  Every kind commutes with them and mu is uniform, so
+    TV(delta_x P^t, mu) is constant on an orbit.  Within each group of colors
+    that lie on the same lists, a row's colors are renamed in order of first
+    appearance; rows with one such canonical form make one orbit."""
+    member = [[c in s for s in dist.lists.lists] for c in range(dist.lists.q + 1)]
+    group = np.unique(member, axis=0, return_inverse=True)[1].ravel()
+    a, rows = dist.array.astype(np.intp), np.arange(dist.size)
+    rank = np.full((dist.size, dist.lists.q + 1), -1)
+    used = np.zeros((dist.size, group.max() + 1), dtype=np.intp)
+    for col in a.T:
+        new = rank[rows, col] < 0
+        r, c = rows[new], col[new]
+        rank[r, c] = used[r, group[c]]
+        used[r, group[c]] += 1
+    canonical = group[a] * a.shape[1] + rank[rows[:, None], a]
+    return np.unique(canonical, axis=0, return_index=True)[1]
 
 
 def mixing_time(tm, eps=0.25, cap=MIXING_CAP):
-    """Smallest t with max_x TV(delta_x P^t, mu) <= eps, by exact distribution
-    evolution with doubling plus binary search."""
+    """Smallest t with max_x TV(delta_x P^t, mu) <= eps, by evolving X <- P X
+    (P is symmetric) from the ``orbit_starts``, ``MIXING_CHUNK`` at a time:
+    TV never grows with t, so each chunk starts at the worst t so far.  Every
+    kind has a positive diagonal, so only a reducible chain (it raises)
+    never gets below eps."""
     if eps >= 1.0:
         return 0
-    if eps <= 0.0:
-        raise ParameterError("eps must be positive")
+    if not eps >= 1e-9:  # rounding keeps a computed TV near N * 1e-16
+        raise ParameterError("eps must be at least 1e-9")
     if tm.n > cap:
         raise CapacityError(f"{tm.n} states is above the mixing cap {cap}",
                             estimated=tm.n)
-    w = tm.dist.weight
-    P = tm.matrix.toarray()
-    if _tv_from_uniform(np.eye(tm.n), w) <= eps:
-        return 0
-    powers = [P]  # powers[j] = P^(2^j)
-    t = 1
-    while _tv_from_uniform(powers[-1], w) > eps:
-        powers.append(powers[-1] @ powers[-1])
-        t *= 2
-        if t > 10 ** 9:
-            raise CapacityError("mixing time beyond doubling horizon")
-    lo, hi = t // 2, t  # d(lo) > eps >= d(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        mat = None
-        bits = mid
-        j = 0
-        while bits:
-            if bits & 1:
-                mat = powers[j] if mat is None else mat @ powers[j]
-            bits >>= 1
-            j += 1
-        if _tv_from_uniform(mat, w) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    ncomp = tm.components()
+    if ncomp != 1:
+        raise NonErgodicError(f"chain splits into {ncomp} components")
+    tm._require_stochastic()
+    P, w, starts, t = tm.matrix, tm.dist.weight, orbit_starts(tm.dist), 0
+    for lo in range(0, len(starts), MIXING_CHUNK):
+        rows = starts[lo:lo + MIXING_CHUNK]
+        X = (np.arange(tm.n)[:, None] == rows).astype(float)
+        for _ in range(t):
+            X = P @ X
+        dev = np.empty_like(X)  # reused: fresh temporaries cost more than P X
+        while np.abs(np.subtract(X, w, out=dev), out=dev).sum(axis=0).max() > 2 * eps:
+            X = P @ X
+            t += 1
+    return t
 
 
 def conductance(tm, S):

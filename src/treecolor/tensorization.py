@@ -68,8 +68,7 @@ def factorization_constant(dist, weights, given=None):
         return math.inf
     total = sum(weights.values())
     if given is None:
-        rep = spectral.spectral_report(tm, check_ergodic=False,
-                                       compute_lambda_min=False)
+        rep = spectral.spectral_report(tm, compute_lambda_min=False)
         return 1.0 / (total * (1.0 - rep.lambda2))
     laplacian = total * (sp.identity(dist.size, format="csr") - tm.matrix)
     return _projected_constant(laplacian, labels, sizes)

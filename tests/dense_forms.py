@@ -1,5 +1,6 @@
 """Dense N x N variance forms and a PSD eigensolve: the test oracle for the
-sparse certificates of ``treecolor.tensorization``.
+sparse certificates of ``treecolor.tensorization``; and dense matrix powers:
+the test oracle for ``treecolor.spectral.mixing_time``.
 
 Every functional (global variance, conditional variance on a block, variance
 of a conditional expectation) is a symmetric matrix over the enumerated
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from treecolor.errors import ParameterError
+from treecolor.errors import CapacityError, ParameterError
 
 PSD_TOL = -1e-9
 
@@ -68,3 +69,44 @@ def certify_inequality(lhs, rhs, tol=PSD_TOL):
     lam = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
     return DenseCertificate(ok=lam >= tol, min_eigenvalue=lam,
                             marginal=tol <= lam < 0)
+
+
+def _tv_from_uniform(mat, weight):
+    """max over rows of TV(row, uniform)."""
+    return float(0.5 * np.max(np.abs(mat - weight).sum(axis=1)))
+
+
+def mixing_time(tm, eps=0.25):
+    """Smallest t with max_x TV(delta_x P^t, mu) <= eps, by exact distribution
+    evolution with doubling plus binary search."""
+    if eps >= 1.0:
+        return 0
+    if eps <= 0.0:
+        raise ParameterError("eps must be positive")
+    w = tm.dist.weight
+    P = tm.matrix.toarray()
+    if _tv_from_uniform(np.eye(tm.n), w) <= eps:
+        return 0
+    powers = [P]  # powers[j] = P^(2^j)
+    t = 1
+    while _tv_from_uniform(powers[-1], w) > eps:
+        powers.append(powers[-1] @ powers[-1])
+        t *= 2
+        if t > 10 ** 9:
+            raise CapacityError("mixing time beyond doubling horizon")
+    lo, hi = t // 2, t  # d(lo) > eps >= d(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        mat = None
+        bits = mid
+        j = 0
+        while bits:
+            if bits & 1:
+                mat = powers[j] if mat is None else mat @ powers[j]
+            bits >>= 1
+            j += 1
+        if _tv_from_uniform(mat, w) <= eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -141,7 +141,7 @@ def test_projector_equals_tuple_dict_reference():
     for tree, q in ZOO:
         dist = oracle.enumerate_colorings(tree, uniform_lists(tree, q))
         m = tree.n_edges
-        for S in [(e,) for e in range(m)] + dynamics.pair_blocks(tree, False) + [(), tuple(range(m))]:
+        for S in dynamics.pair_blocks(tree) + [(), tuple(range(m))]:
             want = np.zeros((dist.size, dist.size))
             for members in reference_classes(dist, S):
                 for i in members:

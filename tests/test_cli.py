@@ -240,7 +240,7 @@ def test_combinatorial_commands_never_import_scipy(tmp_path):
 
 
 def test_mix_computes_the_quarter_mixing_time_once(tmp_path, monkeypatch):
-    # mix is the one command that runs the dense mixing time, and only once
+    # mix is the one command that runs the exact mixing time, and only once
     calls = []
     mixing_time = spectral.mixing_time
 
@@ -264,3 +264,33 @@ def test_mix_computes_the_quarter_mixing_time_once(tmp_path, monkeypatch):
     doc = json.load(open(os.path.join(out, "mix.json")))
     assert calls == [0.25]
     assert doc["t_mix"] >= 1
+    # the 24 colorings of a 4-edge path with 3 colors make 4 color orbits
+    assert doc["N"] == 24 and doc["t_mix_starts"] == 4
+
+
+def test_beta_is_not_a_config_key(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "command": "tensorize",
+        "tree": {"shape": "hanging_root", "delta": 2, "depth": 1},
+        "q": 4, "lists": "star_root", "alpha": [22.0, 12.0], "beta": 5,
+    })
+    assert main(["tensorize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+INDUCTION = {"command": "induction",
+             "tree": {"shape": "complete_regular", "delta": 2, "depth": 2},
+             "q": 4, "ell": 1}
+
+
+def test_induction_uses_gamma_zero_as_written(tmp_path):
+    # gamma 0 gives every level the constant 0, which certifies nothing
+    cfg = write_cfg(tmp_path, dict(INDUCTION, alpha=[1.0, 1.0], gamma=0))
+    out = str(tmp_path / "out")
+    assert main(["induction", "--config", cfg, "--out", out]) == 4
+    doc = json.load(open(os.path.join(out, "induction.json")))
+    assert doc["gamma"] == 0.0 and doc["alpha"] == [1.0, 1.0]
+
+
+def test_induction_rejects_empty_alpha(tmp_path):
+    cfg = write_cfg(tmp_path, dict(INDUCTION, alpha=[]))
+    assert main(["induction", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

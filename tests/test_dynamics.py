@@ -42,7 +42,6 @@ def test_pair_blocks_counts():
     assert n_pairs == 3 + 3 * 3
     assert n_pairs == count_adjacent_pairs_bruteforce(t2)
     assert len(blocks) == t2.n_edges + n_pairs
-    assert len(pair_blocks(t2, include_singletons=False)) == n_pairs
 
 
 def test_block_assignments_consistency_filter():

@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import dense_forms as df
 from treecolor import dynamics, oracle, spectral
-from treecolor.colorings import ListSpec, uniform_lists
+from treecolor.colorings import (ListSpec, pinned_root_lists, star_root_lists,
+                                 uniform_lists)
 from treecolor.errors import (CapacityError, NonErgodicError, ParameterError,
                               VerificationError)
 from treecolor.trees import (build_complete_regular, build_hanging_root,
@@ -270,6 +273,63 @@ def test_mixing_time_contracts():
     assert t_quarter <= bound
     with pytest.raises(CapacityError):
         spectral.mixing_time(tm, 0.25, cap=3)
+    for eps in (0.0, 1e-10, math.nan):
+        with pytest.raises(ParameterError):
+            spectral.mixing_time(tm, eps)
+
+
+MIXING_CASES = [
+    (tree, preset(tree, q)) for tree, q in ((build_hanging_root(2, 2), 4),
+                                            (build_hanging_root(3, 1), 5))
+    for preset in (uniform_lists, star_root_lists,
+                   lambda t, q: pinned_root_lists(t, q, 2))]
+
+
+def test_orbit_mixing_time_matches_dense_oracle(monkeypatch):
+    # a chunk of 2 starts makes later chunks resume at the running worst t
+    for tree, lists in MIXING_CASES:
+        for kind in (dynamics.HEATBATH_GLAUBER, dynamics.UNIFORM_GLAUBER,
+                     dynamics.NEIGHBOR_PAIR):
+            tm = spectral.transition_matrix(tree, lists, kind)
+            for eps in (0.25, 0.1):
+                want = df.mixing_time(tm, eps)
+                for chunk in (256, 2):
+                    monkeypatch.setattr(spectral, "MIXING_CHUNK", chunk)
+                    assert spectral.mixing_time(tm, eps) == want, (
+                        tree.n_edges, lists.preset, kind, eps, chunk)
+
+
+def brute_force_orbits(dist):
+    """The orbit of each support row under every color permutation that
+    keeps each list, named by its smallest row."""
+    q, lists = dist.lists.q, dist.lists.lists
+    least = np.arange(dist.size)
+    for perm in itertools.permutations(range(1, q + 1)):
+        if all({perm[c - 1] for c in s} == s for s in lists):
+            rows = dist.rows_of(np.array((0,) + perm)[dist.array])
+            assert rows.min() >= 0
+            least = np.minimum(least, rows)
+    return least
+
+
+def test_orbit_starts_match_brute_force_orbits():
+    p4, star = path_tree(4), build_complete_regular(3, 1)
+    custom = ListSpec(4, [{1, 2, 3}, {1, 2, 3}, {2, 3, 4}, {1, 2, 3, 4}])
+    for tree, lists in MIXING_CASES + [(p4, uniform_lists(p4, 3)), (p4, custom),
+                                       (star, uniform_lists(star, 5))]:
+        dist = oracle.enumerate_colorings(tree, lists)
+        least = brute_force_orbits(dist)
+        count, starts = len(np.unique(least)), spectral.orbit_starts(dist)
+        assert len(starts) == count, (tree.n_edges, lists)
+        assert len(np.unique(least[starts])) == count
+
+
+def test_mixing_time_raises_on_reducible_chain():
+    star = build_complete_regular(3, 1)
+    tm = spectral.transition_matrix(star, uniform_lists(star, 3),
+                                    dynamics.UNIFORM_GLAUBER)
+    with pytest.raises(NonErgodicError, match="6 components"):
+        spectral.mixing_time(tm)
 
 
 def test_non_ergodic_raises():

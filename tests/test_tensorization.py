@@ -163,7 +163,7 @@ def case_weights(tree, beta, seed=3):
     pair of adjacent edges."""
     rng = np.random.default_rng(seed)
     weights = {(e,): float(rng.uniform(1.0, 3.0)) for e in range(tree.n_edges)}
-    weights.update({b: beta for b in dynamics.pair_blocks(tree, False)})
+    weights.update({b: beta for b in dynamics.pair_blocks(tree) if len(b) == 2})
     return weights
 
 
