@@ -173,7 +173,7 @@ def cmd_mix(cfg, out):
     t_mix = spectral.mixing_time(tm, eps, cap=_cap(cfg, "mixing", spectral.MIXING_CAP))
     bound = rep.t_rel * (1.0 + tree.n_edges * math.log(lists.q))
     doc.update({"eps": eps, "t_mix": t_mix, "t_rel_bound": bound,
-                "t_mix_starts": len(spectral.orbit_starts(tm.dist))})
+                "t_mix_starts": len(tm.starts)})
     path = _write_json(out, "mix.json", doc)
     print(f"mix: t_mix({eps})={t_mix} bound={bound:.3f} -> {path}")
     if eps == 0.25 and t_mix > bound:

@@ -3,17 +3,20 @@
 Transition matrices are sparse (CSR), one product over the block classes,
 and chains are simulated on their rows (``TransitionMatrix.sample``).
 Both ends of their spectrum off the constants come from one plain Lanczos
-recurrence, with the Ritz vectors summed on a second pass: the report carries
-the residual and the operator applications, and a solve that does not
-converge, or whose residual is too large, raises.  Mixing times evolve the
-distributions from one start per color orbit on the same matrix, up to
-``MIXING_CAP`` states.
+recurrence, whose Ritz vectors are summed from the Krylov vectors it keeps up
+to ``LANCZOS_BASIS_BYTES`` and from a replay of the steps past them: the
+report carries the residual and the operator applications, and a solve that
+does not converge, or whose residual is too large, raises.  Mixing times
+evolve the distributions from one start per color orbit on the same matrix,
+up to ``MIXING_CAP`` states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,6 +37,8 @@ LANCZOS_TOL = RESIDUAL_TOL / 100
 # Recurrence steps between Ritz checks, and before a solve has not converged.
 LANCZOS_CHECK = 8
 LANCZOS_STEPS = 10000
+# Bytes of Krylov vectors a solve keeps; the steps past them are replayed.
+LANCZOS_BASIS_BYTES = 2 ** 25
 # Heat-bath kinds are averages of projections, so lambda_min >= 0 up to this.
 HEATBATH_FLOOR = -1e-9
 
@@ -68,6 +73,11 @@ class TransitionMatrix:
         diff = self.matrix - self.matrix.T
         gap = np.max(np.abs(diff.data)) if diff.nnz else 0.0
         return float(gap) * self.dist.weight
+
+    @cached_property
+    def starts(self):
+        """``orbit_starts`` of the support, computed on first use."""
+        return orbit_starts(self.dist)
 
     def _require_stochastic(self):
         err = self.row_sum_error()
@@ -176,13 +186,15 @@ class SpectralReport:
                 "residual": self.residual, "matvecs": self.matvecs}
 
 
-def _recurrence(P, v):
+def _recurrence(P, v, v_prev=None, beta=0.0):
     """The Lanczos recurrence of P on the mean-zero vectors, from a unit
-    mean-zero ``v``: yields (v_j, alpha_j, beta_j).  The mean leaves
+    mean-zero ``v``: yields (v_j, alpha_j, beta_j).  Given v_{j-1} and
+    beta_{j-1} it resumes at v_j.  The mean leaves
     w = P v_j - alpha_j v_j - beta_{j-1} v_{j-1} last, so the rounding these
     subtractions put back on the constant is gone before a small beta_j
     scales w up."""
-    v_prev, beta = np.zeros_like(v), 0.0
+    if v_prev is None:
+        v_prev = np.zeros_like(v)
     while True:
         w = P @ v
         alpha = float(v @ w)
@@ -203,16 +215,23 @@ def _lanczos_ends(P, seed, want_min):
     Every ``LANCZOS_CHECK`` steps the extreme Ritz pairs (theta, s) of the
     tridiagonal T_k are taken; the recurrence stops once every wanted pair
     has |beta_k s_k| <= ``LANCZOS_TOL``, or once beta_k <= ``LANCZOS_TOL``
-    (an invariant subspace).  A second pass replays it from the same start
-    to sum the Ritz vectors, so no Krylov basis is stored.
+    (an invariant subspace).  The Krylov vectors are kept as the recurrence
+    makes them while they fit in ``LANCZOS_BASIS_BYTES`` (at least two), and
+    the Ritz vectors are summed over them.  A solve that runs past the
+    budget resumes the recurrence from the last two kept vectors for the
+    steps past them, so memory stays O(N) and ``matvecs`` counts the
+    products that ran: k, plus the replayed steps.
     """
     from scipy.linalg import eigh_tridiagonal
 
     v0 = np.random.default_rng(seed).standard_normal(P.shape[0])
     v0 -= v0.mean()
     v0 /= np.linalg.norm(v0)
-    alphas, betas = [], []
-    for _, alpha, beta in _recurrence(P, v0):
+    keep = max(2, LANCZOS_BASIS_BYTES // v0.nbytes)
+    basis, alphas, betas = [], [], []
+    for v, alpha, beta in _recurrence(P, v0):
+        if len(basis) < keep:
+            basis.append(v)
         alphas.append(alpha)
         betas.append(beta)
         k = len(alphas)
@@ -225,11 +244,16 @@ def _lanczos_ends(P, seed, want_min):
                 break
         if k >= LANCZOS_STEPS:
             raise VerificationError(f"Lanczos did not converge in {k} steps")
+    h, matvecs, vectors = len(basis), k, basis
+    if k > h:
+        # steps h-1 .. k-1 again: w_{h-1} was not kept
+        tail = islice(_recurrence(P, basis[-1], basis[-2], betas[h - 2]), 1, None)
+        vectors, matvecs = chain(basis, (v for v, _, _ in tail)), 2 * k - h + 1
     vecs = np.zeros((len(ends), len(v0)))
-    for c, (v, _, _) in zip(np.hstack([s for _, s in ends]), _recurrence(P, v0)):
+    for c, v in zip(np.hstack([s for _, s in ends]), vectors):
         vecs += c[:, None] * v
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return np.concatenate([theta for theta, _ in ends]), vecs.T, 2 * k
+    return np.concatenate([theta for theta, _ in ends]), vecs.T, matvecs
 
 
 def spectral_report(tm, compute_lambda_min=True, seed=7):
@@ -295,10 +319,10 @@ def orbit_starts(dist):
 
 def mixing_time(tm, eps=0.25, cap=MIXING_CAP):
     """Smallest t with max_x TV(delta_x P^t, mu) <= eps, by evolving X <- P X
-    (P is symmetric) from the ``orbit_starts``, ``MIXING_CHUNK`` at a time:
-    TV never grows with t, so each chunk starts at the worst t so far.  Every
-    kind has a positive diagonal, so only a reducible chain (it raises)
-    never gets below eps."""
+    (P is symmetric) from the orbit starts ``tm.starts``, ``MIXING_CHUNK``
+    at a time: TV never grows with t, so each chunk starts at the worst t so
+    far.  Every kind has a positive diagonal, so only a reducible chain (it
+    raises) never gets below eps."""
     if eps >= 1.0:
         return 0
     if not eps >= 1e-9:  # rounding keeps a computed TV near N * 1e-16
@@ -310,7 +334,7 @@ def mixing_time(tm, eps=0.25, cap=MIXING_CAP):
     if ncomp != 1:
         raise NonErgodicError(f"chain splits into {ncomp} components")
     tm._require_stochastic()
-    P, w, starts, t = tm.matrix, tm.dist.weight, orbit_starts(tm.dist), 0
+    P, w, starts, t = tm.matrix, tm.dist.weight, tm.starts, 0
     for lo in range(0, len(starts), MIXING_CHUNK):
         rows = starts[lo:lo + MIXING_CHUNK]
         X = (np.arange(tm.n)[:, None] == rows).astype(float)

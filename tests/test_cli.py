@@ -268,6 +268,24 @@ def test_mix_computes_the_quarter_mixing_time_once(tmp_path, monkeypatch):
     assert doc["N"] == 24 and doc["t_mix_starts"] == 4
 
 
+def test_mix_computes_the_orbit_starts_once(tmp_path, monkeypatch):
+    calls = []
+    orbit_starts = spectral.orbit_starts
+
+    def counting(dist):
+        calls.append(dist.size)
+        return orbit_starts(dist)
+
+    monkeypatch.setattr(spectral, "orbit_starts", counting)
+    cfg = write_cfg(tmp_path, {"command": "mix", "tree": {"shape": "path", "n_edges": 4},
+                               "q": 3, "lists": "uniform", "kind": "HEATBATH_GLAUBER"})
+    out = str(tmp_path / "out")
+    assert main(["mix", "--config", cfg, "--out", out]) == 0
+    doc = json.load(open(os.path.join(out, "mix.json")))
+    assert calls == [24]
+    assert doc["t_mix_starts"] == 4
+
+
 def test_beta_is_not_a_config_key(tmp_path):
     cfg = write_cfg(tmp_path, {
         "command": "tensorize",

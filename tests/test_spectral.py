@@ -146,6 +146,60 @@ def test_large_residual_raises(monkeypatch):
             spectral.spectral_report(tm, compute_lambda_min=lam_min)
 
 
+def test_tail_replay_matches_unbudgeted_solve(monkeypatch):
+    # Both solves run past 8 steps.  With room for 2 or 3 Krylov vectors the
+    # Ritz vectors come mostly from the replay, which must give the same
+    # arrays as the kept basis; the replay runs steps h-1 .. k-1 again.
+    p6, t2 = path_tree(6), build_complete_regular(3, 2)
+    chains = [spectral.transition_matrix(p6, uniform_lists(p6, 3),
+                                         dynamics.HEATBATH_GLAUBER),
+              spectral.transition_matrix(t2, uniform_lists(t2, 4),
+                                         dynamics.HEATBATH_GLAUBER)]
+    for tm in chains:
+        for want_min in (True, False):
+            vals, vecs, k = spectral._lanczos_ends(tm.matrix, 7, want_min)
+            rep = spectral.spectral_report(tm, compute_lambda_min=want_min)
+            assert k == rep.matvecs > spectral.LANCZOS_CHECK
+            for h in (2, 3):
+                with monkeypatch.context() as m:
+                    m.setattr(spectral, "LANCZOS_BASIS_BYTES", h * 8 * tm.n)
+                    tail_vals, tail_vecs, matvecs = spectral._lanczos_ends(
+                        tm.matrix, 7, want_min)
+                    tail = spectral.spectral_report(tm, compute_lambda_min=want_min)
+                assert np.array_equal(tail_vals, vals)
+                assert np.array_equal(tail_vecs, vecs)
+                assert matvecs == k + (k - h + 1), (tm.n, want_min, h)
+                assert tail.residual == rep.residual
+                assert tail.lambda2 == rep.lambda2
+                assert np.array_equal(tail.lambda_min, rep.lambda_min, equal_nan=True)
+
+
+def test_matvecs_count_the_products_that_ran(monkeypatch):
+    class Counted:
+        def __init__(self, P):
+            self.P, self.shape, self.calls = P, P.shape, 0
+
+        def __matmul__(self, x):
+            self.calls += 1
+            return self.P @ x
+
+    p6 = path_tree(6)
+    tm = spectral.transition_matrix(p6, uniform_lists(p6, 3),
+                                    dynamics.HEATBATH_GLAUBER)
+
+    def counted_solves():
+        for want_min in (True, False):
+            P = Counted(tm.matrix)
+            matvecs = spectral._lanczos_ends(P, 7, want_min)[2]
+            assert P.calls == matvecs, want_min
+            yield matvecs
+
+    below = list(counted_solves())
+    monkeypatch.setattr(spectral, "LANCZOS_BASIS_BYTES", 2 * 8 * tm.n)
+    above = list(counted_solves())
+    assert all(a > b for a, b in zip(above, below))
+
+
 def hand_built(q, P):
     """A TransitionMatrix with matrix ``P`` on the q colorings of one edge.
     Uniform Glauber is the kind not held to the heat-bath floor."""
