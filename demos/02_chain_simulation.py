@@ -6,7 +6,7 @@ import numpy as np
 from treecolor import oracle, spectral
 from treecolor.colorings import uniform_lists
 from treecolor.dynamics import (HEATBATH_GLAUBER, NEIGHBOR_PAIR,
-                                UNIFORM_GLAUBER, check_ergodicity, pair_blocks)
+                                UNIFORM_GLAUBER, pair_blocks)
 from treecolor.trees import build_complete_regular, tree_from_parents
 
 tree = build_complete_regular(3, 2)
@@ -34,7 +34,7 @@ for c in sorted(marg):
 
 # connectivity of the move graph, and how it breaks with too few colors
 star = build_complete_regular(3, 1)
-print("star, 4 colors, heat-bath ergodic:",
-      check_ergodicity(star, uniform_lists(star, 4), HEATBATH_GLAUBER))
-print("star, 3 colors (frozen):",
-      check_ergodicity(star, uniform_lists(star, 3), UNIFORM_GLAUBER))
+for q, kind, label in ((4, HEATBATH_GLAUBER, "star, 4 colors, heat-bath ergodic:"),
+                       (3, UNIFORM_GLAUBER, "star, 3 colors (frozen):")):
+    ncomp = spectral.transition_matrix(star, uniform_lists(star, q), kind).components()
+    print(label, (ncomp == 1, ncomp))

@@ -15,7 +15,7 @@ from treecolor.trees import tree_from_parents
 dstar = tree_from_parents([None, 0, 0, 0, 1, 1], 0)
 
 for q in (4, 5, 6):
-    rec = spectral.lower_bound_check(dstar, 0, q, strict=False)
+    rec = spectral.lower_bound_check(dstar, 0, q)
     print(f"q={q}: frozen prob exact {rec['p_frozen_exact']:.4f} "
           f"(closed form {rec['p_frozen_formula']:.4f}); "
           f"T_rel {rec['t_rel']:.2f} >= bound {rec['trel_bound']:.2f}")

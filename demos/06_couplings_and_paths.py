@@ -24,10 +24,10 @@ family = path_family(tree, lists, 1, 2, GLAUBER_PATHS)
 batch = build_paths(family, dist, np.flatnonzero(dist.array[:, r] == 1))
 
 # pick the pair with the longest alternating path and walk through its stages
-j, (sigma, tau) = max(enumerate(coupling.pairs),
-                      key=lambda p: sum(x != y for x, y in zip(*p[1])))
-print("sigma =", sigma)
-print("tau   =", tau)
+sigma, tau = dist.array[coupling.pairs.T]
+j = int(np.argmax((sigma != tau).sum(axis=1)))
+print("sigma =", tuple(sigma[j].tolist()))
+print("tau   =", tuple(tau[j].tolist()))
 step = int(batch.lengths[:j].sum())  # the path's first step; j states precede it
 for k in range(step, step + batch.lengths[j]):
     state = tuple(dist.array[batch.rows[k + j + 1]].tolist())

@@ -130,12 +130,14 @@ def flip_rows(tree, colors, e, b):
 class Coupling:
     a: int
     b: int
-    pairs: list          # [(sigma, tau)], tau the flip of sigma at r toward b
+    pairs: np.ndarray    # (n x 2) support rows (sigma, tau) in fiber-a order,
+                         # tau the flip of sigma at r toward b
     weight: float        # uniform pair probability 1/|pairs|
 
 
 def flip_coupling(tree, lists, a, b, dist=None):
-    """Pair the root-color-a fiber with the root-color-b fiber by flipping."""
+    """Pair the root-color-a fiber with the root-color-b fiber by flipping,
+    as support rows."""
     r = hanging_root_edge(tree)
     if a == b or a not in lists[r] or b not in lists[r]:
         raise ParameterError("a, b must be distinct colors from the root list")
@@ -146,8 +148,7 @@ def flip_coupling(tree, lists, a, b, dist=None):
     flipped = dist.rows_of(flip_rows(tree, dist.array[fiber_a], r, b))
     if not np.array_equal(np.sort(flipped), fiber_b):
         raise VerificationError("flip is not a bijection between the fibers")
-    pairs = list(zip(map(tuple, dist.array[fiber_a].tolist()),
-                     map(tuple, dist.array[flipped].tolist())))
+    pairs = np.column_stack([fiber_a, flipped])
     return Coupling(a, b, pairs, 1.0 / len(pairs))
 
 

@@ -201,7 +201,7 @@ def cmd_lowerbound(cfg, out):
     q = int(cfg["q"])
     edge = int(cfg.get("edge", 0))
     strict = bool(cfg.get("strict", True))
-    rec = spectral.lower_bound_check(tree, edge, q, strict=False)
+    rec = spectral.lower_bound_check(tree, edge, q)
     failures = spectral.lower_bound_failures(rec) if strict else []
     doc = _base_doc(cfg, tree)
     doc.update(rec)
@@ -300,7 +300,7 @@ def cmd_star_analysis(cfg, out):
         n = delta * q
         ident = (delta - 1) * walk - np.ones((n, n)) / q + np.eye(n)
         lmax = float(np.linalg.eigvalsh(psi)[-1])
-        const = spectral.local_to_global_constant(delta, strict=False)
+        const = spectral.local_to_global_constant(delta)
         row = {
             "delta": delta,
             "closed_form_err": float(np.max(np.abs(psi - closed))),

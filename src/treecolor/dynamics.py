@@ -1,4 +1,4 @@
-"""The edge-coloring chains: kind names, block collections and ergodicity.
+"""The edge-coloring chains: kind names and block collections.
 
 Four kinds are supported:
 
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from . import oracle
 
 UNIFORM_GLAUBER = "UNIFORM_GLAUBER"
 HEATBATH_GLAUBER = "HEATBATH_GLAUBER"
@@ -61,16 +60,3 @@ def pair_blocks(tree):
                 blocks.append(key)
     return blocks
 
-
-def check_ergodicity(tree, lists, kind, cap=oracle.ENUMERATION_CAP, **kw):
-    """Connectivity of the one-step move graph over the enumerated support,
-    read off the pattern of the class-built transition matrix.
-
-    Returns (connected, component_count).
-    """
-    from . import spectral  # spectral imports this module
-
-    dist = oracle.enumerate_colorings(tree, lists, cap=cap)
-    tm = spectral.transition_matrix(tree, lists, kind, sparse_cap=cap, dist=dist, **kw)
-    ncomp = tm.components()
-    return ncomp == 1, ncomp

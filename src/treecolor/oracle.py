@@ -3,11 +3,10 @@
 ``enumerate_colorings`` materializes the whole support as an (N x m) array
 of colors in a canonical order (lexicographic over BFS edge ids, colors
 ascending inside each list), which makes state indices reproducible across
-runs.  The support is kept only as that array: ``DistributionTable.states``
-(one tuple per coloring) and its ``index`` are built on first use.
+runs.  A coloring is a row of that array, and the support is kept only as
+the array: ``DistributionTable.rows_of`` maps colorings back to rows.
 ``count_colorings`` gets the same number by dynamic programming and works on
 trees far too large to enumerate.
-``DistributionTable.rows_of`` maps colorings back to rows without them.
 ``DistributionTable.classes`` groups the support into the classes of states
 that agree off a block of edges, from which every block-averaging matrix of
 the package is built.
@@ -40,16 +39,6 @@ class DistributionTable:
         if self.size == 0:
             raise InfeasiblePinningError("empty support")
         self.weight = 1.0 / self.size
-
-    @cached_property
-    def states(self):
-        """The support as a list of color tuples, built on first use."""
-        return list(map(tuple, self.array.tolist()))
-
-    @cached_property
-    def index(self):
-        """State tuple -> row of the support, built on first lookup."""
-        return {s: i for i, s in enumerate(self.states)}
 
     @cached_property
     def _row_keys(self):

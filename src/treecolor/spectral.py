@@ -53,9 +53,6 @@ class TransitionMatrix:
     def n(self):
         return self.dist.size
 
-    def stationary(self):
-        return np.full(self.n, self.dist.weight)
-
     def components(self):
         """Connected components of the matrix pattern; 1 iff the chain is
         irreducible."""
@@ -348,28 +345,25 @@ def mixing_time(tm, eps=0.25, cap=MIXING_CAP):
 
 
 def conductance(tm, S):
-    """Stationary flow out of S over mu(S)."""
+    """Stationary flow out of S over mu(S); mu is uniform, so this is the
+    transition mass out of S over |S|."""
     S = sorted(set(S))
     if not S:
         raise ParameterError("conductance needs a nonempty state set")
     mask = np.zeros(tm.n, dtype=bool)
     mask[S] = True
-    mu = tm.stationary()
-    out_rows = np.asarray(tm.matrix[mask][:, ~mask].sum(axis=1)).ravel()
-    flow = float(mu[mask] @ out_rows)
-    return flow / float(mu[mask].sum())
+    return float(tm.matrix[mask][:, ~mask].sum()) / len(S)
 
 
 def color_cut(dist, e, c):
     return np.flatnonzero(dist.array[:, e] == c).tolist()
 
 
-def conductance_star(tm, extra_cuts=()):
+def conductance_star(tm):
     """Upper bound on the chain conductance from structured cuts.
 
     Minimizes Phi over all color-pinning cuts {sigma : sigma_e = c} with
-    0 < mu(S) <= 1/2, plus any user-supplied cuts.  Exact global minimization
-    is not attempted.
+    0 < mu(S) <= 1/2.  Exact global minimization is not attempted.
     """
     dist = tm.dist
     tree = dist.tree
@@ -379,8 +373,6 @@ def conductance_star(tm, extra_cuts=()):
     for e in range(tree.n_edges):
         for c in sorted(dist.lists[e]):
             cuts.append((f"edge{e}=color{c}", color_cut(dist, e, c)))
-    for i, S in enumerate(extra_cuts):
-        cuts.append((f"user{i}", list(S)))
     for name, S in cuts:
         if not S or len(S) * 2 > tm.n:
             continue
@@ -408,14 +400,12 @@ def frozen_probability_exact(tree, lists, e, cap=oracle.ENUMERATION_CAP):
     return int(np.count_nonzero(available <= 1)) / len(fiber)
 
 
-def lower_bound_check(tree, e, q, kind=dynamics.HEATBATH_GLAUBER, strict=True,
-                      tol=1e-12):
+def lower_bound_check(tree, e, q, kind=dynamics.HEATBATH_GLAUBER):
     """Frozen-edge probability and the conductance lower bound on T_rel.
 
     Returns a record with the enumerated probability, the closed-form value,
     the bound n*delta/(2(q-delta)^2) (n = edge count) and the exact
-    relaxation time.  With ``strict`` the first of ``lower_bound_failures``
-    is raised.
+    relaxation time; ``lower_bound_failures`` says which of them disagree.
     """
     delta = tree.max_degree
     u = tree.edge_parent_vertex[e]
@@ -431,26 +421,21 @@ def lower_bound_check(tree, e, q, kind=dynamics.HEATBATH_GLAUBER, strict=True,
     trel_bound = n_edges * delta / (2.0 * (q - delta) ** 2)
     tm = transition_matrix(tree, lists, kind)
     rep = spectral_report(tm)
-    record = {
+    return {
         "delta": delta, "q": q, "n_edges": n_edges,
         "p_frozen_exact": p_exact,
         "p_frozen_formula": p_formula,
         "trel_bound": trel_bound,
         "t_rel": rep.t_rel,
     }
-    if strict:
-        failures = lower_bound_failures(record, tol)
-        if failures:
-            raise VerificationError(failures[0])
-    return record
 
 
-def lower_bound_failures(record, tol=1e-12):
+def lower_bound_failures(record):
     """The asserted agreements a ``lower_bound_check`` record breaks, as
-    messages, in the order strict mode checks them."""
+    messages: the frozen probability first, then the T_rel bound."""
     failures = []
     p_exact, p_formula = record["p_frozen_exact"], record["p_frozen_formula"]
-    if abs(p_exact - p_formula) > tol:
+    if abs(p_exact - p_formula) > 1e-12:
         failures.append(f"frozen probability mismatch: enumerated {p_exact} vs "
                         f"closed form {p_formula}")
     if record["t_rel"] < record["trel_bound"] - 1e-9:
@@ -533,9 +518,9 @@ def star_correlation_closed_form(delta):
     return psi
 
 
-def local_to_global_constant(delta, strict=True):
+def local_to_global_constant(delta):
     """prod_{j=2..delta} 1/(1 - lambda_2(local walk of the j-star)); the empty
-    product for delta = 1."""
+    product for delta = 1.  The paper bounds it by exp(pi^2/6)."""
     if delta < 1:
         raise ParameterError("delta must be >= 1")
     value = 1.0
@@ -543,7 +528,4 @@ def local_to_global_constant(delta, strict=True):
         walk = star_local_walk(j)
         lam = float(np.linalg.eigvalsh(0.5 * (walk + walk.T))[-2])
         value /= (1.0 - lam)
-    if strict and value > math.exp(math.pi ** 2 / 6) + 1e-9:
-        raise VerificationError(
-            f"local-to-global constant {value} exceeds exp(pi^2/6)")
     return value

@@ -5,9 +5,21 @@ A coloring is a plain tuple of colors in ``1..q`` indexed by edge id.
 ``alternating_path`` are the references for ``canonical.flip_rows``, and
 ``block_assignments`` lists a block's proper reassignments, the reference
 for the block classes behind every transition matrix and congestion rate.
+``states_of`` and ``index_of`` read an enumerated support's rows as tuples.
 """
 
 from treecolor.errors import ParameterError
+
+
+def states_of(dist):
+    """The support of ``dist`` as a list of color tuples, one per row of
+    ``dist.array``, in row order."""
+    return list(map(tuple, dist.array.tolist()))
+
+
+def index_of(dist):
+    """Color tuple -> its row of the support of ``dist``."""
+    return {s: i for i, s in enumerate(states_of(dist))}
 
 
 def is_proper(tree, lists, coloring):

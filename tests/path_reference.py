@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from coloring_reference import (alternating_path, available_colors, flip,
-                                is_proper)
+                                is_proper, states_of)
 from treecolor import oracle
 from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, GammaStats,
                                  PathBatch, color_order, path_blocks_for_kind,
@@ -283,7 +283,7 @@ def toggle_routes(tree, lists, dist):
     start, in support order."""
     r = hanging_root_edge(tree)
     routes = []
-    for sigma in (s for s in dist.states if s[r] == 1):
+    for sigma in (s for s in states_of(dist) if s[r] == 1):
         ap = alternating_path(tree, sigma, r, 2)
         route = [sigma]
         for e in [r] if len(ap) == 1 else [ap[1], r, ap[1]]:

@@ -127,7 +127,7 @@ LOWER_BOUND_CASES = [
 def test_criterion_4a_frozen_probability_formula():
     mismatches = []
     for tree, delta, q in LOWER_BOUND_CASES:
-        rec = spectral.lower_bound_check(tree, 0, q, strict=False)
+        rec = spectral.lower_bound_check(tree, 0, q)
         if abs(rec["p_frozen_exact"] - rec["p_frozen_formula"]) > 1e-12:
             mismatches.append((delta, q, rec["p_frozen_exact"],
                                rec["p_frozen_formula"]))
@@ -142,7 +142,7 @@ def test_criterion_4b_relaxation_lower_bound_and_cheeger():
     start = time.time()
     ok = True
     for tree, delta, q in LOWER_BOUND_CASES:
-        rec = spectral.lower_bound_check(tree, 0, q, strict=False)
+        rec = spectral.lower_bound_check(tree, 0, q)
         ok &= rec["t_rel"] >= rec["trel_bound"]
         lists = uniform_lists(tree, q)
         tm = spectral.transition_matrix(tree, lists, dynamics.HEATBATH_GLAUBER)

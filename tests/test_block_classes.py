@@ -12,11 +12,12 @@ from array import array
 import numpy as np
 import scipy.sparse as sp
 
-from coloring_reference import available_colors, block_assignments
+from coloring_reference import (available_colors, block_assignments, index_of,
+                                states_of)
 from treecolor import dynamics, oracle, spectral
 from treecolor.canonical import EDGE_PATHS, GLAUBER_PATHS, compute_congestion
 from treecolor.colorings import star_root_lists, uniform_lists
-from treecolor.dynamics import check_ergodicity, pair_blocks
+from treecolor.dynamics import pair_blocks
 from treecolor.trees import (build_complete_regular, build_hanging_root,
                              tree_from_parents)
 
@@ -38,7 +39,7 @@ def reference_classes(dist, B):
     """Tuple-keyed grouping of state rows by their colors off ``B``."""
     rest = [e for e in range(dist.tree.n_edges) if e not in set(B)]
     classes = {}
-    for i, s in enumerate(dist.states):
+    for i, s in enumerate(states_of(dist)):
         classes.setdefault(tuple(s[e] for e in rest), []).append(i)
     return list(classes.values())
 
@@ -56,7 +57,8 @@ def assert_classes_match(dist, B):
 def reference_single_edge(tree, lists, kind, dist):
     m, q = tree.n_edges, lists.q
     rows, cols, vals = array("q"), array("q"), array("d")
-    for i, state in enumerate(dist.states):
+    index = index_of(dist)
+    for i, state in enumerate(states_of(dist)):
         diag = 0.0
         for e in range(m):
             avail = available_colors(tree, lists, state, e)
@@ -68,7 +70,7 @@ def reference_single_edge(tree, lists, kind, dist):
                 t = list(state)
                 t[e] = c
                 rows.append(i)
-                cols.append(dist.index[tuple(t)])
+                cols.append(index[tuple(t)])
                 vals.append(p)
             if kind == dynamics.HEATBATH_GLAUBER:
                 diag += p
@@ -183,13 +185,13 @@ def test_congestion_rates_match_block_assignments():
         tree = build_hanging_root(delta, ell)
         lists = star_root_lists(tree, q)
         rep = compute_congestion(tree, lists, kind)
-        n = rep.n_states
+        n, states = rep.n_states, states_of(rep.dist)
         for pc in rep.per_pair.values():
             p_ra = 1.0 / pc.fiber_a
             xi_levels = {t: 0.0 for t in range(ell + 1)}
             xi_pairs = r_leaf = 0.0
             for (x, y), count in pc.usage.items():
-                x, y = rep.dist.states[x], rep.dist.states[y]
+                x, y = states[x], states[y]
                 diff = tuple(e for e in range(tree.n_edges) if x[e] != y[e])
                 rate = 1.0 / len(block_assignments(tree, lists, x, diff))
                 load = (count * p_ra) ** 2 * n / rate
@@ -230,6 +232,7 @@ def reference_ergodicity(tree, lists, kind, **kw):
     """Component count of the move graph by a per-state walk over
     ``one_step_targets``."""
     dist = oracle.enumerate_colorings(tree, lists)
+    states, index = states_of(dist), index_of(dist)
     comp = [-1] * dist.size
     ncomp = 0
     for s0 in range(dist.size):
@@ -239,16 +242,18 @@ def reference_ergodicity(tree, lists, kind, **kw):
         stack = [s0]
         while stack:
             i = stack.pop()
-            for t in one_step_targets(tree, lists, kind, dist.states[i], **kw):
-                j = dist.index[t]
+            for t in one_step_targets(tree, lists, kind, states[i], **kw):
+                j = index[t]
                 if comp[j] == -1:
                     comp[j] = ncomp
                     stack.append(j)
         ncomp += 1
-    return ncomp == 1, ncomp
+    return ncomp
 
 
 def test_check_ergodicity_matches_move_graph_walk():
+    """The component count of the class-built matrix pattern
+    (``TransitionMatrix.components``) is that of the move graph."""
     frozen_star = (build_complete_regular(3, 1), 3)  # q = delta: 6 components
     for tree, q in ZOO + [frozen_star]:
         lists = uniform_lists(tree, q)
@@ -258,7 +263,9 @@ def test_check_ergodicity_matches_move_graph_walk():
                      dynamics.NEIGHBOR_PAIR, dynamics.BLOCK):
             kw = {"block_spec": spec} if kind == dynamics.BLOCK else {}
             want = reference_ergodicity(tree, lists, kind, **kw)
-            assert check_ergodicity(tree, lists, kind, **kw) == want, (tree.n_edges, q, kind)
+            tm = spectral.transition_matrix(tree, lists, kind, **kw)
+            assert tm.components() == want, (tree.n_edges, q, kind)
     tree, q = frozen_star
-    assert check_ergodicity(tree, uniform_lists(tree, q),
-                            dynamics.HEATBATH_GLAUBER) == (False, 6)
+    tm = spectral.transition_matrix(tree, uniform_lists(tree, q),
+                                    dynamics.HEATBATH_GLAUBER)
+    assert tm.components() == 6

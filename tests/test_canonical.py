@@ -4,7 +4,7 @@ import pytest
 
 import numpy as np
 
-from coloring_reference import alternating_path, flip
+from coloring_reference import alternating_path, flip, index_of, states_of
 from path_reference import (CanonicalPath, batch_of_paths,
                             reference_gamma_stats, reference_path,
                             reference_routing_bound_ell1,
@@ -68,13 +68,19 @@ def test_color_order():
 
 def test_flip_coupling_counts_and_symmetry():
     tree, lists, dist = star_instance(3, 1, 5)
-    c12 = flip_coupling(tree, lists, 1, 2, dist)
-    assert len(c12.pairs) == 12
-    assert abs(c12.weight - 1.0 / 12.0) < 1e-15
-    c21 = flip_coupling(tree, lists, 2, 1, dist)
-    assert {frozenset(p) for p in c12.pairs} == {frozenset(p) for p in c21.pairs}
     r = hanging_root_edge(tree)
-    for sigma, tau in c12.pairs:
+    c12 = flip_coupling(tree, lists, 1, 2, dist)
+    assert c12.pairs.shape == (12, 2)
+    assert abs(c12.weight - 1.0 / 12.0) < 1e-15
+    # support rows, the root-color-1 fiber in support order
+    assert c12.pairs[:, 0].tolist() == np.flatnonzero(dist.array[:, r] == 1).tolist()
+    c21 = flip_coupling(tree, lists, 2, 1, dist)
+    assert ({frozenset(p) for p in c12.pairs.tolist()}
+            == {frozenset(p) for p in c21.pairs.tolist()})
+    states = states_of(dist)
+    for x, y in c12.pairs.tolist():
+        sigma, tau = states[x], states[y]
+        assert tau == flip(tree, sigma, r, 2)
         diff = {e for e in range(tree.n_edges) if sigma[e] != tau[e]}
         assert diff == set(alternating_path(tree, sigma, r, 2))
 
@@ -82,7 +88,7 @@ def test_flip_coupling_counts_and_symmetry():
 def test_trivial_path_single_move():
     tree, lists, dist = star_instance(3, 1, 5)
     r = hanging_root_edge(tree)
-    sigma = next(s for s in dist.states
+    sigma = next(s for s in states_of(dist)
                  if s[r] == 1 and all(s[e] != 2 for e in tree.child_edges[r]))
     path = next(p for p in fiber_paths(dist, 1, 2, GLAUBER_PATHS) if p.sigma == sigma)
     assert len(path) == 1
@@ -211,14 +217,14 @@ def test_batch_builder_matches_per_start_reference():
     for delta, ell, q, kind in PATH_INSTANCES:
         tree, lists, dist = star_instance(delta, ell, q)
         r = hanging_root_edge(tree)
-        small = dist.size < 100
+        small, states = dist.size < 100, states_of(dist)
         for a, b in families(lists, r):
             family = path_family(tree, lists, a, b, kind)
             starts = fiber(dist, r, a)
             got = unpack(dist, build_paths(family, dist, starts))
             assert len(got) == len(starts)
             for row, built in zip(starts.tolist(), got):
-                sigma = dist.states[row]
+                sigma = states[row]
                 ref = reference_path(family, sigma)
                 assert built == ref
                 if small:  # the one-row Stage-I call on tuples
@@ -236,13 +242,13 @@ def test_flip_rows_match_flip():
     for tree, q in instances:
         for lists in (uniform_lists(tree, q), star_root_lists(tree, q)):
             dist = oracle.enumerate_colorings(tree, lists)
-            r = hanging_root_edge(tree)
+            r, states = hanging_root_edge(tree), states_of(dist)
             for a, b in families(lists, r):
                 starts = fiber(dist, r, a)
                 got = flip_rows(tree, dist.array[starts], r, b)
                 assert got.dtype == dist.array.dtype
                 assert [tuple(t) for t in got.tolist()] == [
-                    flip(tree, dist.states[i], r, b) for i in starts.tolist()]
+                    flip(tree, states[i], r, b) for i in starts.tolist()]
     with pytest.raises(ParameterError):
         flip_rows(tree, dist.array[:1], r, int(dist.array[0, r]))
 
@@ -291,15 +297,13 @@ def test_each_corruption_has_its_own_diagnostic():
 
 
 def test_congestion_checks_paths_on_support_rows(monkeypatch):
-    # properness is support membership, endpoints come from the batched
-    # flip, and no coloring is ever held as a tuple; the same holds for the
-    # depth-one routing, whose support is caught as it is enumerated
+    # properness is support membership and endpoints come from the batched
+    # flip; the depth-one routing enumerates its support once
     supports = []
     for (delta, ell, q), kind in (((2, 3, 4), GLAUBER_PATHS),
                                   ((3, 1, 4), EDGE_PATHS)):
         tree, lists, _ = star_instance(delta, ell, q)
-        rep = compute_congestion(tree, lists, kind)
-        assert "states" not in vars(rep.dist) and "index" not in vars(rep.dist)
+        compute_congestion(tree, lists, kind)
 
     enumerate_colorings = oracle.enumerate_colorings
 
@@ -311,7 +315,6 @@ def test_congestion_checks_paths_on_support_rows(monkeypatch):
     for delta in (2, 3):
         routing_bound_ell1(delta)
         (dist,) = supports
-        assert "states" not in vars(dist) and "index" not in vars(dist)
         supports.clear()
 
 
@@ -320,10 +323,11 @@ def reference_congestion(tree, lists, kind):
     transition of state tuples in first-use order and summed in that order."""
     dist = oracle.enumerate_colorings(tree, lists)
     r, n, ell = hanging_root_edge(tree), dist.size, tree.max_level
+    states, index = states_of(dist), index_of(dist)
     out = {}
     for a, b in families(lists, r):
         family = path_family(tree, lists, a, b, kind)
-        starts = [s for s in dist.states if s[r] == a]
+        starts = [s for s in states if s[r] == a]
         usage, moved = {}, {}
         for sigma in starts:
             path = reference_path(family, sigma)
@@ -338,16 +342,16 @@ def reference_congestion(tree, lists, kind):
         for (x, y), count in usage.items():
             block = moved[(x, y)]
             labels, sizes = class_size[block]
-            rate = 1.0 / int(sizes[labels[dist.index[x]]])
+            rate = 1.0 / int(sizes[labels[index[x]]])
             load = (count * p_ra) ** 2 * n / rate
             if len(block) == 1:
                 xi_levels[tree.edge_levels[block[0]]] += load
                 if tree.edge_levels[block[0]] == ell:
                     r_leaf += count ** 2 / n
-                    leaf_sums[dist.index[x]] = leaf_sums.get(dist.index[x], 0) + count ** 2
+                    leaf_sums[index[x]] = leaf_sums.get(index[x], 0) + count ** 2
             else:
                 xi_pairs += load
-        out[(a, b)] = ([((dist.index[x], dist.index[y]), c) for (x, y), c in usage.items()],
+        out[(a, b)] = ([((index[x], index[y]), c) for (x, y), c in usage.items()],
                        xi_levels, xi_pairs, r_leaf, list(leaf_sums.items()))
     return out
 
@@ -413,15 +417,16 @@ def test_unused_transitions_do_not_appear():
     tree, lists, dist = star_instance(2, 1, 4)
     rep = compute_congestion(tree, lists, GLAUBER_PATHS)
     usage = rep.per_pair[(1, 2)].usage
-    used_sources = {rep.dist.states[x] for (x, _y) in usage}
-    assert used_sources < set(dist.states)  # strictly fewer than all states
+    states = states_of(rep.dist)
+    used_sources = {states[x] for (x, _y) in usage}
+    assert used_sources < set(states_of(dist))  # strictly fewer than all states
 
 
 def test_gamma_stats_basics():
     tree, lists, dist = star_instance(2, 3, 4)
     r = hanging_root_edge(tree)
     ell = tree.max_level
-    for gamma in dist.states:
+    for gamma in states_of(dist):
         if gamma[r] not in (1, 2):
             continue
         st = gamma_stats(tree, lists, gamma, 1, 2)
@@ -431,7 +436,7 @@ def test_gamma_stats_basics():
         if st.S == 0:
             assert st.P == 0
     with pytest.raises(ParameterError):
-        bad = next(g for g in dist.states if g[r] == 3)
+        bad = next(g for g in states_of(dist) if g[r] == 3)
         gamma_stats(tree, lists, bad, 1, 2)
 
 
@@ -446,7 +451,7 @@ def test_leaf_count_bound_exhaustive():
 def reference_leaf_multiplicity_sum(report, a, b, gamma):
     """One scan of the usage, diffing every edge of each transition out of
     ``gamma`` to find the single-edge moves at the leaf level."""
-    tree, states = report.tree, report.dist.states
+    tree, states = report.tree, states_of(report.dist)
     total = 0
     for (x, y), count in report.per_pair[(a, b)].usage.items():
         x, y = states[x], states[y]
@@ -462,7 +467,7 @@ def reference_leaf_count_check(tree, lists, report, a, b):
     """The per-coloring loop: one usage scan per state."""
     dist = oracle.enumerate_colorings(tree, lists)
     bad = []
-    for gamma in dist.states:
+    for gamma in states_of(dist):
         lhs = reference_leaf_multiplicity_sum(report, a, b, gamma)
         assert leaf_multiplicity_sum(report, a, b, gamma) == lhs
         if gamma[hanging_root_edge(tree)] not in (a, b):
@@ -494,7 +499,7 @@ def test_leaf_count_check_matches_per_state_loop():
 def reference_tail_probability_check(tree, lists, a, b, s, x, dist):
     r, ell = hanging_root_edge(tree), tree.max_level
     stats = [reference_gamma_stats(tree, lists, g, a, b)
-             for g in dist.states if g[r] in (a, b)]
+             for g in states_of(dist) if g[r] in (a, b)]
     empirical = sum(st.S == s and st.P == x for st in stats) / len(stats)
     checked = x == 0 or ell - s - 1 >= 0
     bound = canonical.tail_probability_bound(tree.max_degree, ell, s, x) if checked else None
@@ -511,7 +516,7 @@ def test_statistics_match_per_coloring_reference():
         rep = compute_congestion(tree, lists, kind)
         for a, b in families(lists, r):
             expect = {}
-            for gamma in dist.states:
+            for gamma in states_of(dist):
                 ref = outcome(reference_gamma_stats, tree, lists, gamma, a, b)
                 if ref is VerificationError and q < delta + 2:
                     ref = UnsupportedRegimeError  # the detour is undefined here
@@ -560,7 +565,7 @@ def test_leaf_multiplicity_zero_off_the_coupling():
     rep = compute_congestion(tree, lists, GLAUBER_PATHS)
     r = hanging_root_edge(tree)
     # short alternating path and no detours: no leaf transitions at all
-    quiet = next(g for g in dist.states if g[r] == 1
+    quiet = next(g for g in states_of(dist) if g[r] == 1
                  and gamma_stats(tree, lists, g, 1, 2).S == 0)
     assert leaf_multiplicity_sum(rep, 1, 2, quiet) == 0
 
@@ -597,7 +602,7 @@ def test_first_missing_color_avoids_the_coupled_pair():
     tree, lists, dist = star_instance(3, 1, 5)
     order = color_order(5, 1, 2)
     hit = 0
-    for gamma in dist.states:
+    for gamma in states_of(dist):
         for v in range(tree.n_vertices):
             present = {gamma[f] for f in tree.edges_at_vertex[v]}
             if {1, 2} <= present and len(present) < 5:

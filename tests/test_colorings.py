@@ -1,7 +1,7 @@
 import pytest
 
 from coloring_reference import (alternating_path, available_colors, flip,
-                                is_proper)
+                                is_proper, states_of)
 from path_reference import toggle_edge
 from treecolor import oracle
 from treecolor.colorings import star_root_lists, uniform_lists
@@ -71,7 +71,7 @@ def test_alternating_path_is_maximal_two_colored():
     tree = build_hanging_root(3, 2)
     lists = star_root_lists(tree, 5)
     r = hanging_root_edge(tree)
-    for sigma in oracle.enumerate_colorings(tree, lists).states:
+    for sigma in states_of(oracle.enumerate_colorings(tree, lists)):
         a = sigma[r]
         b = 1 if a != 1 else 2
         path = alternating_path(tree, sigma, r, b)
@@ -99,7 +99,7 @@ def test_flip_involution_and_properness():
     lists = star_root_lists(tree, 4)
     r = hanging_root_edge(tree)
     dist = oracle.enumerate_colorings(tree, lists)
-    for sigma in dist.states:
+    for sigma in states_of(dist):
         for b in sorted(lists[r] - {sigma[r]}):
             tau = flip(tree, sigma, r, b)
             assert is_proper(tree, lists, tau)
@@ -113,8 +113,9 @@ def test_flip_bijection_between_fibers():
     lists = star_root_lists(tree, 5)
     r = hanging_root_edge(tree)
     dist = oracle.enumerate_colorings(tree, lists)
-    fiber1 = [s for s in dist.states if s[r] == 1]
-    fiber2 = {s for s in dist.states if s[r] == 2}
+    states = states_of(dist)
+    fiber1 = [s for s in states if s[r] == 1]
+    fiber2 = {s for s in states if s[r] == 2}
     image = {flip(tree, s, r, 2) for s in fiber1}
     assert image == fiber2
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from treecolor import oracle
-from coloring_reference import is_proper
+from coloring_reference import is_proper, states_of
 from treecolor.colorings import star_root_lists, uniform_lists
 from treecolor.errors import (CapacityError, InfeasiblePinningError,
                               ParameterError)
@@ -37,8 +37,9 @@ def test_enumeration_canonical_order_and_support():
     p2 = path_tree(2)
     lists = uniform_lists(p2, 3)
     d = oracle.enumerate_colorings(p2, lists)
-    assert d.states == sorted(d.states)  # lexicographic over BFS edge ids
-    assert all(is_proper(p2, lists, s) for s in d.states)
+    states = states_of(d)
+    assert states == sorted(states)  # lexicographic over BFS edge ids
+    assert all(is_proper(p2, lists, s) for s in states)
     assert d.weight * d.size == 1
 
 
@@ -78,7 +79,7 @@ def test_conditional():
     marg = d.marginal([r])
     assert cond.size == round(d.size * marg[(1,)])
 
-    all_pinned = d.conditional({e: c for e, c in enumerate(d.states[0])})
+    all_pinned = d.conditional({e: c for e, c in enumerate(states_of(d)[0])})
     assert all_pinned.size == 1
 
     siblings = sorted(tree.level_edges(1))
