@@ -16,8 +16,10 @@ realize that flip as a sequence of legal chain moves in three stages:
 Each (a, b) family of paths is built in one batch on rows of the enumerated
 support (``build_paths``): numpy walks over all start colorings at once give
 the alternating paths, the Stage-I detours and every step's edits, and each
-state is looked up as a support row, so no coloring becomes a tuple.  The
-expected congestion these paths place on each tree level, and the
+state is looked up as a support row, so no coloring becomes a tuple.  A
+family that a list-keeping color permutation relates to one already built is
+that one's image (``map_paths``) and is not built again.  The expected
+congestion these paths place on each tree level, and the
 per-coloring statistics controlling it, are computed exactly by enumeration.
 """
 
@@ -339,6 +341,51 @@ def build_paths(family, dist, starts):
     return batch
 
 
+def color_map(source, family):
+    """The color permutation (an array over 0..q, 0 fixed, in the dtype of
+    the support) that sends ``source.order`` onto ``family.order`` position
+    by position, or None if it does not keep every list."""
+    pi = np.zeros(family.lists.q + 1, dtype=np.min_scalar_type(family.lists.q))
+    pi[list(source.order)] = family.order
+    if all(frozenset(pi[sorted(s)].tolist()) == s for s in set(family.lists.lists)):
+        return pi
+    return None
+
+
+def map_paths(batch, family, dist, pi):
+    """The paths of ``family`` as the image of ``batch`` under the color
+    permutation ``pi`` of ``color_map(batch.family, family)``.
+
+    The construction only ever takes the first color of the family's order
+    that passes a test pi carries over, so the path from pi(sigma) is pi of
+    the path from sigma.  Rows are mapped through one ``rows_of`` lookup of
+    the permuted support, which must be a bijection carrying fiber a0 onto
+    fiber a (else ``VerificationError``), and paths are put in ascending
+    order of their mapped start rows, as ``build_paths`` puts them.
+    """
+    perm = dist.rows_of(pi[dist.array])
+    r, a0 = family.r, batch.family.a
+    if not (np.array_equal(np.sort(perm), np.arange(dist.size))
+            and np.array_equal(np.sort(perm[dist.array[:, r] == a0]),
+                               np.flatnonzero(dist.array[:, r] == family.a))):
+        raise VerificationError(f"the color map {batch.family.order} -> "
+                                f"{family.order} is not a bijection of the fibers")
+    steps, states = batch.lengths, batch.lengths + 1
+    first_state = np.cumsum(states) - states
+    order = np.argsort(perm[batch.rows[first_state]])
+    step = _segments(np.cumsum(steps) - steps, steps, order)
+    rows = batch.rows[_segments(first_state, states, order)]
+    return PathBatch(family, steps[order], batch.edges[step], pi[batch.colors[step]],
+                     batch.stages[step], np.where(rows < 0, -1, perm[rows]))
+
+
+def _segments(first, lengths, order):
+    """The indices of the segments [first, first + lengths) in ``order``."""
+    first, lengths = first[order], lengths[order]
+    shift = first - (np.cumsum(lengths) - lengths)
+    return np.repeat(shift, lengths) + np.arange(lengths.sum())
+
+
 def stage_one_moves(tree, lists, rho, x, y, order, side="odd"):
     """The Stage-I move list started from ``rho`` with root color ``x``
     heading to ``y``; used by the reversal check."""
@@ -429,11 +476,18 @@ class PairCongestion:
     b: int
     fiber_a: int
     fiber_b: int
-    usage: dict                # (row, row) of the support -> paths using it
+    x: np.ndarray              # the used transitions x -> y as support rows,
+    y: np.ndarray              # in order of first use
+    counts: np.ndarray         # paths using each of them
     xi_levels: dict            # level -> full-measure congestion sum
     xi_pairs: float            # same for the root-pair blocks
     r_leaf: float              # full-measure expected squared leaf multiplicity
     leaf_sums: dict            # row -> sum of count**2 over its leaf transitions
+
+    @property
+    def usage(self):
+        """(row, row) of the support -> paths using it, in order of first use."""
+        return dict(zip(zip(self.x.tolist(), self.y.tolist()), self.counts.tolist()))
 
     def restricted_scale(self, n_states):
         """Reweighting factor when the ambient law is conditioned on the two
@@ -448,7 +502,7 @@ class CongestionReport:
     path_kind: str
     n_states: int
     per_pair: dict             # (a, b) -> PairCongestion
-    dist: object               # the support whose rows key ``usage``
+    dist: object               # the support whose rows the transitions are
 
     def _scale(self, pc, root_restricted):
         return pc.restricted_scale(self.n_states) if root_restricted else 1.0
@@ -491,9 +545,12 @@ def compute_congestion(tree, lists, path_kind):
     """Exact expected congestion of the canonical-path family, per ordered
     root-color pair and per tree level (plus the root-pair block class).
 
-    Paths are checked by ``verify_paths`` and counted on support rows.  A move
-    that changes block B out of state x has heat-bath rate 1/s, with s the
-    size of the class of x under ``DistributionTable.classes(B)``.
+    Paths are built once per orbit of families under the list-keeping color
+    permutations (``color_map``): a family another one maps onto is that
+    one's image (``map_paths``), any other is built.  Every family is checked
+    by ``verify_paths`` and counted on support rows.  A move that changes
+    block B out of state x has heat-bath rate 1/s, with s the size of the
+    class of x under ``DistributionTable.classes(B)``.
     """
     r = hanging_root_edge(tree)
     dist = oracle.enumerate_colorings(tree, lists)
@@ -505,20 +562,26 @@ def compute_congestion(tree, lists, path_kind):
     for block in path_blocks_for_kind(tree, path_kind):
         labels, sizes = dist.classes(block)
         class_size[block] = sizes[labels]
-    per_pair = {}
+    per_pair, built = {}, []  # built: one batch per orbit of families
     for a in root_colors:
         for b in root_colors:
             if a == b:
                 continue
             family = path_family(tree, lists, a, b, path_kind)
-            src, dst, block_of, blocks = verify_paths(
-                dist, build_paths(family, dist, fibers[a]))
+            for source in built:
+                pi = color_map(source.family, family)
+                if pi is not None:
+                    batch = map_paths(source, family, dist, pi)
+                    break
+            else:
+                batch = build_paths(family, dist, fibers[a])
+                built.append(batch)
+            src, dst, block_of, blocks = verify_paths(dist, batch)
             _, first, counts = np.unique(src * n + dst, return_index=True,
                                          return_counts=True)
             used = np.argsort(first)  # the transitions in order of first use
             first, counts = first[used], counts[used]
             x, y, block = src[first], dst[first], block_of[first]
-            usage = dict(zip(zip(x.tolist(), y.tolist()), counts.tolist()))
             size = np.empty(len(x), dtype=np.int64)
             for k, blk in enumerate(blocks):
                 size[block == k] = class_size[blk][x[block == k]]
@@ -535,7 +598,7 @@ def compute_congestion(tree, lists, path_kind):
             np.add.at(sums, inverse, counts[leaf] ** 2)
             order = np.argsort(where)
             per_pair[(a, b)] = PairCongestion(
-                a, b, len(fibers[a]), len(fibers[b]), usage,
+                a, b, len(fibers[a]), len(fibers[b]), x, y, counts,
                 {t: _running_sum(load[level == t]) for t in range(ell + 1)},
                 _running_sum(load[level < 0]),
                 _running_sum(counts[leaf] ** 2 / n),

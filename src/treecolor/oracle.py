@@ -88,19 +88,33 @@ class DistributionTable:
         edge outside ``B``.
 
         Returns ``(labels, sizes)``: ``labels[i]`` numbers the class of state
-        ``i`` and ``sizes[k]`` counts the states of class ``k``.  Rows are
-        compared column by column (``np.lexsort``), so no combined key can
-        overflow however many edges lie outside ``B``.
+        ``i`` and ``sizes[k]`` counts the states of class ``k``, in the order
+        of the rows off ``B`` compared from the last edge to the first.  When
+        (q+1)^(edges off B) is below ``KEY_LIMIT``, each row off ``B`` is one
+        mixed-radix key, the colors its digits and the last edge the most
+        significant, and one ``np.argsort`` of the keys orders the rows;
+        otherwise rows are compared column by column (``np.lexsort``), so no
+        key can overflow.
         """
         B = set(B)
         rest = [e for e in range(self.tree.n_edges) if e not in B]
         if not rest:
             return np.zeros(self.size, dtype=np.intp), np.array([self.size])
-        keys = self.array[:, rest]
-        order = np.lexsort(keys.T)
-        ranked = keys[order]
         starts = np.ones(self.size, dtype=bool)
-        np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+        radix = self.lists.q + 1
+        if radix ** len(rest) < KEY_LIMIT:
+            key = np.zeros(self.size, dtype=np.int64)
+            for e in reversed(rest):  # one column at a time: no N x m temporary
+                key *= radix
+                key += self.array[:, e]
+            order = np.argsort(key)
+            ranked = key[order]
+            np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+        else:
+            keys = self.array[:, rest]
+            order = np.lexsort(keys.T)
+            ranked = keys[order]
+            np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
         labels = np.empty(self.size, dtype=np.intp)
         labels[order] = np.cumsum(starts) - 1
         return labels, np.bincount(labels)

@@ -55,7 +55,11 @@ class TransitionMatrix:
 
     def components(self):
         """Connected components of the matrix pattern; 1 iff the chain is
-        irreducible."""
+        irreducible.  Counted once, on first use."""
+        return self._components
+
+    @cached_property
+    def _components(self):
         from scipy.sparse.csgraph import connected_components
 
         return connected_components(self.matrix, directed=False)[0]
@@ -185,11 +189,11 @@ class SpectralReport:
 
 def _recurrence(P, v, v_prev=None, beta=0.0):
     """The Lanczos recurrence of P on the mean-zero vectors, from a unit
-    mean-zero ``v``: yields (v_j, alpha_j, beta_j).  Given v_{j-1} and
-    beta_{j-1} it resumes at v_j.  The mean leaves
-    w = P v_j - alpha_j v_j - beta_{j-1} v_{j-1} last, so the rounding these
-    subtractions put back on the constant is gone before a small beta_j
-    scales w up."""
+    mean-zero ``v``: yields (v_j, alpha_j, beta_j, w_j), where
+    v_{j+1} = w_j / beta_j.  Given v_{j-1} and beta_{j-1} it resumes at v_j.
+    The mean leaves w_j = P v_j - alpha_j v_j - beta_{j-1} v_{j-1} last, so
+    the rounding these subtractions put back on the constant is gone before
+    a small beta_j scales w_j up."""
     if v_prev is None:
         v_prev = np.zeros_like(v)
     while True:
@@ -199,7 +203,7 @@ def _recurrence(P, v, v_prev=None, beta=0.0):
         w -= beta * v_prev
         w -= w.mean()
         beta = float(np.linalg.norm(w))
-        yield v, alpha, beta
+        yield v, alpha, beta, w
         v_prev, v = v, w / beta
 
 
@@ -217,7 +221,7 @@ def _lanczos_ends(P, seed, want_min):
     the Ritz vectors are summed over them.  A solve that runs past the
     budget resumes the recurrence from the last two kept vectors for the
     steps past them, so memory stays O(N) and ``matvecs`` counts the
-    products that ran: k, plus the replayed steps.
+    products that ran: k, plus the k - h replayed ones.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -226,7 +230,7 @@ def _lanczos_ends(P, seed, want_min):
     v0 /= np.linalg.norm(v0)
     keep = max(2, LANCZOS_BASIS_BYTES // v0.nbytes)
     basis, alphas, betas = [], [], []
-    for v, alpha, beta in _recurrence(P, v0):
+    for v, alpha, beta, w in _recurrence(P, v0):
         if len(basis) < keep:
             basis.append(v)
         alphas.append(alpha)
@@ -241,11 +245,12 @@ def _lanczos_ends(P, seed, want_min):
                 break
         if k >= LANCZOS_STEPS:
             raise VerificationError(f"Lanczos did not converge in {k} steps")
+    del w  # only the replay needs w_j; holding the last one adds a vector to the peak
     h, matvecs, vectors = len(basis), k, basis
     if k > h:
-        # steps h-1 .. k-1 again: w_{h-1} was not kept
-        tail = islice(_recurrence(P, basis[-1], basis[-2], betas[h - 2]), 1, None)
-        vectors, matvecs = chain(basis, (v for v, _, _ in tail)), 2 * k - h + 1
+        # v_h .. v_{k-1} again, from the products P v_{h-1} .. P v_{k-2}
+        tail = islice(_recurrence(P, basis[-1], basis[-2], betas[h - 2]), k - h)
+        vectors, matvecs = chain(basis, (w / beta for _, _, beta, w in tail)), 2 * k - h
     vecs = np.zeros((len(ends), len(v0)))
     for c, v in zip(np.hstack([s for _, s in ends]), vectors):
         vecs += c[:, None] * v

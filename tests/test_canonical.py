@@ -369,6 +369,90 @@ def test_congestion_is_bit_identical_to_per_transition_loop():
             assert list(pc.leaf_sums.items()) == leaf_sums
 
 
+def counting(monkeypatch, name):
+    """Replace ``canonical.<name>`` by a wrapper that records its families."""
+    calls, inner = [], getattr(canonical, name)
+
+    def counted(*args):
+        family = args[1].family if name == "verify_paths" else args[0]
+        calls.append((family.a, family.b))
+        return inner(*args)
+
+    monkeypatch.setattr(canonical, name, counted)
+    return calls
+
+
+def test_congestion_builds_one_family_per_orbit(monkeypatch):
+    # star-root lists: every (a, b) family is the image of the (1, 2) one
+    tree, lists, _ = star_instance(2, 3, 4)
+    built = counting(monkeypatch, "build_paths")
+    verified = counting(monkeypatch, "verify_paths")
+    compute_congestion(tree, lists, GLAUBER_PATHS)
+    assert built == [(1, 2)]
+    assert verified == families(lists, hanging_root_edge(tree))
+
+
+def test_congestion_with_families_no_color_map_relates(monkeypatch):
+    # root list {1, 2, 4}: no list-keeping permutation sends the order of
+    # (1, 2) onto that of (1, 4), so both are built; the other four are mapped
+    tree = build_hanging_root(2, 3)
+    r = hanging_root_edge(tree)
+    full = frozenset(range(1, 5))
+    lists = colorings.ListSpec(4, [{1, 2, 4} if e == r else full
+                                   for e in range(tree.n_edges)])
+    assert canonical.color_map(path_family(tree, lists, 1, 2, GLAUBER_PATHS),
+                               path_family(tree, lists, 1, 4, GLAUBER_PATHS)) is None
+    with monkeypatch.context() as m:
+        built = counting(m, "build_paths")
+        rep = compute_congestion(tree, lists, GLAUBER_PATHS)
+    assert built == [(1, 2), (1, 4)]
+    for ab, (usage, xi_levels, xi_pairs, r_leaf, leaf_sums) in (
+            reference_congestion(tree, lists, GLAUBER_PATHS).items()):
+        pc = rep.per_pair[ab]
+        assert list(pc.usage.items()) == usage
+        assert repr((pc.xi_levels, pc.xi_pairs, pc.r_leaf)) == repr(
+            (xi_levels, xi_pairs, r_leaf))
+        assert list(pc.leaf_sums.items()) == leaf_sums
+    # and equal to building every family
+    monkeypatch.setattr(canonical, "color_map", lambda source, family: None)
+    for ab, pc in compute_congestion(tree, lists, GLAUBER_PATHS).per_pair.items():
+        got = rep.per_pair[ab]
+        for name in ("x", "y", "counts"):
+            assert np.array_equal(getattr(got, name), getattr(pc, name)), (ab, name)
+        assert repr((got.xi_levels, got.xi_pairs, got.r_leaf, got.leaf_sums)) == repr(
+            (pc.xi_levels, pc.xi_pairs, pc.r_leaf, pc.leaf_sums)), ab
+
+
+def test_mapped_family_with_a_corrupted_row_map_raises(monkeypatch):
+    tree, lists, dist = star_instance(2, 3, 4)
+    r = hanging_root_edge(tree)
+    source = build_paths(path_family(tree, lists, 1, 2, GLAUBER_PATHS), dist,
+                         fiber(dist, r, 1))
+    family = path_family(tree, lists, 1, 3, GLAUBER_PATHS)
+    pi = canonical.color_map(source.family, family)
+    verify_paths(dist, canonical.map_paths(source, family, dist, pi))
+    rows_of = dist.rows_of
+    i, j = fiber(dist, r, 1)[:2]
+    k = fiber(dist, r, 3)[0]  # pi sends root color 3 to 2, outside fiber 1
+
+    def swapped(u, v):
+        return lambda rows: rows[np.r_[:u, v, u + 1:v, u, v + 1:len(rows)]]
+
+    for corrupt in (lambda rows: np.where(np.arange(len(rows)) == i, rows[j], rows),
+                    swapped(i, k)):
+        with monkeypatch.context() as m:
+            m.setattr(dist, "rows_of", lambda colors: corrupt(rows_of(colors)))
+            with pytest.raises(VerificationError, match="not a bijection"):
+                canonical.map_paths(source, family, dist, pi)
+    # a bijection of the fibers that is not pi's row map leaves the paths
+    # broken, which verify_paths finds
+    with monkeypatch.context() as m:
+        m.setattr(dist, "rows_of", lambda colors: swapped(i, j)(rows_of(colors)))
+        batch = canonical.map_paths(source, family, dist, pi)
+    with pytest.raises(VerificationError):
+        verify_paths(dist, batch)
+
+
 def test_congestion_values_depth_one():
     tree, lists, _ = star_instance(2, 1, 4)
     rep = compute_congestion(tree, lists, GLAUBER_PATHS)

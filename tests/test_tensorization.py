@@ -226,6 +226,24 @@ def test_slack_grows_with_the_weights():
         assert slacks[0] < 0 < slacks[-1]
 
 
+def test_one_component_count_per_certificate(monkeypatch):
+    # factorization_constant and spectral_report both ask the block chain
+    # whether it is irreducible; the matrix pattern is searched once
+    import scipy.sparse.csgraph as csgraph
+
+    calls = []
+    connected_components = csgraph.connected_components
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return connected_components(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "connected_components", counted)
+    t, d = path_dist(4, 3)
+    cert = tz.check_block_factorization(d, {(e,): 3.0 for e in range(t.n_edges)})
+    assert math.isfinite(cert.constant) and len(calls) == 1
+
+
 def test_unbounded_inequalities_fail_without_raising():
     tree = build_hanging_root(2, 1)
     cert = tz.check_root_tensorization(tree, star_root_lists(tree, 4), (0.0, 0.0))
