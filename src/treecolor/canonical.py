@@ -416,6 +416,9 @@ def verify_paths(dist, batch):
     here by ``flip_rows``.  The first failure raises ``VerificationError``
     naming the start row and the state or step.
 
+    A step changes exactly its recorded edges if it changes as many, each of
+    them, with none recorded twice; its block is then their sorted pair.
+
     Returns ``(src, dst, block_of, blocks)``: per step, in path order, the
     support rows it moves between and the index in ``blocks`` (sorted edge
     tuples) of its changed block.
@@ -424,45 +427,45 @@ def verify_paths(dist, batch):
     lengths = batch.lengths + 1
     path_of = np.repeat(np.arange(len(lengths)), lengths)
     first = np.cumsum(lengths) - lengths
+    last = first + lengths - 1
     at = np.flatnonzero(path_of[:-1] == path_of[1:])  # the state each step leaves
     if len(rows) != len(path_of) or len(batch.edges) != len(at):
         raise VerificationError("paths must record one block per step")
 
     def check(bad, noun, what):  # raise at the first flagged state (or step)
-        if bad.any():
-            i = int(np.argmax(bad))
+        if len(bad):
+            i = int(bad.min())
             pos = at[i] if noun == "step" else i
             p = path_of[pos]
             raise VerificationError(f"canonical path from row {rows[first[p]]}, "
                                     f"{noun} {pos - first[p]}: {what(i)}")
 
-    check(rows < 0, "state", lambda i: "not a proper list coloring")
+    check(np.flatnonzero(rows < 0), "state", lambda i: "not a proper list coloring")
     src, dst = rows[at], rows[at + 1]
     changed = dist.array[src] != dist.array[dst]
-    check(~changed.any(axis=1), "step", lambda i: "changes nothing")
-    mask = np.zeros((len(at), m + 1), dtype=bool)
-    mask[np.arange(len(at))[:, None], batch.edges] = True
-    check((changed != mask[:, :m]).any(axis=1)
-          | (changed.sum(axis=1) != (batch.edges < m).sum(axis=1)), "step",
+    n_changed = changed.sum(axis=1)
+    check(np.flatnonzero(n_changed == 0), "step", lambda i: "changes nothing")
+    lo, hi = np.minimum(*batch.edges.T), np.maximum(*batch.edges.T)
+    step = np.arange(len(at))
+    check(np.flatnonzero((n_changed != np.add(lo < m, hi < m, dtype=np.intp))
+                         | (lo == hi) | ~changed[step, np.minimum(lo, m - 1)]
+                         | ~(changed[step, np.minimum(hi, m - 1)] | (hi == m))), "step",
           lambda i: f"changed {tuple(np.flatnonzero(changed[i]).tolist())}, "
                     f"recorded {tuple(e for e in batch.edges[i].tolist() if e < m)}")
-    packed = np.packbits(changed, axis=1)  # each step's mask as a byte string
-    _, one, block_of = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
-                                 return_index=True, return_inverse=True)
-    blocks = [tuple(np.flatnonzero(changed[i]).tolist()) for i in one]
+    keys, block_of = np.unique(lo * (m + 1) + hi, return_inverse=True)
+    blocks = [tuple(e for e in divmod(k, m + 1) if e < m) for k in keys.tolist()]
     allowed = path_blocks_for_kind(tree, batch.family.kind)
     legal = np.array([blk in allowed for blk in blocks], dtype=bool)
-    check(~legal[block_of], "step",
+    check(np.flatnonzero(~legal[block_of]), "step",
           lambda i: f"changed a disallowed block {blocks[block_of[i]]}")
-    _, seen = np.unique(path_of * dist.size + rows, return_index=True)
-    flat = np.arange(len(rows))
-    check(~np.isin(flat, seen), "state", lambda i: "revisits an earlier state")
-    target = dist.rows_of(flip_rows(tree, dist.array[rows[first]],
-                                    batch.family.r, batch.family.b))
-    last = first + lengths - 1
-    check(np.isin(flat, last[rows[last] != target]), "state",
-          lambda i: f"ends at row {rows[i]}, not at row {target[path_of[i]]}, "
-                    f"the flip of the start")
+    visit = path_of * dist.size + rows
+    order = np.argsort(visit, kind="stable")  # a revisit sorts after the visit
+    check(order[1:][visit[order[1:]] == visit[order[:-1]]], "state",
+          lambda i: "revisits an earlier state")
+    target = flip_rows(tree, dist.array[rows[first]], batch.family.r, batch.family.b)
+    check(last[(dist.array[rows[last]] != target).any(axis=1)], "state",
+          lambda i: f"ends at row {rows[i]}, not at row "
+                    f"{dist.rows_of(target[path_of[i], None])[0]}, the flip of the start")
     return src, dst, block_of, blocks
 
 
@@ -554,14 +557,17 @@ def compute_congestion(tree, lists, path_kind):
     """
     r = hanging_root_edge(tree)
     dist = oracle.enumerate_colorings(tree, lists)
-    n = dist.size
-    ell = tree.max_level
+    n, ell = dist.size, tree.max_level
     root_colors = sorted(lists[r])
     fibers = {a: np.flatnonzero(dist.array[:, r] == a) for a in root_colors}
-    class_size = {}  # block -> class size of every state
-    for block in path_blocks_for_kind(tree, path_kind):
+    allowed = sorted(path_blocks_for_kind(tree, path_kind))
+    slot = {block: k for k, block in enumerate(allowed)}
+    block_level = np.array([tree.edge_levels[blk[0]] if len(blk) == 1 else -1
+                            for blk in allowed], dtype=np.intp)
+    class_size = np.empty((len(allowed), n), dtype=np.int32)  # [block, state]
+    for k, block in enumerate(allowed):
         labels, sizes = dist.classes(block)
-        class_size[block] = sizes[labels]
+        class_size[k] = sizes[labels]
     per_pair, built = {}, []  # built: one batch per orbit of families
     for a in root_colors:
         for b in root_colors:
@@ -581,21 +587,18 @@ def compute_congestion(tree, lists, path_kind):
                                          return_counts=True)
             used = np.argsort(first)  # the transitions in order of first use
             first, counts = first[used], counts[used]
-            x, y, block = src[first], dst[first], block_of[first]
-            size = np.empty(len(x), dtype=np.int64)
-            for k, blk in enumerate(blocks):
-                size[block == k] = class_size[blk][x[block == k]]
+            x, y = src[first], dst[first]
+            block = np.array([slot[blk] for blk in blocks], dtype=np.intp)[block_of[first]]
+            size, level = class_size[block, x], block_level[block]
             # float_power is libm pow, as Python's ** is, so the loads and
             # their running sums are the floats of a per-transition loop
             p_ra = 1.0 / len(fibers[a])
             load = np.float_power(counts * p_ra, 2) * n / (1.0 / size)
-            level = np.array([tree.edge_levels[blk[0]] if len(blk) == 1 else -1
-                              for blk in blocks], dtype=np.intp)[block]
             leaf = level == ell
             rows, where, inverse = np.unique(x[leaf], return_index=True,
                                              return_inverse=True)
-            sums = np.zeros(len(rows), dtype=np.int64)
-            np.add.at(sums, inverse, counts[leaf] ** 2)
+            # exact in float: a row's counts sum to at most its fiber, < 2**21
+            sums = np.bincount(inverse, weights=counts[leaf] ** 2).astype(np.int64)
             order = np.argsort(where)
             per_pair[(a, b)] = PairCongestion(
                 a, b, len(fibers[a]), len(fibers[b]), x, y, counts,

@@ -47,7 +47,7 @@ def load_config(path, overrides):
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh) or {}
-    except OSError as exc:
+    except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")

@@ -4,7 +4,8 @@
 of colors in a canonical order (lexicographic over BFS edge ids, colors
 ascending inside each list), which makes state indices reproducible across
 runs.  A coloring is a row of that array, and the support is kept only as
-the array: ``DistributionTable.rows_of`` maps colorings back to rows.
+the array: ``DistributionTable.rows_of`` maps colorings back to rows, its
+colors read as the digits of mixed-radix keys.
 ``count_colorings`` gets the same number by dynamic programming and works on
 trees far too large to enumerate.
 ``DistributionTable.classes`` groups the support into the classes of states
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import CapacityError, InfeasiblePinningError, ParameterError
 
 ENUMERATION_CAP = 2_000_000
-KEY_LIMIT = 2 ** 62      # bound on the integer keys of ``rows_of``
+KEY_LIMIT = 2 ** 62      # bound on the mixed-radix keys of ``rows_of`` and ``classes``
 
 
 class DistributionTable:
@@ -42,43 +43,39 @@ class DistributionTable:
 
     @cached_property
     def _row_keys(self):
-        """The tables of ``rows_of``: the colors in use, one group of columns
-        after another as (first column, stop, span, weights, the sorted
-        distinct keys of the support's prefixes), and the row of each key of
-        the last group."""
-        used = np.unique(self.array)
-        codes = np.searchsorted(used, self.array)
-        radix, m = len(used), self.array.shape[1]
+        """The tables of ``rows_of``, one group of columns after another as
+        (first column, stop, span, weights of the radix q+2, the sorted keys
+        of the support's prefixes), and the row of each key of the last one."""
+        radix, m = self.lists.q + 2, self.array.shape[1]
         groups, node, width, lo = [], np.zeros(self.size, dtype=np.int64), 1, 0
         while lo < m:
             hi, span = lo + 1, radix
             while hi < m and width * span * radix < KEY_LIMIT:
                 hi, span = hi + 1, span * radix
-            weights = np.array([radix ** (hi - 1 - e) for e in range(lo, hi)],
-                               dtype=np.int64)
-            keys, node = np.unique(node * span + codes[:, lo:hi] @ weights,
+            weights = radix ** np.arange(hi - lo - 1, -1, -1, dtype=np.int64)
+            keys, node = np.unique(node * span + self.array[:, lo:hi] @ weights,
                                    return_inverse=True)
             groups.append((lo, hi, span, weights, keys))
             width, lo = len(keys), hi
-        return used, groups, np.argsort(node)
+        return groups, np.argsort(node)
 
     def rows_of(self, colors):
         """The support row of each coloring in ``colors`` (k x m), or -1 for
         a coloring outside the support.
 
-        A color is read as its rank among the colors in use, and the columns
-        in groups: a group's key is the previous group's key number times its
-        mixed-radix span plus its digits, and groups are cut so that every
-        key stays below ``KEY_LIMIT``.  So the lookup is exact whatever q and
-        m are (it needs N times the number of colors in use below the limit).
+        The colors are the digits, of radix q+2, with any color outside 1..q
+        (no row has one) read as q+1, and the columns are read in groups: a
+        group's key is the previous group's key number times its span plus
+        its digits, and groups are cut so that every key stays below
+        ``KEY_LIMIT``.  So the lookup is exact for every q and m (it needs
+        N (q+2) below the limit).
         """
-        used, groups, row_of_key = self._row_keys
-        colors = np.asarray(colors)
-        codes = np.minimum(np.searchsorted(used, colors), len(used) - 1)
-        found = (used[codes] == colors).all(axis=1)
-        node = np.zeros(len(colors), dtype=np.int64)
+        groups, row_of_key = self._row_keys
+        digits = np.minimum(colors, self.lists.q + 1, dtype=np.int64)
+        digits[digits < 0] = self.lists.q + 1
+        found, node = np.ones(len(digits), dtype=bool), np.zeros(len(digits), dtype=np.int64)
         for lo, hi, span, weights, keys in groups:
-            want = node * span + codes[:, lo:hi] @ weights
+            want = node * span + digits[:, lo:hi] @ weights
             node = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
             found &= keys[node] == want
         return np.where(found, row_of_key[node], -1)

@@ -5,7 +5,8 @@ The builder walks one start coloring at a time on color tuples
 (``_StageOnePlan``, ``_branch_path``, ``_staged_path``); the verifier checks
 one path state by state with ``is_proper`` and diffs every edge of every
 step.  Both are slow, but they need nothing from the enumerated support.
-The depth-one toggle routing (``toggle_routes``) is the oracle for
+``reference_step_blocks`` numbers the changed blocks by their change
+masks.  The depth-one toggle routing (``toggle_routes``) is the oracle for
 ``routing_bound_ell1``.
 """
 
@@ -259,6 +260,23 @@ def verify_path(tree, lists, path, path_kind=GLAUBER_PATHS):
     if path.tau != flip(tree, path.sigma, r, path.b):
         diags.append("endpoints are not a flip-coupled pair")
     return not diags, diags
+
+
+def reference_step_blocks(dist, batch):
+    """Per step of a ``PathBatch``, the rows it moves between and its changed
+    block, read off the (steps x m) change mask of the two rows: the blocks
+    are numbered by one ``np.unique`` of the masks packed into byte strings.
+    The oracle for the blocks ``verify_paths`` reads off the recorded edits."""
+    lengths = batch.lengths + 1
+    path_of = np.repeat(np.arange(len(lengths)), lengths)
+    at = np.flatnonzero(path_of[:-1] == path_of[1:])
+    src, dst = batch.rows[at], batch.rows[at + 1]
+    changed = dist.array[src] != dist.array[dst]
+    packed = np.packbits(changed, axis=1)  # each step's mask as a byte string
+    _, one, block_of = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
+                                 return_index=True, return_inverse=True)
+    blocks = [tuple(np.flatnonzero(changed[i]).tolist()) for i in one]
+    return src, dst, block_of, blocks
 
 
 def toggle_edge(tree, lists, coloring, e):

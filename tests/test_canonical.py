@@ -8,8 +8,8 @@ from coloring_reference import alternating_path, flip, index_of, states_of
 from path_reference import (CanonicalPath, batch_of_paths,
                             reference_gamma_stats, reference_path,
                             reference_routing_bound_ell1,
-                            reference_stage_one_moves, toggle_routes, unpack,
-                            verify_path)
+                            reference_stage_one_moves, reference_step_blocks,
+                            toggle_routes, unpack, verify_path)
 from treecolor import canonical, colorings, oracle
 from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, build_paths,
                                  color_order, compute_congestion,
@@ -205,6 +205,24 @@ def test_batch_verdict_matches_reference_verifier():
                        for p in unpack(dist, batch))
 
 
+def test_step_blocks_match_the_change_masks():
+    # the blocks read off the recorded edits against those read off the
+    # change masks of the rows: the same steps and the same block per step
+    for delta, ell, q, kind in PATH_INSTANCES:
+        tree, lists, dist = star_instance(delta, ell, q)
+        r = hanging_root_edge(tree)
+        for a, b in families(lists, r):
+            batch = build_paths(path_family(tree, lists, a, b, kind), dist,
+                                fiber(dist, r, a))
+            src, dst, block_of, blocks = verify_paths(dist, batch)
+            ref_src, ref_dst, ref_block_of, ref_blocks = reference_step_blocks(dist, batch)
+            assert np.array_equal(src, ref_src) and np.array_equal(dst, ref_dst)
+            assert sorted(blocks) == sorted(ref_blocks)
+            pairs = np.unique(np.column_stack([block_of, ref_block_of]), axis=0)
+            assert len(pairs) == len(blocks)  # one block number for the other
+            assert all(blocks[i] == ref_blocks[j] for i, j in pairs.tolist())
+
+
 def outcome(fn, *args):
     """``fn(*args)``, or the type of the error it raises."""
     try:
@@ -260,6 +278,8 @@ def _corruptions(tree, path):
     improper = list(s[1])
     improper[e1] = s[1][e0]  # e0 and e1 meet at a vertex in this path
     other = next(e for e in range(tree.n_edges) if e != e0)
+    far = max(set(range(tree.n_edges)) - {e0, e1})
+    both = rf"changed \({min(e0, e1)}, {max(e0, e1)}\)"
 
     def make(states, blocks):
         return CanonicalPath(states, blocks, ["I"] * len(blocks), a=path.a, b=path.b)
@@ -271,6 +291,12 @@ def _corruptions(tree, path):
          r"step 0: changes nothing", "step 0 does not change"),
         ("unrecorded", make(s, [(other,)] + blk[1:]),
          rf"step 0: changed \({e0},\), recorded \({other},\)", "step 0 changed"),
+        ("recorded twice", make([s[0]] + s[2:], [(e0, e0)] + blk[2:]),
+         rf"step 0: {both}, recorded \({e0}, {e0}\)", "step 0 changed"),
+        ("half recorded", make([s[0]] + s[2:], [(min(e0, e1), far)] + blk[2:]),
+         rf"step 0: {both}, recorded \({min(e0, e1)}, {far}\)", "step 0 changed"),
+        ("under-recorded", make([s[0]] + s[2:], [(e0,)] + blk[2:]),
+         rf"step 0: {both}, recorded \({e0},\)", "step 0 changed"),
         ("disallowed", make([s[0]] + s[2:], [tuple(sorted((e0, e1)))] + blk[2:]),
          rf"step 0: changed a disallowed block \({min(e0, e1)}, {max(e0, e1)}\)",
          "step 0 changed a disallowed block"),

@@ -108,6 +108,17 @@ def test_config_errors(tmp_path):
     assert main(["induction", "--config", cfg7, "--out", str(tmp_path / "o7")]) == 2
 
 
+def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
+    # a parser error (the brace never closed) and a scanner error (the quote
+    # never closed)
+    for i, text in enumerate(("tree: {shape: path, n_edges: 3\nq: 3\n",
+                              'tree: {shape: path, n_edges: 3}\nq: "3\n')):
+        path = tmp_path / f"bad{i}.yaml"
+        path.write_text(text)
+        assert main(["gap", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config")
+
+
 def test_count_with_more_digits_than_int_str_limit(tmp_path):
     cfg = write_cfg(tmp_path, {
         "command": "count",
@@ -190,6 +201,45 @@ def test_sweep_outputs_increasing_ratio(tmp_path):
         rows = list(csv.DictReader(fh))
     ratios = [float(r["t_rel_per_edge"]) for r in rows]
     assert ratios[0] < ratios[1]
+
+
+# The whole congestion.json of hanging_root(2, 3) for both path kinds: a
+# faster compute_congestion must keep every float to its last digit.
+PINNED_CONGESTION = {
+    "glauber": {
+        "q": 4, "delta": 2, "ell": 3, "kind": "glauber",
+        "tree_hash": "fcf31591e02c70b2",
+        "r_ab": {f"{a}->{b}": 0.024691358024691357
+                 for a in (1, 2, 3) for b in (1, 2, 3) if a != b},
+        "xi": [12.444444444444448, 6.000000000000001, 1.5555555555555554,
+               0.6666666666666666],
+        "xi_pair_blocks": 0.0,
+        "xi_root_restricted": [8.296296296296298, 4.0, 1.0370370370370368,
+                               0.4444444444444444],
+    },
+    "edge": {
+        "q": 3, "delta": 2, "ell": 3, "kind": "edge",
+        "tree_hash": "fcf31591e02c70b2",
+        "r_ab": {"1->2": 0.125, "2->1": 0.125},
+        "xi": [6.0, 4.0, 2.0, 1.0],
+        "xi_pair_blocks": 1.0,
+        "xi_root_restricted": [6.0, 4.0, 2.0, 1.0],
+    },
+}
+
+
+def test_congestion_json_is_pinned(tmp_path):
+    for paths, pinned in PINNED_CONGESTION.items():
+        config = {"command": "congestion",
+                  "tree": {"shape": "hanging_root", "delta": 2, "depth": 3},
+                  "q": pinned["q"], "lists": "star_root", "paths": paths}
+        cfg = write_cfg(tmp_path, config, f"{paths}.yaml")
+        out = str(tmp_path / paths)
+        assert main(["congestion", "--config", cfg, "--out", out]) == 0
+        doc = json.load(open(os.path.join(out, "congestion.json")))
+        # dumped, so an int for a float or any changed digit shows
+        assert json.dumps(doc, sort_keys=True) == json.dumps(
+            dict(pinned, config=config), sort_keys=True)
 
 
 def test_installed_entry_point(tmp_path):

@@ -151,10 +151,11 @@ def test_rows_of_matches_index(tree, q):
 
 def test_rows_of_without_key_overflow():
     rng = np.random.default_rng(8)
-    # 70 edges, two colors: 2^70 exceeds any int64 key, so the columns
-    # split into groups
+    # 70 edges, two colors: 4^70 (radix q+2) exceeds any int64 key, so the
+    # columns split into groups of 30, 30 and 10
     long = oracle.enumerate_colorings(path_tree(70), uniform_lists(path_tree(70), 2))
-    assert long.size == 2 and len(long._row_keys[1]) == 2
+    assert long.size == 2
+    assert [hi - lo for lo, hi, *_ in long._row_keys[0]] == [30, 30, 10]
     assert_rows_of_matches_index(long, rng)
     # 300 colors are stored as uint16
     star = build_complete_regular(2, 1)
@@ -162,3 +163,29 @@ def test_rows_of_without_key_overflow():
     assert wide.array.dtype == np.uint16 and wide.size == 300 * 299
     assert_rows_of_matches_index(wide, rng)
     assert wide.rows_of([[300, 299], [299, 299], [301, 1]]).tolist() == [wide.size - 1, -1, -1]
+    assert wide.rows_of(np.array([[1, 301], [0, 1]], dtype=np.uint16)).tolist() == [-1, -1]
+
+
+@pytest.mark.parametrize("tree,q", HANGING)
+def test_rows_of_colors_outside_the_lists(tree, q):
+    # every color outside 1..q is read as the one digit q+1, which no row
+    # carries, whatever the input dtype and in every column
+    dist = oracle.enumerate_colorings(tree, uniform_lists(tree, q))
+    assert dist.array.dtype == np.uint8
+    row = dist.size // 2
+    for bad, dtype in ((0, np.uint8), (q + 1, np.uint8), (255, np.uint8),
+                       (-1, np.int64), (q + 1, np.int64)):
+        probe = np.repeat(dist.array[row, None].astype(dtype), tree.n_edges, axis=0)
+        probe[np.arange(tree.n_edges), np.arange(tree.n_edges)] = bad
+        assert dist.rows_of(probe).tolist() == [-1] * tree.n_edges
+        if dtype is np.int64:
+            assert dist.rows_of(probe.tolist()).tolist() == [-1] * tree.n_edges
+    assert dist.rows_of(dist.array[row, None]).tolist() == [row]
+    # colors that, read as raw digits, would carry into the next column and
+    # spell the key of the row itself
+    e, radix = np.arange(1, tree.n_edges), q + 2
+    for dtype, carry in ((np.uint8, 1), (np.int64, -1)):
+        probe = np.repeat(dist.array[row, None].astype(dtype), len(e), axis=0)
+        probe[e - 1, e - 1] -= carry
+        probe[e - 1, e] += carry * radix
+        assert dist.rows_of(probe).tolist() == [-1] * len(e)
