@@ -324,6 +324,7 @@ def cmd_sweep(cfg, out):
     spec = cfg.get("sweep")
     if not isinstance(spec, dict) or "param" not in spec or not spec.get("values"):
         raise ConfigError("sweep needs {param, values, command}, with at least one value")
+    _check_keys(spec, {"param", "values", "command"}, "sweep")
     sub = spec.get("command", "gap")
     if sub != "gap":
         raise ConfigError("sweep currently drives the gap command")

@@ -451,12 +451,21 @@ def lower_bound_failures(record):
 # ---------------------------------------------------------------------------
 # Star analysis (q = delta + 1)
 
-def _star_distribution(delta):
+def _star_joint(delta):
+    """Conditionals mu^{u<-a}_v(b) and marginals mu_v(b) of the uniform
+    coloring of the star with ``delta`` edges and ``delta + 1`` colors, on
+    (edge, color) pairs: with X the (state, pair) one-hot matrix of the
+    support and J = X^T X the joint counts, J / diag(J) and diag(J) / N."""
     from .trees import build_complete_regular
 
     star = build_complete_regular(delta, 1)
-    lists = uniform_lists(star, delta + 1)
-    return star, lists, oracle.enumerate_colorings(star, lists)
+    q = delta + 1
+    dist = oracle.enumerate_colorings(star, uniform_lists(star, q))
+    X = np.zeros((dist.size, delta * q), dtype=np.int64)
+    X[np.arange(dist.size)[:, None], np.arange(delta) * q + dist.array - 1] = 1
+    joint = X.T @ X
+    counts = np.diag(joint)
+    return joint / counts[:, None], counts / dist.size
 
 
 def star_correlation_matrix(delta):
@@ -465,21 +474,8 @@ def star_correlation_matrix(delta):
     mu^{u<-a}_v(b) - mu_v(b)."""
     if delta < 1:
         raise ParameterError("delta must be >= 1")
-    star, lists, dist = _star_distribution(delta)
-    q = delta + 1
-    n = delta * q
-    psi = np.zeros((n, n))
-    base = [dist.marginal([v]) for v in range(delta)]
-    for u in range(delta):
-        for a in range(1, q + 1):
-            cond = dist.conditional({u: a})
-            row = u * q + (a - 1)
-            for v in range(delta):
-                marg = cond.marginal([v])
-                for b in range(1, q + 1):
-                    psi[row, v * q + (b - 1)] = (
-                        marg.get((b,), 0.0) - base[v].get((b,), 0.0))
-    return psi
+    cond, marg = _star_joint(delta)
+    return cond - marg
 
 
 def star_local_walk(delta):
@@ -487,40 +483,18 @@ def star_local_walk(delta):
     uniformly random other edge and a color drawn from its conditional."""
     if delta < 2:
         raise ParameterError("local walk needs delta >= 2")
-    star, lists, dist = _star_distribution(delta)
     q = delta + 1
-    n = delta * q
-    walk = np.zeros((n, n))
-    for u in range(delta):
-        for a in range(1, q + 1):
-            cond = dist.conditional({u: a})
-            row = u * q + (a - 1)
-            for v in range(delta):
-                if v == u:
-                    continue
-                marg = cond.marginal([v])
-                for b in range(1, q + 1):
-                    walk[row, v * q + (b - 1)] = marg.get((b,), 0.0) / (delta - 1)
-    return walk
+    cond, _ = _star_joint(delta)
+    cond[np.kron(np.eye(delta, dtype=bool), np.ones((q, q), dtype=bool))] = 0.0
+    return cond / (delta - 1)
 
 
 def star_correlation_closed_form(delta):
     """The explicit entries: -1/(delta+1) + [u!=v and a!=b]/delta
     + [u=v and a=b]."""
     q = delta + 1
-    n = delta * q
-    psi = np.zeros((n, n))
-    for u in range(delta):
-        for a in range(1, q + 1):
-            for v in range(delta):
-                for b in range(1, q + 1):
-                    val = -1.0 / (delta + 1)
-                    if u != v and a != b:
-                        val += 1.0 / delta
-                    if u == v and a == b:
-                        val += 1.0
-                    psi[u * q + (a - 1), v * q + (b - 1)] = val
-    return psi
+    return (-1.0 / (delta + 1) + np.kron(1 - np.eye(delta), 1 - np.eye(q)) / delta
+            + np.eye(delta * q))
 
 
 def local_to_global_constant(delta):

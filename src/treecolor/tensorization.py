@@ -11,7 +11,8 @@ the smallest C with lhs <= C * rhs:
   ``spectral.spectral_report``;
 * projected variance, of rank below the number k of classes of ``given``:
   C is the top eigenvalue of the k x k matrix V^T L^+ V, for the normalized
-  class indicators V, from k grounded sparse LU solves, each residual-checked;
+  class indicators V, from k conjugate-gradient solves of L x = b on the
+  mean-zero vectors, the mean removed from x last, each residual-checked;
 * a reducible block chain, or all-zero weights: C = infinity.
 
 A ``Certificate`` holds C.  The weights carry the inequality iff its slack
@@ -78,21 +79,23 @@ def _projected_constant(laplacian, labels, sizes):
     """Top eigenvalue of V^T L^+ V for the normalized class indicators V.
 
     L^+ annihilates constants, so the columns of V are centered first.  A
-    centered right side b sums to zero, so the solve with state 0 grounded
-    (its row and column dropped, which leaves L nonsingular on a connected
-    chain) meets L x = b in every row, and b^T x = b^T L^+ b.
+    centered right side b sums to zero, so conjugate gradients on the
+    singular L itself (to an absolute residual of ``LANCZOS_TOL``) stay on
+    the mean-zero vectors; the mean leaves x last, so x = L^+ b and
+    b^T x = b^T L^+ b.  The residual max ||L x - b|| is checked.
     """
-    from scipy.sparse.linalg import splu
+    from scipy.sparse.linalg import cg
 
     n = len(labels)
     V = np.zeros((n, len(sizes)))
     V[np.arange(n), labels] = 1.0 / np.sqrt(sizes[labels])
     b = V - V.mean(axis=0)
-    x = np.zeros_like(b)
-    x[1:] = splu(laplacian[1:, 1:].tocsc()).solve(b[1:])
+    x = np.column_stack([cg(laplacian, col, rtol=0.0, atol=spectral.LANCZOS_TOL,
+                            maxiter=spectral.LANCZOS_STEPS)[0] for col in b.T])
+    x -= x.mean(axis=0)
     residual = float(np.max(np.linalg.norm(laplacian @ x - b, axis=0)))
     if residual > spectral.RESIDUAL_TOL:
-        raise VerificationError(f"grounded solve residual {residual:.3g} is "
+        raise VerificationError(f"solve residual {residual:.3g} is "
                                 f"above {spectral.RESIDUAL_TOL:g}")
     gram = b.T @ x
     return float(np.linalg.eigvalsh(0.5 * (gram + gram.T))[-1])

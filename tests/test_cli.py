@@ -203,6 +203,17 @@ def test_sweep_outputs_increasing_ratio(tmp_path):
     assert ratios[0] < ratios[1]
 
 
+def test_sweep_misspelled_key_is_a_config_error(tmp_path, capsys):
+    # like every other config section, the sweep mapping names its keys
+    cfg = write_cfg(tmp_path, {
+        "tree": {"shape": "path", "n_edges": 4},
+        "q": 3, "lists": "uniform",
+        "sweep": {"param": "n_edges", "values": [3, 4], "comand": "gap"},
+    })
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "unknown sweep fields: ['comand']" in capsys.readouterr().err
+
+
 # The whole congestion.json of hanging_root(2, 3) for both path kinds: a
 # faster compute_congestion must keep every float to its last digit.
 PINNED_CONGESTION = {

@@ -466,9 +466,27 @@ def test_star_matrices_delta2_entries():
     assert abs(psi[0, q + 1] - 1.0 / 6.0) < 1e-12
 
 
+def star_correlation_reference(delta):
+    """mu^{u<-a}_v(b) - mu_v(b) entry by entry, from the conditioned and
+    the full enumeration of the star with ``delta + 1`` colors."""
+    star = build_complete_regular(delta, 1)
+    q = delta + 1
+    dist = oracle.enumerate_colorings(star, uniform_lists(star, q))
+    psi = np.zeros((delta * q, delta * q))
+    for u, a in itertools.product(range(delta), range(1, q + 1)):
+        cond = dist.conditional({u: a})
+        for v in range(delta):
+            marg, base = cond.marginal([v]), dist.marginal([v])
+            for b in range(1, q + 1):
+                psi[u * q + a - 1, v * q + b - 1] = (marg.get((b,), 0.0)
+                                                     - base.get((b,), 0.0))
+    return psi
+
+
 def test_star_closed_form_and_identity():
     for delta in range(2, 7):
         psi = spectral.star_correlation_matrix(delta)
+        assert np.array_equal(psi, star_correlation_reference(delta))
         closed = spectral.star_correlation_closed_form(delta)
         assert np.max(np.abs(psi - closed)) < 1e-12
         walk = spectral.star_local_walk(delta)

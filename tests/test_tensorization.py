@@ -10,7 +10,7 @@ import dense_forms as df
 from treecolor import canonical, dynamics, oracle, spectral
 from treecolor import tensorization as tz
 from treecolor.colorings import star_root_lists, uniform_lists
-from treecolor.errors import NonErgodicError, ParameterError
+from treecolor.errors import NonErgodicError, ParameterError, VerificationError
 from treecolor.trees import (build_complete_regular, build_hanging_root,
                              tree_from_parents)
 
@@ -179,19 +179,55 @@ def test_factorization_constant_matches_dense_generalized_eigenvalue():
 
 
 def test_root_tensorization_constant_matches_dense_forms():
-    # the merged check puts alpha on levels and beta on {root, level-1} pairs
+    # the merged check puts alpha on levels and beta on {root, level-1} pairs;
+    # hanging_root(2, 5) with its congestion weights has N = 729
+    deep = build_hanging_root(2, 5)
+    deep_alpha = canonical.compute_congestion(
+        deep, star_root_lists(deep, 4), canonical.GLAUBER_PATHS).alpha_vector()
+    for tree, alpha, betas in ((build_hanging_root(2, 2), (3.0, 2.0, 1.5), (0.0, 0.7)),
+                               (deep, deep_alpha, (0.0,))):
+        lists = star_root_lists(tree, 4)
+        d = oracle.enumerate_colorings(tree, lists)
+        (r,) = tree.level_edges(0)
+        for beta in betas:
+            weights = {(e,): alpha[tree.edge_levels[e]] for e in range(tree.n_edges)}
+            weights.update({tuple(sorted((r, e))): beta for e in tree.level_edges(1)})
+            want = constant_via_forms(d, weights, given=(r,))
+            cert = tz.check_root_tensorization(tree, lists, alpha, beta)
+            assert abs(cert.constant - want) <= 1e-8 * want
+            assert abs(cert.slack - (1.0 / want - 1.0)) <= 1e-8 / want
+
+
+def test_uniform_root_constant_at_one_spare_color():
+    # q = delta + 1 is the slowest chain, the hardest for conjugate gradients;
+    # C(1, ..., 1) on hanging_root(2, ell) is 2 ell + 1
+    for ell in range(1, 9):
+        tree = build_hanging_root(2, ell)
+        C = tz.check_root_tensorization(
+            tree, star_root_lists(tree, 3), [1.0] * (ell + 1)).constant
+        assert abs(C - (2 * ell + 1)) <= 1e-9 * (2 * ell + 1), ell
+
+
+def test_projected_solve_that_misses_the_residual_raises(monkeypatch):
+    import scipy.sparse.linalg
+
+    monkeypatch.setattr(scipy.sparse.linalg, "cg",
+                        lambda A, b, **kwargs: (np.zeros_like(b), 0))
     tree = build_hanging_root(2, 2)
-    lists = star_root_lists(tree, 4)
-    d = oracle.enumerate_colorings(tree, lists)
-    (r,) = tree.level_edges(0)
-    alpha = (3.0, 2.0, 1.5)
-    for beta in (0.0, 0.7):
-        weights = {(e,): alpha[tree.edge_levels[e]] for e in range(tree.n_edges)}
-        weights.update({tuple(sorted((r, e))): beta for e in tree.level_edges(1)})
-        want = constant_via_forms(d, weights, given=(r,))
-        cert = tz.check_root_tensorization(tree, lists, alpha, beta)
-        assert abs(cert.constant - want) <= 1e-8 * want
-        assert abs(cert.slack - (1.0 / want - 1.0)) <= 1e-8 / want
+    with pytest.raises(VerificationError, match="residual"):
+        tz.check_root_tensorization(tree, star_root_lists(tree, 4), (1.0, 1.0, 1.0))
+
+
+def test_projected_solve_factors_no_matrix(monkeypatch):
+    import scipy.sparse.linalg
+
+    def splu(*args, **kwargs):
+        raise AssertionError("splu called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    tree = build_hanging_root(2, 3)
+    cert = tz.check_root_tensorization(tree, star_root_lists(tree, 4), (1.0,) * 4)
+    assert math.isfinite(cert.constant) and cert.constant > 0
 
 
 def test_certificate_threshold_sits_at_the_constant():
