@@ -5,9 +5,13 @@ Usage::
     treecolor <command> --config <file> [--out <dir>] [--seed <u64>]
 
 Commands read a YAML config (strict keys, flags override file values), run
-one module pipeline, write JSON/CSV artifacts into the output directory and
-print a one-line summary.  Exit codes: 0 success, 2 config error, 3 capacity
-exceeded, 4 a checked inequality failed.
+one module pipeline and return ``(doc, summary, failure)``.  ``main`` alone
+adds the config echo, dumps ``doc`` to ``<command>.json`` (``-`` becomes
+``_``) and prints ``<command>: <summary> -> <path>``; ``sweep`` also writes
+``sweep.csv``.  Spectral docs hold ``SpectralReport.export()``, ``gap`` too.
+Exit codes: 0 success, 2 config error, 3 capacity exceeded, 4 a checked
+inequality failed; stderr then names it, as ``<command>: FAILED (<failure>)``
+or, when the pipeline raises, ``verification failure: <message>``.
 """
 
 from __future__ import annotations
@@ -103,158 +107,109 @@ def _cap(cfg, name, default):
     return int((cfg.get("caps") or {}).get(name, default))
 
 
-def _write_json(out_dir, name, doc):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-    return path
-
-
-def _base_doc(cfg, tree):
-    return {"config": {k: v for k, v in cfg.items() if k != "out"},
-            "tree_hash": tree.content_hash()}
+def _instance(cfg):
+    tree = build_tree(cfg["tree"])
+    return tree, build_lists(tree, cfg)
 
 
 def cmd_enumerate(cfg, out):
-    tree = build_tree(cfg["tree"])
-    lists = build_lists(tree, cfg)
+    tree, lists = _instance(cfg)
     dist = oracle.enumerate_colorings(
         tree, lists, cap=_cap(cfg, "enumeration", oracle.ENUMERATION_CAP))
-    doc = _base_doc(cfg, tree)
-    doc.update(dist.export(include_states=bool(cfg.get("include_states", False))))
-    path = _write_json(out, "enumerate.json", doc)
-    print(f"enumerate: {dist.size} proper colorings -> {path}")
-    return 0
+    doc = dist.export(include_states=bool(cfg.get("include_states", False)))
+    return doc, f"{dist.size} proper colorings", None
 
 
 def cmd_count(cfg, out):
-    tree = build_tree(cfg["tree"])
-    lists = build_lists(tree, cfg)
+    tree, lists = _instance(cfg)
     # str() of an int raises past sys.get_int_max_str_digits() digits (4300
     # by default); Decimal prints them all.
     n = str(decimal.Decimal(oracle.count_colorings(tree, lists)))
-    doc = _base_doc(cfg, tree)
-    doc["count"] = n
-    path = _write_json(out, "count.json", doc)
-    print(f"count: {n} -> {path}")
-    return 0
+    return {"tree_hash": tree.content_hash(), "count": n}, n, None
 
 
-def _spectral_doc(cfg, tree, lists, kind):
+def _spectral_doc(cfg):
+    tree, lists = _instance(cfg)
+    kind = _kind(cfg)
     tm = spectral.transition_matrix(
         tree, lists, kind, sparse_cap=_cap(cfg, "sparse", spectral.SPARSE_CAP))
     seed = cfg.get("seed")
     rep = (spectral.spectral_report(tm) if seed is None
            else spectral.spectral_report(tm, seed=int(seed)))
-    doc = _base_doc(cfg, tree)
-    doc.update({"kind": kind, "q": lists.q, "N": tm.n,
-                "lambda2": rep.lambda2, "lambda_min": rep.lambda_min,
-                "t_rel": rep.t_rel, "method": rep.method,
-                "residual": rep.residual, "matvecs": rep.matvecs})
+    doc = dict(rep.export(), tree_hash=tree.content_hash(), kind=kind, q=lists.q)
     return tm, rep, doc
 
 
 def cmd_gap(cfg, out):
-    tree = build_tree(cfg["tree"])
-    lists = build_lists(tree, cfg)
-    tm, rep, doc = _spectral_doc(cfg, tree, lists, _kind(cfg))
-    path = _write_json(out, "gap.json", doc)
-    print(f"gap: N={tm.n} t_rel={rep.t_rel:.6g} -> {path}")
-    return 0
+    tm, rep, doc = _spectral_doc(cfg)
+    return doc, f"N={tm.n} t_rel={rep.t_rel:.6g}", None
 
 
 def cmd_mix(cfg, out):
-    tree = build_tree(cfg["tree"])
-    lists = build_lists(tree, cfg)
-    kind = _kind(cfg)
-    tm, rep, doc = _spectral_doc(cfg, tree, lists, kind)
+    tm, rep, doc = _spectral_doc(cfg)
     eps = float(cfg.get("eps", 0.25))
     t_mix = spectral.mixing_time(tm, eps, cap=_cap(cfg, "mixing", spectral.MIXING_CAP))
-    bound = rep.t_rel * (1.0 + tree.n_edges * math.log(lists.q))
+    bound = rep.t_rel * (1.0 + tm.dist.tree.n_edges * math.log(tm.dist.lists.q))
     doc.update({"eps": eps, "t_mix": t_mix, "t_rel_bound": bound,
                 "t_mix_starts": len(tm.starts)})
-    path = _write_json(out, "mix.json", doc)
-    print(f"mix: t_mix({eps})={t_mix} bound={bound:.3f} -> {path}")
-    if eps == 0.25 and t_mix > bound:
-        print("mix: relaxation-time bound violated", file=sys.stderr)
-        return 4
-    return 0
+    failure = "relaxation-time bound violated" if eps == 0.25 and t_mix > bound else None
+    return doc, f"t_mix({eps})={t_mix} bound={bound:.3f}", failure
 
 
 def cmd_conductance(cfg, out):
-    tree = build_tree(cfg["tree"])
-    lists = build_lists(tree, cfg)
-    tm, rep, doc = _spectral_doc(cfg, tree, lists, _kind(cfg))
+    tm, rep, doc = _spectral_doc(cfg)
     phi, cut = spectral.conductance_star(tm)
-    doc.update({"phi_upper": phi, "best_cut": cut})
     sandwich_ok = (phi * phi / 2.0 <= 1.0 / rep.t_rel + 1e-12
                    and 1.0 / rep.t_rel <= 2.0 * phi + 1e-12)
-    doc["cheeger_sandwich_ok"] = sandwich_ok
-    path = _write_json(out, "conductance.json", doc)
-    print(f"conductance: phi<={phi:.6g} via {cut} -> {path}")
-    return 0 if sandwich_ok else 4
+    doc.update({"phi_upper": phi, "best_cut": cut,
+                "cheeger_sandwich_ok": sandwich_ok})
+    failure = None if sandwich_ok else "Cheeger sandwich phi^2/2 <= 1/t_rel <= 2 phi fails"
+    return doc, f"phi<={phi:.6g} via {cut}", failure
 
 
 def cmd_lowerbound(cfg, out):
     tree = build_tree(cfg["tree"])
-    q = int(cfg["q"])
-    edge = int(cfg.get("edge", 0))
-    strict = bool(cfg.get("strict", True))
-    rec = spectral.lower_bound_check(tree, edge, q)
-    failures = spectral.lower_bound_failures(rec) if strict else []
-    doc = _base_doc(cfg, tree)
-    doc.update(rec)
+    rec = spectral.lower_bound_check(tree, int(cfg.get("edge", 0)), int(cfg["q"]))
+    failures = spectral.lower_bound_failures(rec)
+    if not cfg.get("strict", True):
+        failures = [f for f in failures if not f.startswith("frozen probability")]
+    doc = dict(rec, tree_hash=tree.content_hash())
     if failures:
         doc["verification_error"] = failures[0]
-        _write_json(out, "lowerbound.json", doc)
-        print(f"lowerbound: FAILED ({failures[0]})", file=sys.stderr)
-        return 4
-    path = _write_json(out, "lowerbound.json", doc)
-    print(f"lowerbound: p_exact={rec['p_frozen_exact']:.6g} "
-          f"p_formula={rec['p_frozen_formula']:.6g} "
-          f"t_rel={rec['t_rel']:.4g} >= {rec['trel_bound']:.4g} -> {path}")
-    if rec["t_rel"] < rec["trel_bound"] - 1e-9:
-        return 4
-    return 0
+    summary = (f"p_exact={rec['p_frozen_exact']:.6g} "
+               f"p_formula={rec['p_frozen_formula']:.6g} "
+               f"t_rel={rec['t_rel']:.4g} >= {rec['trel_bound']:.4g}")
+    return doc, summary, doc.get("verification_error")
 
 
 def cmd_congestion(cfg, out):
-    tree = build_tree(cfg["tree"])
-    lists = build_lists(tree, cfg)
+    tree, lists = _instance(cfg)
     path_kind = cfg.get("paths", canonical.GLAUBER_PATHS)
     if path_kind not in (canonical.GLAUBER_PATHS, canonical.EDGE_PATHS):
         raise ConfigError(f"unknown path family {path_kind!r}")
     rep = canonical.compute_congestion(tree, lists, path_kind)
-    doc = _base_doc(cfg, tree)
-    doc.update(rep.export())
+    doc = rep.export()
     doc["xi_root_restricted"] = [rep.xi(t, root_restricted=True)
                                  for t in range(tree.max_level + 1)]
-    path = _write_json(out, "congestion.json", doc)
-    print(f"congestion: xi={doc['xi']} -> {path}")
-    return 0
+    return doc, f"xi={doc['xi']}", None
 
 
 def cmd_tensorize(cfg, out):
-    tree = build_tree(cfg["tree"])
-    lists = build_lists(tree, cfg)
+    tree, lists = _instance(cfg)
     dist = oracle.enumerate_colorings(tree, lists)
-    doc = _base_doc(cfg, tree)
     c_single = tz.optimal_at_constant(dist, tz.singleton_blocks(tree))
-    doc["at_constant_singletons"] = c_single
+    doc = {"tree_hash": tree.content_hash(), "at_constant_singletons": c_single}
     if cfg.get("blocks") == "pairs":
         doc["at_constant_pairs"] = tz.optimal_at_constant(
             dist, dynamics.pair_blocks(tree))
-    alpha = cfg.get("alpha")
-    verdicts = []
+    alpha, failure = cfg.get("alpha"), None
     if alpha is not None:
         cert = tz.check_root_tensorization(tree, lists, [float(x) for x in alpha])
         doc["root_tensorization"] = cert.export(
             instance=tree.content_hash(), inequality="root-tensorization")
-        verdicts.append(cert.ok)
-    path = _write_json(out, "tensorize.json", doc)
-    print(f"tensorize: C={c_single:.6g} -> {path}")
-    return 0 if all(verdicts) else 4
+        if not cert.ok:
+            failure = "root-tensorization certificate fails"
+    return doc, f"C={c_single:.6g}", failure
 
 
 def cmd_induction(cfg, out):
@@ -273,24 +228,22 @@ def cmd_induction(cfg, out):
     gamma = float(tz.gamma_constant(delta, q, ell) if gamma is None else gamma)
     res = tz.verify_induction(tree, uniform_lists(tree, q), ell,
                               [float(x) for x in alpha], gamma)
-    doc = _base_doc(cfg, tree)
-    doc.update({
+    doc = {
+        "tree_hash": tree.content_hash(),
         "alpha": list(alpha), "gamma": gamma,
         "constants": {str(t): c for t, c in res["constants"].items()},
         "certificate": res["certificate"].export(
             instance=tree.content_hash(), inequality="per-level variance"),
-    })
-    path = _write_json(out, "induction.json", doc)
-    print(f"induction: ok={res['ok']} constants={doc['constants']} -> {path}")
-    return 0 if res["ok"] else 4
+    }
+    failure = None if res["ok"] else "per-level variance certificate fails"
+    return doc, f"ok={res['ok']} constants={doc['constants']}", failure
 
 
 def cmd_star_analysis(cfg, out):
     import numpy as np
 
     deltas = cfg.get("delta_range") or [2, 3, 4]
-    rows = []
-    ok = True
+    rows, bad = [], []
     for delta in deltas:
         delta = int(delta)
         psi = spectral.star_correlation_matrix(delta)
@@ -309,15 +262,13 @@ def cmd_star_analysis(cfg, out):
             "lambda_max_bound": 1.0 + 1.0 / delta,
             "local_to_global": const,
         }
-        row_ok = (row["closed_form_err"] <= 1e-12 and row["identity_err"] <= 1e-12
-                  and lmax <= row["lambda_max_bound"] + 1e-9
-                  and const <= math.exp(math.pi ** 2 / 6) + 1e-9)
-        ok = ok and row_ok
+        if not (row["closed_form_err"] <= 1e-12 and row["identity_err"] <= 1e-12
+                and lmax <= row["lambda_max_bound"] + 1e-9
+                and const <= math.exp(math.pi ** 2 / 6) + 1e-9):
+            bad.append(delta)
         rows.append(row)
-    doc = {"config": {k: v for k, v in cfg.items() if k != "out"}, "stars": rows}
-    path = _write_json(out, "star_analysis.json", doc)
-    print(f"star-analysis: deltas={list(deltas)} ok={ok} -> {path}")
-    return 0 if ok else 4
+    failure = f"star identities or bounds fail at delta {bad}" if bad else None
+    return {"stars": rows}, f"deltas={list(deltas)} ok={not bad}", failure
 
 
 def cmd_sweep(cfg, out):
@@ -340,24 +291,17 @@ def cmd_sweep(cfg, out):
         else:
             raise ConfigError(f"cannot sweep over {param!r}")
         sub_cfg["tree"] = tree_cfg
-        tree = build_tree(tree_cfg)
-        lists = build_lists(tree, sub_cfg)
-        tm, rep, _doc = _spectral_doc(sub_cfg, tree, lists, _kind(sub_cfg))
-        rows.append({param: value, "tree_hash": tree.content_hash(),
-                     "n_edges": tree.n_edges, "N": tm.n,
-                     "t_rel": rep.t_rel,
-                     "t_rel_per_edge": rep.t_rel / tree.n_edges})
+        tm, rep, doc = _spectral_doc(sub_cfg)
+        n_edges = tm.dist.tree.n_edges
+        rows.append({param: value, "tree_hash": doc["tree_hash"],
+                     "n_edges": n_edges, "N": tm.n, "t_rel": rep.t_rel,
+                     "t_rel_per_edge": rep.t_rel / n_edges})
     os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "sweep.csv")
-    with open(path, "w", newline="") as fh:
+    with open(os.path.join(out, "sweep.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    _write_json(out, "sweep.json",
-                {"config": {k: v for k, v in cfg.items() if k != "out"},
-                 "rows": rows})
-    print(f"sweep: {len(rows)} rows -> {path}")
-    return 0
+    return {"rows": rows}, f"{len(rows)} rows", None
 
 
 COMMANDS = {
@@ -391,7 +335,17 @@ def main(argv=None):
             raise ConfigError(
                 f"config declares command {declared!r}, invoked {args.command!r}")
         out = cfg.get("out") or "results"
-        return COMMANDS[args.command](cfg, out)
+        doc, summary, failure = COMMANDS[args.command](cfg, out)
+        doc["config"] = {k: v for k, v in cfg.items() if k != "out"}
+        os.makedirs(out, exist_ok=True)
+        path = os.path.join(out, args.command.replace("-", "_") + ".json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+        print(f"{args.command}: {summary} -> {path}")
+        if failure is not None:
+            print(f"{args.command}: FAILED ({failure})", file=sys.stderr)
+            return 4
+        return 0
     except (ConfigError, ParameterError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -132,8 +132,9 @@ class DistributionTable:
         """Map color-tuple on the sorted edge set ``S`` -> probability, keyed
         in order of first appearance in the support."""
         S = sorted(S)
-        if not S:
-            raise ParameterError("marginal needs a nonempty edge set")
+        n = self.tree.n_edges
+        if not S or S[0] < 0 or S[-1] >= n:
+            raise ParameterError(f"marginal needs a nonempty set of edges in 0..{n - 1}")
         keys, first, counts = np.unique(self.array[:, S], axis=0,
                                         return_index=True, return_counts=True)
         order = np.argsort(first)

@@ -353,8 +353,8 @@ def conductance(tm, S):
     """Stationary flow out of S over mu(S); mu is uniform, so this is the
     transition mass out of S over |S|."""
     S = sorted(set(S))
-    if not S:
-        raise ParameterError("conductance needs a nonempty state set")
+    if not S or S[0] < 0 or S[-1] >= tm.n:
+        raise ParameterError(f"conductance needs a nonempty set of states in 0..{tm.n - 1}")
     mask = np.zeros(tm.n, dtype=bool)
     mask[S] = True
     return float(tm.matrix[mask][:, ~mask].sum()) / len(S)

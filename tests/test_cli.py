@@ -148,7 +148,12 @@ def test_capacity_error_exit_code(tmp_path):
     assert main(["gap", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
-def test_lowerbound_strict_exit_code(tmp_path):
+def failed_lines(capsys, command):
+    err = capsys.readouterr().err.splitlines()
+    return [line for line in err if line.startswith(f"{command}: FAILED (")]
+
+
+def test_lowerbound_strict_exit_code(tmp_path, capsys):
     tree_file = tmp_path / "dstar.txt"
     tree_file.write_text("6 0\n1 0\n2 0\n3 0\n4 1\n5 1\n")
     cfg = write_cfg(tmp_path, {
@@ -160,6 +165,8 @@ def test_lowerbound_strict_exit_code(tmp_path):
     assert main(["lowerbound", "--config", cfg, "--out", out]) == 4
     doc = json.load(open(os.path.join(out, "lowerbound.json")))
     assert "verification_error" in doc
+    assert failed_lines(capsys, "lowerbound") == [
+        f"lowerbound: FAILED ({doc['verification_error']})"]
 
     cfg_ok = write_cfg(tmp_path, {
         "tree": {"shape": "file", "file": str(tree_file)},
@@ -168,7 +175,7 @@ def test_lowerbound_strict_exit_code(tmp_path):
     assert main(["lowerbound", "--config", cfg_ok, "--out", out]) == 0
 
 
-def test_tensorize_with_root_certificate(tmp_path):
+def test_tensorize_with_root_certificate(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "command": "tensorize",
         "tree": {"shape": "hanging_root", "delta": 2, "depth": 1},
@@ -187,6 +194,7 @@ def test_tensorize_with_root_certificate(tmp_path):
         "alpha": [0.0, 0.0],
     }, "bad.yaml")
     assert main(["tensorize", "--config", cfg_bad, "--out", out]) == 4
+    assert len(failed_lines(capsys, "tensorize")) == 1
 
 
 def test_sweep_outputs_increasing_ratio(tmp_path):
@@ -267,7 +275,7 @@ def test_installed_entry_point(tmp_path):
     assert "48" in proc.stdout
 
 
-def test_bundled_acceptance_configs_run_clean(tmp_path):
+def test_bundled_acceptance_configs_run_clean(tmp_path, capsys):
     configs = sorted(glob.glob(os.path.join(REPO, "configs", "acceptance", "*.yaml")))
     assert len(configs) >= 10
     os.chdir(REPO)  # the lowerbound config points at a repo-relative tree file
@@ -277,6 +285,11 @@ def test_bundled_acceptance_configs_run_clean(tmp_path):
         out = str(tmp_path / os.path.basename(path).replace(".yaml", ""))
         code = main([command, "--config", path, "--out", out])
         assert code == 0, f"{path} exited {code}"
+        # one writer: <command>.json with the config echo, named on one line
+        artifact = os.path.join(out, command.replace("-", "_") + ".json")
+        assert "config" in json.load(open(artifact))
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].endswith(f"-> {artifact}"), lines
 
 
 def test_combinatorial_commands_never_import_scipy(tmp_path):
@@ -361,11 +374,12 @@ INDUCTION = {"command": "induction",
              "q": 4, "ell": 1}
 
 
-def test_induction_uses_gamma_zero_as_written(tmp_path):
+def test_induction_uses_gamma_zero_as_written(tmp_path, capsys):
     # gamma 0 gives every level the constant 0, which certifies nothing
     cfg = write_cfg(tmp_path, dict(INDUCTION, alpha=[1.0, 1.0], gamma=0))
     out = str(tmp_path / "out")
     assert main(["induction", "--config", cfg, "--out", out]) == 4
+    assert len(failed_lines(capsys, "induction")) == 1
     doc = json.load(open(os.path.join(out, "induction.json")))
     assert doc["gamma"] == 0.0 and doc["alpha"] == [1.0, 1.0]
 

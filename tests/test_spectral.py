@@ -413,6 +413,19 @@ def test_conductance_color_cut():
         spectral.conductance(tm, [])
 
 
+def test_out_of_range_indices_raise():
+    # a negative index must not wrap to the last state or edge, and one past
+    # the end must not surface as a bare IndexError
+    p3 = path_tree(3)
+    tm = spectral.transition_matrix(p3, uniform_lists(p3, 3), dynamics.HEATBATH_GLAUBER)
+    for bad in (-1, tm.n):
+        with pytest.raises(ParameterError, match="states in 0"):
+            spectral.conductance(tm, [0, bad])
+    for bad in (-1, p3.n_edges):
+        with pytest.raises(ParameterError, match="edges in 0"):
+            tm.dist.marginal([0, bad])
+
+
 def test_cheeger_sandwich():
     for tree, q in ((path_tree(4), 3), (double_star(), 4)):
         tm = spectral.transition_matrix(tree, uniform_lists(tree, q),
