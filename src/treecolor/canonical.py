@@ -17,7 +17,7 @@ Each (a, b) family of paths is built in one batch on rows of the enumerated
 support (``build_paths``): numpy walks over all start colorings at once give
 the alternating paths, the Stage-I detours and every step's edits, and each
 state is looked up as a support row, so no coloring becomes a tuple.  A
-family that a list-keeping color permutation relates to one already built is
+family whose order runs through the color classes of one already built is
 that one's image (``map_paths``) and is not built again.  The expected
 congestion these paths place on each tree level, and the
 per-coloring statistics controlling it, are computed exactly by enumeration.
@@ -341,28 +341,20 @@ def build_paths(family, dist, starts):
     return batch
 
 
-def color_map(source, family):
-    """The color permutation (an array over 0..q, 0 fixed, in the dtype of
-    the support) that sends ``source.order`` onto ``family.order`` position
-    by position, or None if it does not keep every list."""
-    pi = np.zeros(family.lists.q + 1, dtype=np.min_scalar_type(family.lists.q))
-    pi[list(source.order)] = family.order
-    if all(frozenset(pi[sorted(s)].tolist()) == s for s in set(family.lists.lists)):
-        return pi
-    return None
-
-
-def map_paths(batch, family, dist, pi):
+def map_paths(batch, family, dist):
     """The paths of ``family`` as the image of ``batch`` under the color
-    permutation ``pi`` of ``color_map(batch.family, family)``.
+    permutation pi sending ``batch.family.order`` onto ``family.order``.
 
     The construction only ever takes the first color of the family's order
     that passes a test pi carries over, so the path from pi(sigma) is pi of
     the path from sigma.  Rows are mapped through one ``rows_of`` lookup of
     the permuted support, which must be a bijection carrying fiber a0 onto
-    fiber a (else ``VerificationError``), and paths are put in ascending
-    order of their mapped start rows, as ``build_paths`` puts them.
+    fiber a (else ``VerificationError``, as for a pi breaking a list), and
+    paths are put in ascending order of their mapped start rows, as
+    ``build_paths`` puts them.
     """
+    pi = np.zeros(dist.lists.q + 1, dtype=dist.array.dtype)
+    pi[list(batch.family.order)] = family.order
     perm = dist.rows_of(pi[dist.array])
     r, a0 = family.r, batch.family.a
     if not (np.array_equal(np.sort(perm), np.arange(dist.size))
@@ -549,11 +541,11 @@ def compute_congestion(tree, lists, path_kind):
     root-color pair and per tree level (plus the root-pair block class).
 
     Paths are built once per orbit of families under the list-keeping color
-    permutations (``color_map``): a family another one maps onto is that
-    one's image (``map_paths``), any other is built.  Every family is checked
-    by ``verify_paths`` and counted on support rows.  A move that changes
-    block B out of state x has heat-bath rate 1/s, with s the size of the
-    class of x under ``DistributionTable.classes(B)``.
+    permutations: a family whose order runs through the ``color_classes`` of
+    a built one is that one's image (``map_paths``), any other is built.
+    Every family is checked by ``verify_paths`` and counted on support rows.
+    A move that changes block B out of state x has heat-bath rate 1/s, with
+    s the size of the class of x under ``DistributionTable.classes(B)``.
     """
     r = hanging_root_edge(tree)
     dist = oracle.enumerate_colorings(tree, lists)
@@ -568,20 +560,17 @@ def compute_congestion(tree, lists, path_kind):
     for k, block in enumerate(allowed):
         labels, sizes = dist.classes(block)
         class_size[k] = sizes[labels]
-    per_pair, built = {}, []  # built: one batch per orbit of families
+    per_pair, built = {}, {}  # built: one batch per orbit, keyed by its classes
     for a in root_colors:
         for b in root_colors:
             if a == b:
                 continue
             family = path_family(tree, lists, a, b, path_kind)
-            for source in built:
-                pi = color_map(source.family, family)
-                if pi is not None:
-                    batch = map_paths(source, family, dist, pi)
-                    break
+            key = tuple(lists.color_classes[list(family.order)].tolist())
+            if key in built:
+                batch = map_paths(built[key], family, dist)
             else:
-                batch = build_paths(family, dist, fibers[a])
-                built.append(batch)
+                batch = built[key] = build_paths(family, dist, fibers[a])
             src, dst, block_of, blocks = verify_paths(dist, batch)
             _, first, counts = np.unique(src * n + dst, return_index=True,
                                          return_counts=True)

@@ -171,6 +171,7 @@ def cmd_lowerbound(cfg, out):
     tree = build_tree(cfg["tree"])
     rec = spectral.lower_bound_check(tree, int(cfg.get("edge", 0)), int(cfg["q"]))
     failures = spectral.lower_bound_failures(rec)
+    relation = "<" if any(f.startswith("T_rel") for f in failures) else ">="
     if not cfg.get("strict", True):
         failures = [f for f in failures if not f.startswith("frozen probability")]
     doc = dict(rec, tree_hash=tree.content_hash())
@@ -178,7 +179,7 @@ def cmd_lowerbound(cfg, out):
         doc["verification_error"] = failures[0]
     summary = (f"p_exact={rec['p_frozen_exact']:.6g} "
                f"p_formula={rec['p_frozen_formula']:.6g} "
-               f"t_rel={rec['t_rel']:.4g} >= {rec['trel_bound']:.4g}")
+               f"t_rel={rec['t_rel']:.4g} {relation} {rec['trel_bound']:.4g}")
     return doc, summary, doc.get("verification_error")
 
 

@@ -7,6 +7,10 @@ Colorings themselves live as rows of the enumerated support
 
 from __future__ import annotations
 
+from functools import cached_property
+
+import numpy as np
+
 from .errors import ParameterError
 from .trees import hanging_root_edge
 
@@ -30,6 +34,14 @@ class ListSpec:
         self.q = q
         self.lists = lists
         self.preset = preset
+
+    @cached_property
+    def color_classes(self):
+        """The class of each color 0..q (0, no color, lies on no list):
+        colors that lie on exactly the same lists share a class.  So a
+        permutation of 1..q keeps every list iff it keeps every class."""
+        member = [[c in s for s in self.lists] for c in range(self.q + 1)]
+        return np.unique(member, axis=0, return_inverse=True)[1].ravel()
 
     def __getitem__(self, e):
         return self.lists[e]

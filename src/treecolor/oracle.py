@@ -10,7 +10,8 @@ colors read as the digits of mixed-radix keys.
 trees far too large to enumerate.
 ``DistributionTable.classes`` groups the support into the classes of states
 that agree off a block of edges, from which every block-averaging matrix of
-the package is built.
+the package is built.  Both rank rows by one exact key, read in groups of
+columns that keep it below ``KEY_LIMIT`` (``DistributionTable._ranks``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import CapacityError, InfeasiblePinningError, ParameterError
 
 ENUMERATION_CAP = 2_000_000
-KEY_LIMIT = 2 ** 62      # bound on the mixed-radix keys of ``rows_of`` and ``classes``
+KEY_LIMIT = 2 ** 62      # bound on the mixed-radix keys of ``DistributionTable._ranks``
 
 
 class DistributionTable:
@@ -41,41 +42,53 @@ class DistributionTable:
             raise InfeasiblePinningError("empty support")
         self.weight = 1.0 / self.size
 
+    def _ranks(self, cols):
+        """The rank of each support row by its colors on the edges ``cols``,
+        compared in that order, and per group of columns (first, stop, its
+        sorted distinct keys).  A group's key is the rank by the groups
+        before it times its span plus its colors, the digits of radix q+2,
+        accumulated one column at a time; groups are cut to keep every key
+        below ``KEY_LIMIT``, so ranks are exact for every q and m (given
+        N (q+2) below the limit).  One ``argsort`` ranks each group."""
+        radix = self.lists.q + 2
+        groups, rank, lo = [], np.zeros(self.size, dtype=np.int64), 0
+        while lo < len(cols):
+            width, hi, span = len(groups[-1][2]) if groups else 1, lo, 1
+            while hi < len(cols) and (hi == lo or width * span * radix < KEY_LIMIT):
+                rank *= radix
+                rank += self.array[:, cols[hi]]
+                hi, span = hi + 1, span * radix
+            order = np.argsort(rank)
+            ranked = rank[order]
+            starts = np.ones(self.size, dtype=bool)
+            np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+            rank = np.empty(self.size, dtype=np.int64)
+            rank[order] = np.cumsum(starts) - 1
+            groups.append((lo, hi, ranked[starts]))
+            lo = hi
+        return groups, rank
+
     @cached_property
     def _row_keys(self):
-        """The tables of ``rows_of``, one group of columns after another as
-        (first column, stop, span, weights of the radix q+2, the sorted keys
-        of the support's prefixes), and the row of each key of the last one."""
-        radix, m = self.lists.q + 2, self.array.shape[1]
-        groups, node, width, lo = [], np.zeros(self.size, dtype=np.int64), 1, 0
-        while lo < m:
-            hi, span = lo + 1, radix
-            while hi < m and width * span * radix < KEY_LIMIT:
-                hi, span = hi + 1, span * radix
-            weights = radix ** np.arange(hi - lo - 1, -1, -1, dtype=np.int64)
-            keys, node = np.unique(node * span + self.array[:, lo:hi] @ weights,
-                                   return_inverse=True)
-            groups.append((lo, hi, span, weights, keys))
-            width, lo = len(keys), hi
-        return groups, np.argsort(node)
+        """The groups of ``_ranks`` over all columns, and the row of each key
+        of the last one."""
+        groups, rank = self._ranks(range(self.array.shape[1]))
+        return groups, np.argsort(rank)
 
     def rows_of(self, colors):
         """The support row of each coloring in ``colors`` (k x m), or -1 for
-        a coloring outside the support.
-
-        The colors are the digits, of radix q+2, with any color outside 1..q
-        (no row has one) read as q+1, and the columns are read in groups: a
-        group's key is the previous group's key number times its span plus
-        its digits, and groups are cut so that every key stays below
-        ``KEY_LIMIT``.  So the lookup is exact for every q and m (it needs
-        N (q+2) below the limit).
+        a coloring outside the support: its keys are those of ``_ranks``,
+        looked up group by group, with any color outside 1..q (no row has
+        one) read as the digit q+1, so the lookup is exact for every q and m.
         """
         groups, row_of_key = self._row_keys
-        digits = np.minimum(colors, self.lists.q + 1, dtype=np.int64)
-        digits[digits < 0] = self.lists.q + 1
+        radix = self.lists.q + 2
+        digits = np.minimum(colors, radix - 1, dtype=np.int64)
+        digits[digits < 0] = radix - 1
         found, node = np.ones(len(digits), dtype=bool), np.zeros(len(digits), dtype=np.int64)
-        for lo, hi, span, weights, keys in groups:
-            want = node * span + digits[:, lo:hi] @ weights
+        for lo, hi, keys in groups:
+            weights = radix ** np.arange(hi - lo - 1, -1, -1, dtype=np.int64)
+            want = node * radix ** (hi - lo) + digits[:, lo:hi] @ weights
             node = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
             found &= keys[node] == want
         return np.where(found, row_of_key[node], -1)
@@ -86,34 +99,11 @@ class DistributionTable:
 
         Returns ``(labels, sizes)``: ``labels[i]`` numbers the class of state
         ``i`` and ``sizes[k]`` counts the states of class ``k``, in the order
-        of the rows off ``B`` compared from the last edge to the first.  When
-        (q+1)^(edges off B) is below ``KEY_LIMIT``, each row off ``B`` is one
-        mixed-radix key, the colors its digits and the last edge the most
-        significant, and one ``np.argsort`` of the keys orders the rows;
-        otherwise rows are compared column by column (``np.lexsort``), so no
-        key can overflow.
+        of the rows off ``B`` compared from the last edge to the first, as
+        ranked by ``_ranks``.
         """
         B = set(B)
-        rest = [e for e in range(self.tree.n_edges) if e not in B]
-        if not rest:
-            return np.zeros(self.size, dtype=np.intp), np.array([self.size])
-        starts = np.ones(self.size, dtype=bool)
-        radix = self.lists.q + 1
-        if radix ** len(rest) < KEY_LIMIT:
-            key = np.zeros(self.size, dtype=np.int64)
-            for e in reversed(rest):  # one column at a time: no N x m temporary
-                key *= radix
-                key += self.array[:, e]
-            order = np.argsort(key)
-            ranked = key[order]
-            np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
-        else:
-            keys = self.array[:, rest]
-            order = np.lexsort(keys.T)
-            ranked = keys[order]
-            np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
-        labels = np.empty(self.size, dtype=np.intp)
-        labels[order] = np.cumsum(starts) - 1
+        labels = self._ranks([e for e in reversed(range(self.tree.n_edges)) if e not in B])[1]
         return labels, np.bincount(labels)
 
     def conditional(self, pinned):

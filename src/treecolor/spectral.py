@@ -77,7 +77,8 @@ class TransitionMatrix:
 
     @cached_property
     def starts(self):
-        """``orbit_starts`` of the support, computed on first use."""
+        """``orbit_starts`` of the support (one row per orbit of the
+        permutations that keep every color class), computed on first use."""
         return orbit_starts(self.dist)
 
     def _require_stochastic(self):
@@ -301,12 +302,11 @@ def spectral_report(tm, compute_lambda_min=True, seed=7):
 
 def orbit_starts(dist):
     """One support row per orbit of the color permutations that keep every
-    list.  Every kind commutes with them and mu is uniform, so
-    TV(delta_x P^t, mu) is constant on an orbit.  Within each group of colors
-    that lie on the same lists, a row's colors are renamed in order of first
-    appearance; rows with one such canonical form make one orbit."""
-    member = [[c in s for s in dist.lists.lists] for c in range(dist.lists.q + 1)]
-    group = np.unique(member, axis=0, return_inverse=True)[1].ravel()
+    list, that is every class of ``ListSpec.color_classes``.  Every kind
+    commutes with them and mu is uniform, so TV(delta_x P^t, mu) is constant
+    on an orbit.  Within each class, a row's colors are renamed in order of
+    first appearance; rows with one such canonical form make one orbit."""
+    group = dist.lists.color_classes
     a, rows = dist.array.astype(np.intp), np.arange(dist.size)
     rank = np.full((dist.size, dist.lists.q + 1), -1)
     used = np.zeros((dist.size, group.max() + 1), dtype=np.intp)

@@ -233,7 +233,7 @@ def load_tree(path):
     parent = [None] * n
     for i in range(n - 1):
         child, par = int(body[2 * i]), int(body[2 * i + 1])
-        if child == root or parent[child] is not None:
-            raise ParameterError("malformed edge list")
+        if not 0 <= child < n or child == root or parent[child] is not None:
+            raise ParameterError(f"malformed edge list: child {child} of {n} vertices")
         parent[child] = par
     return Tree(parent, root)

@@ -167,30 +167,25 @@ def test_classes_without_key_overflow():
         assert_classes_match(dist, B)
 
 
-def test_classes_from_one_key_match_lexsort(monkeypatch):
-    # 5^6 is below KEY_LIMIT, so the 6-edge path at q=4 orders its rows by
-    # one integer key; 4^39 is not, so the 41-edge path at q=3 (its first 37
-    # edges alternate 1 and 2, the last 4 take any color) compares columns
+def test_classes_from_grouped_keys_match_reference(monkeypatch):
+    # 6^6 is below KEY_LIMIT, so the 6-edge path at q=4 keys its rows in one
+    # group; 5^39 is not, so the 41-edge path at q=3 (its first 37 edges
+    # alternate 1 and 2, the last 4 take any color) needs more than one
     fits = oracle.enumerate_colorings(path_tree(6), uniform_lists(path_tree(6), 4))
     lists = [{1 + e % 2} for e in range(37)] + [{1, 2, 3}] * 4
     overflows = oracle.enumerate_colorings(path_tree(41), ListSpec(3, lists))
     assert overflows.size == 16
-    lexsort, calls = np.lexsort, []
-    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
     blocks = [(e,) for e in range(6)] + pair_blocks(path_tree(6)) + [(0, 5)]
     keyed = [fits.classes(B) for B in blocks]
     for B in blocks:
         assert_classes_match(fits, B)
-    assert not calls
     for B in ((0,), (38,), (40,), (37, 38), (0, 40), ()):
         assert_classes_match(overflows, B)
-    assert len(calls) == 6
-    # both ways number the classes alike
+    # one column per group numbers the classes alike
     monkeypatch.setattr(oracle, "KEY_LIMIT", 1)
     for B, want in zip(blocks, keyed):
         for got, w in zip(fits.classes(B), want):
             assert np.array_equal(got, w) and got.dtype == w.dtype, B
-    assert len(calls) == 6 + len(blocks)
 
 
 def test_classes_with_more_than_255_colors():

@@ -419,15 +419,24 @@ def test_congestion_builds_one_family_per_orbit(monkeypatch):
 
 
 def test_congestion_with_families_no_color_map_relates(monkeypatch):
-    # root list {1, 2, 4}: no list-keeping permutation sends the order of
-    # (1, 2) onto that of (1, 4), so both are built; the other four are mapped
+    # root list {1, 2, 4}: color 3 is in a class of its own, so the orders of
+    # (1, 2) and (1, 4) run through different color classes and no
+    # list-keeping permutation relates them; both are built, the other four
+    # are mapped
     tree = build_hanging_root(2, 3)
     r = hanging_root_edge(tree)
     full = frozenset(range(1, 5))
     lists = colorings.ListSpec(4, [{1, 2, 4} if e == r else full
                                    for e in range(tree.n_edges)])
-    assert canonical.color_map(path_family(tree, lists, 1, 2, GLAUBER_PATHS),
-                               path_family(tree, lists, 1, 4, GLAUBER_PATHS)) is None
+    one_two, one_four = (path_family(tree, lists, 1, b, GLAUBER_PATHS) for b in (2, 4))
+    assert (lists.color_classes[list(one_two.order)].tolist()
+            != lists.color_classes[list(one_four.order)].tolist())
+    # the permutation between their orders breaks the root list, and mapping
+    # one family onto the other says so
+    dist = oracle.enumerate_colorings(tree, lists)
+    source = build_paths(one_two, dist, fiber(dist, r, 1))
+    with pytest.raises(VerificationError, match="not a bijection"):
+        canonical.map_paths(source, one_four, dist)
     with monkeypatch.context() as m:
         built = counting(m, "build_paths")
         rep = compute_congestion(tree, lists, GLAUBER_PATHS)
@@ -439,9 +448,12 @@ def test_congestion_with_families_no_color_map_relates(monkeypatch):
         assert repr((pc.xi_levels, pc.xi_pairs, pc.r_leaf)) == repr(
             (xi_levels, xi_pairs, r_leaf))
         assert list(pc.leaf_sums.items()) == leaf_sums
-    # and equal to building every family
-    monkeypatch.setattr(canonical, "color_map", lambda source, family: None)
-    for ab, pc in compute_congestion(tree, lists, GLAUBER_PATHS).per_pair.items():
+    # and equal to building every family, each color in a class of its own
+    monkeypatch.setattr(lists, "color_classes", np.arange(lists.q + 1))
+    built = counting(monkeypatch, "build_paths")
+    every = compute_congestion(tree, lists, GLAUBER_PATHS).per_pair
+    assert built == families(lists, r)
+    for ab, pc in every.items():
         got = rep.per_pair[ab]
         for name in ("x", "y", "counts"):
             assert np.array_equal(getattr(got, name), getattr(pc, name)), (ab, name)
@@ -455,11 +467,12 @@ def test_mapped_family_with_a_corrupted_row_map_raises(monkeypatch):
     source = build_paths(path_family(tree, lists, 1, 2, GLAUBER_PATHS), dist,
                          fiber(dist, r, 1))
     family = path_family(tree, lists, 1, 3, GLAUBER_PATHS)
-    pi = canonical.color_map(source.family, family)
-    verify_paths(dist, canonical.map_paths(source, family, dist, pi))
+    verify_paths(dist, canonical.map_paths(source, family, dist))
     rows_of = dist.rows_of
     i, j = fiber(dist, r, 1)[:2]
-    k = fiber(dist, r, 3)[0]  # pi sends root color 3 to 2, outside fiber 1
+    # the map of (1, 2)'s order (3, 4, 1, 2) onto (1, 3)'s (2, 4, 1, 3)
+    # sends root color 3 to 2, outside fiber 1
+    k = fiber(dist, r, 3)[0]
 
     def swapped(u, v):
         return lambda rows: rows[np.r_[:u, v, u + 1:v, u, v + 1:len(rows)]]
@@ -469,12 +482,12 @@ def test_mapped_family_with_a_corrupted_row_map_raises(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(dist, "rows_of", lambda colors: corrupt(rows_of(colors)))
             with pytest.raises(VerificationError, match="not a bijection"):
-                canonical.map_paths(source, family, dist, pi)
+                canonical.map_paths(source, family, dist)
     # a bijection of the fibers that is not pi's row map leaves the paths
     # broken, which verify_paths finds
     with monkeypatch.context() as m:
         m.setattr(dist, "rows_of", lambda colors: swapped(i, j)(rows_of(colors)))
-        batch = canonical.map_paths(source, family, dist, pi)
+        batch = canonical.map_paths(source, family, dist)
     with pytest.raises(VerificationError):
         verify_paths(dist, batch)
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
 import yaml
 
 import treecolor
@@ -119,6 +120,19 @@ def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error: cannot read config")
 
 
+@pytest.mark.parametrize("lines", ["3 0\n5 0\n1 0\n", "3 0\n-1 0\n1 0\n"],
+                         ids=["past_the_end", "negative"])
+def test_tree_file_child_out_of_range_is_a_config_error(tmp_path, capsys, lines):
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_text(lines)
+    cfg = write_cfg(tmp_path, {"command": "count", "q": 3,
+                               "tree": {"shape": "file", "file": str(tree_file)}})
+    assert main(["count", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: malformed edge list")
+
+
 def test_count_with_more_digits_than_int_str_limit(tmp_path):
     cfg = write_cfg(tmp_path, {
         "command": "count",
@@ -173,6 +187,23 @@ def test_lowerbound_strict_exit_code(tmp_path, capsys):
         "q": 5, "edge": 0, "strict": False,
     }, "ok.yaml")
     assert main(["lowerbound", "--config", cfg_ok, "--out", out]) == 0
+
+
+def test_lowerbound_summary_says_when_the_bound_fails(tmp_path, capsys, monkeypatch):
+    tree_file = tmp_path / "dstar.txt"
+    tree_file.write_text("6 0\n1 0\n2 0\n3 0\n4 1\n5 1\n")
+    cfg = write_cfg(tmp_path, {
+        "tree": {"shape": "file", "file": str(tree_file)},
+        "q": 5, "edge": 0, "strict": False,
+    })
+    check = spectral.lower_bound_check
+    monkeypatch.setattr(spectral, "lower_bound_check",
+                        lambda *args: dict(check(*args), t_rel=0.5))
+    assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    captured = capsys.readouterr()
+    assert "t_rel=0.5 < 1.875 ->" in captured.out
+    assert ">=" not in captured.out
+    assert "lowerbound: FAILED (T_rel 0.5 below the bound 1.875)" in captured.err
 
 
 def test_tensorize_with_root_certificate(tmp_path, capsys):

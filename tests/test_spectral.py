@@ -366,11 +366,26 @@ def brute_force_orbits(dist):
     return least
 
 
-def test_orbit_starts_match_brute_force_orbits():
+def orbit_cases():
     p4, star = path_tree(4), build_complete_regular(3, 1)
     custom = ListSpec(4, [{1, 2, 3}, {1, 2, 3}, {2, 3, 4}, {1, 2, 3, 4}])
-    for tree, lists in MIXING_CASES + [(p4, uniform_lists(p4, 3)), (p4, custom),
-                                       (star, uniform_lists(star, 5))]:
+    return MIXING_CASES + [(p4, uniform_lists(p4, 3)), (p4, custom),
+                           (star, uniform_lists(star, 5))]
+
+
+def test_color_classes_match_brute_force_permutations():
+    # a permutation of 1..q keeps every list iff it keeps every color class
+    for _, lists in orbit_cases():
+        q, classes = lists.q, lists.color_classes
+        assert len(classes) == q + 1
+        for perm in itertools.permutations(range(1, q + 1)):
+            keeps_lists = all({perm[c - 1] for c in s} == s for s in lists.lists)
+            keeps_classes = all(classes[perm[c - 1]] == classes[c] for c in range(1, q + 1))
+            assert keeps_lists == keeps_classes, (lists.lists, perm)
+
+
+def test_orbit_starts_match_brute_force_orbits():
+    for tree, lists in orbit_cases():
         dist = oracle.enumerate_colorings(tree, lists)
         least = brute_force_orbits(dist)
         count, starts = len(np.unique(least)), spectral.orbit_starts(dist)
