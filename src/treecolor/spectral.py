@@ -3,7 +3,8 @@
 Transition matrices are sparse (CSR), one product over the block classes,
 and chains are simulated on their rows (``TransitionMatrix.sample``).
 Both ends of their spectrum off the constants come from one plain Lanczos
-recurrence, whose Ritz vectors are summed from the Krylov vectors it keeps up
+recurrence on one scratch vector, with Ritz checks by LAPACK ``dstebz`` and
+``dstein``; its Ritz vectors are summed from the Krylov vectors it keeps up
 to ``LANCZOS_BASIS_BYTES`` and from a replay of the steps past them: the
 report carries the residual and the operator applications, and a solve that
 does not converge, or whose residual is too large, raises.  Mixing times
@@ -67,13 +68,6 @@ class TransitionMatrix:
     def row_sum_error(self):
         s = np.asarray(self.matrix.sum(axis=1)).ravel()
         return float(np.max(np.abs(s - 1.0)))
-
-    def detailed_balance_error(self):
-        """max |mu(x)P(x,y) - mu(y)P(y,x)|; mu is uniform so this is matrix
-        asymmetry times the state weight."""
-        diff = self.matrix - self.matrix.T
-        gap = np.max(np.abs(diff.data)) if diff.nnz else 0.0
-        return float(gap) * self.dist.weight
 
     @cached_property
     def starts(self):
@@ -194,18 +188,35 @@ def _recurrence(P, v, v_prev=None, beta=0.0):
     v_{j+1} = w_j / beta_j.  Given v_{j-1} and beta_{j-1} it resumes at v_j.
     The mean leaves w_j = P v_j - alpha_j v_j - beta_{j-1} v_{j-1} last, so
     the rounding these subtractions put back on the constant is gone before
-    a small beta_j scales w_j up."""
+    a small beta_j scales w_j up.  alpha_j v_j and beta_{j-1} v_{j-1} go
+    through one reused scratch vector; w.sum() / n and sqrt(w @ w) are the
+    float operations of ``w.mean()`` and ``np.linalg.norm(w)``."""
     if v_prev is None:
         v_prev = np.zeros_like(v)
+    n, scratch = len(v), np.empty_like(v)
     while True:
         w = P @ v
         alpha = float(v @ w)
-        w -= alpha * v
-        w -= beta * v_prev
-        w -= w.mean()
-        beta = float(np.linalg.norm(w))
+        w -= np.multiply(alpha, v, out=scratch)
+        w -= np.multiply(beta, v_prev, out=scratch)
+        w -= w.sum() / n
+        beta = math.sqrt(w @ w)
         yield v, alpha, beta, w
         v_prev, v = v, w / beta
+
+
+def _ritz_pair(d, e, i):
+    """Eigenpair i (0 = lowest) of the tridiagonal (d, e) by LAPACK ``dstebz``
+    (bisection by index, block order) and ``dstein`` (inverse iteration)."""
+    from scipy.linalg.lapack import dstebz, dstein
+
+    if len(d) == 1:
+        return d.copy(), np.ones((1, 1))
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, i + 1, i + 1, 0.0, "B")
+    s, info = dstein(d, e, w[:m], iblock, isplit) if info == 0 else (None, info)
+    if info != 0:
+        raise VerificationError(f"tridiagonal eigensolve failed (LAPACK info {info})")
+    return w[:m], s
 
 
 def _lanczos_ends(P, seed, want_min):
@@ -214,18 +225,15 @@ def _lanczos_ends(P, seed, want_min):
     start drawn with ``seed``; returns (values ascending, vectors as columns,
     matvecs).
 
-    Every ``LANCZOS_CHECK`` steps the extreme Ritz pairs (theta, s) of the
-    tridiagonal T_k are taken; the recurrence stops once every wanted pair
+    Every ``LANCZOS_CHECK`` steps the extreme Ritz pairs (theta, s) of T_k
+    are taken (``_ritz_pair``); the recurrence stops once every wanted pair
     has |beta_k s_k| <= ``LANCZOS_TOL``, or once beta_k <= ``LANCZOS_TOL``
-    (an invariant subspace).  The Krylov vectors are kept as the recurrence
-    makes them while they fit in ``LANCZOS_BASIS_BYTES`` (at least two), and
-    the Ritz vectors are summed over them.  A solve that runs past the
-    budget resumes the recurrence from the last two kept vectors for the
-    steps past them, so memory stays O(N) and ``matvecs`` counts the
-    products that ran: k, plus the k - h replayed ones.
+    (an invariant subspace).  The Krylov vectors are kept while they fit in
+    ``LANCZOS_BASIS_BYTES`` (at least two); the Ritz vectors are summed over
+    them, a row at a time through one scratch vector.  A solve past a budget
+    of h vectors replays steps h..k-1 from the last two kept vectors, so
+    memory stays O(N) and ``matvecs`` counts k plus the k - h replayed ones.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     v0 = np.random.default_rng(seed).standard_normal(P.shape[0])
     v0 -= v0.mean()
     v0 /= np.linalg.norm(v0)
@@ -238,9 +246,8 @@ def _lanczos_ends(P, seed, want_min):
         betas.append(beta)
         k = len(alphas)
         if beta <= LANCZOS_TOL or k % LANCZOS_CHECK == 0:
-            ends = [eigh_tridiagonal(np.array(alphas), np.array(betas[:-1]),
-                                     select="i", select_range=(i, i))
-                    for i in ([0, k - 1] if want_min else [k - 1])]
+            d, e = np.array(alphas), np.array(betas[:-1])
+            ends = [_ritz_pair(d, e, i) for i in ([0, k - 1] if want_min else [k - 1])]
             # |s_k| <= 1, so beta_k <= LANCZOS_TOL also stops here
             if all(beta * abs(s[-1, 0]) <= LANCZOS_TOL for _, s in ends):
                 break
@@ -252,9 +259,10 @@ def _lanczos_ends(P, seed, want_min):
         # v_h .. v_{k-1} again, from the products P v_{h-1} .. P v_{k-2}
         tail = islice(_recurrence(P, basis[-1], basis[-2], betas[h - 2]), k - h)
         vectors, matvecs = chain(basis, (w / beta for _, _, beta, w in tail)), 2 * k - h
-    vecs = np.zeros((len(ends), len(v0)))
+    vecs, scratch = np.zeros((len(ends), len(v0))), np.empty_like(v0)
     for c, v in zip(np.hstack([s for _, s in ends]), vectors):
-        vecs += c[:, None] * v
+        for row, c_i in zip(vecs, c):
+            row += np.multiply(c_i, v, out=scratch)
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     return np.concatenate([theta for theta, _ in ends]), vecs.T, matvecs
 

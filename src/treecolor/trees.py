@@ -230,6 +230,8 @@ def load_tree(path):
     body = tokens[2:]
     if len(body) != 2 * (n - 1):
         raise ParameterError("tree file has wrong number of edge lines")
+    if not 0 <= root < n:
+        raise ParameterError(f"malformed tree file: root {root} of {n} vertices")
     parent = [None] * n
     for i in range(n - 1):
         child, par = int(body[2 * i]), int(body[2 * i + 1])

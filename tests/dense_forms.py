@@ -1,6 +1,7 @@
 """Dense N x N variance forms and a PSD eigensolve: the test oracle for the
 sparse certificates of ``treecolor.tensorization``; and dense matrix powers:
-the test oracle for ``treecolor.spectral.mixing_time``.
+the test oracle for ``treecolor.spectral.mixing_time``; and the detailed
+balance check of a sparse transition matrix.
 
 Every functional (global variance, conditional variance on a block, variance
 of a conditional expectation) is a symmetric matrix over the enumerated
@@ -110,3 +111,11 @@ def mixing_time(tm, eps=0.25):
         else:
             lo = mid
     return hi
+
+
+def detailed_balance_error(tm):
+    """max |mu(x)P(x,y) - mu(y)P(y,x)|; mu is uniform so this is matrix
+    asymmetry times the state weight."""
+    diff = tm.matrix - tm.matrix.T
+    gap = np.max(np.abs(diff.data)) if diff.nnz else 0.0
+    return float(gap) * tm.dist.weight

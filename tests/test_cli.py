@@ -133,6 +133,19 @@ def test_tree_file_child_out_of_range_is_a_config_error(tmp_path, capsys, lines)
     assert captured.err.startswith("config error: malformed edge list")
 
 
+@pytest.mark.parametrize("lines", ["3 5\n1 0\n2 0\n", "3 -1\n0 2\n1 2\n"],
+                         ids=["past_the_end", "negative"])
+def test_tree_file_root_out_of_range_is_a_config_error(tmp_path, capsys, lines):
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_text(lines)
+    cfg = write_cfg(tmp_path, {"command": "count", "q": 3,
+                               "tree": {"shape": "file", "file": str(tree_file)}})
+    assert main(["count", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: malformed tree file: root")
+
+
 def test_count_with_more_digits_than_int_str_limit(tmp_path):
     cfg = write_cfg(tmp_path, {
         "command": "count",

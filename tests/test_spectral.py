@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import dense_forms as df
+import lanczos_reference
 from treecolor import dynamics, oracle, spectral
 from treecolor.colorings import (ListSpec, pinned_root_lists, star_root_lists,
                                  uniform_lists)
@@ -41,7 +42,7 @@ def test_path2_uniform_glauber_structure():
     tm = spectral.transition_matrix(p2, uniform_lists(p2, 3), dynamics.UNIFORM_GLAUBER)
     P = tm.matrix.toarray()
     assert tm.row_sum_error() < 1e-12
-    assert tm.detailed_balance_error() < 1e-12
+    assert df.detailed_balance_error(tm) < 1e-12
     for i in range(tm.n):
         off = [P[i, j] for j in range(tm.n) if j != i and P[i, j] > 0]
         assert len(off) == 2
@@ -200,6 +201,66 @@ def test_matvecs_count_the_products_that_ran(monkeypatch):
     assert all(a > b for a, b in zip(above, below))
 
 
+def reference_chains():
+    # all four kinds, solves past LANCZOS_CHECK steps, the uniform Glauber
+    # breakdown at step 13 and the K5 walk's at step 1 (a 1 x 1 T_k)
+    p4, p5, ds = path_tree(4), path_tree(5), double_star()
+    blocks = tuple(dynamics.pair_blocks(p4))
+    spec = dynamics.BlockSpec(blocks, tuple(range(1, len(blocks) + 1)))
+    return [spectral.transition_matrix(p5, uniform_lists(p5, 3), dynamics.HEATBATH_GLAUBER),
+            spectral.transition_matrix(p4, uniform_lists(p4, 3), dynamics.UNIFORM_GLAUBER),
+            spectral.transition_matrix(ds, uniform_lists(ds, 4), dynamics.NEIGHBOR_PAIR),
+            spectral.transition_matrix(p4, uniform_lists(p4, 4), dynamics.BLOCK,
+                                       block_spec=spec),
+            hand_built(5, (np.ones((5, 5)) - np.eye(5)) / 4)]
+
+
+def test_solver_matches_reference_bit_for_bit(monkeypatch):
+    for tm in reference_chains():
+        for want_min in (True, False):
+            for h in (None, 2, 3):
+                with monkeypatch.context() as m:
+                    if h is not None:
+                        m.setattr(spectral, "LANCZOS_BASIS_BYTES", h * 8 * tm.n)
+                    vals, vecs, matvecs = spectral._lanczos_ends(tm.matrix, 7, want_min)
+                    ref_vals, ref_vecs, ref_matvecs = lanczos_reference.lanczos_ends(
+                        tm.matrix, 7, want_min)
+                    rep = spectral.spectral_report(tm, compute_lambda_min=want_min)
+                    m.setattr(spectral, "_lanczos_ends", lanczos_reference.lanczos_ends)
+                    ref = spectral.spectral_report(tm, compute_lambda_min=want_min)
+                case = (tm.kind, tm.n, want_min, h)
+                assert np.array_equal(vals, ref_vals), case
+                assert np.array_equal(vecs, ref_vecs), case
+                assert matvecs == ref_matvecs, case
+                assert rep.export() == ref.export(), case
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_failed_tridiagonal_eigensolve_raises(monkeypatch, routine):
+    import scipy.linalg.lapack as lapack
+
+    real = getattr(lapack, routine)
+    monkeypatch.setattr(lapack, routine, lambda *args: (*real(*args)[:-1], 1))
+    p4 = path_tree(4)
+    tm = spectral.transition_matrix(p4, uniform_lists(p4, 3),
+                                    dynamics.HEATBATH_GLAUBER)
+    for lam_min in (True, False):
+        with pytest.raises(VerificationError, match="LAPACK info 1"):
+            spectral.spectral_report(tm, compute_lambda_min=lam_min)
+
+
+def test_spectral_report_calls_no_eigh_tridiagonal(monkeypatch):
+    import scipy.linalg
+
+    def eigh_tridiagonal(*args, **kwargs):
+        raise AssertionError("eigh_tridiagonal called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", eigh_tridiagonal)
+    for tm in reference_chains():
+        rep = spectral.spectral_report(tm)
+        assert rep.residual <= spectral.RESIDUAL_TOL
+
+
 def hand_built(q, P):
     """A TransitionMatrix with matrix ``P`` on the q colorings of one edge.
     Uniform Glauber is the kind not held to the heat-bath floor."""
@@ -277,7 +338,7 @@ def test_heatbath_spectrum_nonnegative_zoo():
     for tree, q in ZOO:
         tm = spectral.transition_matrix(tree, uniform_lists(tree, q),
                                         dynamics.HEATBATH_GLAUBER)
-        assert tm.detailed_balance_error() < 1e-12
+        assert df.detailed_balance_error(tm) < 1e-12
         rep = spectral.spectral_report(tm)
         assert rep.lambda_min >= -1e-9
 
@@ -291,7 +352,7 @@ def test_detailed_balance_block_kinds():
                           tuple(dynamics.pair_blocks(p3)),
                           tuple(range(1, len(dynamics.pair_blocks(p3)) + 1)))})):
         tm = spectral.transition_matrix(p3, l3, kind, **kw)
-        assert tm.detailed_balance_error() < 1e-12
+        assert df.detailed_balance_error(tm) < 1e-12
         assert tm.row_sum_error() < 1e-12
 
 
