@@ -115,10 +115,10 @@ def _alternating(tab, C, e, b):
     return path
 
 
-def flip_rows(tree, colors, e, b):
-    """The flip of every coloring in ``colors`` (n x m) at once: its color on
-    ``e`` and ``b`` swap along its maximal alternating path (``_alternating``)."""
-    tab = _Tables(tree)
+def flip_rows(tree, colors, e, b, tab=None):
+    """The flip of every coloring in ``colors`` (n x m) at once, on ``tab`` if given:
+    its color on ``e`` and ``b`` swap along its maximal alternating path (``_alternating``)."""
+    tab = _Tables(tree) if tab is None else tab
     C = tab.widen(colors)
     path = _alternating(tab, C, e, b)
     rows, k = np.nonzero(path < tab.m)
@@ -399,14 +399,14 @@ def path_blocks_for_kind(tree, path_kind):
     return singles | pairs
 
 
-def verify_paths(dist, batch):
+def verify_paths(dist, batch, tab=None):
     """Check a ``PathBatch`` against the support ``dist``, the set of proper
     list colorings: every state must be a row of ``dist``; every step must
     change a nonempty block, equal to the recorded one and legal for the
     family's kind; no path may revisit a state (so none reuses a
-    transition); each must end at the flip of its start, which is computed
-    here by ``flip_rows``.  The first failure raises ``VerificationError``
-    naming the start row and the state or step.
+    transition); each must end at the flip of its start, computed here by
+    ``flip_rows`` (on the tree's ``_Tables`` ``tab``, if given).  The first
+    failure raises ``VerificationError`` naming the start row and the state or step.
 
     A step changes exactly its recorded edges if it changes as many, each of
     them, with none recorded twice; its block is then their sorted pair.
@@ -454,7 +454,7 @@ def verify_paths(dist, batch):
     order = np.argsort(visit, kind="stable")  # a revisit sorts after the visit
     check(order[1:][visit[order[1:]] == visit[order[:-1]]], "state",
           lambda i: "revisits an earlier state")
-    target = flip_rows(tree, dist.array[rows[first]], batch.family.r, batch.family.b)
+    target = flip_rows(tree, dist.array[rows[first]], batch.family.r, batch.family.b, tab)
     check(last[(dist.array[rows[last]] != target).any(axis=1)], "state",
           lambda i: f"ends at row {rows[i]}, not at row "
                     f"{dist.rows_of(target[path_of[i], None])[0]}, the flip of the start")
@@ -560,7 +560,7 @@ def compute_congestion(tree, lists, path_kind):
     for k, block in enumerate(allowed):
         labels, sizes = dist.classes(block)
         class_size[k] = sizes[labels]
-    per_pair, built = {}, {}  # built: one batch per orbit, keyed by its classes
+    per_pair, built, tab = {}, {}, _Tables(tree)  # built: one batch per orbit, by classes
     for a in root_colors:
         for b in root_colors:
             if a == b:
@@ -571,7 +571,7 @@ def compute_congestion(tree, lists, path_kind):
                 batch = map_paths(built[key], family, dist)
             else:
                 batch = built[key] = build_paths(family, dist, fibers[a])
-            src, dst, block_of, blocks = verify_paths(dist, batch)
+            src, dst, block_of, blocks = verify_paths(dist, batch, tab)
             _, first, counts = np.unique(src * n + dst, return_index=True,
                                          return_counts=True)
             used = np.argsort(first)  # the transitions in order of first use

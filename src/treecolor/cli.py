@@ -50,7 +50,7 @@ def _check_keys(doc, allowed, where):
 def load_config(path, overrides):
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh) or {}
+            doc = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)) or {}
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
     if not isinstance(doc, dict):

@@ -1,13 +1,13 @@
 """Exact enumeration and counting of proper list edge colorings.
 
-``enumerate_colorings`` materializes the whole support as an (N x m) array
-of colors in a canonical order (lexicographic over BFS edge ids, colors
-ascending inside each list), which makes state indices reproducible across
-runs.  A coloring is a row of that array, and the support is kept only as
-the array: ``DistributionTable.rows_of`` maps colorings back to rows, its
-colors read as the digits of mixed-radix keys.
-``count_colorings`` gets the same number by dynamic programming and works on
-trees far too large to enumerate.
+``enumerate_colorings`` materializes the whole support as an (N x m) array of
+colors in a canonical order (lexicographic over BFS edge ids, colors ascending
+inside each list), which makes state indices reproducible across runs; it
+counts choices by list membership and reads each new column off the tiled list
+by a flat mask.  A coloring is a row, and the support is kept only as the
+array: ``DistributionTable.rows_of`` maps colorings back to rows, its colors
+read as mixed-radix digits.  ``count_colorings`` gets the same number by
+dynamic programming and works on trees far too large to enumerate.
 ``DistributionTable.classes`` groups the support into the classes of states
 that agree off a block of edges, from which every block-averaging matrix of
 the package is built.  Both rank rows by one exact key, read in groups of
@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, InfeasiblePinningError, ParameterError
+from .errors import CapacityError, InfeasiblePinningError, ParameterError, VerificationError
 
 ENUMERATION_CAP = 2_000_000
 KEY_LIMIT = 2 ** 62      # bound on the mixed-radix keys of ``DistributionTable._ranks``
@@ -153,8 +153,10 @@ def _earlier_neighbors(tree):
 def enumerate_colorings(tree, lists, cap=ENUMERATION_CAP):
     """The support of the uniform distribution, one edge at a time in BFS
     order: each partial coloring is extended by every color of the edge's
-    sorted list, and the extensions that repeat an earlier neighbor's color
-    are dropped.  Extending rows in order keeps the support lexicographic."""
+    sorted list that no earlier neighbor carries, which keeps the support
+    lexicographic.  The earlier neighbors of e meet it at its upper vertex,
+    so their colors differ in a proper prefix and each in L_e removes one
+    choice.  The rows must number ``count_colorings``, else ``VerificationError``."""
     total = count_colorings(tree, lists)
     if total > cap:
         raise CapacityError(
@@ -164,18 +166,25 @@ def enumerate_colorings(tree, lists, cap=ENUMERATION_CAP):
     rows = np.zeros((1, tree.n_edges), dtype=dtype)
     for e, earlier in enumerate(_earlier_neighbors(tree)):
         colors = np.array(sorted(lists[e]), dtype=dtype)
-        allowed = np.ones((len(rows), len(colors)), dtype=bool)
+        member = np.isin(np.arange(lists.q + 1), colors).astype(dtype)
+        allowed = np.ones((len(colors), len(rows)), dtype=bool)  # [j, i]: row i may take colors[j]
+        counts = np.full(len(rows), len(colors), dtype=dtype)
         for f in earlier:
-            allowed &= rows[:, f, None] != colors
-        counts = allowed.sum(axis=1)
-        prefixes = int(counts.sum())
+            col = rows[:, f]
+            allowed &= colors[:, None] != col
+            counts -= member.take(col)
+        prefixes = int(counts.sum(dtype=np.int64))
         # Prefixes can outnumber the support when custom lists kill them late.
         if prefixes > cap:
             raise CapacityError(
                 f"{prefixes} partial colorings of edges 0..{e}, above the "
                 f"cap {cap}", estimated=prefixes)
+        new = np.tile(colors, len(rows))[allowed.T.ravel()]
+        del allowed
         rows = np.repeat(rows, counts, axis=0)
-        rows[:, e] = np.broadcast_to(colors, allowed.shape)[allowed]
+        rows[:, e] = new
+    if len(rows) != total:
+        raise VerificationError(f"enumerated {len(rows)} colorings, counted {total}")
     return DistributionTable(tree, lists, rows)
 
 

@@ -129,11 +129,6 @@ class Tree:
                                  f"[{self.min_level}, {self.max_level}]")
         return self._level_edges.get(i, frozenset())
 
-    def edge_neighbors(self, e):
-        if not (0 <= e < self.n_edges):
-            raise ParameterError(f"edge id {e} out of range")
-        return frozenset(self.neighbors[e])
-
     def content_hash(self):
         """Stable hash of the rooted shape, used in result artifacts."""
         if self._hash is None:

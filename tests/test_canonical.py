@@ -418,6 +418,22 @@ def test_congestion_builds_one_family_per_orbit(monkeypatch):
     assert verified == families(lists, hanging_root_edge(tree))
 
 
+def test_congestion_flips_every_family_on_one_table(monkeypatch):
+    # the tree's index tables are built once per congestion, and each
+    # family's end states are still checked against its own flips
+    tree, lists, _ = star_instance(2, 3, 4)
+    flips, inner = [], canonical.flip_rows
+
+    def recording(tree, colors, e, b, tab=None):
+        flips.append((int(colors[0, e]), b, tab))
+        return inner(tree, colors, e, b, tab)
+
+    monkeypatch.setattr(canonical, "flip_rows", recording)
+    compute_congestion(tree, lists, GLAUBER_PATHS)
+    assert [(a, b) for a, b, _ in flips] == families(lists, hanging_root_edge(tree))
+    assert flips[0][2] is not None and all(tab is flips[0][2] for *_, tab in flips)
+
+
 def test_congestion_with_families_no_color_map_relates(monkeypatch):
     # root list {1, 2, 4}: color 3 is in a class of its own, so the orders of
     # (1, 2) and (1, 4) run through different color classes and no

@@ -12,7 +12,7 @@ import yaml
 
 import treecolor
 from treecolor import spectral
-from treecolor.cli import main
+from treecolor.cli import load_config, main
 from treecolor.colorings import uniform_lists
 from treecolor.oracle import count_colorings
 from treecolor.trees import build_complete_regular
@@ -118,6 +118,18 @@ def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
         path.write_text(text)
         assert main(["gap", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: cannot read config")
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(REPO, "configs", "**", "*.yaml"),
+                                                recursive=True)))
+def test_configs_load_alike_under_both_yaml_loaders(path):
+    # load_config takes libyaml's loader when PyYAML has it
+    with open(path) as fh:
+        pure = yaml.load(fh, Loader=yaml.SafeLoader)
+    with open(path) as fh:
+        fast = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    assert isinstance(pure, dict) and fast == pure
+    assert load_config(path, {}) == pure
 
 
 @pytest.mark.parametrize("lines", ["3 0\n5 0\n1 0\n", "3 0\n-1 0\n1 0\n"],

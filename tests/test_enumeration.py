@@ -7,16 +7,20 @@ of the support (its tuples and index as the tests read them, conditionals,
 marginals, export) must agree.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from coloring_reference import index_of, states_of
+from enumeration_reference import reference_rows
 from treecolor import oracle
 from treecolor.colorings import (ListSpec, pinned_root_lists, star_root_lists,
                                  uniform_lists)
-from treecolor.errors import CapacityError, InfeasiblePinningError
+from treecolor.errors import (CapacityError, InfeasiblePinningError,
+                              VerificationError)
 from treecolor.trees import (build_complete_regular, build_hanging_root,
-                             tree_from_parents)
+                             load_tree, save_tree, tree_from_parents)
 
 
 def path_tree(n):
@@ -125,6 +129,84 @@ def test_prefix_cap_guard():
     with pytest.raises(CapacityError) as err:
         oracle.enumerate_colorings(STAR, DYING_LISTS, cap=3)
     assert err.value.estimated == 6
+
+
+# Each list leaves out a color an earlier neighbor may carry, so a row has
+# more or fewer choices on an edge by whether that neighbor's color is in it.
+SPARSE_LISTS = ListSpec(4, [{1, 2, 3}, {1, 2, 4}, {3, 4}, {1, 4}, {2, 3, 4}])
+SPARSE_TREE = tree_from_parents([None, 0, 0, 1, 1, 2], 0)
+
+
+def test_lists_that_miss_an_earlier_neighbor_color():
+    earlier = oracle._earlier_neighbors(SPARSE_TREE)
+    assert any(SPARSE_LISTS[f] - SPARSE_LISTS[e] for e in range(5) for f in earlier[e])
+    assert_matches_reference(SPARSE_TREE, SPARSE_LISTS)
+    dist = oracle.enumerate_colorings(SPARSE_TREE, SPARSE_LISTS)
+    assert np.array_equal(dist.array, reference_rows(SPARSE_TREE, SPARSE_LISTS))
+
+
+# Edges with three earlier neighbors: the last leaf of a star and the last
+# child edge below a degree-4 vertex.
+HANGING_FOUR = build_hanging_root(4, 1)
+DEGREE_FOUR = [(build_complete_regular(4, 1), 4), (build_complete_regular(4, 1), 5),
+               (tree_from_parents([None, 0, 0, 1, 1, 1], 0), 4)]
+
+
+@pytest.mark.parametrize("tree,lists", [(t, uniform_lists(t, q)) for t, q in DEGREE_FOUR]
+                         + [(HANGING_FOUR, star_root_lists(HANGING_FOUR, 5))])
+def test_three_earlier_neighbors(tree, lists):
+    assert max(map(len, oracle._earlier_neighbors(tree))) == 3
+    assert_matches_reference(tree, lists)
+
+
+def test_relabeled_file_tree(tmp_path):
+    tree = build_complete_regular(3, 2)
+    label = [0] + (1 + np.random.default_rng(3).permutation(tree.n_vertices - 1)).tolist()
+    parent = [None] * tree.n_vertices
+    for v, p in enumerate(tree.parent):
+        if p is not None:
+            parent[label[v]] = label[p]
+    save_tree(tree_from_parents(parent, 0), tmp_path / "tree.txt")
+    relabeled = load_tree(tmp_path / "tree.txt")
+    assert relabeled.edge_child_vertex != tree.edge_child_vertex
+    assert_matches_reference(relabeled, uniform_lists(relabeled, 4))
+    assert (oracle.enumerate_colorings(relabeled, uniform_lists(relabeled, 4)).size
+            == oracle.count_colorings(tree, uniform_lists(tree, 4)))
+
+
+@pytest.mark.parametrize("tree,lists", [
+    (path_tree(18), uniform_lists(path_tree(18), 3)),
+    (build_complete_regular(3, 2), uniform_lists(build_complete_regular(3, 2), 4)),
+    (build_hanging_root(3, 2), star_root_lists(build_hanging_root(3, 2), 5)),
+    (build_hanging_root(3, 2), pinned_root_lists(build_hanging_root(3, 2), 5, 2)),
+])
+def test_support_bit_identical_to_mask_builder(tree, lists):
+    got = oracle.enumerate_colorings(tree, lists).array
+    want = reference_rows(tree, lists)
+    assert np.array_equal(got, want)
+    assert got.dtype == want.dtype == np.min_scalar_type(lists.q)
+    assert got.flags.c_contiguous
+
+
+def test_wide_lists_build_no_quadratic_table():
+    # a pinned root edge leaves one prefix and q choices below it, so the
+    # step may hold O(q + rows x |L_e|) but no table of q x |L_e| entries
+    tree, q = build_hanging_root(2, 1), 4000
+    tracemalloc.start()
+    try:
+        dist = oracle.enumerate_colorings(tree, pinned_root_lists(tree, q, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.size == q - 1
+    assert peak < q * q // 4  # 4 MB; a (q+1) x q boolean table alone is 16 MB
+
+
+def test_row_count_checked_against_count(monkeypatch):
+    count = oracle.count_colorings
+    monkeypatch.setattr(oracle, "count_colorings", lambda tree, lists: count(tree, lists) + 1)
+    with pytest.raises(VerificationError, match="enumerated 2 colorings, counted 3"):
+        oracle.enumerate_colorings(STAR, DYING_LISTS)
 
 
 def assert_rows_of_matches_index(dist, rng):

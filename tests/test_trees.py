@@ -59,16 +59,21 @@ def test_level_partition_and_range_error():
         t.level_edges(t.max_level + 1)
 
 
+def edge_neighbors(tree, e):
+    """The edges adjacent to ``e`` (its line-graph neighborhood) as a set."""
+    return frozenset(tree.neighbors[e])
+
+
 def test_edge_neighbors():
     path = tree_from_parents([None, 0, 1, 2], 0)
-    assert path.edge_neighbors(1) == {0, 2}
+    assert edge_neighbors(path, 1) == {0, 2}
 
     star = build_complete_regular(3, 1)
-    assert star.edge_neighbors(0) == {1, 2}
+    assert edge_neighbors(star, 0) == {1, 2}
 
     t = build_complete_regular(3, 2)
     leaf = max(t.level_edges(2))
-    nbrs = t.edge_neighbors(leaf)
+    nbrs = edge_neighbors(t, leaf)
     assert len(nbrs) == 2  # parent edge plus one sibling
     assert any(t.edge_levels[f] == 1 for f in nbrs)
 
@@ -76,9 +81,9 @@ def test_edge_neighbors():
 def test_neighbor_symmetry_and_degree_bound():
     t = build_complete_regular(4, 2)
     for e in range(t.n_edges):
-        for f in t.edge_neighbors(e):
-            assert e in t.edge_neighbors(f)
-        assert len(t.edge_neighbors(e)) <= 2 * (t.max_degree - 1)
+        for f in edge_neighbors(t, e):
+            assert e in edge_neighbors(t, f)
+        assert len(edge_neighbors(t, e)) <= 2 * (t.max_degree - 1)
 
 
 def test_bfs_indexing_deterministic():
