@@ -137,9 +137,9 @@ class Coupling:
     weight: float        # uniform pair probability 1/|pairs|
 
 
-def flip_coupling(tree, lists, a, b, dist=None):
-    """Pair the root-color-a fiber with the root-color-b fiber by flipping,
-    as support rows."""
+def flip_coupling(tree, lists, a, b, dist=None, tab=None):
+    """Pair the root-color-a fiber with the root-color-b fiber by flipping
+    (on the tree's ``_Tables`` ``tab``, if given), as support rows."""
     r = hanging_root_edge(tree)
     if a == b or a not in lists[r] or b not in lists[r]:
         raise ParameterError("a, b must be distinct colors from the root list")
@@ -147,7 +147,7 @@ def flip_coupling(tree, lists, a, b, dist=None):
         dist = oracle.enumerate_colorings(tree, lists)
     fiber_a = np.flatnonzero(dist.array[:, r] == a)
     fiber_b = np.flatnonzero(dist.array[:, r] == b)
-    flipped = dist.rows_of(flip_rows(tree, dist.array[fiber_a], r, b))
+    flipped = dist.rows_of(flip_rows(tree, dist.array[fiber_a], r, b, tab))
     if not np.array_equal(np.sort(flipped), fiber_b):
         raise VerificationError("flip is not a bijection between the fibers")
     pairs = np.column_stack([fiber_a, flipped])
@@ -341,27 +341,39 @@ def build_paths(family, dist, starts):
     return batch
 
 
-def map_paths(batch, family, dist):
+def map_paths(batch, family, dist, maps=None):
     """The paths of ``family`` as the image of ``batch`` under the color
     permutation pi sending ``batch.family.order`` onto ``family.order``.
 
     The construction only ever takes the first color of the family's order
     that passes a test pi carries over, so the path from pi(sigma) is pi of
-    the path from sigma.  Rows are mapped through one ``rows_of`` lookup of
-    the permuted support, which must be a bijection carrying fiber a0 onto
-    fiber a (else ``VerificationError``, as for a pi breaking a list), and
-    paths are put in ascending order of their mapped start rows, as
-    ``build_paths`` puts them.
+    the path from sigma.  Rows are mapped through pi's row map: one
+    ``rows_of`` lookup of the permuted support or, when pi = s o t for two
+    maps kept in ``maps`` (pi's bytes -> (pi, row map), shared across
+    calls), the composition perm_s[perm_t].  Every map must be a
+    bijection of the support carrying fiber a0 onto fiber a (else
+    ``VerificationError``, as for a pi breaking a list), checked in O(N);
+    only then is it kept.  Paths are put in ascending order of their mapped
+    start rows, as ``build_paths`` puts them.
     """
     pi = np.zeros(dist.lists.q + 1, dtype=dist.array.dtype)
     pi[list(batch.family.order)] = family.order
-    perm = dist.rows_of(pi[dist.array])
-    r, a0 = family.r, batch.family.a
-    if not (np.array_equal(np.sort(perm), np.arange(dist.size))
-            and np.array_equal(np.sort(perm[dist.array[:, r] == a0]),
-                               np.flatnonzero(dist.array[:, r] == family.a))):
+    maps = {} if maps is None else maps
+    for s, perm_s in maps.values():  # pi = s o t with t = s^-1 o pi
+        t = maps.get(np.argsort(s).astype(pi.dtype)[pi].tobytes())
+        if t is not None:
+            perm = perm_s[t[1]]
+            break
+    else:
+        perm = dist.rows_of(pi[dist.array])
+    root = dist.array[:, family.r]
+    hit = np.zeros(dist.size, dtype=bool)
+    hit[perm] = True
+    if not (perm.min() >= 0 and hit.all()
+            and np.array_equal(root[perm] == family.a, root == batch.family.a)):
         raise VerificationError(f"the color map {batch.family.order} -> "
                                 f"{family.order} is not a bijection of the fibers")
+    maps[pi.tobytes()] = (pi, perm)
     steps, states = batch.lengths, batch.lengths + 1
     first_state = np.cumsum(states) - states
     order = np.argsort(perm[batch.rows[first_state]])
@@ -399,14 +411,15 @@ def path_blocks_for_kind(tree, path_kind):
     return singles | pairs
 
 
-def verify_paths(dist, batch, tab=None):
+def verify_paths(dist, batch, ends=None):
     """Check a ``PathBatch`` against the support ``dist``, the set of proper
     list colorings: every state must be a row of ``dist``; every step must
     change a nonempty block, equal to the recorded one and legal for the
     family's kind; no path may revisit a state (so none reuses a
-    transition); each must end at the flip of its start, computed here by
-    ``flip_rows`` (on the tree's ``_Tables`` ``tab``, if given).  The first
-    failure raises ``VerificationError`` naming the start row and the state or step.
+    transition); each must end at the flip of its start, given as ``ends``
+    (support rows, in path order) or else computed here by ``flip_rows``.
+    The first failure raises ``VerificationError`` naming the start row and
+    the state or step.
 
     A step changes exactly its recorded edges if it changes as many, each of
     them, with none recorded twice; its block is then their sorted pair.
@@ -454,10 +467,12 @@ def verify_paths(dist, batch, tab=None):
     order = np.argsort(visit, kind="stable")  # a revisit sorts after the visit
     check(order[1:][visit[order[1:]] == visit[order[:-1]]], "state",
           lambda i: "revisits an earlier state")
-    target = flip_rows(tree, dist.array[rows[first]], batch.family.r, batch.family.b, tab)
-    check(last[(dist.array[rows[last]] != target).any(axis=1)], "state",
-          lambda i: f"ends at row {rows[i]}, not at row "
-                    f"{dist.rows_of(target[path_of[i], None])[0]}, the flip of the start")
+    if ends is None:
+        ends = dist.rows_of(flip_rows(tree, dist.array[rows[first]], batch.family.r,
+                                      batch.family.b))
+    check(last[rows[last] != ends], "state",
+          lambda i: f"ends at row {rows[i]}, not at row {ends[path_of[i]]}, "
+                    f"the flip of the start")
     return src, dst, block_of, blocks
 
 
@@ -542,15 +557,22 @@ def compute_congestion(tree, lists, path_kind):
 
     Paths are built once per orbit of families under the list-keeping color
     permutations: a family whose order runs through the ``color_classes`` of
-    a built one is that one's image (``map_paths``), any other is built.
-    Every family is checked by ``verify_paths`` and counted on support rows.
-    A move that changes block B out of state x has heat-bath rate 1/s, with
-    s the size of the class of x under ``DistributionTable.classes(B)``.
+    a built one is that one's image (``map_paths``, whose row maps are kept
+    and composed across families), any other is built.  Every family is
+    checked by ``verify_paths`` and counted on support rows; its end rows
+    come from one ``flip_coupling`` per pair a < b, whose inverse gives the
+    (b, a) ends, since the flip is an involution.  A move that changes block
+    B out of state x has heat-bath rate 1/s, with s the size of the class of
+    x under B: ``DistributionTable.choices(e)`` for a singleton (e,), and
+    ``DistributionTable.classes(B)`` for a pair.
     """
     r = hanging_root_edge(tree)
+    root_colors = sorted(lists[r])
+    if len(root_colors) < 2:
+        raise ParameterError(f"congestion couples two root colors, but the root "
+                             f"list is {root_colors}")
     dist = oracle.enumerate_colorings(tree, lists)
     n, ell = dist.size, tree.max_level
-    root_colors = sorted(lists[r])
     fibers = {a: np.flatnonzero(dist.array[:, r] == a) for a in root_colors}
     allowed = sorted(path_blocks_for_kind(tree, path_kind))
     slot = {block: k for k, block in enumerate(allowed)}
@@ -558,9 +580,12 @@ def compute_congestion(tree, lists, path_kind):
                             for blk in allowed], dtype=np.intp)
     class_size = np.empty((len(allowed), n), dtype=np.int32)  # [block, state]
     for k, block in enumerate(allowed):
-        labels, sizes = dist.classes(block)
-        class_size[k] = sizes[labels]
-    per_pair, built, tab = {}, {}, _Tables(tree)  # built: one batch per orbit, by classes
+        if len(block) == 1:
+            class_size[k] = dist.choices(block[0])
+        else:
+            labels, sizes = dist.classes(block)
+            class_size[k] = sizes[labels]
+    per_pair, built, maps, back, tab = {}, {}, {}, {}, _Tables(tree)  # built: one batch per orbit
     for a in root_colors:
         for b in root_colors:
             if a == b:
@@ -568,10 +593,15 @@ def compute_congestion(tree, lists, path_kind):
             family = path_family(tree, lists, a, b, path_kind)
             key = tuple(lists.color_classes[list(family.order)].tolist())
             if key in built:
-                batch = map_paths(built[key], family, dist)
+                batch = map_paths(built[key], family, dist, maps)
             else:
                 batch = built[key] = build_paths(family, dist, fibers[a])
-            src, dst, block_of, blocks = verify_paths(dist, batch, tab)
+            if a < b:  # the flip of fiber a, and its inverse for (b, a)
+                ends = flip_coupling(tree, lists, a, b, dist, tab).pairs[:, 1]
+                back[b, a] = fibers[a][np.argsort(ends)]
+            else:
+                ends = back.pop((a, b))
+            src, dst, block_of, blocks = verify_paths(dist, batch, ends)
             _, first, counts = np.unique(src * n + dst, return_index=True,
                                          return_counts=True)
             used = np.argsort(first)  # the transitions in order of first use
@@ -654,13 +684,6 @@ def gamma_stats(tree, lists, gamma, a, b):
     S, Z, P_i = _gamma_arrays(tree, lists, [gamma], a, b)
     P_i = {2 * k + 1: p for k, p in enumerate(P_i[0].tolist())}
     return GammaStats(S=int(S[0]), P=sum(P_i.values()), Z=int(Z[0]), P_i=P_i)
-
-
-def leaf_multiplicity_sum(report, a, b, gamma):
-    """Sum over leaf transitions out of ``gamma`` (single-edge moves at level
-    ell) of the squared number of start colorings whose path uses them."""
-    row = int(report.dist.rows_of([gamma])[0])
-    return report.per_pair[(a, b)].leaf_sums.get(row, 0)
 
 
 def leaf_count_bound(stats, delta):

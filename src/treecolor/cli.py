@@ -195,6 +195,14 @@ def cmd_congestion(cfg, out):
     return doc, f"xi={doc['xi']}", None
 
 
+def _alpha(cfg):
+    """The config's ``alpha``, None if it gives none."""
+    alpha = cfg.get("alpha")
+    if alpha is not None and not isinstance(alpha, list):
+        raise ConfigError(f"alpha must be a list of per-level weights, not {alpha!r}")
+    return alpha
+
+
 def cmd_tensorize(cfg, out):
     tree, lists = _instance(cfg)
     dist = oracle.enumerate_colorings(tree, lists)
@@ -203,7 +211,7 @@ def cmd_tensorize(cfg, out):
     if cfg.get("blocks") == "pairs":
         doc["at_constant_pairs"] = tz.optimal_at_constant(
             dist, dynamics.pair_blocks(tree))
-    alpha, failure = cfg.get("alpha"), None
+    alpha, failure = _alpha(cfg), None
     if alpha is not None:
         cert = tz.check_root_tensorization(tree, lists, [float(x) for x in alpha])
         doc["root_tensorization"] = cert.export(
@@ -221,7 +229,7 @@ def cmd_induction(cfg, out):
     delta = int(tree_cfg["delta"])
     ell = int(cfg.get("ell", 1))
     q = int(cfg["q"])
-    alpha, gamma = cfg.get("alpha"), cfg.get("gamma")
+    alpha, gamma = _alpha(cfg), cfg.get("gamma")
     if alpha is None:
         star = build_hanging_root(delta, ell)
         alpha = canonical.compute_congestion(

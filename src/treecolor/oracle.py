@@ -12,6 +12,8 @@ dynamic programming and works on trees far too large to enumerate.
 that agree off a block of edges, from which every block-averaging matrix of
 the package is built.  Both rank rows by one exact key, read in groups of
 columns that keep it below ``KEY_LIMIT`` (``DistributionTable._ranks``).
+``DistributionTable.choices`` counts a singleton block's class sizes by list
+membership instead, with no sort.
 """
 
 from __future__ import annotations
@@ -105,6 +107,27 @@ class DistributionTable:
         B = set(B)
         labels = self._ranks([e for e in reversed(range(self.tree.n_edges)) if e not in B])[1]
         return labels, np.bincount(labels)
+
+    def choices(self, e):
+        """Per row, the number of colors of L_e that no neighbour of ``e``
+        carries: the size of the row's class under the block (e,), since the
+        support is every proper list coloring.  The neighbours at one endpoint
+        carry distinct colors, so with U and W those at the upper and lower
+        vertex it is |L_e| - sum_{f in U+W} [x_f in L_e]
+        + sum_{f in U, g in W} [x_f = x_g in L_e], in O(N deg^2) for every q."""
+        tree = self.tree
+        upper, lower = ([f for f in tree.edges_at_vertex[v] if f != e] for v in
+                        (tree.edge_parent_vertex[e], tree.edge_child_vertex[e]))
+        member = np.zeros(self.lists.q + 1, dtype=bool)
+        member[sorted(self.lists[e])] = True
+        held = {f: member[self.array[:, f]] for f in upper + lower}
+        s = np.full(self.size, len(self.lists[e]), dtype=np.int64)
+        for f in upper + lower:
+            s -= held[f]
+        for f in upper:
+            for g in lower:
+                s += held[f] & (self.array[:, f] == self.array[:, g])
+        return s
 
     def conditional(self, pinned):
         """Restrict to states matching a partial coloring {edge: color}."""

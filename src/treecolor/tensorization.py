@@ -230,13 +230,6 @@ def verify_induction(tree, lists, ell, alpha, gamma):
     return {"constants": consts, "certificate": cert, "ok": cert.ok}
 
 
-def uniform_pair_block_constant(alpha, beta, gamma, k, ell):
-    """Uniform weight for the singleton-plus-adjacent-pair factorization
-    implied by the pair-block seed."""
-    geom = sum(alpha[ell] ** i for i in range(k // ell + 1))
-    return beta * gamma * (max(alpha) * geom + max(1.0, alpha[0]))
-
-
 # ---------------------------------------------------------------------------
 # Monotonicity under passing to a rooted subtree
 
@@ -286,20 +279,6 @@ def check_monotonicity(super_tree, sub_edges, q):
 # Conditional-expectation exchange facts
 
 
-def _line_distance(tree, S, T):
-    from collections import deque
-
-    dist = {e: 0 for e in S}
-    dq = deque(S)
-    while dq:
-        e = dq.popleft()
-        for f in tree.neighbors[e]:
-            if f not in dist:
-                dist[f] = dist[e] + 1
-                dq.append(f)
-    return min(dist.get(e, math.inf) for e in T)
-
-
 def exterior_boundary(tree, S):
     out = set()
     for e in S:
@@ -334,13 +313,3 @@ def variance_exchange_checks(dist, S1, S2, n_random=100, seed=11, tol=1e-12):
     lhs = cond_var_s1(P2 @ F)
     rhs = cond_var_s1(inner @ F)
     return bool(np.all(lhs <= rhs + 1e-9 * np.maximum(1.0, np.abs(rhs))))
-
-
-def commutation_holds(dist, S, T, tol=1e-12):
-    """mu_S mu_T = mu_T mu_S as matrices, for sets separated by line-graph
-    distance >= 2."""
-    if _line_distance(dist.tree, S, T) < 2:
-        raise ParameterError("sets must be at line-graph distance >= 2")
-    P1 = spectral.block_projector(dist, S)
-    P2 = spectral.block_projector(dist, T)
-    return bool(abs(P1 @ P2 - P2 @ P1).max() <= tol)

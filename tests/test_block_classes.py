@@ -16,10 +16,11 @@ from coloring_reference import (available_colors, block_assignments, index_of,
                                 states_of)
 from treecolor import dynamics, oracle, spectral
 from treecolor.canonical import EDGE_PATHS, GLAUBER_PATHS, compute_congestion
-from treecolor.colorings import ListSpec, star_root_lists, uniform_lists
+from treecolor.colorings import (ListSpec, pinned_root_lists, star_root_lists,
+                                 uniform_lists)
 from treecolor.dynamics import pair_blocks
 from treecolor.trees import (build_complete_regular, build_hanging_root,
-                             tree_from_parents)
+                             hanging_root_edge, tree_from_parents)
 
 
 def path_tree(n):
@@ -196,6 +197,30 @@ def test_classes_with_more_than_255_colors():
     for B in ((0,), (1,), (0, 1), ()):
         assert_classes_match(dist, B)
     assert set(dist.classes((0,))[1].tolist()) == {299}
+
+
+def test_choices_are_the_singleton_class_sizes():
+    hanging, deep = build_hanging_root(2, 3), build_complete_regular(3, 2)
+    star = build_complete_regular(2, 1)
+    r = hanging_root_edge(hanging)
+    # odd edges miss color 4 and even ones color 1, which their neighbours carry
+    custom = ListSpec(4, [{1, 2} if e == r else {1, 2, 3} if e % 2 else {2, 3, 4}
+                          for e in range(hanging.n_edges)])
+    cases = [(tree, uniform_lists(tree, q)) for tree, q in ZOO] + [
+        (hanging, star_root_lists(hanging, 4)), (hanging, pinned_root_lists(hanging, 4, 2)),
+        (hanging, custom), (deep, uniform_lists(deep, 4)),
+        (build_hanging_root(3, 2), star_root_lists(build_hanging_root(3, 2), 5)),
+        (star, uniform_lists(star, 300))]
+    for tree, lists in cases:
+        dist = oracle.enumerate_colorings(tree, lists)
+        for e in range(tree.n_edges):
+            labels, sizes = dist.classes((e,))
+            assert np.array_equal(dist.choices(e), sizes[labels]), (lists, e)
+    # at Delta = 3, q = 4 the two edges above and the two below edge 0 take
+    # the three colors it leaves, so one color sits at both of its endpoints
+    dist = oracle.enumerate_colorings(deep, uniform_lists(deep, 4))
+    assert deep.edge_levels[0] == 1 and len(deep.neighbors[0]) == 4
+    assert all(len(set(row)) < 4 for row in dist.array[:, deep.neighbors[0]].tolist())
 
 
 def test_congestion_rates_match_block_assignments():

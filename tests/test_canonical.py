@@ -14,7 +14,7 @@ from treecolor import canonical, colorings, oracle
 from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, build_paths,
                                  color_order, compute_congestion,
                                  flip_coupling, flip_rows, gamma_stats,
-                                 leaf_count_check, leaf_multiplicity_sum,
+                                 leaf_count_check,
                                  path_family, routing_bound_ell1,
                                  stage_one_moves, tail_probability_check,
                                  verify_paths)
@@ -419,19 +419,91 @@ def test_congestion_builds_one_family_per_orbit(monkeypatch):
 
 
 def test_congestion_flips_every_family_on_one_table(monkeypatch):
-    # the tree's index tables are built once per congestion, and each
-    # family's end states are still checked against its own flips
-    tree, lists, _ = star_instance(2, 3, 4)
-    flips, inner = [], canonical.flip_rows
+    # one flip per root-color pair a < b, all on the tree's one index table:
+    # the (b, a) family's ends are the inverse of the (a, b) flip; singleton
+    # rates come from choices, and classes serves the pair blocks alone
+    flips, blocks = [], []
+    inner, classes = canonical.flip_rows, oracle.DistributionTable.classes
 
     def recording(tree, colors, e, b, tab=None):
         flips.append((int(colors[0, e]), b, tab))
         return inner(tree, colors, e, b, tab)
 
+    def counted(dist, B):
+        blocks.append(tuple(B))
+        return classes(dist, B)
+
     monkeypatch.setattr(canonical, "flip_rows", recording)
-    compute_congestion(tree, lists, GLAUBER_PATHS)
-    assert [(a, b) for a, b, _ in flips] == families(lists, hanging_root_edge(tree))
-    assert flips[0][2] is not None and all(tab is flips[0][2] for *_, tab in flips)
+    monkeypatch.setattr(oracle.DistributionTable, "classes", counted)
+    for (delta, ell, q), kind in (((2, 7, 4), GLAUBER_PATHS), ((2, 3, 3), EDGE_PATHS)):
+        tree, lists, _ = star_instance(delta, ell, q)
+        flips.clear()
+        blocks.clear()
+        compute_congestion(tree, lists, kind)
+        assert [(a, b) for a, b, _ in flips] == [
+            (a, b) for a, b in families(lists, hanging_root_edge(tree)) if a < b]
+        assert flips[0][2] is not None and all(tab is flips[0][2] for *_, tab in flips)
+        assert all(len(B) == 2 for B in blocks)
+        assert len(blocks) == (0 if kind == GLAUBER_PATHS else len(tree.level_edges(1)))
+
+
+def test_flip_is_an_involution():
+    for delta, ell, q, _ in PATH_INSTANCES:
+        tree, lists, dist = star_instance(delta, ell, q)
+        r = hanging_root_edge(tree)
+        for a, b in families(lists, r):
+            starts = dist.array[fiber(dist, r, a)]
+            flipped = flip_rows(tree, starts, r, b)
+            assert (flipped[:, r] == b).all()
+            assert np.array_equal(flip_rows(tree, flipped, r, a), starts)
+
+
+def test_verify_paths_checks_the_given_ends():
+    tree, lists, dist = star_instance(2, 3, 4)
+    r = hanging_root_edge(tree)
+    flip = flip_coupling(tree, lists, 1, 2, dist).pairs[:, 1]
+    for a, b, ends in ((1, 2, flip), (2, 1, fiber(dist, r, 1)[np.argsort(flip)])):
+        batch = build_paths(path_family(tree, lists, a, b, GLAUBER_PATHS), dist,
+                            fiber(dist, r, a))
+        verify_paths(dist, batch, ends)
+        bad = ends.copy()
+        bad[5] = ends[6]
+        with pytest.raises(VerificationError, match=rf"state \d+: ends at row {ends[5]}, "
+                                                    rf"not at row {ends[6]}, the flip of the start"):
+            verify_paths(dist, batch, bad)
+
+
+def test_composed_row_maps_match_rows_of(monkeypatch):
+    # with three root colors, the maps of two transpositions compose into
+    # the other three, and each is still checked
+    for delta, ell, q in ((2, 3, 4), (2, 7, 4), (3, 2, 5)):
+        tree, lists, dist = star_instance(delta, ell, q)
+        r = hanging_root_edge(tree)
+        (a0, b0), *rest = families(lists, r)
+        source = build_paths(path_family(tree, lists, a0, b0, GLAUBER_PATHS), dist,
+                             fiber(dist, r, a0))
+        maps, looked_up, rows_of = {}, [], dist.rows_of
+
+        def counted(colors):
+            looked_up.append(len(colors))
+            return rows_of(colors)
+
+        with monkeypatch.context() as m:
+            m.setattr(dist, "rows_of", counted)
+            for a, b in rest:
+                canonical.map_paths(source, path_family(tree, lists, a, b, GLAUBER_PATHS),
+                                    dist, maps)
+        assert len(maps) == len(rest) == 5 and looked_up == [dist.size] * 2
+        for pi, perm in maps.values():
+            assert np.array_equal(perm, dist.rows_of(pi[dist.array]))
+        # a kept map that is no bijection spoils the maps composed from it
+        (one, perm), two = list(maps.values())[:2]
+        broken = perm.copy()
+        broken[0] = perm[1]
+        kept = {one.tobytes(): (one, broken), two[0].tobytes(): two}
+        with pytest.raises(VerificationError, match="not a bijection"):
+            canonical.map_paths(source, path_family(tree, lists, *rest[2], GLAUBER_PATHS),
+                                dist, kept)
 
 
 def test_congestion_with_families_no_color_map_relates(monkeypatch):
@@ -585,6 +657,13 @@ def test_leaf_count_bound_exhaustive():
         rep = compute_congestion(tree, lists, GLAUBER_PATHS)
         ok, bad = leaf_count_check(tree, lists, rep, 1, 2)
         assert ok, bad[:3]
+
+
+def leaf_multiplicity_sum(report, a, b, gamma):
+    """Sum over leaf transitions out of ``gamma`` (single-edge moves at level
+    ell) of the squared number of start colorings whose path uses them."""
+    row = int(report.dist.rows_of([gamma])[0])
+    return report.per_pair[(a, b)].leaf_sums.get(row, 0)
 
 
 def reference_leaf_multiplicity_sum(report, a, b, gamma):

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import treecolor
-from treecolor import spectral
+from treecolor import oracle, spectral
 from treecolor.cli import load_config, main
 from treecolor.colorings import uniform_lists
 from treecolor.oracle import count_colorings
@@ -443,3 +443,27 @@ def test_induction_uses_gamma_zero_as_written(tmp_path, capsys):
 def test_induction_rejects_empty_alpha(tmp_path):
     cfg = write_cfg(tmp_path, dict(INDUCTION, alpha=[]))
     assert main(["induction", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_alpha_that_is_no_list_is_a_config_error(tmp_path, capsys):
+    tensorize = {"command": "tensorize",
+                 "tree": {"shape": "hanging_root", "delta": 2, "depth": 1},
+                 "q": 4, "lists": "star_root"}
+    for command, doc in (("tensorize", tensorize), ("induction", INDUCTION)):
+        cfg = write_cfg(tmp_path, dict(doc, alpha=5), f"{command}.yaml")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: alpha must be a list of per-level weights, not 5\n")
+
+
+def test_congestion_with_one_root_color_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the root list is checked before the support is enumerated
+    monkeypatch.setattr(oracle, "enumerate_colorings", None)
+    cfg = write_cfg(tmp_path, {
+        "command": "congestion",
+        "tree": {"shape": "hanging_root", "delta": 2, "depth": 2},
+        "q": 4, "lists": "pinned_root", "pinned_color": 3,
+    })
+    assert main(["congestion", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: congestion couples two root colors, but the root list is [3]\n")
