@@ -453,11 +453,15 @@ def verify_paths(dist, batch, ends=None):
     lo, hi = np.minimum(*batch.edges.T), np.maximum(*batch.edges.T)
     step = np.arange(len(at))
     check(np.flatnonzero((n_changed != np.add(lo < m, hi < m, dtype=np.intp))
-                         | (lo == hi) | ~changed[step, np.minimum(lo, m - 1)]
+                         | (lo == hi) | (lo < 0) | (hi > m)
+                         | ~changed[step, np.minimum(lo, m - 1)]
                          | ~(changed[step, np.minimum(hi, m - 1)] | (hi == m))), "step",
           lambda i: f"changed {tuple(np.flatnonzero(changed[i]).tolist())}, "
                     f"recorded {tuple(e for e in batch.edges[i].tolist() if e < m)}")
-    keys, block_of = np.unique(lo * (m + 1) + hi, return_inverse=True)
+    key = lo * (m + 1) + hi
+    present = np.zeros((m + 1) ** 2, dtype=bool)
+    present[key] = True
+    keys, block_of = np.flatnonzero(present), (np.cumsum(present) - 1)[key]
     blocks = [tuple(e for e in divmod(k, m + 1) if e < m) for k in keys.tolist()]
     allowed = path_blocks_for_kind(tree, batch.family.kind)
     legal = np.array([blk in allowed for blk in blocks], dtype=bool)

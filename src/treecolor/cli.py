@@ -104,7 +104,10 @@ def _kind(cfg):
 
 
 def _cap(cfg, name, default):
-    return int((cfg.get("caps") or {}).get(name, default))
+    cap = (cfg.get("caps") or {}).get(name, default)
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ConfigError(f"caps.{name} must be a positive integer, not {cap!r}")
+    return cap
 
 
 def _instance(cfg):

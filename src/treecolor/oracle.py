@@ -4,20 +4,24 @@
 colors in a canonical order (lexicographic over BFS edge ids, colors ascending
 inside each list), which makes state indices reproducible across runs; it
 counts choices by list membership and reads each new column off the tiled list
-by a flat mask.  A coloring is a row, and the support is kept only as the
-array: ``DistributionTable.rows_of`` maps colorings back to rows, its colors
-read as mixed-radix digits.  ``count_colorings`` gets the same number by
-dynamic programming and works on trees far too large to enumerate.
+by a flat mask.  On large supports it extends, past a split edge h, only the
+distinct colorings of the boundary edges that later edges read, and joins
+each prefix row to the suffix rows of its boundary tuple (``_join``), so no
+step copies the whole support.  A coloring is a row, and the support is kept
+only as the array: ``DistributionTable.rows_of`` maps colorings back to rows,
+its colors read as mixed-radix digits.  ``count_colorings`` gets the same
+number by dynamic programming and works on trees far too large to enumerate.
 ``DistributionTable.classes`` groups the support into the classes of states
 that agree off a block of edges, from which every block-averaging matrix of
-the package is built.  Both rank rows by one exact key, read in groups of
-columns that keep it below ``KEY_LIMIT`` (``DistributionTable._ranks``).
-``DistributionTable.choices`` counts a singleton block's class sizes by list
-membership instead, with no sort.
+the package is built.  Both, and the builder's boundary tuples, rank rows by
+one exact key, read in groups of columns that keep it below ``KEY_LIMIT``
+(``_ranks``).  ``DistributionTable.choices`` counts a singleton block's class
+sizes by list membership instead, with no sort.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +29,36 @@ import numpy as np
 from .errors import CapacityError, InfeasiblePinningError, ParameterError, VerificationError
 
 ENUMERATION_CAP = 2_000_000
-KEY_LIMIT = 2 ** 62      # bound on the mixed-radix keys of ``DistributionTable._ranks``
+KEY_LIMIT = 2 ** 62      # bound on the mixed-radix keys of ``_ranks``
+SPLIT_STATES = 2 ** 15  # smallest support built from prefixes and suffixes (measured crossover)
+JOIN_ROWS = 2 ** 15      # output rows written per chunk of ``_join``
+
+
+def _ranks(array, radix, cols):
+    """The rank of each row of ``array`` by its colors on the columns
+    ``cols``, compared in that order, and per group of columns (first, stop,
+    its sorted distinct keys).  A group's key is the rank by the groups
+    before it times its span plus its colors, the digits of ``radix`` (q+2),
+    accumulated one column at a time; groups are cut to keep every key below
+    ``KEY_LIMIT``, so ranks are exact for every q and m (given N (q+2) below
+    the limit).  One ``argsort`` ranks each group."""
+    n = len(array)
+    groups, rank, lo = [], np.zeros(n, dtype=np.int64), 0
+    while lo < len(cols):
+        width, hi, span = len(groups[-1][2]) if groups else 1, lo, 1
+        while hi < len(cols) and (hi == lo or width * span * radix < KEY_LIMIT):
+            rank *= radix
+            rank += array[:, cols[hi]]
+            hi, span = hi + 1, span * radix
+        order = np.argsort(rank)
+        ranked = rank[order]
+        starts = np.ones(n, dtype=bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.cumsum(starts) - 1
+        groups.append((lo, hi, ranked[starts]))
+        lo = hi
+    return groups, rank
 
 
 class DistributionTable:
@@ -44,37 +77,11 @@ class DistributionTable:
             raise InfeasiblePinningError("empty support")
         self.weight = 1.0 / self.size
 
-    def _ranks(self, cols):
-        """The rank of each support row by its colors on the edges ``cols``,
-        compared in that order, and per group of columns (first, stop, its
-        sorted distinct keys).  A group's key is the rank by the groups
-        before it times its span plus its colors, the digits of radix q+2,
-        accumulated one column at a time; groups are cut to keep every key
-        below ``KEY_LIMIT``, so ranks are exact for every q and m (given
-        N (q+2) below the limit).  One ``argsort`` ranks each group."""
-        radix = self.lists.q + 2
-        groups, rank, lo = [], np.zeros(self.size, dtype=np.int64), 0
-        while lo < len(cols):
-            width, hi, span = len(groups[-1][2]) if groups else 1, lo, 1
-            while hi < len(cols) and (hi == lo or width * span * radix < KEY_LIMIT):
-                rank *= radix
-                rank += self.array[:, cols[hi]]
-                hi, span = hi + 1, span * radix
-            order = np.argsort(rank)
-            ranked = rank[order]
-            starts = np.ones(self.size, dtype=bool)
-            np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
-            rank = np.empty(self.size, dtype=np.int64)
-            rank[order] = np.cumsum(starts) - 1
-            groups.append((lo, hi, ranked[starts]))
-            lo = hi
-        return groups, rank
-
     @cached_property
     def _row_keys(self):
         """The groups of ``_ranks`` over all columns, and the row of each key
         of the last one."""
-        groups, rank = self._ranks(range(self.array.shape[1]))
+        groups, rank = _ranks(self.array, self.lists.q + 2, range(self.array.shape[1]))
         return groups, np.argsort(rank)
 
     def rows_of(self, colors):
@@ -105,7 +112,8 @@ class DistributionTable:
         ranked by ``_ranks``.
         """
         B = set(B)
-        labels = self._ranks([e for e in reversed(range(self.tree.n_edges)) if e not in B])[1]
+        labels = _ranks(self.array, self.lists.q + 2,
+                        [e for e in reversed(range(self.tree.n_edges)) if e not in B])[1]
         return labels, np.bincount(labels)
 
     def choices(self, e):
@@ -179,36 +187,86 @@ def enumerate_colorings(tree, lists, cap=ENUMERATION_CAP):
     sorted list that no earlier neighbor carries, which keeps the support
     lexicographic.  The earlier neighbors of e meet it at its upper vertex,
     so their colors differ in a proper prefix and each in L_e removes one
-    choice.  The rows must number ``count_colorings``, else ``VerificationError``."""
+    choice.  The rows must number ``count_colorings``, else
+    ``VerificationError``.
+
+    The completions of a prefix (a coloring of edges 0..h-1) depend only on
+    its colors on the boundary B_h, the edges below h that some edge from h
+    on reads.  On a support of at least ``SPLIT_STATES`` states, at the
+    first h where the predicted suffix, prod_{f in B_h} |L_f| tuples times
+    N / N_h completions each, is smaller than the N_h prefixes, the steps
+    from h on extend only the distinct boundary tuples of the prefixes, and
+    ``_join`` writes each prefix followed by its tuple's suffix rows.  Every
+    step checks the partial colorings of edges 0..e against ``cap``; in the
+    suffix pass a row counts once per prefix that shares its tuple."""
     total = count_colorings(tree, lists)
     if total > cap:
         raise CapacityError(
             f"support has {total} states, above the cap {cap}", estimated=total
         )
+    m, earlier = tree.n_edges, _earlier_neighbors(tree)
     dtype = np.min_scalar_type(lists.q)
-    rows = np.zeros((1, tree.n_edges), dtype=dtype)
-    for e, earlier in enumerate(_earlier_neighbors(tree)):
+    rows = np.zeros((1, m), dtype=dtype)
+    ids = None  # in the suffix pass, the boundary tuple of each row
+    for e in range(m):
         colors = np.array(sorted(lists[e]), dtype=dtype)
         member = np.isin(np.arange(lists.q + 1), colors).astype(dtype)
         allowed = np.ones((len(colors), len(rows)), dtype=bool)  # [j, i]: row i may take colors[j]
         counts = np.full(len(rows), len(colors), dtype=dtype)
-        for f in earlier:
+        for f in earlier[e]:
             col = rows[:, f]
             allowed &= colors[:, None] != col
             counts -= member.take(col)
-        prefixes = int(counts.sum(dtype=np.int64))
-        # Prefixes can outnumber the support when custom lists kill them late.
-        if prefixes > cap:
+        partial = int(counts.sum(dtype=np.int64) if ids is None else shared[ids] @ counts)
+        # Partial colorings can outnumber the support when custom lists kill them late.
+        if partial > cap:
             raise CapacityError(
-                f"{prefixes} partial colorings of edges 0..{e}, above the "
-                f"cap {cap}", estimated=prefixes)
+                f"{partial} partial colorings of edges 0..{e}, above the "
+                f"cap {cap}", estimated=partial)
         new = np.tile(colors, len(rows))[allowed.T.ravel()]
         del allowed
         rows = np.repeat(rows, counts, axis=0)
         rows[:, e] = new
+        if ids is not None:
+            ids = np.repeat(ids, counts)
+        elif total >= SPLIT_STATES and e + 1 < m and len(rows) ** 2 > total:
+            boundary = sorted({f for g in earlier[e + 1:] for f in g if f <= e})
+            if math.prod(len(lists[f]) for f in boundary) * total < len(rows) ** 2:
+                prefix, inv = rows, _ranks(rows, lists.q + 2, boundary)[1]
+                shared = np.bincount(inv)  # prefixes per boundary tuple
+                rows = np.zeros((len(shared), m), dtype=dtype)
+                rows[inv[:, None], boundary] = prefix[:, boundary]
+                ids, h = np.arange(len(shared)), e + 1
+    if ids is not None:
+        rows = _join(prefix, inv, rows, ids, h)
     if len(rows) != total:
         raise VerificationError(f"enumerated {len(rows)} colorings, counted {total}")
     return DistributionTable(tree, lists, rows)
+
+
+def _join(prefix, inv, suffix, ids, h):
+    """The support from its prefixes (rows whose edges 0..h-1 are colored,
+    ``inv`` their boundary tuples) and the suffix rows (edges h..m-1 colored,
+    ``ids`` their tuples, grouped in tuple order): each prefix in order,
+    followed by every suffix row of its tuple.  The prefixes are repeated
+    whole, and then the suffix edges are written ``JOIN_ROWS`` rows at a
+    time: one field of a structured view of the output takes the suffix
+    rows as void rows, gathered by ``take``, so the temporaries stay near
+    the size of a chunk."""
+    sizes = np.bincount(ids, minlength=inv.max() + 1)  # suffix rows per tuple
+    runs = sizes[inv]  # output rows per prefix
+    bounds = np.concatenate(([0], np.cumsum(runs)))
+    shift = (np.cumsum(sizes) - sizes)[inv] - bounds[:-1]  # suffix row - output row
+    m, width = prefix.shape[1], prefix.dtype.itemsize
+    tails = np.ascontiguousarray(suffix[:, h:]).view(f"V{(m - h) * width}").ravel()
+    out = np.repeat(prefix, runs, axis=0)
+    out_tails = out.view([("head", f"V{h * width}"), ("tail", tails.dtype)]).ravel()["tail"]
+    cuts = np.searchsorted(bounds, np.arange(0, len(out), JOIN_ROWS), "right") - 1
+    for i, j in zip(cuts, [*cuts[1:], len(runs)]):
+        src = shift[i:j].repeat(runs[i:j])
+        src += np.arange(bounds[i], bounds[j])
+        out_tails[bounds[i]:bounds[j]] = tails.take(src)
+    return out
 
 
 def count_colorings(tree, lists):

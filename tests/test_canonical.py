@@ -473,6 +473,20 @@ def test_verify_paths_checks_the_given_ends():
             verify_paths(dist, batch, bad)
 
 
+def test_verify_paths_refuses_a_recorded_edge_out_of_range():
+    # edge e - m reads as edge e in the change mask, but names no block
+    tree, lists, dist = star_instance(2, 3, 4)
+    r, m = hanging_root_edge(tree), tree.n_edges
+    batch = build_paths(path_family(tree, lists, 1, 2, GLAUBER_PATHS), dist, fiber(dist, r, 1))
+    verify_paths(dist, batch)
+    i = int(np.flatnonzero(batch.edges[:, 1] == m)[0])
+    e = int(batch.edges[i, 0])
+    batch.edges[i, 0] = e - m
+    with pytest.raises(VerificationError, match=rf"step \d+: changed \({e},\), "
+                                                rf"recorded \({e - m},\)"):
+        verify_paths(dist, batch)
+
+
 def test_composed_row_maps_match_rows_of(monkeypatch):
     # with three root colors, the maps of two transpositions compose into
     # the other three, and each is still checked

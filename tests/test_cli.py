@@ -187,6 +187,17 @@ def test_capacity_error_exit_code(tmp_path):
     assert main(["gap", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("cap", [-5, 2.5, True])
+def test_cap_that_is_no_positive_integer_is_a_config_error(tmp_path, capsys, cap):
+    cfg = write_cfg(tmp_path, {
+        "command": "enumerate", "tree": {"shape": "path", "n_edges": 2},
+        "q": 3, "caps": {"enumeration": cap},
+    })
+    assert main(["enumerate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: caps.enumeration must be a positive integer, not {cap!r}\n")
+
+
 def failed_lines(capsys, command):
     err = capsys.readouterr().err.splitlines()
     return [line for line in err if line.startswith(f"{command}: FAILED (")]

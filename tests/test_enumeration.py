@@ -202,6 +202,97 @@ def test_wide_lists_build_no_quadratic_table():
     assert peak < q * q // 4  # 4 MB; a (q+1) x q boolean table alone is 16 MB
 
 
+def record_joins(monkeypatch):
+    """Record (split edge, suffix rows per boundary tuple) of every join."""
+    joins, join = [], oracle._join
+
+    def recording(prefix, inv, suffix, ids, h):
+        joins.append((h, np.bincount(ids, minlength=inv.max() + 1).tolist()))
+        return join(prefix, inv, suffix, ids, h)
+
+    monkeypatch.setattr(oracle, "_join", recording)
+    return joins
+
+
+@pytest.mark.parametrize("tree,lists,split", [
+    (path_tree(18), uniform_lists(path_tree(18), 3), (10, [256] * 3)),
+    # below SPLIT_STATES: the spectral and congestion instances of the benchmark
+    (path_tree(8), uniform_lists(path_tree(8), 4), None),
+    (build_complete_regular(2, 5), uniform_lists(build_complete_regular(2, 5), 3), None),
+    (build_hanging_root(2, 7), star_root_lists(build_hanging_root(2, 7), 4), None),
+    # above it (89,700 states), but its one split has 300 boundary tuples,
+    # and 300 x 89,700 is more than the square of its 300 prefixes
+    (build_complete_regular(2, 1), uniform_lists(build_complete_regular(2, 1), 300), None),
+])
+def test_which_supports_split(monkeypatch, tree, lists, split):
+    joins = record_joins(monkeypatch)
+    oracle.enumerate_colorings(tree, lists)
+    assert joins == ([] if split is None else [split])
+
+
+# A caterpillar: the spine 0-1-...-8 with a leaf below each of 1..8.  The
+# lists after the split edge tie the completions to the boundary colors: one
+# boundary tuple has none, the others have 40 or 80.
+CATERPILLAR = tree_from_parents([None] + list(range(8)) + list(range(1, 9)), 0)
+FULL4 = frozenset({1, 2, 3, 4})
+CATERPILLAR_LISTS = ListSpec(4, [FULL4] * 8 + [{4}, {2, 3}, {2, 4}, {2, 3, 4}]
+                             + [FULL4] * 3 + [{4}])
+
+
+def test_split_support_where_prefixes_die_in_the_suffix(monkeypatch):
+    joins = record_joins(monkeypatch)
+    dist = oracle.enumerate_colorings(CATERPILLAR, CATERPILLAR_LISTS)
+    assert joins == [(7, [40, 80, 80, 0])]
+    want = reference_rows(CATERPILLAR, CATERPILLAR_LISTS)
+    assert np.array_equal(dist.array, want) and dist.array.dtype == want.dtype
+    assert dist.array.flags.c_contiguous
+
+
+def test_cap_trips_in_the_suffix_pass(monkeypatch):
+    # the last edge takes only color 1, so a third of the 3 * 2^16 colorings
+    # of edges 0..16 die there: the support is 2^17 states
+    tree = path_tree(18)
+    lists = ListSpec(3, [frozenset({1, 2, 3})] * 17 + [frozenset({1})])
+    joins = record_joins(monkeypatch)
+    assert oracle.enumerate_colorings(tree, lists).size == 2 ** 17
+    assert [h for h, _ in joins] == [9]
+    errors = []
+    for split_states in (oracle.SPLIT_STATES, 2 ** 18):  # split, then one pass
+        monkeypatch.setattr(oracle, "SPLIT_STATES", split_states)
+        with pytest.raises(CapacityError, match="of edges 0..16, above the cap") as err:
+            oracle.enumerate_colorings(tree, lists, cap=150_000)
+        errors.append(err.value.estimated)
+    assert errors == [3 * 2 ** 16] * 2
+
+
+def test_split_on_a_pinned_root_at_q_4000(monkeypatch):
+    # colors near 4,000 on a boundary of four edges, ranked in one key and
+    # then in groups of columns
+    tree, q = build_hanging_root(3, 4), 4000
+    lists = ListSpec(q, [s if len(s) == 1 else frozenset({q - 2, q - 1, q})
+                         for s in pinned_root_lists(tree, q, q).lists])
+    want = reference_rows(tree, lists)
+    joins = record_joins(monkeypatch)
+    for key_limit in (oracle.KEY_LIMIT, (q + 2) ** 2 + 1):
+        monkeypatch.setattr(oracle, "KEY_LIMIT", key_limit)
+        got = oracle.enumerate_colorings(tree, lists).array
+        assert got.dtype == want.dtype == np.uint16 and np.array_equal(got, want)
+    assert joins == [(23, [16] * 16)] * 2
+    assert len({f for g in oracle._earlier_neighbors(tree)[23:] for f in g if f < 23}) == 4
+
+
+def test_support_memory_stays_near_its_size():
+    # the join writes the support once, in chunks: no step holds two copies
+    tree = path_tree(18)
+    tracemalloc.start()
+    try:
+        dist = oracle.enumerate_colorings(tree, uniform_lists(tree, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * dist.array.nbytes
+
+
 def test_row_count_checked_against_count(monkeypatch):
     count = oracle.count_colorings
     monkeypatch.setattr(oracle, "count_colorings", lambda tree, lists: count(tree, lists) + 1)
