@@ -62,17 +62,27 @@ def load_config(path, overrides):
     return doc
 
 
+def _integer(value, name, positive=False):
+    """The config field ``name`` as an int: only ints pass, booleans too
+    are refused (YAML reads ``true`` as one), and with ``positive`` so is
+    anything below 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
+        raise ConfigError(f"{name} must be {'a positive' if positive else 'an'} "
+                          f"integer, not {value!r}")
+    return value
+
+
 def build_tree(spec):
     if not isinstance(spec, dict):
         raise ConfigError("tree section must be a mapping")
     _check_keys(spec, _TREE_KEYS, "tree")
     shape = spec.get("shape")
-    if shape == "complete_regular":
-        return build_complete_regular(int(spec["delta"]), int(spec["depth"]))
-    if shape == "hanging_root":
-        return build_hanging_root(int(spec["delta"]), int(spec["depth"]))
+    if shape in ("complete_regular", "hanging_root"):
+        build = build_complete_regular if shape == "complete_regular" else build_hanging_root
+        return build(_integer(spec["delta"], "tree.delta"),
+                     _integer(spec["depth"], "tree.depth"))
     if shape == "path":
-        n = int(spec["n_edges"])
+        n = _integer(spec["n_edges"], "tree.n_edges")
         if n < 1:
             raise ConfigError("path needs n_edges >= 1")
         return tree_from_parents([None] + list(range(n)), 0)
@@ -82,7 +92,7 @@ def build_tree(spec):
 
 
 def build_lists(tree, cfg):
-    q = int(cfg.get("q", 0))
+    q = _integer(cfg.get("q", 0), "q")
     if q < 1:
         raise ConfigError("config needs a positive q")
     preset = cfg.get("lists", "uniform")
@@ -91,7 +101,7 @@ def build_lists(tree, cfg):
     if preset == "star_root":
         return star_root_lists(tree, q)
     if preset == "pinned_root":
-        return pinned_root_lists(tree, q, int(cfg.get("pinned_color", 1)))
+        return pinned_root_lists(tree, q, _integer(cfg.get("pinned_color", 1), "pinned_color"))
     raise ConfigError(f"unknown list preset {preset!r}")
 
 
@@ -104,10 +114,7 @@ def _kind(cfg):
 
 
 def _cap(cfg, name, default):
-    cap = (cfg.get("caps") or {}).get(name, default)
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise ConfigError(f"caps.{name} must be a positive integer, not {cap!r}")
-    return cap
+    return _integer((cfg.get("caps") or {}).get(name, default), f"caps.{name}", positive=True)
 
 
 def _instance(cfg):
@@ -138,7 +145,7 @@ def _spectral_doc(cfg):
         tree, lists, kind, sparse_cap=_cap(cfg, "sparse", spectral.SPARSE_CAP))
     seed = cfg.get("seed")
     rep = (spectral.spectral_report(tm) if seed is None
-           else spectral.spectral_report(tm, seed=int(seed)))
+           else spectral.spectral_report(tm, seed=_integer(seed, "seed")))
     doc = dict(rep.export(), tree_hash=tree.content_hash(), kind=kind, q=lists.q)
     return tm, rep, doc
 
@@ -172,7 +179,8 @@ def cmd_conductance(cfg, out):
 
 def cmd_lowerbound(cfg, out):
     tree = build_tree(cfg["tree"])
-    rec = spectral.lower_bound_check(tree, int(cfg.get("edge", 0)), int(cfg["q"]))
+    rec = spectral.lower_bound_check(tree, _integer(cfg.get("edge", 0), "edge"),
+                                     _integer(cfg["q"], "q"))
     failures = spectral.lower_bound_failures(rec)
     relation = "<" if any(f.startswith("T_rel") for f in failures) else ">="
     if not cfg.get("strict", True):
@@ -229,9 +237,9 @@ def cmd_induction(cfg, out):
     tree = build_tree(tree_cfg)
     if tree_cfg["shape"] != "complete_regular":
         raise ConfigError("induction expects a complete_regular tree")
-    delta = int(tree_cfg["delta"])
-    ell = int(cfg.get("ell", 1))
-    q = int(cfg["q"])
+    delta = tree_cfg["delta"]  # checked by build_tree
+    ell = _integer(cfg.get("ell", 1), "ell")
+    q = _integer(cfg["q"], "q")
     alpha, gamma = _alpha(cfg), cfg.get("gamma")
     if alpha is None:
         star = build_hanging_root(delta, ell)
@@ -256,8 +264,8 @@ def cmd_star_analysis(cfg, out):
 
     deltas = cfg.get("delta_range") or [2, 3, 4]
     rows, bad = [], []
-    for delta in deltas:
-        delta = int(delta)
+    for i, delta in enumerate(deltas):
+        delta = _integer(delta, f"delta_range[{i}]")
         psi = spectral.star_correlation_matrix(delta)
         closed = spectral.star_correlation_closed_form(delta)
         walk = spectral.star_local_walk(delta)

@@ -406,11 +406,14 @@ def frozen_probability_formula(delta, q):
 
 def frozen_probability_exact(tree, lists, e, cap=oracle.ENUMERATION_CAP):
     """Enumerated Pr[|available(e)| <= 1] under the root-color-1 pinning."""
-    dist = oracle.enumerate_colorings(tree, lists, cap=cap)
-    fiber = dist.conditional({e: 1}).array
-    around = fiber[:, list(tree.neighbors[e])]
-    available = sum(~np.any(around == c, axis=1) for c in lists[e])
-    return int(np.count_nonzero(available <= 1)) / len(fiber)
+    return _frozen_probability(oracle.enumerate_colorings(tree, lists, cap=cap), e)
+
+
+def _frozen_probability(dist, e):
+    """``frozen_probability_exact`` on the support ``dist``: the colors
+    available to ``e`` are its class under the block (e,) (``choices``)."""
+    available = dist.conditional({e: 1}).choices(e)
+    return int(np.count_nonzero(available <= 1)) / len(available)
 
 
 def lower_bound_check(tree, e, q, kind=dynamics.HEATBATH_GLAUBER):
@@ -428,11 +431,13 @@ def lower_bound_check(tree, e, q, kind=dynamics.HEATBATH_GLAUBER):
     if not (delta + 1 <= q <= 2 * delta):
         raise ParameterError("q must lie in [delta+1, 2*delta]")
     lists = uniform_lists(tree, q)
-    p_exact = frozen_probability_exact(tree, lists, e)
+    # the chain's cap, so a support too large for it is refused unenumerated
+    dist = oracle.enumerate_colorings(tree, lists, cap=SPARSE_CAP)
+    p_exact = _frozen_probability(dist, e)
     p_formula = frozen_probability_formula(delta, q)
     n_edges = tree.n_edges
     trel_bound = n_edges * delta / (2.0 * (q - delta) ** 2)
-    tm = transition_matrix(tree, lists, kind)
+    tm = transition_matrix(tree, lists, kind, dist=dist)
     rep = spectral_report(tm)
     return {
         "delta": delta, "q": q, "n_edges": n_edges,

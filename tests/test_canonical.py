@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import os
 
 import pytest
 
@@ -865,3 +868,59 @@ def test_routing_matches_edge_dynamics_paths():
         built = fiber_paths(dist, 1, 2, EDGE_PATHS)
         assert [p.states for p in built] == toggle_routes(tree, lists, dist)
         assert all(len(b) == 1 for p in built for b in p.blocks)
+
+
+@pytest.mark.parametrize("shape", [(200, 6), (50, 1), (0, 4), (0, 1), (30, 0)])
+def test_short_axis_scans_match_argmax_and_sum(shape):
+    rng = np.random.default_rng(sum(shape))
+    hit = rng.random(shape) < 0.3
+    hit[::7] = False  # all-False rows
+    first = np.full(shape[0], -1)  # argmax refuses zero columns
+    if shape[1]:
+        first = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    assert np.array_equal(canonical._first_column(hit), first)
+    counts = canonical._count(hit)
+    assert np.array_equal(counts, hit.sum(axis=1)) and counts.dtype == hit.sum(axis=1).dtype
+    ok = np.column_stack([rng.random(shape[0]) < 0.5, hit])  # column 0 is color 0
+    for order in (np.arange(shape[1], 0, -1), np.arange(1, shape[1] + 1)):
+        sub = ok[:, order]
+        expect = np.zeros(shape[0], dtype=order.dtype)
+        if len(order):
+            expect = np.where(sub.any(axis=1), order[sub.argmax(axis=1)], 0)
+        got = canonical._first(ok, order)
+        assert np.array_equal(got, expect) and got.dtype == expect.dtype
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def congestion_digest(report):
+    """Every field of every ``PairCongestion`` of ``report``: arrays by dtype,
+    length and the SHA-256 of their bytes, floats as they are."""
+    pairs = {}
+    for (a, b), pc in report.per_pair.items():
+        pairs[f"{a}->{b}"] = dict(
+            a=pc.a, b=pc.b, fiber_a=pc.fiber_a, fiber_b=pc.fiber_b,
+            **{name: [str(arr.dtype), len(arr), _sha256(np.ascontiguousarray(arr).tobytes())]
+               for name, arr in (("x", pc.x), ("y", pc.y), ("counts", pc.counts))},
+            xi_levels=[[t, v] for t, v in pc.xi_levels.items()],
+            xi_pairs=pc.xi_pairs, r_leaf=pc.r_leaf,
+            leaf_sums=_sha256(repr(list(pc.leaf_sums.items())).encode()))
+    return {"n_states": report.n_states, "pairs": pairs}
+
+
+# ``congestion_digest`` of the congestion benchmark's two trees; a change to
+# the path passes that keeps every output leaves this file as it is
+PINNED_DIGESTS = os.path.join(os.path.dirname(__file__), "congestion_pinned.json")
+
+
+@pytest.mark.parametrize("delta, ell, q", [(2, 7, 4), (3, 2, 5)])
+def test_congestion_of_the_benchmark_trees_is_pinned(delta, ell, q):
+    tree = build_hanging_root(delta, ell)
+    rep = compute_congestion(tree, star_root_lists(tree, q), GLAUBER_PATHS)
+    with open(PINNED_DIGESTS) as fh:
+        pinned = json.load(fh)[f"hanging_root({delta},{ell}) q={q}"]
+    # through JSON, so a list for a tuple does not count, but an int for a
+    # float or any changed digit does
+    assert json.dumps(congestion_digest(rep)) == json.dumps(pinned)

@@ -198,6 +198,30 @@ def test_cap_that_is_no_positive_integer_is_a_config_error(tmp_path, capsys, cap
         f"config error: caps.enumeration must be a positive integer, not {cap!r}\n")
 
 
+@pytest.mark.parametrize("command, doc, field, value", [
+    ("count", {"tree": {"shape": "path", "n_edges": 2.9}, "q": 3.7}, "tree.n_edges", 2.9),
+    ("count", {"tree": {"shape": "path", "n_edges": True}, "q": True}, "tree.n_edges", True),
+    ("count", {"tree": {"shape": "path", "n_edges": 2}, "q": 3.7}, "q", 3.7),
+    ("count", {"tree": {"shape": "complete_regular", "delta": 2.5, "depth": 1.9}, "q": 4},
+     "tree.delta", 2.5),
+    ("count", {"tree": {"shape": "hanging_root", "delta": 2, "depth": 1.9}, "q": 4},
+     "tree.depth", 1.9),
+    ("count", {"tree": {"shape": "path", "n_edges": 2}, "q": 3, "lists": "pinned_root",
+               "pinned_color": 1.0}, "pinned_color", 1.0),
+    ("gap", {"tree": {"shape": "path", "n_edges": 2}, "q": 3, "seed": 7.5}, "seed", 7.5),
+    ("lowerbound", {"tree": {"shape": "complete_regular", "delta": 2, "depth": 2}, "q": 3,
+                    "edge": False}, "edge", False),
+    ("induction", {"tree": {"shape": "complete_regular", "delta": 2, "depth": 2}, "q": 3,
+                   "ell": 1.0}, "ell", 1.0),
+    ("star-analysis", {"delta_range": [2, 3.0]}, "delta_range[1]", 3.0),
+])
+def test_integer_fields_refuse_floats_and_booleans(tmp_path, capsys, command, doc, field, value):
+    cfg = write_cfg(tmp_path, dict(doc, command=command))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {field} must be an integer, not {value!r}\n")
+
+
 def failed_lines(capsys, command):
     err = capsys.readouterr().err.splitlines()
     return [line for line in err if line.startswith(f"{command}: FAILED (")]

@@ -523,6 +523,21 @@ def test_frozen_probability_enumeration_values():
         assert abs(got - expect) < 1e-12
 
 
+def test_lower_bound_check_enumerates_the_support_once(monkeypatch):
+    calls = []
+    enumerate_colorings = oracle.enumerate_colorings
+    monkeypatch.setattr(oracle, "enumerate_colorings",
+                        lambda *args, **kw: calls.append(args) or enumerate_colorings(*args, **kw))
+    for q, expect in ((4, 2.0 / 3.0), (5, 1.0 / 6.0), (6, 0.0)):
+        calls.clear()
+        rec = spectral.lower_bound_check(double_star(), 0, q)
+        assert len(calls) == 1
+        assert rec["p_frozen_exact"] == expect
+    monkeypatch.setattr(spectral, "SPARSE_CAP", 10)
+    with pytest.raises(CapacityError, match="above the cap 10$"):
+        spectral.lower_bound_check(double_star(), 0, 5)
+
+
 def test_lower_bound_record_and_strictness():
     rec = spectral.lower_bound_check(double_star(), 0, 5)
     assert abs(rec["p_frozen_formula"] - 0.5) < 1e-12
