@@ -19,8 +19,8 @@ the alternating paths, the Stage-I detours and every step's edits, and each
 state is looked up as a support row, so no coloring becomes a tuple.  A
 family whose order runs through the color classes of one already built is
 that one's image (``map_paths``) and is not built again.  The expected
-congestion these paths place on each tree level, and the
-per-coloring statistics controlling it, are computed exactly by enumeration.
+congestion these paths place on each tree level is computed exactly by
+enumeration.
 
 At these sizes the passes pay mostly for numpy's per-call costs, so they read
 rows of narrow 2-D arrays with ``np.take(..., axis=0)`` and scattered cells as
@@ -33,8 +33,7 @@ against 4 us by ``take``, and a ``sum`` along 8 columns of 4,100 booleans took
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,25 +227,22 @@ def _walks(tab, C, estar, start, pair, order):
     child edge that carries that color.  The detours run as a masked loop
     over the walks still going.  Colors are read from ``C`` throughout.
 
-    Returns the walks as (row, i) and their recolorings as arrays (row,
-    edge, color, walk, step, on the detour), in no particular order; each
-    walk writes in increasing step.
+    Returns the recolorings as arrays (row, edge, color, walk, step), in no
+    particular order; each walk writes in increasing step.
     """
     i = np.arange(estar.shape[1])
     rows, idx = np.nonzero((estar < tab.m) & (i >= start[:, None])
                            & ((i - start[:, None]) % 2 == 0))
-    walks = (rows, idx)
     edge, walk = estar[rows, idx], np.arange(len(rows))
     out = []
 
-    def emit(sel, color, step, detour):
-        out.append((rows[sel], edge[sel], color[sel], walk[sel],
-                    np.full(sel.sum(), step), np.full(sel.sum(), detour)))
+    def emit(sel, color, step):
+        out.append((rows[sel], edge[sel], color[sel], walk[sel], np.full(sel.sum(), step)))
 
     allowed = _allowed(tab, C, rows, edge)
     allowed[:, list(pair)] = False
     color = _first(allowed, order)
-    emit(color > 0, color, 0, False)
+    emit(color > 0, color, 0)
     rows, edge, walk = rows[color == 0], edge[color == 0], walk[color == 0]
     color = _missing(tab, C, rows, tab.down[edge], order)
     if (color == 0).any():
@@ -255,13 +251,13 @@ def _walks(tab, C, estar, start, pair, order):
     j = _first_column((_cells(C, rows, nxt) == color[:, None]) & (nxt != edge[:, None]))
     if (j < 0).any():
         raise VerificationError("freed color should block e_i at its upper vertex")
-    emit(np.ones(len(rows), dtype=bool), color, 0, False)
+    emit(np.ones(len(rows), dtype=bool), color, 0)
     edge, step = nxt[np.arange(len(rows)), j], 1
     while len(rows):
         allowed = _allowed(tab, C, rows, edge)
         done = _count(allowed) >= 2
         allowed[np.arange(len(rows)), C[rows, edge]] = False
-        emit(done, _first(allowed, order), step, True)
+        emit(done, _first(allowed, order), step)
         rows, edge, walk = rows[~done], edge[~done], walk[~done]
         color = _missing(tab, C, rows, tab.up[edge], order)
         if (color == 0).any():
@@ -270,9 +266,9 @@ def _walks(tab, C, estar, start, pair, order):
         j = _first_column(_cells(C, rows, nxt) == color[:, None])
         if (j < 0).any():
             raise VerificationError("detour construction lost its continuation")
-        emit(np.ones(len(rows), dtype=bool), color, step, True)
+        emit(np.ones(len(rows), dtype=bool), color, step)
         edge, step = nxt[np.arange(len(rows)), j], step + 1
-    return walks, tuple(map(np.concatenate, zip(*out)))
+    return tuple(map(np.concatenate, zip(*out)))
 
 
 def _allowed(tab, C, rows, edge):
@@ -293,7 +289,7 @@ def _stage_one(tab, C, estar, start, pair, order):
     """The Stage-I moves of every row: (row, edge, new color, on the
     alternating path) sorted by row and then by the key (-level, on the
     alternating path, edge).  An edge two walks write keeps the last color."""
-    _, (rows, edge, color, walk, step, _) = _walks(tab, C, estar, start, pair, order)
+    rows, edge, color, walk, step = _walks(tab, C, estar, start, pair, order)
     last = np.lexsort((step, walk, edge, rows))
     keep = np.ones(len(last), dtype=bool)
     keep[:-1] = (rows[last[1:]] != rows[last[:-1]]) | (edge[last[1:]] != edge[last[:-1]])
@@ -440,17 +436,6 @@ def _segments(first, lengths, order):
     return np.repeat(shift, lengths) + np.arange(lengths.sum())
 
 
-def stage_one_moves(tree, lists, rho, x, y, order, side="odd"):
-    """The Stage-I move list started from ``rho`` with root color ``x``
-    heading to ``y``; used by the reversal check."""
-    tab = _Tables(tree, lists)
-    C = tab.widen([rho])
-    estar = _alternating(tab, C, hanging_root_edge(tree), y)
-    _, edge, color, _ = _stage_one(tab, C, estar, np.array([1 if side == "odd" else 2]),
-                                   (x, y), np.array(order))
-    return list(zip(edge.tolist(), color.tolist()))
-
-
 def path_blocks_for_kind(tree, path_kind):
     """Blocks a canonical path of the given kind may legally change."""
     singles = {(e,) for e in range(tree.n_edges)}
@@ -546,7 +531,6 @@ class PairCongestion:
     xi_levels: dict            # level -> full-measure congestion sum
     xi_pairs: float            # same for the root-pair blocks
     r_leaf: float              # full-measure expected squared leaf multiplicity
-    leaf_sums: dict            # row -> sum of count**2 over its leaf transitions
 
     @property
     def usage(self):
@@ -667,143 +651,17 @@ def compute_congestion(tree, lists, path_kind):
             # their running sums are the floats of a per-transition loop
             p_ra = 1.0 / len(fibers[a])
             load = np.float_power(counts * p_ra, 2) * n / (1.0 / size)
-            leaf = level == ell
-            rows, where, inverse = np.unique(x[leaf], return_index=True,
-                                             return_inverse=True)
-            # exact in float: a row's counts sum to at most its fiber, < 2**21
-            sums = np.bincount(inverse, weights=counts[leaf] ** 2).astype(np.int64)
-            order = np.argsort(where)
             per_pair[(a, b)] = PairCongestion(
                 a, b, len(fibers[a]), len(fibers[b]), x, y, counts,
                 {t: _running_sum(load[level == t]) for t in range(ell + 1)},
                 _running_sum(load[level < 0]),
-                _running_sum(counts[leaf] ** 2 / n),
-                dict(zip(rows[order].tolist(), sums[order].tolist())))
+                _running_sum(counts[level == ell] ** 2 / n))
     return CongestionReport(tree, lists, path_kind, n, per_pair, dist)
 
 
 def _running_sum(values):
     """The float sum of ``values`` added left to right from 0.0."""
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
-
-
-# ---------------------------------------------------------------------------
-# Per-coloring path statistics
-
-
-@dataclass
-class GammaStats:
-    S: int                    # alternating-path length below the root edge
-    P: int                    # detour paths reaching the next-to-last level
-    Z: int                    # alternating path itself reaching that level
-    P_i: dict = field(default_factory=dict)
-
-
-def _gamma_arrays(tree, lists, colors, a, b):
-    """``gamma_stats`` of every coloring in ``colors`` at once: arrays S, Z
-    and the (n x ceil(ell/2)) matrix of P_i for the odd i."""
-    r, ell = hanging_root_edge(tree), tree.max_level
-    tab = _Tables(tree, lists)
-    C = tab.widen(colors)
-    root = C[:, r]
-    if not np.isin(root, (a, b)).all():
-        raise ParameterError("root color must be one of the coupled colors")
-    estar = _alternating(tab, C, r, np.where(root == a, b, a))
-    S = _count(estar < tab.m) - 1
-    try:
-        (rows, idx), (_, edge, _, walk, _, detour) = _walks(
-            tab, C, estar, np.ones(len(C), dtype=np.intp), (a, b),
-            np.array(color_order(lists.q, a, b)))
-    except VerificationError as err:
-        if lists.q < tree.max_degree + 2:
-            raise UnsupportedRegimeError(
-                "the Stage-I detours need two spare colors, q = delta + 2") from err
-        raise
-    deep = np.zeros(len(rows), dtype=bool)
-    deep[walk[detour & (tab.level[edge] >= ell - 1)]] = True
-    P_i = np.zeros((len(C), (ell + 1) // 2), dtype=np.int64)
-    P_i[rows, idx // 2] = deep
-    if ((S > ell) | (P_i.sum(axis=1) > (S + 1) // 2)).any():
-        raise VerificationError("path statistics out of range")
-    return S, (S >= ell - 1).astype(np.int64), P_i
-
-
-def gamma_stats(tree, lists, gamma, a, b):
-    """Recompute the Stage-I geometry from an intermediate coloring.
-
-    The root color must be a or b; for root color b the roles swap while the
-    tie-break order stays the one fixed for the (a, b) family.  At q = delta
-    + 1 a detour can be undefined, which raises ``UnsupportedRegimeError``.
-    """
-    S, Z, P_i = _gamma_arrays(tree, lists, [gamma], a, b)
-    P_i = {2 * k + 1: p for k, p in enumerate(P_i[0].tolist())}
-    return GammaStats(S=int(S[0]), P=sum(P_i.values()), Z=int(Z[0]), P_i=P_i)
-
-
-def leaf_count_bound(stats, delta):
-    """2 (P+Z) (2 delta)^{2(P+Z)}."""
-    pz = stats.P + stats.Z
-    return 2 * pz * (2 * delta) ** (2 * pz)
-
-
-def leaf_count_check(tree, lists, report, a, b):
-    """Check the per-coloring squared-multiplicity bound exhaustively.
-
-    Returns (ok, worst examples) over all colorings whose root carries one of
-    the coupled colors; other colorings must carry no leaf transitions.
-    """
-    array = report.dist.array
-    coupled = np.isin(array[:, hanging_root_edge(tree)], (a, b))
-    S, Z, P_i = _gamma_arrays(tree, lists, array[coupled], a, b)
-    at = np.cumsum(coupled) - 1  # row -> its place among the coupled rows
-    bad = []
-    for row, lhs in sorted(report.per_pair[(a, b)].leaf_sums.items()):
-        rhs = 0
-        if coupled[row]:
-            j = at[row]
-            rhs = leaf_count_bound(GammaStats(int(S[j]), int(P_i[j].sum()), int(Z[j])),
-                                   tree.max_degree)
-        if lhs > rhs:
-            bad.append((tuple(array[row].tolist()), lhs, rhs))
-    return not bad, bad
-
-
-def tail_probability_bound(delta, ell, s, x):
-    """(1-1/delta)^s C(ceil(s/2), x) prod_i (1-2/delta)^{ell+2i-s-3}.
-
-    Only defined when every exponent is nonnegative as written (x = 0 has an
-    empty product and is always fine).
-    """
-    exponents = [ell + 2 * i - s - 3 for i in range(1, x + 1)]
-    if any(e < 0 for e in exponents):
-        raise ParameterError("bound undefined: negative exponent as written")
-    val = (1.0 - 1.0 / delta) ** s * math.comb(math.ceil(s / 2), x)
-    for e in exponents:
-        val *= (1.0 - 2.0 / delta) ** e
-    return val
-
-
-def tail_probability_check(tree, lists, a, b, s, x, dist=None):
-    """Empirical Pr[S = s and P = x] among root-coupled colorings against the
-    closed-form bound.  The bound is only asserted when its exponents are
-    nonnegative as written; the record reports whether it was checked."""
-    if dist is None:
-        dist = oracle.enumerate_colorings(tree, lists)
-    tree_ell = tree.max_level
-    delta = tree.max_degree
-    coupled = dist.array[np.isin(dist.array[:, hanging_root_edge(tree)], (a, b))]
-    S, _, P_i = _gamma_arrays(tree, lists, coupled, a, b)
-    hits = int(np.count_nonzero((S == s) & (P_i.sum(axis=1) == x)))
-    empirical = hits / len(coupled)
-    checkable = (x == 0) or (tree_ell + 2 - s - 3 >= 0)
-    if checkable:
-        bound = tail_probability_bound(delta, tree_ell, s, x)
-        ok = empirical <= bound + 1e-12
-    else:
-        bound = None
-        ok = True
-    return {"empirical": empirical, "bound": bound,
-            "checked": checkable, "ok": ok}
 
 
 # ---------------------------------------------------------------------------

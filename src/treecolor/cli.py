@@ -62,14 +62,21 @@ def load_config(path, overrides):
     return doc
 
 
-def _integer(value, name, positive=False):
-    """The config field ``name`` as an int: only ints pass, booleans too
-    are refused (YAML reads ``true`` as one), and with ``positive`` so is
-    anything below 1."""
-    if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
-        raise ConfigError(f"{name} must be {'a positive' if positive else 'an'} "
-                          f"integer, not {value!r}")
-    return value
+_FIELD_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
+                bool: (bool, "a boolean")}
+
+
+def _field(value, name, kind=int, positive=False):
+    """The config field ``name`` as a ``kind``: an int field takes only ints,
+    a float field ints and floats (returned as a float), a bool field only
+    booleans.  YAML reads ``true`` as a boolean and ``"2"`` as a string, so
+    neither is a number; with ``positive`` anything below 1 is refused too."""
+    types, noun = _FIELD_KINDS[kind]
+    if (isinstance(value, bool) != (kind is bool) or not isinstance(value, types)
+            or (positive and value < 1)):
+        raise ConfigError(f"{name} must be {'a positive integer' if positive else noun}, "
+                          f"not {value!r}")
+    return kind(value)
 
 
 def build_tree(spec):
@@ -79,10 +86,10 @@ def build_tree(spec):
     shape = spec.get("shape")
     if shape in ("complete_regular", "hanging_root"):
         build = build_complete_regular if shape == "complete_regular" else build_hanging_root
-        return build(_integer(spec["delta"], "tree.delta"),
-                     _integer(spec["depth"], "tree.depth"))
+        return build(_field(spec["delta"], "tree.delta"),
+                     _field(spec["depth"], "tree.depth"))
     if shape == "path":
-        n = _integer(spec["n_edges"], "tree.n_edges")
+        n = _field(spec["n_edges"], "tree.n_edges")
         if n < 1:
             raise ConfigError("path needs n_edges >= 1")
         return tree_from_parents([None] + list(range(n)), 0)
@@ -92,7 +99,7 @@ def build_tree(spec):
 
 
 def build_lists(tree, cfg):
-    q = _integer(cfg.get("q", 0), "q")
+    q = _field(cfg.get("q", 0), "q")
     if q < 1:
         raise ConfigError("config needs a positive q")
     preset = cfg.get("lists", "uniform")
@@ -101,7 +108,7 @@ def build_lists(tree, cfg):
     if preset == "star_root":
         return star_root_lists(tree, q)
     if preset == "pinned_root":
-        return pinned_root_lists(tree, q, _integer(cfg.get("pinned_color", 1), "pinned_color"))
+        return pinned_root_lists(tree, q, _field(cfg.get("pinned_color", 1), "pinned_color"))
     raise ConfigError(f"unknown list preset {preset!r}")
 
 
@@ -114,7 +121,7 @@ def _kind(cfg):
 
 
 def _cap(cfg, name, default):
-    return _integer((cfg.get("caps") or {}).get(name, default), f"caps.{name}", positive=True)
+    return _field((cfg.get("caps") or {}).get(name, default), f"caps.{name}", positive=True)
 
 
 def _instance(cfg):
@@ -123,10 +130,11 @@ def _instance(cfg):
 
 
 def cmd_enumerate(cfg, out):
+    include_states = _field(cfg.get("include_states", False), "include_states", bool)
     tree, lists = _instance(cfg)
     dist = oracle.enumerate_colorings(
         tree, lists, cap=_cap(cfg, "enumeration", oracle.ENUMERATION_CAP))
-    doc = dist.export(include_states=bool(cfg.get("include_states", False)))
+    doc = dist.export(include_states=include_states)
     return doc, f"{dist.size} proper colorings", None
 
 
@@ -145,7 +153,7 @@ def _spectral_doc(cfg):
         tree, lists, kind, sparse_cap=_cap(cfg, "sparse", spectral.SPARSE_CAP))
     seed = cfg.get("seed")
     rep = (spectral.spectral_report(tm) if seed is None
-           else spectral.spectral_report(tm, seed=_integer(seed, "seed")))
+           else spectral.spectral_report(tm, seed=_field(seed, "seed")))
     doc = dict(rep.export(), tree_hash=tree.content_hash(), kind=kind, q=lists.q)
     return tm, rep, doc
 
@@ -156,8 +164,8 @@ def cmd_gap(cfg, out):
 
 
 def cmd_mix(cfg, out):
+    eps = _field(cfg.get("eps", 0.25), "eps", float)
     tm, rep, doc = _spectral_doc(cfg)
-    eps = float(cfg.get("eps", 0.25))
     t_mix = spectral.mixing_time(tm, eps, cap=_cap(cfg, "mixing", spectral.MIXING_CAP))
     bound = rep.t_rel * (1.0 + tm.dist.tree.n_edges * math.log(tm.dist.lists.q))
     doc.update({"eps": eps, "t_mix": t_mix, "t_rel_bound": bound,
@@ -178,12 +186,13 @@ def cmd_conductance(cfg, out):
 
 
 def cmd_lowerbound(cfg, out):
+    strict = _field(cfg.get("strict", True), "strict", bool)
     tree = build_tree(cfg["tree"])
-    rec = spectral.lower_bound_check(tree, _integer(cfg.get("edge", 0), "edge"),
-                                     _integer(cfg["q"], "q"))
+    rec = spectral.lower_bound_check(tree, _field(cfg.get("edge", 0), "edge"),
+                                     _field(cfg["q"], "q"))
     failures = spectral.lower_bound_failures(rec)
     relation = "<" if any(f.startswith("T_rel") for f in failures) else ">="
-    if not cfg.get("strict", True):
+    if not strict:
         failures = [f for f in failures if not f.startswith("frozen probability")]
     doc = dict(rec, tree_hash=tree.content_hash())
     if failures:
@@ -207,24 +216,27 @@ def cmd_congestion(cfg, out):
 
 
 def _alpha(cfg):
-    """The config's ``alpha``, None if it gives none."""
+    """The config's ``alpha`` as floats, None if it gives none."""
     alpha = cfg.get("alpha")
     if alpha is not None and not isinstance(alpha, list):
         raise ConfigError(f"alpha must be a list of per-level weights, not {alpha!r}")
-    return alpha
+    return None if alpha is None else [_field(x, f"alpha[{i}]", float)
+                                       for i, x in enumerate(alpha)]
 
 
 def cmd_tensorize(cfg, out):
+    blocks, alpha, failure = cfg.get("blocks"), _alpha(cfg), None
+    if blocks not in (None, "pairs"):
+        raise ConfigError(f"blocks must be pairs or absent, not {blocks!r}")
     tree, lists = _instance(cfg)
     dist = oracle.enumerate_colorings(tree, lists)
     c_single = tz.optimal_at_constant(dist, tz.singleton_blocks(tree))
     doc = {"tree_hash": tree.content_hash(), "at_constant_singletons": c_single}
-    if cfg.get("blocks") == "pairs":
+    if blocks == "pairs":
         doc["at_constant_pairs"] = tz.optimal_at_constant(
             dist, dynamics.pair_blocks(tree))
-    alpha, failure = _alpha(cfg), None
     if alpha is not None:
-        cert = tz.check_root_tensorization(tree, lists, [float(x) for x in alpha])
+        cert = tz.check_root_tensorization(tree, lists, alpha)
         doc["root_tensorization"] = cert.export(
             instance=tree.content_hash(), inequality="root-tensorization")
         if not cert.ok:
@@ -238,16 +250,16 @@ def cmd_induction(cfg, out):
     if tree_cfg["shape"] != "complete_regular":
         raise ConfigError("induction expects a complete_regular tree")
     delta = tree_cfg["delta"]  # checked by build_tree
-    ell = _integer(cfg.get("ell", 1), "ell")
-    q = _integer(cfg["q"], "q")
+    ell = _field(cfg.get("ell", 1), "ell")
+    q = _field(cfg["q"], "q")
     alpha, gamma = _alpha(cfg), cfg.get("gamma")
+    gamma = (float(tz.gamma_constant(delta, q, ell)) if gamma is None
+             else _field(gamma, "gamma", float))
     if alpha is None:
         star = build_hanging_root(delta, ell)
         alpha = canonical.compute_congestion(
             star, star_root_lists(star, q), canonical.GLAUBER_PATHS).alpha_vector()
-    gamma = float(tz.gamma_constant(delta, q, ell) if gamma is None else gamma)
-    res = tz.verify_induction(tree, uniform_lists(tree, q), ell,
-                              [float(x) for x in alpha], gamma)
+    res = tz.verify_induction(tree, uniform_lists(tree, q), ell, alpha, gamma)
     doc = {
         "tree_hash": tree.content_hash(),
         "alpha": list(alpha), "gamma": gamma,
@@ -265,7 +277,7 @@ def cmd_star_analysis(cfg, out):
     deltas = cfg.get("delta_range") or [2, 3, 4]
     rows, bad = [], []
     for i, delta in enumerate(deltas):
-        delta = _integer(delta, f"delta_range[{i}]")
+        delta = _field(delta, f"delta_range[{i}]")
         psi = spectral.star_correlation_matrix(delta)
         closed = spectral.star_correlation_closed_form(delta)
         walk = spectral.star_local_walk(delta)

@@ -8,18 +8,24 @@ step.  Both are slow, but they need nothing from the enumerated support.
 ``reference_step_blocks`` numbers the changed blocks by their change
 masks.  The depth-one toggle routing (``toggle_routes``) is the oracle for
 ``routing_bound_ell1``.
+
+The per-coloring lemmas behind the congestion bound are checked here too:
+``reference_gamma_stats`` walks the Stage-I detours of one coloring, and
+``reference_leaf_count_check`` and ``reference_tail_probability_check`` set
+them against the closed forms ``leaf_count_bound`` and
+``tail_probability_bound``.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from coloring_reference import (alternating_path, available_colors, flip,
                                 is_proper, states_of)
 from treecolor import oracle
-from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, GammaStats,
-                                 PathBatch, color_order, path_blocks_for_kind,
-                                 path_family)
+from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, PathBatch,
+                                 color_order, path_blocks_for_kind, path_family)
 from treecolor.colorings import star_root_lists
 from treecolor.errors import ParameterError, VerificationError
 from treecolor.trees import build_hanging_root, hanging_root_edge
@@ -178,6 +184,14 @@ def reference_stage_one_moves(tree, lists, rho, x, y, order, side="odd"):
     return [(e, plan.newcolor[e]) for e in plan.order]
 
 
+@dataclass
+class GammaStats:
+    S: int                    # alternating-path length below the root edge
+    P: int                    # detour paths reaching the next-to-last level
+    Z: int                    # alternating path itself reaching that level
+    P_i: dict = field(default_factory=dict)
+
+
 def reference_gamma_stats(tree, lists, gamma, a, b):
     """Stage-I geometry of one coloring, by one detour walk per odd edge."""
     r = hanging_root_edge(tree)
@@ -199,6 +213,77 @@ def reference_gamma_stats(tree, lists, gamma, a, b):
         detour, _ = _branch_path(tree, lists, gamma, estar[i], {x, y}, order)
         P_i[i] = int(any(tree.edge_levels[e] >= ell - 1 for e in detour))
     return GammaStats(S=S, P=sum(P_i.values()), Z=int(S >= ell - 1), P_i=P_i)
+
+
+def leaf_count_bound(stats, delta):
+    """2 (P+Z) (2 delta)^{2(P+Z)}."""
+    pz = stats.P + stats.Z
+    return 2 * pz * (2 * delta) ** (2 * pz)
+
+
+def tail_probability_bound(delta, ell, s, x):
+    """(1-1/delta)^s C(ceil(s/2), x) prod_i (1-2/delta)^{ell+2i-s-3}.
+
+    Only defined when every exponent is nonnegative as written (x = 0 has an
+    empty product and is always fine).
+    """
+    exponents = [ell + 2 * i - s - 3 for i in range(1, x + 1)]
+    if any(e < 0 for e in exponents):
+        raise ParameterError("bound undefined: negative exponent as written")
+    val = (1.0 - 1.0 / delta) ** s * math.comb(math.ceil(s / 2), x)
+    for e in exponents:
+        val *= (1.0 - 2.0 / delta) ** e
+    return val
+
+
+def leaf_multiplicity_sums(report, a, b):
+    """Per source row of the (a, b) usage, in order of first use, the sum of
+    count**2 over its leaf transitions: single-edge moves at the deepest
+    level, found by diffing the two rows of each used transition."""
+    pc, array, tree = report.per_pair[(a, b)], report.dist.array, report.tree
+    changed = array[pc.x] != array[pc.y]
+    leaf = ((changed.sum(axis=1) == 1)
+            & changed[:, sorted(tree.level_edges(tree.max_level))].any(axis=1))
+    sums = {}
+    for row, count in zip(pc.x[leaf].tolist(), pc.counts[leaf].tolist()):
+        sums[row] = sums.get(row, 0) + count ** 2
+    return sums
+
+
+def reference_leaf_count_check(tree, lists, report, a, b):
+    """The per-coloring squared-multiplicity bound, checked state by state.
+
+    Returns (ok, worst examples): a coloring whose root carries one of the
+    coupled colors must keep its leaf multiplicity sum within
+    ``leaf_count_bound`` of its statistics; any other must carry no leaf
+    transitions.
+    """
+    r, sums, bad = hanging_root_edge(tree), leaf_multiplicity_sums(report, a, b), []
+    for row, gamma in enumerate(states_of(report.dist)):
+        lhs = sums.get(row, 0)
+        if gamma[r] not in (a, b):
+            if lhs:
+                bad.append((gamma, lhs, 0))
+            continue
+        rhs = leaf_count_bound(reference_gamma_stats(tree, lists, gamma, a, b),
+                               tree.max_degree)
+        if lhs > rhs:
+            bad.append((gamma, lhs, rhs))
+    return not bad, bad
+
+
+def reference_tail_probability_check(tree, lists, a, b, s, x, dist):
+    """Empirical Pr[S = s and P = x] among root-coupled colorings against
+    ``tail_probability_bound``, asserted only where its exponents are
+    nonnegative as written; the record says whether it was checked."""
+    r, ell = hanging_root_edge(tree), tree.max_level
+    stats = [reference_gamma_stats(tree, lists, g, a, b)
+             for g in states_of(dist) if g[r] in (a, b)]
+    empirical = sum(st.S == s and st.P == x for st in stats) / len(stats)
+    checked = x == 0 or ell - s - 1 >= 0
+    bound = tail_probability_bound(tree.max_degree, ell, s, x) if checked else None
+    return {"empirical": empirical, "bound": bound, "checked": checked,
+            "ok": not checked or empirical <= bound + 1e-12}
 
 
 def batch_of_paths(dist, paths, path_kind=GLAUBER_PATHS):

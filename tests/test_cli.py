@@ -222,6 +222,33 @@ def test_integer_fields_refuse_floats_and_booleans(tmp_path, capsys, command, do
         f"config error: {field} must be an integer, not {value!r}\n")
 
 
+INDUCTION = {"command": "induction",
+             "tree": {"shape": "complete_regular", "delta": 2, "depth": 2},
+             "q": 4, "ell": 1}
+
+
+@pytest.mark.parametrize("command, doc, error", [
+    ("mix", {"tree": {"shape": "path", "n_edges": 2}, "q": 3, "eps": True},
+     "eps must be a number, not True"),
+    ("tensorize", {"tree": {"shape": "hanging_root", "delta": 2, "depth": 1}, "q": 4,
+                   "lists": "star_root", "alpha": [True, "2", 2]},
+     "alpha[0] must be a number, not True"),
+    ("induction", dict(INDUCTION, gamma="2"), "gamma must be a number, not '2'"),
+    ("enumerate", {"tree": {"shape": "path", "n_edges": 2}, "q": 3, "include_states": "false"},
+     "include_states must be a boolean, not 'false'"),
+    ("lowerbound", {"tree": {"shape": "complete_regular", "delta": 2, "depth": 2}, "q": 3,
+                    "strict": "false"}, "strict must be a boolean, not 'false'"),
+    ("tensorize", {"tree": {"shape": "path", "n_edges": 4}, "q": 3, "blocks": "pair"},
+     "blocks must be pairs or absent, not 'pair'"),
+])
+def test_real_boolean_and_blocks_fields_refuse_other_values(tmp_path, capsys, command, doc,
+                                                            error):
+    cfg = write_cfg(tmp_path, dict(doc, command=command))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def failed_lines(capsys, command):
     err = capsys.readouterr().err.splitlines()
     return [line for line in err if line.startswith(f"{command}: FAILED (")]
@@ -458,11 +485,6 @@ def test_beta_is_not_a_config_key(tmp_path):
         "q": 4, "lists": "star_root", "alpha": [22.0, 12.0], "beta": 5,
     })
     assert main(["tensorize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-
-
-INDUCTION = {"command": "induction",
-             "tree": {"shape": "complete_regular", "delta": 2, "depth": 2},
-             "q": 4, "ell": 1}
 
 
 def test_induction_uses_gamma_zero_as_written(tmp_path, capsys):

@@ -1,0 +1,62 @@
+import ast
+import glob
+import os
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Public names of ``src/treecolor`` that no code of the package, the bench
+# harness or the demos reads: only tests call them.  Each should get a route
+# into an artifact or move to ``tests/``; a name that joins this list is new
+# dead surface, and one that leaves it must leave this list too.
+UNREFERENCED = [
+    "spectral.frozen_probability_exact",
+    "tensorization.check_monotonicity",
+    "tensorization.f_hat",
+    "tensorization.variance_exchange_checks",
+]
+
+
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read(), path)
+
+
+def public_top_level_names(module):
+    """The functions, classes and assigned names at the top of ``module``
+    whose names do not start with an underscore."""
+    names = []
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if not name.startswith("_")]
+
+
+def referenced_names(paths):
+    """Every name read, every attribute taken and every name imported in the
+    files ``paths``: a name is referenced if it appears in any of them."""
+    refs = set()
+    for path in paths:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name)
+    return refs
+
+
+def test_unreferenced_public_names_are_pinned():
+    callers = [path for part in ("src", "bench", "demos")
+               for path in glob.glob(os.path.join(REPO, part, "**", "*.py"), recursive=True)]
+    refs = referenced_names(callers)
+    unreferenced = []
+    for path in sorted(glob.glob(os.path.join(REPO, "src", "treecolor", "*.py"))):
+        module = os.path.basename(path)[:-3]
+        unreferenced += [f"{module}.{name}" for name in public_top_level_names(_parse(path))
+                         if name not in refs]
+    assert sorted(unreferenced) == UNREFERENCED
