@@ -4,11 +4,12 @@ Usage::
 
     treecolor <command> --config <file> [--out <dir>] [--seed <u64>]
 
-Commands read a YAML config (strict keys, flags override file values), run
-one module pipeline and return ``(doc, summary, failure)``.  ``main`` alone
-adds the config echo, dumps ``doc`` to ``<command>.json`` (``-`` becomes
-``_``) and prints ``<command>: <summary> -> <path>``; ``sweep`` also writes
-``sweep.csv``.  Spectral docs hold ``SpectralReport.export()``, ``gap`` too.
+Commands read a YAML config (a key the command does not read is an error,
+flags override file values), run one module pipeline and return
+``(doc, summary, failure)``.  ``main`` alone adds the config echo, dumps
+``doc`` to ``<command>.json`` (``-`` becomes ``_``) and prints
+``<command>: <summary> -> <path>``; ``sweep`` also writes ``sweep.csv``.
+Spectral docs hold ``SpectralReport.export()``, ``gap`` too.
 Exit codes: 0 success, 2 config error, 3 capacity exceeded, 4 a checked
 inequality failed; stderr then names it, as ``<command>: FAILED (<failure>)``
 or, when the pipeline raises, ``verification failure: <message>``.
@@ -33,11 +34,20 @@ from .errors import (CapacityError, ConfigError, ParameterError,
 from .trees import (build_complete_regular, build_hanging_root, load_tree,
                     tree_from_parents)
 
-_TOP_KEYS = {
-    "command", "tree", "q", "lists", "pinned_color", "kind", "seed", "caps",
-    "out", "eps", "edge", "paths", "alpha", "gamma", "ell", "blocks",
-    "strict", "sweep", "delta_range", "include_states",
-}
+# The config keys each command reads; any other is refused.
+_COMMAND_KEYS = {command: {"command", "out", "seed", *keys.split()} for command, keys in {
+    "enumerate": "tree q lists pinned_color caps include_states",
+    "count": "tree q lists pinned_color",
+    "gap": "tree q lists pinned_color kind caps",
+    "mix": "tree q lists pinned_color kind caps eps",
+    "conductance": "tree q lists pinned_color kind caps",
+    "lowerbound": "tree q edge strict",
+    "congestion": "tree q lists pinned_color paths",
+    "tensorize": "tree q lists pinned_color blocks alpha",
+    "induction": "tree q ell alpha gamma",
+    "star-analysis": "delta_range",
+    "sweep": "tree q lists pinned_color kind caps sweep",
+}.items()}
 _TREE_KEYS = {"shape", "delta", "depth", "n_edges", "file"}
 
 
@@ -55,7 +65,6 @@ def load_config(path, overrides):
         raise ConfigError(f"cannot read config: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
-    _check_keys(doc, _TOP_KEYS, "config")
     if not isinstance(doc.get("caps") or {}, dict):
         raise ConfigError("caps must be a mapping")
     doc.update({k: v for k, v in overrides.items() if v is not None})
@@ -165,6 +174,8 @@ def cmd_gap(cfg, out):
 
 def cmd_mix(cfg, out):
     eps = _field(cfg.get("eps", 0.25), "eps", float)
+    if not 1e-9 <= eps < 1:  # a total-variation distance never exceeds 1
+        raise ConfigError(f"eps must lie in [1e-9, 1), not {eps!r}")
     tm, rep, doc = _spectral_doc(cfg)
     t_mix = spectral.mixing_time(tm, eps, cap=_cap(cfg, "mixing", spectral.MIXING_CAP))
     bound = rep.t_rel * (1.0 + tm.dist.tree.n_edges * math.log(tm.dist.lists.q))
@@ -318,7 +329,7 @@ def cmd_sweep(cfg, out):
         tree_cfg = dict(sub_cfg.get("tree", {}))
         if param in _TREE_KEYS:
             tree_cfg[param] = value
-        elif param in _TOP_KEYS:
+        elif param in _COMMAND_KEYS["gap"]:
             sub_cfg[param] = value
         else:
             raise ConfigError(f"cannot sweep over {param!r}")
@@ -362,6 +373,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, {"seed": args.seed, "out": args.out})
+        _check_keys(cfg, _COMMAND_KEYS[args.command], f"{args.command} config")
         declared = cfg.get("command")
         if declared is not None and declared != args.command:
             raise ConfigError(

@@ -13,10 +13,12 @@ its colors read as mixed-radix digits.  ``count_colorings`` gets the same
 number by dynamic programming and works on trees far too large to enumerate.
 ``DistributionTable.classes`` groups the support into the classes of states
 that agree off a block of edges, from which every block-averaging matrix of
-the package is built.  Both, and the builder's boundary tuples, rank rows by
-one exact key, read in groups of columns that keep it below ``KEY_LIMIT``
-(``_ranks``).  ``DistributionTable.choices`` counts a singleton block's class
-sizes by list membership instead, with no sort.
+the package is built.  Every key here is exact, its colors read as digits in
+groups of columns that keep it below ``KEY_LIMIT``: ``rows_of`` and the
+builder's boundary tuples rank rows by one (``_ranks``), and ``classes``
+numbers its classes in row order from one key per row, cached on the table.
+``DistributionTable.choices`` counts a singleton block's class sizes by list
+membership instead, with no sort.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import CapacityError, InfeasiblePinningError, ParameterError, VerificationError
 
 ENUMERATION_CAP = 2_000_000
-KEY_LIMIT = 2 ** 62      # bound on the mixed-radix keys of ``_ranks``
+KEY_LIMIT = 2 ** 62      # bound on every mixed-radix row key
 SPLIT_STATES = 2 ** 15  # smallest support built from prefixes and suffixes (measured crossover)
 JOIN_ROWS = 2 ** 15      # output rows written per chunk of ``_join``
 
@@ -102,18 +104,50 @@ class DistributionTable:
             found &= keys[node] == want
         return np.where(found, row_of_key[node], -1)
 
+    @cached_property
+    def _class_keys(self):
+        """Each row's colors as the digits of radix q+2, the first column
+        most significant, cut into int64 keys of as many columns as keep
+        them below ``KEY_LIMIT``; and per column its key and place value."""
+        radix, m = self.lists.q + 2, self.array.shape[1]
+        cuts = [0]
+        for e in range(1, m):
+            if radix ** (e - cuts[-1] + 1) >= KEY_LIMIT:
+                cuts.append(e)
+        keys, places = np.zeros((len(cuts), self.size), dtype=np.int64), {}
+        for g, (lo, hi) in enumerate(zip(cuts, cuts[1:] + [m])):
+            for e in range(lo, hi):
+                keys[g] *= radix
+                keys[g] += self.array[:, e]
+                places[e] = g, np.int64(radix ** (hi - 1 - e))
+        return keys, places
+
     def classes(self, B):
         """Partition of the support into classes of states that agree on every
         edge outside ``B``.
 
         Returns ``(labels, sizes)``: ``labels[i]`` numbers the class of state
         ``i`` and ``sizes[k]`` counts the states of class ``k``, in the order
-        of the rows off ``B`` compared from the last edge to the first, as
-        ranked by ``_ranks``.
+        of the rows off ``B`` compared from the first edge to the last.  The
+        row keys (``_class_keys``) less B's digits are ranked by one stable
+        ``lexsort``: the support is lexicographic, so they arrive as long
+        sorted runs.
         """
-        B = set(B)
-        labels = _ranks(self.array, self.lists.q + 2,
-                        [e for e in reversed(range(self.tree.n_edges)) if e not in B])[1]
+        keys, places = self._class_keys
+        keys = list(keys)
+        for e in set(B) & places.keys():
+            g, place = places[e]
+            keys[g] = keys[g] - place * self.array[:, e]
+        order = np.lexsort(keys[::-1])
+        starts = np.zeros(self.size, dtype=bool)
+        starts[0] = True
+        for key in keys:
+            ranked = key[order]
+            starts[1:] |= ranked[1:] != ranked[:-1]
+        rank = starts.astype(np.int64)
+        np.cumsum(rank, out=rank)  # faster in place than from the booleans
+        labels = np.empty_like(rank)
+        labels[order] = rank - 1
         return labels, np.bincount(labels)
 
     def choices(self, e):

@@ -119,13 +119,6 @@ def block_average(dist, blocks, weights):
     return sp.csr_matrix((P.data, P.indices, P.indptr), shape=P.shape)
 
 
-def block_projector(dist, B):
-    """Pi_B as a sparse matrix: the average over each class of states that
-    agree off ``B`` (``DistributionTable.classes``), 1/s on every pair of
-    states in one class of size s."""
-    return block_average(dist, [B], [1.0])
-
-
 def transition_matrix(tree, lists, kind, block_spec=None, sparse_cap=SPARSE_CAP,
                       dist=None):
     """Exact one-step matrix of the chosen chain over the enumerated support.

@@ -274,42 +274,3 @@ def check_monotonicity(super_tree, sub_edges, q):
             "ok_singleton": ok_single, "ok_pairs": ok_pairs,
             "ok": ok_single and ok_pairs}
 
-
-# ---------------------------------------------------------------------------
-# Conditional-expectation exchange facts
-
-
-def exterior_boundary(tree, S):
-    out = set()
-    for e in S:
-        out.update(f for f in tree.neighbors[e] if f not in S)
-    return out
-
-
-def variance_exchange_checks(dist, S1, S2, n_random=100, seed=11, tol=1e-12):
-    """Projection-exchange facts on an enumerated distribution.
-
-    Requires the exterior boundary of S1 to avoid S2; checks the variance
-    comparison mu[Var_S1(mu_S2 f)] <= mu[Var_S1(mu_{S1 & S2} f)] on random
-    functions, and operator commutation as sparse matrices (plus the
-    containment identity when one set contains the other).
-    """
-    tree = dist.tree
-    S1, S2 = set(S1), set(S2)
-    if exterior_boundary(tree, S1) & S2:
-        raise ParameterError("exterior boundary of S1 must avoid S2")
-    P1 = spectral.block_projector(dist, S1)
-    P2 = spectral.block_projector(dist, S2)
-    if abs(P1 @ P2 - P2 @ P1).max() > tol:
-        return False
-    if S2 <= S1 and abs(P1 @ P2 - P1).max() > tol:
-        return False
-    inner = spectral.block_projector(dist, S1 & S2)  # the identity if empty
-    F = np.random.default_rng(seed).standard_normal((n_random, dist.size)).T
-
-    def cond_var_s1(G):  # mu[Var_S1 g] for every column g of G
-        return dist.weight * np.sum((G - P1 @ G) ** 2, axis=0)
-
-    lhs = cond_var_s1(P2 @ F)
-    rhs = cond_var_s1(inner @ F)
-    return bool(np.all(lhs <= rhs + 1e-9 * np.maximum(1.0, np.abs(rhs))))

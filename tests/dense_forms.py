@@ -1,7 +1,8 @@
 """Dense N x N variance forms and a PSD eigensolve: the test oracle for the
 sparse certificates of ``treecolor.tensorization``; and dense matrix powers:
-the test oracle for ``treecolor.spectral.mixing_time``; and the detailed
-balance check of a sparse transition matrix.
+the test oracle for ``treecolor.spectral.mixing_time``; the detailed
+balance check of a sparse transition matrix; and the projection-exchange
+facts of conditional expectations, on sparse projectors.
 
 Every functional (global variance, conditional variance on a block, variance
 of a conditional expectation) is a symmetric matrix over the enumerated
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from treecolor import spectral
 from treecolor.errors import CapacityError, ParameterError
 
 PSD_TOL = -1e-9
@@ -119,3 +121,39 @@ def detailed_balance_error(tm):
     diff = tm.matrix - tm.matrix.T
     gap = np.max(np.abs(diff.data)) if diff.nnz else 0.0
     return float(gap) * tm.dist.weight
+
+
+def exterior_boundary(tree, S):
+    out = set()
+    for e in S:
+        out.update(f for f in tree.neighbors[e] if f not in S)
+    return out
+
+
+def variance_exchange_checks(dist, S1, S2, n_random=100, seed=11, tol=1e-12):
+    """Projection-exchange facts on an enumerated distribution.
+
+    Requires the exterior boundary of S1 to avoid S2; checks the variance
+    comparison mu[Var_S1(mu_S2 f)] <= mu[Var_S1(mu_{S1 & S2} f)] on random
+    functions, and operator commutation as sparse matrices (plus the
+    containment identity when one set contains the other).
+    """
+    tree = dist.tree
+    S1, S2 = set(S1), set(S2)
+    if exterior_boundary(tree, S1) & S2:
+        raise ParameterError("exterior boundary of S1 must avoid S2")
+    P1 = spectral.block_average(dist, [S1], [1.0])
+    P2 = spectral.block_average(dist, [S2], [1.0])
+    if abs(P1 @ P2 - P2 @ P1).max() > tol:
+        return False
+    if S2 <= S1 and abs(P1 @ P2 - P1).max() > tol:
+        return False
+    inner = spectral.block_average(dist, [S1 & S2], [1.0])  # the identity if empty
+    F = np.random.default_rng(seed).standard_normal((n_random, dist.size)).T
+
+    def cond_var_s1(G):  # mu[Var_S1 g] for every column g of G
+        return dist.weight * np.sum((G - P1 @ G) ** 2, axis=0)
+
+    lhs = cond_var_s1(P2 @ F)
+    rhs = cond_var_s1(inner @ F)
+    return bool(np.all(lhs <= rhs + 1e-9 * np.maximum(1.0, np.abs(rhs))))

@@ -7,14 +7,19 @@ way: tuple-keyed class dicts and a per-state loop over available colors and
 consistent block assignments.
 """
 
+import hashlib
+import json
+import os
 from array import array
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from coloring_reference import (available_colors, block_assignments, index_of,
                                 states_of)
 from treecolor import dynamics, oracle, spectral
+from treecolor import tensorization as tz
 from treecolor.canonical import EDGE_PATHS, GLAUBER_PATHS, compute_congestion
 from treecolor.colorings import (ListSpec, pinned_root_lists, star_root_lists,
                                  uniform_lists)
@@ -149,13 +154,10 @@ def test_projector_equals_tuple_dict_reference():
             for members in reference_classes(dist, S):
                 for i in members:
                     want[i, members] = 1.0 / len(members)
-            got = spectral.block_projector(dist, S)
+            got = spectral.block_average(dist, [S], [1.0])
             assert sp.issparse(got), S
             assert np.array_equal(got.toarray(), want), S
             assert_canonical(got)
-            one_block = spectral.block_average(dist, [S], [1.0])
-            for a in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, a), getattr(one_block, a)), S
 
 
 def test_classes_without_key_overflow():
@@ -182,11 +184,48 @@ def test_classes_from_grouped_keys_match_reference(monkeypatch):
         assert_classes_match(fits, B)
     for B in ((0,), (38,), (40,), (37, 38), (0, 40), ()):
         assert_classes_match(overflows, B)
-    # one column per group numbers the classes alike
+    # one column per group numbers the classes alike; a new table cuts its
+    # cached row keys anew
     monkeypatch.setattr(oracle, "KEY_LIMIT", 1)
+    fits = oracle.DistributionTable(fits.tree, fits.lists, fits.array)
     for B, want in zip(blocks, keyed):
         for got, w in zip(fits.classes(B), want):
             assert np.array_equal(got, w) and got.dtype == w.dtype, B
+
+
+def reference_labels(dist, B):
+    """The dense rank of each row's colors off ``B``, compared from the first
+    edge to the last."""
+    rest = [e for e in range(dist.tree.n_edges) if e not in set(B)]
+    rows = [tuple(s[e] for e in rest) for s in states_of(dist)]
+    rank = {key: k for k, key in enumerate(sorted(set(rows)))}
+    return [rank[key] for key in rows]
+
+
+def test_classes_are_numbered_by_the_rows_off_the_block(monkeypatch):
+    star = build_complete_regular(2, 1)
+    cases = [(tree, uniform_lists(tree, q)) for tree, q in ZOO] + [
+        # two key groups, as in the grouped-key test above
+        (path_tree(41), ListSpec(3, [{1 + e % 2} for e in range(37)] + [{1, 2, 3}] * 4)),
+        (star, uniform_lists(star, 300))]  # uint16 colors
+    for tree, lists in cases:
+        dist = oracle.enumerate_colorings(tree, lists)
+        m = tree.n_edges
+        blocks = [(e,) for e in range(m)] + pair_blocks(tree) + [(), tuple(range(m))]
+        keyed = [dist.classes(B) for B in blocks]
+        for B, (labels, sizes) in zip(blocks, keyed):
+            want = reference_labels(dist, B)
+            assert labels.dtype == np.int64, B
+            assert labels.tolist() == want, (m, B)
+            assert sizes.tolist() == np.bincount(want).tolist(), (m, B)
+        # one column per key group numbers the classes alike
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, "KEY_LIMIT", 1)
+            cut = oracle.DistributionTable(tree, lists, dist.array)
+            assert len(cut._class_keys[0]) == m
+            for B, want in zip(blocks, keyed):
+                for got, w in zip(cut.classes(B), want):
+                    assert np.array_equal(got, w) and got.dtype == w.dtype, B
 
 
 def test_classes_with_more_than_255_colors():
@@ -315,3 +354,54 @@ def test_check_ergodicity_matches_move_graph_walk():
     tm = spectral.transition_matrix(tree, uniform_lists(tree, q),
                                     dynamics.HEATBATH_GLAUBER)
     assert tm.components() == 6
+
+
+# sha256 digests of the CSR arrays of four chains and one projected constant;
+# a change to the class assembly that keeps every matrix leaves this file as
+# it is
+PINNED_MATRICES = os.path.join(os.path.dirname(__file__), "matrix_pinned.json")
+
+
+def pinned_matrices():
+    """The pinned chains by name: heat-bath Glauber on a path, the BLOCK
+    chain that ``verify_induction`` builds with the dense-certify benchmark's
+    alpha and gamma, and the neighbouring-pair chain, whose pair blocks
+    overlap; plus a projected root-tensorization constant."""
+    build, built = spectral.transition_matrix, []
+
+    def keep(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    path = path_tree(8)
+    induction = build_complete_regular(2, 5)
+    pair = build_complete_regular(3, 2)
+    hanging = build_hanging_root(3, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "transition_matrix", keep)
+        tz.verify_induction(induction, uniform_lists(induction, 3), 1, [8.0, 4.0], 2.0)
+    (block,) = built
+    return {
+        "heat-bath path(8) q=4": build(path, uniform_lists(path, 4),
+                                       dynamics.HEATBATH_GLAUBER).matrix,
+        "induction complete_regular(2,5) q=3": block.matrix,
+        "neighbour-pair complete_regular(3,2) q=4": build(
+            pair, uniform_lists(pair, 4), dynamics.NEIGHBOR_PAIR).matrix,
+        "root constant hanging_root(3,2) q=5": tz.check_root_tensorization(
+            hanging, star_root_lists(hanging, 5), [1, 2, 3]).constant,
+    }
+
+
+def matrix_digest(value):
+    if isinstance(value, float):
+        return value
+    return {name: [str(arr.dtype), len(arr), hashlib.sha256(arr.tobytes()).hexdigest()]
+            for name, arr in (("data", value.data), ("indices", value.indices),
+                              ("indptr", value.indptr))}
+
+
+def test_assembled_matrices_are_pinned():
+    got = {name: matrix_digest(value) for name, value in pinned_matrices().items()}
+    with open(PINNED_MATRICES) as fh:
+        # through JSON, so any changed digit of the constant counts
+        assert json.dumps(got, sort_keys=True) == json.dumps(json.load(fh), sort_keys=True)

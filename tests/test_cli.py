@@ -230,6 +230,9 @@ INDUCTION = {"command": "induction",
 @pytest.mark.parametrize("command, doc, error", [
     ("mix", {"tree": {"shape": "path", "n_edges": 2}, "q": 3, "eps": True},
      "eps must be a number, not True"),
+    # a total-variation distance is at most 1, so eps >= 1 holds at t = 0
+    *(("mix", {"tree": {"shape": "path", "n_edges": 2}, "q": 3, "eps": eps},
+       f"eps must lie in [1e-9, 1), not {eps!r}") for eps in (1.0, 2.0, 1e-10)),
     ("tensorize", {"tree": {"shape": "hanging_root", "delta": 2, "depth": 1}, "q": 4,
                    "lists": "star_root", "alpha": [True, "2", 2]},
      "alpha[0] must be a number, not True"),
@@ -524,3 +527,14 @@ def test_congestion_with_one_root_color_is_a_config_error(tmp_path, capsys, monk
     assert main(["congestion", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
         "config error: congestion couples two root colors, but the root list is [3]\n")
+
+
+def test_keys_another_command_reads_are_config_errors(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "command": "gap", "tree": {"shape": "path", "n_edges": 2}, "q": 3,
+        "eps": 0.1, "blocks": "pairs", "strict": False, "alpha": [1.0],
+    })
+    assert main(["gap", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown gap config fields: ['alpha', 'blocks', 'eps', 'strict']\n")
+    assert not (tmp_path / "o").exists()

@@ -12,7 +12,6 @@ UNREFERENCED = [
     "spectral.frozen_probability_exact",
     "tensorization.check_monotonicity",
     "tensorization.f_hat",
-    "tensorization.variance_exchange_checks",
 ]
 
 

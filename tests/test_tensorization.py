@@ -45,8 +45,8 @@ def commutation_holds(dist, S, T, tol=1e-12):
     distance >= 2."""
     if line_distance(dist.tree, S, T) < 2:
         raise ParameterError("sets must be at line-graph distance >= 2")
-    P1 = spectral.block_projector(dist, S)
-    P2 = spectral.block_projector(dist, T)
+    P1 = spectral.block_average(dist, [S], [1.0])
+    P2 = spectral.block_average(dist, [T], [1.0])
     return bool(abs(P1 @ P2 - P2 @ P1).max() <= tol)
 
 
@@ -475,11 +475,11 @@ def test_restrict_tree_and_monotonicity():
 def test_variance_exchange_checks():
     t, d = path_dist(4, 3)
     # S2 inside S1: containment identity case
-    assert tz.variance_exchange_checks(d, {0, 1}, {1})
+    assert df.variance_exchange_checks(d, {0, 1}, {1})
     # far apart: commutation as matrices
     assert commutation_holds(d, {0}, {3})
-    assert tz.variance_exchange_checks(d, {0}, {2, 3})
+    assert df.variance_exchange_checks(d, {0}, {2, 3})
     with pytest.raises(ParameterError):
-        tz.variance_exchange_checks(d, {0}, {1})  # boundary meets S2
+        df.variance_exchange_checks(d, {0}, {1})  # boundary meets S2
     with pytest.raises(ParameterError):
         commutation_holds(d, {0}, {1})
