@@ -230,9 +230,6 @@ INDUCTION = {"command": "induction",
 @pytest.mark.parametrize("command, doc, error", [
     ("mix", {"tree": {"shape": "path", "n_edges": 2}, "q": 3, "eps": True},
      "eps must be a number, not True"),
-    # a total-variation distance is at most 1, so eps >= 1 holds at t = 0
-    *(("mix", {"tree": {"shape": "path", "n_edges": 2}, "q": 3, "eps": eps},
-       f"eps must lie in [1e-9, 1), not {eps!r}") for eps in (1.0, 2.0, 1e-10)),
     ("tensorize", {"tree": {"shape": "hanging_root", "delta": 2, "depth": 1}, "q": 4,
                    "lists": "star_root", "alpha": [True, "2", 2]},
      "alpha[0] must be a number, not True"),
@@ -249,6 +246,16 @@ def test_real_boolean_and_blocks_fields_refuse_other_values(tmp_path, capsys, co
     cfg = write_cfg(tmp_path, dict(doc, command=command))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not (tmp_path / "o").exists()
+
+
+# a total-variation distance is at most 1, so eps >= 1 holds at t = 0
+@pytest.mark.parametrize("eps", [1.0, 2.0, 1e-10])
+def test_mix_refuses_eps_outside_unit_interval(tmp_path, capsys, eps):
+    cfg = write_cfg(tmp_path, {"command": "mix", "tree": {"shape": "path", "n_edges": 2},
+                               "q": 3, "eps": eps})
+    assert main(["mix", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: eps must lie in [1e-9, 1), not {eps!r}\n"
     assert not (tmp_path / "o").exists()
 
 
