@@ -28,7 +28,14 @@ one flat ``take``, and scan a short axis (at most q+1, delta or m columns) one
 column at a time (``_first``, ``_first_column``, ``_count``): on a 2-core x86
 host, 4,100 rows of a 6,561 x 8 uint8 array took 51 us by fancy indexing
 against 4 us by ``take``, and a ``sum`` along 8 columns of 4,100 booleans took
-98 us against 37 us as a column loop.
+98 us against 37 us as a column loop.  They sort shuffled int64 keys with the
+default ``np.sort``/``np.argsort`` (numpy's SIMD quicksort), and take the
+stable kind (timsort) only where its order names a failure: on that host
+(AVX-512, numpy 2.4), 4,100 shuffled keys took 275-316 us by a stable
+``argsort``, 62-80 us by the default one and 25-30 us by ``np.sort``.  So
+``_first_uses`` counts a family's transitions from one default ``argsort``,
+and ``verify_paths`` finds a revisit by ``np.sort``, sorting stably only to
+name the first one.
 """
 
 from __future__ import annotations
@@ -149,13 +156,14 @@ def _alternating(tab, C, e, b):
 
 def flip_rows(tree, colors, e, b, tab=None):
     """The flip of every coloring in ``colors`` (n x m) at once, on ``tab`` if given:
-    its color on ``e`` and ``b`` swap along its maximal alternating path (``_alternating``)."""
+    its color on ``e`` and ``b`` (one color, or one per row) swap along its
+    maximal alternating path (``_alternating``)."""
     tab = _Tables(tree) if tab is None else tab
     C = tab.widen(colors)
     path = _alternating(tab, C, e, b)
     rows, k = np.nonzero(path < tab.m)
     at = rows * C.shape[1] + path[rows, k]
-    a = C[rows, e]
+    a, b = C[rows, e], np.broadcast_to(b, (len(C),))[rows]
     C.ravel()[at] = np.where(np.take(C, at) == a, b, a)
     return C[:, :tab.m]
 
@@ -172,18 +180,30 @@ class Coupling:
 def flip_coupling(tree, lists, a, b, dist=None, tab=None):
     """Pair the root-color-a fiber with the root-color-b fiber by flipping
     (on the tree's ``_Tables`` ``tab``, if given), as support rows."""
-    r = hanging_root_edge(tree)
-    if a == b or a not in lists[r] or b not in lists[r]:
-        raise ParameterError("a, b must be distinct colors from the root list")
     if dist is None:
         dist = oracle.enumerate_colorings(tree, lists)
-    fiber_a = np.flatnonzero(dist.array[:, r] == a)
-    fiber_b = np.flatnonzero(dist.array[:, r] == b)
-    flipped = dist.rows_of(flip_rows(tree, np.take(dist.array, fiber_a, axis=0), r, b, tab))
-    if not np.array_equal(np.sort(flipped), fiber_b):
-        raise VerificationError("flip is not a bijection between the fibers")
-    pairs = np.column_stack([fiber_a, flipped])
-    return Coupling(a, b, pairs, 1.0 / len(pairs))
+    return _flip_couplings(tree, lists, [(a, b)], dist, tab)[0]
+
+
+def _flip_couplings(tree, lists, pairs, dist, tab):
+    """The ``flip_coupling`` of each root-color pair (a, b) of ``pairs``, from
+    one ``flip_rows`` and one ``rows_of`` over their stacked fibers."""
+    r = hanging_root_edge(tree)
+    for a, b in pairs:
+        if a == b or a not in lists[r] or b not in lists[r]:
+            raise ParameterError("a, b must be distinct colors from the root list")
+    root = dist.array[:, r]
+    fibers = [np.flatnonzero(root == a) for a, _ in pairs]
+    sizes = [len(fiber) for fiber in fibers]
+    rows = np.concatenate(fibers)
+    to = np.repeat(np.array([b for _, b in pairs], dtype=dist.array.dtype), sizes)
+    flipped = dist.rows_of(flip_rows(tree, np.take(dist.array, rows, axis=0), r, to, tab))
+    couplings = []
+    for (a, b), fiber_a, ends in zip(pairs, fibers, np.split(flipped, np.cumsum(sizes)[:-1])):
+        if not np.array_equal(np.sort(ends), np.flatnonzero(root == b)):
+            raise VerificationError("flip is not a bijection between the fibers")
+        couplings.append(Coupling(a, b, np.column_stack([fiber_a, ends]), 1.0 / len(fiber_a)))
+    return couplings
 
 
 @dataclass(frozen=True)
@@ -486,11 +506,11 @@ def verify_paths(dist, batch, ends=None):
     n_changed = _count(changed)
     check(np.flatnonzero(n_changed == 0), "step", lambda i: "changes nothing")
     lo, hi = np.minimum(*batch.edges.T), np.maximum(*batch.edges.T)
-    step = np.arange(len(at))
+    cell = np.arange(0, changed.size, m)  # each step's first cell of ``changed``
     check(np.flatnonzero((n_changed != np.add(lo < m, hi < m, dtype=np.intp))
                          | (lo == hi) | (lo < 0) | (hi > m)
-                         | ~changed[step, np.minimum(lo, m - 1)]
-                         | ~(changed[step, np.minimum(hi, m - 1)] | (hi == m))), "step",
+                         | ~np.take(changed, cell + np.minimum(lo, m - 1))
+                         | ~(np.take(changed, cell + np.minimum(hi, m - 1)) | (hi == m))), "step",
           lambda i: f"changed {tuple(np.flatnonzero(changed[i]).tolist())}, "
                     f"recorded {tuple(e for e in batch.edges[i].tolist() if e < m)}")
     key = lo * (m + 1) + hi
@@ -503,9 +523,11 @@ def verify_paths(dist, batch, ends=None):
     check(np.flatnonzero(~legal[block_of]), "step",
           lambda i: f"changed a disallowed block {blocks[block_of[i]]}")
     visit = path_of * dist.size + rows
-    order = np.argsort(visit, kind="stable")  # a revisit sorts after the visit
-    check(order[1:][visit[order[1:]] == visit[order[:-1]]], "state",
-          lambda i: "revisits an earlier state")
+    ranked = np.sort(visit)
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.argsort(visit, kind="stable")  # a revisit sorts after the visit
+        check(order[1:][visit[order[1:]] == visit[order[:-1]]], "state",
+              lambda i: "revisits an earlier state")
     if ends is None:
         ends = dist.rows_of(flip_rows(tree, dist.array[rows[first]], batch.family.r,
                                       batch.family.b))
@@ -598,10 +620,11 @@ def compute_congestion(tree, lists, path_kind):
     a built one is that one's image (``map_paths``, whose row maps are kept
     and composed across families), any other is built.  Every family is
     checked by ``verify_paths`` and counted on support rows; its end rows
-    come from one ``flip_coupling`` per pair a < b, whose inverse gives the
-    (b, a) ends, since the flip is an involution.  A move that changes block
-    B out of state x has heat-bath rate 1/s, with s the size of the class of
-    x under B: ``DistributionTable.choices(e)`` for a singleton (e,), and
+    come from the flip couplings of every pair a < b, made in one pass on
+    the tree's one ``_Tables``, whose inverses give the (b, a) ends, since
+    the flip is an involution.  A move that changes block B out of state x
+    has heat-bath rate 1/s, with s the size of the class of x under B:
+    ``DistributionTable.choices(e)`` for a singleton (e,), and
     ``DistributionTable.classes(B)`` for a pair.
     """
     r = hanging_root_edge(tree)
@@ -623,7 +646,12 @@ def compute_congestion(tree, lists, path_kind):
         else:
             labels, sizes = dist.classes(block)
             class_size[k] = sizes[labels]
-    per_pair, built, maps, back, tab = {}, {}, {}, {}, _Tables(tree)  # built: one batch per orbit
+    pairs = [(a, b) for a in root_colors for b in root_colors if a < b]
+    ends = {}  # the flip of fiber a, and its inverse for (b, a)
+    for c in _flip_couplings(tree, lists, pairs, dist, _Tables(tree)):
+        ends[c.a, c.b] = c.pairs[:, 1]
+        ends[c.b, c.a] = fibers[c.a][np.argsort(c.pairs[:, 1])]
+    per_pair, built, maps = {}, {}, {}  # built: one batch per orbit
     for a in root_colors:
         for b in root_colors:
             if a == b:
@@ -634,16 +662,8 @@ def compute_congestion(tree, lists, path_kind):
                 batch = map_paths(built[key], family, dist, maps)
             else:
                 batch = built[key] = build_paths(family, dist, fibers[a])
-            if a < b:  # the flip of fiber a, and its inverse for (b, a)
-                ends = flip_coupling(tree, lists, a, b, dist, tab).pairs[:, 1]
-                back[b, a] = fibers[a][np.argsort(ends)]
-            else:
-                ends = back.pop((a, b))
-            src, dst, block_of, blocks = verify_paths(dist, batch, ends)
-            _, first, counts = np.unique(src * n + dst, return_index=True,
-                                         return_counts=True)
-            used = np.argsort(first)  # the transitions in order of first use
-            first, counts = first[used], counts[used]
+            src, dst, block_of, blocks = verify_paths(dist, batch, ends.pop((a, b)))
+            first, counts = _first_uses(src * n + dst)
             x, y = src[first], dst[first]
             block = np.array([slot[blk] for blk in blocks], dtype=np.intp)[block_of[first]]
             size, level = np.take(class_size, block * n + x), block_level[block]
@@ -657,6 +677,24 @@ def compute_congestion(tree, lists, path_kind):
                 _running_sum(load[level < 0]),
                 _running_sum(counts[level == ell] ** 2 / n))
     return CongestionReport(tree, lists, path_kind, n, per_pair, dist)
+
+
+def _first_uses(key):
+    """The distinct values of ``key`` in order of first use, as the index
+    of each one's first use and its number of uses.  One default (SIMD,
+    unstable) ``argsort``: the run heads of the sorted keys give the counts,
+    the least index in each run its first use, and a table indexed by first
+    use puts the runs in that order with no second sort."""
+    order = np.argsort(key)
+    ranked = np.take(key, order)
+    bounds = np.ones(len(key) + 1, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=bounds[1:-1])
+    bounds = np.flatnonzero(bounds)  # the run heads, then len(key)
+    first = np.minimum.reduceat(order, bounds[:-1])
+    at = np.full(len(key), -1, dtype=np.intp)
+    at[first] = np.arange(len(first))
+    used = at[at >= 0]
+    return first[used], np.diff(bounds)[used]
 
 
 def _running_sum(values):
@@ -686,8 +724,7 @@ def routing_bound_ell1(delta):
     if any(len(blk) != 1 for blk in blocks):
         raise VerificationError("depth-one routing made a pair move")
     level = np.array([tree.edge_levels[blk[0]] for blk in blocks])[block_of]
-    _, first, counts = np.unique(src * dist.size + dst, return_index=True,
-                                 return_counts=True)
+    first, counts = _first_uses(src * dist.size + dst)
     expected = {t: int(np.count_nonzero(level == t)) / len(starts) for t in (0, 1)}
     maxmult = {t: int(counts[level[first] == t].max(initial=0)) for t in (0, 1)}
     alpha0 = 4.0 * expected[0] * maxmult[0]

@@ -40,8 +40,9 @@ class ListSpec:
         """The class of each color 0..q (0, no color, lies on no list):
         colors that lie on exactly the same lists share a class.  So a
         permutation of 1..q keeps every list iff it keeps every class."""
-        member = [[c in s for s in self.lists] for c in range(self.q + 1)]
-        return np.unique(member, axis=0, return_inverse=True)[1].ravel()
+        member = [tuple(c in s for s in self.lists) for c in range(self.q + 1)]
+        label = {row: k for k, row in enumerate(sorted(set(member)))}
+        return np.array([label[row] for row in member], dtype=np.intp)
 
     def __getitem__(self, e):
         return self.lists[e]

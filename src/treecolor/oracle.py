@@ -131,11 +131,16 @@ class DistributionTable:
         of the rows off ``B`` compared from the first edge to the last.  The
         row keys (``_class_keys``) less B's digits are ranked by one stable
         ``lexsort``: the support is lexicographic, so they arrive as long
-        sorted runs.
+        sorted runs.  An edge of ``B`` outside 0..m-1 raises
+        ``ParameterError``.
         """
+        m = self.array.shape[1]
+        for e in B:
+            if not 0 <= e < m:
+                raise ParameterError(f"block edge {e} out of range 0..{m - 1}")
         keys, places = self._class_keys
         keys = list(keys)
-        for e in set(B) & places.keys():
+        for e in set(B):
             g, place = places[e]
             keys[g] = keys[g] - place * self.array[:, e]
         order = np.lexsort(keys[::-1])
@@ -244,7 +249,8 @@ def enumerate_colorings(tree, lists, cap=ENUMERATION_CAP):
     ids = None  # in the suffix pass, the boundary tuple of each row
     for e in range(m):
         colors = np.array(sorted(lists[e]), dtype=dtype)
-        member = np.isin(np.arange(lists.q + 1), colors).astype(dtype)
+        member = np.zeros(lists.q + 1, dtype=dtype)
+        member[colors] = 1
         allowed = np.ones((len(colors), len(rows)), dtype=bool)  # [j, i]: row i may take colors[j]
         counts = np.full(len(rows), len(colors), dtype=dtype)
         for f in earlier[e]:

@@ -24,6 +24,7 @@ from treecolor.canonical import EDGE_PATHS, GLAUBER_PATHS, compute_congestion
 from treecolor.colorings import (ListSpec, pinned_root_lists, star_root_lists,
                                  uniform_lists)
 from treecolor.dynamics import pair_blocks
+from treecolor.errors import ParameterError
 from treecolor.trees import (build_complete_regular, build_hanging_root,
                              hanging_root_edge, tree_from_parents)
 
@@ -236,6 +237,16 @@ def test_classes_with_more_than_255_colors():
     for B in ((0,), (1,), (0, 1), ()):
         assert_classes_match(dist, B)
     assert set(dist.classes((0,))[1].tolist()) == {299}
+
+
+def test_classes_refuses_edges_out_of_range():
+    tree = path_tree(3)
+    dist = oracle.enumerate_colorings(tree, uniform_lists(tree, 3))
+    for B, e in (((7,), 7), ((-1,), -1), ((0, 7), 7)):
+        with pytest.raises(ParameterError, match=rf"block edge {e} out of range 0\.\.2"):
+            dist.classes(B)
+    labels, sizes = dist.classes(())
+    assert len(sizes) == dist.size == 12 and np.array_equal(labels, np.arange(12))
 
 
 def test_choices_are_the_singleton_class_sizes():

@@ -405,14 +405,15 @@ def test_congestion_builds_one_family_per_orbit(monkeypatch):
 
 
 def test_congestion_flips_every_family_on_one_table(monkeypatch):
-    # one flip per root-color pair a < b, all on the tree's one index table:
-    # the (b, a) family's ends are the inverse of the (a, b) flip; singleton
-    # rates come from choices, and classes serves the pair blocks alone
+    # one flip per tree, on the tree's one index table, whose rows stack the
+    # fiber of a toward b once for every root-color pair a < b: the (b, a)
+    # family's ends are the inverse of the (a, b) flip; singleton rates come
+    # from choices, and classes serves the pair blocks alone
     flips, blocks = [], []
     inner, classes = canonical.flip_rows, oracle.DistributionTable.classes
 
     def recording(tree, colors, e, b, tab=None):
-        flips.append((int(colors[0, e]), b, tab))
+        flips.append((colors.copy(), np.broadcast_to(b, len(colors)).copy(), tab))
         return inner(tree, colors, e, b, tab)
 
     def counted(dist, B):
@@ -422,15 +423,82 @@ def test_congestion_flips_every_family_on_one_table(monkeypatch):
     monkeypatch.setattr(canonical, "flip_rows", recording)
     monkeypatch.setattr(oracle.DistributionTable, "classes", counted)
     for (delta, ell, q), kind in (((2, 7, 4), GLAUBER_PATHS), ((2, 3, 3), EDGE_PATHS)):
-        tree, lists, _ = star_instance(delta, ell, q)
+        tree, lists, dist = star_instance(delta, ell, q)
+        r = hanging_root_edge(tree)
         flips.clear()
         blocks.clear()
         compute_congestion(tree, lists, kind)
-        assert [(a, b) for a, b, _ in flips] == [
-            (a, b) for a, b in families(lists, hanging_root_edge(tree)) if a < b]
-        assert flips[0][2] is not None and all(tab is flips[0][2] for *_, tab in flips)
+        ((colors, to, tab),) = flips
+        assert isinstance(tab, canonical._Tables)
+        rows, pairs = dist.rows_of(colors), [(a, b) for a, b in families(lists, r) if a < b]
+        assert len(rows) == sum(len(fiber(dist, r, a)) for a, _ in pairs)
+        for a, b in pairs:
+            assert np.array_equal(np.sort(rows[(colors[:, r] == a) & (to == b)]),
+                                  fiber(dist, r, a)), (a, b)
         assert all(len(B) == 2 for B in blocks)
         assert len(blocks) == (0 if kind == GLAUBER_PATHS else len(tree.level_edges(1)))
+
+
+def test_flip_rows_takes_one_color_per_row():
+    rng = np.random.default_rng(29)
+    for delta, ell, q in ((2, 3, 4), (3, 2, 5), (2, 5, 3)):
+        tree, lists, dist = star_instance(delta, ell, q)
+        r = hanging_root_edge(tree)
+        starts = dist.array[rng.permutation(dist.size)]
+        # per row, a root-list color other than its own
+        others = [[b for b in sorted(lists[r]) if b != a] for a in starts[:, r].tolist()]
+        to = np.array([rng.choice(bs) for bs in others])
+        got = flip_rows(tree, starts, r, to)
+        assert got.dtype == dist.array.dtype
+        for b in np.unique(to).tolist():
+            assert np.array_equal(got[to == b], flip_rows(tree, starts[to == b], r, b))
+
+
+def test_flip_couplings_in_one_pass_match_one_pair_calls():
+    for delta, ell, q, _ in PATH_INSTANCES:
+        tree, lists, dist = star_instance(delta, ell, q)
+        pairs = families(lists, hanging_root_edge(tree))
+        got = canonical._flip_couplings(tree, lists, pairs, dist, canonical._Tables(tree))
+        assert len(got) == len(pairs)
+        for (a, b), c in zip(pairs, got):
+            want = flip_coupling(tree, lists, a, b, dist)
+            assert (c.a, c.b, c.weight) == (want.a, want.b, want.weight)
+            assert np.array_equal(c.pairs, want.pairs) and c.pairs.dtype == want.pairs.dtype
+    with pytest.raises(ParameterError, match="distinct colors from the root list"):
+        canonical._flip_couplings(tree, lists, [(1, 2), (2, 2)], dist, None)
+
+
+def test_first_uses_match_unique_in_order_of_first_use():
+    rng = np.random.default_rng(29)
+    values = rng.integers(0, 2 ** 40, 60)
+    shuffled = rng.permutation(np.repeat(values, rng.integers(1, 90, len(values))))
+    for key in (shuffled, np.array([7]), np.zeros(0, dtype=np.int64)):
+        _, first, counts = np.unique(key, return_index=True, return_counts=True)
+        used = np.argsort(first)
+        got_first, got_counts = canonical._first_uses(key)
+        for got, want in ((got_first, first[used]), (got_counts, counts[used])):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+
+
+def test_congestion_calls_no_unique_and_no_stable_argsort(monkeypatch):
+    # transitions are counted on the default SIMD argsort, and the revisit
+    # check takes the stable one only when some path repeats a state
+    argsort = np.argsort
+
+    def unique(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    def unstable(a, *args, **kwargs):
+        if "stable" in args or kwargs.get("kind") == "stable" or kwargs.get("stable"):
+            raise AssertionError("stable argsort called")
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", unique)
+    monkeypatch.setattr(np, "argsort", unstable)
+    for delta, ell, q in ((2, 7, 4), (3, 2, 5)):
+        tree = build_hanging_root(delta, ell)
+        rep = compute_congestion(tree, star_root_lists(tree, q), GLAUBER_PATHS)
+        assert len(rep.per_pair) == 6
 
 
 def test_flip_is_an_involution():

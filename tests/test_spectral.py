@@ -439,6 +439,9 @@ def test_color_classes_match_brute_force_permutations():
     for _, lists in orbit_cases():
         q, classes = lists.q, lists.color_classes
         assert len(classes) == q + 1
+        member = [[c in s for s in lists.lists] for c in range(q + 1)]
+        want = np.unique(member, axis=0, return_inverse=True)[1].ravel()
+        assert np.array_equal(classes, want) and classes.dtype == want.dtype
         for perm in itertools.permutations(range(1, q + 1)):
             keeps_lists = all({perm[c - 1] for c in s} == s for s in lists.lists)
             keeps_classes = all(classes[perm[c - 1]] == classes[c] for c in range(1, q + 1))
