@@ -154,11 +154,11 @@ def _alternating(tab, C, e, b):
     return path
 
 
-def flip_rows(tree, colors, e, b, tab=None):
-    """The flip of every coloring in ``colors`` (n x m) at once, on ``tab`` if given:
-    its color on ``e`` and ``b`` (one color, or one per row) swap along its
-    maximal alternating path (``_alternating``)."""
-    tab = _Tables(tree) if tab is None else tab
+def flip_rows(tree, colors, e, b):
+    """The flip of every coloring in ``colors`` (n x m) at once: its color on
+    ``e`` and ``b`` (one color, or one per row) swap along its maximal
+    alternating path (``_alternating``)."""
+    tab = _Tables(tree)
     C = tab.widen(colors)
     path = _alternating(tab, C, e, b)
     rows, k = np.nonzero(path < tab.m)
@@ -177,15 +177,15 @@ class Coupling:
     weight: float        # uniform pair probability 1/|pairs|
 
 
-def flip_coupling(tree, lists, a, b, dist=None, tab=None):
-    """Pair the root-color-a fiber with the root-color-b fiber by flipping
-    (on the tree's ``_Tables`` ``tab``, if given), as support rows."""
+def flip_coupling(tree, lists, a, b, dist=None):
+    """Pair the root-color-a fiber with the root-color-b fiber by flipping,
+    as support rows."""
     if dist is None:
         dist = oracle.enumerate_colorings(tree, lists)
-    return _flip_couplings(tree, lists, [(a, b)], dist, tab)[0]
+    return _flip_couplings(tree, lists, [(a, b)], dist)[0]
 
 
-def _flip_couplings(tree, lists, pairs, dist, tab):
+def _flip_couplings(tree, lists, pairs, dist):
     """The ``flip_coupling`` of each root-color pair (a, b) of ``pairs``, from
     one ``flip_rows`` and one ``rows_of`` over their stacked fibers."""
     r = hanging_root_edge(tree)
@@ -197,7 +197,7 @@ def _flip_couplings(tree, lists, pairs, dist, tab):
     sizes = [len(fiber) for fiber in fibers]
     rows = np.concatenate(fibers)
     to = np.repeat(np.array([b for _, b in pairs], dtype=dist.array.dtype), sizes)
-    flipped = dist.rows_of(flip_rows(tree, np.take(dist.array, rows, axis=0), r, to, tab))
+    flipped = dist.rows_of(flip_rows(tree, np.take(dist.array, rows, axis=0), r, to))
     couplings = []
     for (a, b), fiber_a, ends in zip(pairs, fibers, np.split(flipped, np.cumsum(sizes)[:-1])):
         if not np.array_equal(np.sort(ends), np.flatnonzero(root == b)):
@@ -620,9 +620,9 @@ def compute_congestion(tree, lists, path_kind):
     a built one is that one's image (``map_paths``, whose row maps are kept
     and composed across families), any other is built.  Every family is
     checked by ``verify_paths`` and counted on support rows; its end rows
-    come from the flip couplings of every pair a < b, made in one pass on
-    the tree's one ``_Tables``, whose inverses give the (b, a) ends, since
-    the flip is an involution.  A move that changes block B out of state x
+    come from the flip couplings of every pair a < b, made in one
+    ``flip_rows`` pass, whose inverses give the (b, a) ends, since the flip
+    is an involution.  A move that changes block B out of state x
     has heat-bath rate 1/s, with s the size of the class of x under B:
     ``DistributionTable.choices(e)`` for a singleton (e,), and
     ``DistributionTable.classes(B)`` for a pair.
@@ -648,7 +648,7 @@ def compute_congestion(tree, lists, path_kind):
             class_size[k] = sizes[labels]
     pairs = [(a, b) for a in root_colors for b in root_colors if a < b]
     ends = {}  # the flip of fiber a, and its inverse for (b, a)
-    for c in _flip_couplings(tree, lists, pairs, dist, _Tables(tree)):
+    for c in _flip_couplings(tree, lists, pairs, dist):
         ends[c.a, c.b] = c.pairs[:, 1]
         ends[c.b, c.a] = fibers[c.a][np.argsort(c.pairs[:, 1])]
     per_pair, built, maps = {}, {}, {}  # built: one batch per orbit

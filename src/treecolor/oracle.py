@@ -8,15 +8,18 @@ by a flat mask.  On large supports it extends, past a split edge h, only the
 distinct colorings of the boundary edges that later edges read, and joins
 each prefix row to the suffix rows of its boundary tuple (``_join``), so no
 step copies the whole support.  A coloring is a row, and the support is kept
-only as the array: ``DistributionTable.rows_of`` maps colorings back to rows,
-its colors read as mixed-radix digits.  ``count_colorings`` gets the same
-number by dynamic programming and works on trees far too large to enumerate.
-``DistributionTable.classes`` groups the support into the classes of states
-that agree off a block of edges, from which every block-averaging matrix of
-the package is built.  Every key here is exact, its colors read as digits in
-groups of columns that keep it below ``KEY_LIMIT``: ``rows_of`` and the
-builder's boundary tuples rank rows by one (``_ranks``), and ``classes``
-numbers its classes in row order from one key per row, cached on the table.
+only as the array: ``DistributionTable.rows_of`` maps colorings back to rows.
+``count_colorings`` gets the same number by dynamic programming and works on
+trees far too large to enumerate.  ``DistributionTable.classes`` groups the
+support into the classes of states that agree off a block of edges, from
+which every block-averaging matrix of the package is built.
+
+There is one exact row key (``_digit_keys``): the colors as digits of radix
+q+2, the first column most significant, in groups of columns whose keys stay
+below ``KEY_LIMIT``.  The table caches it for its rows, which must ascend
+strictly, so ``rows_of`` searches it (a color outside 1..q is the digit q+1,
+which no row has); ``classes`` ranks it less a block's digits, and the
+builder its boundary tuples, by one ranking (``_labels``).
 ``DistributionTable.choices`` counts a singleton block's class sizes by list
 membership instead, with no sort.
 """
@@ -36,31 +39,48 @@ SPLIT_STATES = 2 ** 15  # smallest support built from prefixes and suffixes (mea
 JOIN_ROWS = 2 ** 15      # output rows written per chunk of ``_join``
 
 
-def _ranks(array, radix, cols):
-    """The rank of each row of ``array`` by its colors on the columns
-    ``cols``, compared in that order, and per group of columns (first, stop,
-    its sorted distinct keys).  A group's key is the rank by the groups
-    before it times its span plus its colors, the digits of ``radix`` (q+2),
-    accumulated one column at a time; groups are cut to keep every key below
-    ``KEY_LIMIT``, so ranks are exact for every q and m (given N (q+2) below
-    the limit).  One ``argsort`` ranks each group."""
-    n = len(array)
-    groups, rank, lo = [], np.zeros(n, dtype=np.int64), 0
-    while lo < len(cols):
-        width, hi, span = len(groups[-1][2]) if groups else 1, lo, 1
-        while hi < len(cols) and (hi == lo or width * span * radix < KEY_LIMIT):
-            rank *= radix
-            rank += array[:, cols[hi]]
-            hi, span = hi + 1, span * radix
-        order = np.argsort(rank)
-        ranked = rank[order]
-        starts = np.ones(n, dtype=bool)
-        np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.cumsum(starts) - 1
-        groups.append((lo, hi, ranked[starts]))
-        lo = hi
-    return groups, rank
+def _digit_keys(colors, radix):
+    """Each row of ``colors`` (k x m) read as a number of base ``radix``, the
+    first column most significant, cut into groups of the most columns (at
+    least one) whose keys stay below ``KEY_LIMIT``, so they are exact for
+    every q and m: the (groups x k) int64 keys, one matmul per group, and
+    per group its columns' place values."""
+    width, m = 1, colors.shape[1]
+    while radix ** (width + 1) < KEY_LIMIT:
+        width += 1
+    starts = range(0, m, width)
+    places = [radix ** np.arange(min(width, m - lo) - 1, -1, -1, dtype=np.int64) for lo in starts]
+    keys = np.array([colors[:, lo:lo + width] @ place for lo, place in zip(starts, places)])
+    return keys, places
+
+
+def _labels(keys):
+    """The dense rank of each column of ``keys`` (one row per group, the
+    first most significant): one stable ``lexsort``, which finds long sorted
+    runs in keys of the lexicographic support, then the run starts and an
+    in-place ``cumsum`` (faster than one from the booleans)."""
+    order = np.lexsort(keys[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[0] = True
+    for key in keys:
+        ranked = key[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    rank = starts.astype(np.int64)
+    np.cumsum(rank, out=rank)
+    labels = np.empty_like(rank)
+    labels[order] = rank - 1
+    return labels
+
+
+def _bisect(key, want, lo, hi, before):
+    """Per query, the first index of its ascending slice ``key[lo:hi]`` whose
+    value is not ``before`` (``np.less`` or ``np.less_equal``) its ``want``:
+    one vectorised bisection over all queries."""
+    while (live := lo < hi).any():
+        mid = (lo + hi) // 2
+        right = live & before(key.take(mid, mode="clip"), want)
+        lo, hi = np.where(right, mid + 1, lo), np.where(live & ~right, mid, hi)
+    return lo
 
 
 class DistributionTable:
@@ -80,47 +100,37 @@ class DistributionTable:
         self.weight = 1.0 / self.size
 
     @cached_property
-    def _row_keys(self):
-        """The groups of ``_ranks`` over all columns, and the row of each key
-        of the last one."""
-        groups, rank = _ranks(self.array, self.lists.q + 2, range(self.array.shape[1]))
-        return groups, np.argsort(rank)
+    def _keys(self):
+        """``_digit_keys`` of the rows, which must ascend strictly (the first
+        group that differs grows), else ``VerificationError``: lookups
+        search them."""
+        keys, places = _digit_keys(self.array, self.lists.q + 2)
+        steps = np.diff(keys)
+        ascend = steps[-1] > 0
+        for step in steps[-2::-1]:
+            ascend = (step > 0) | (step == 0) & ascend
+        if not ascend.all():
+            raise VerificationError("support rows do not ascend strictly")
+        return keys, places
 
     def rows_of(self, colors):
         """The support row of each coloring in ``colors`` (k x m), or -1 for
-        a coloring outside the support: its keys are those of ``_ranks``,
-        looked up group by group, with any color outside 1..q (no row has
-        one) read as the digit q+1, so the lookup is exact for every q and m.
-        """
-        groups, row_of_key = self._row_keys
-        radix = self.lists.q + 2
+        a coloring outside the support, any color outside 1..q (no row has
+        one) read as the digit q+1: a ``searchsorted`` of its first key
+        group and, past that group, a bisection of each later group inside
+        the rows that match the groups before it."""
+        keys, radix = self._keys[0], self.lists.q + 2
         digits = np.minimum(colors, radix - 1, dtype=np.int64)
         digits[digits < 0] = radix - 1
-        found, node = np.ones(len(digits), dtype=bool), np.zeros(len(digits), dtype=np.int64)
-        for lo, hi, keys in groups:
-            weights = radix ** np.arange(hi - lo - 1, -1, -1, dtype=np.int64)
-            want = node * radix ** (hi - lo) + digits[:, lo:hi] @ weights
-            node = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-            found &= keys[node] == want
-        return np.where(found, row_of_key[node], -1)
-
-    @cached_property
-    def _class_keys(self):
-        """Each row's colors as the digits of radix q+2, the first column
-        most significant, cut into int64 keys of as many columns as keep
-        them below ``KEY_LIMIT``; and per column its key and place value."""
-        radix, m = self.lists.q + 2, self.array.shape[1]
-        cuts = [0]
-        for e in range(1, m):
-            if radix ** (e - cuts[-1] + 1) >= KEY_LIMIT:
-                cuts.append(e)
-        keys, places = np.zeros((len(cuts), self.size), dtype=np.int64), {}
-        for g, (lo, hi) in enumerate(zip(cuts, cuts[1:] + [m])):
-            for e in range(lo, hi):
-                keys[g] *= radix
-                keys[g] += self.array[:, e]
-                places[e] = g, np.int64(radix ** (hi - 1 - e))
-        return keys, places
+        want = _digit_keys(digits, radix)[0]
+        row = np.searchsorted(keys[0], want[0])
+        if len(keys) > 1:
+            hi = np.searchsorted(keys[0], want[0], "right")
+            for key, w in zip(keys[1:], want[1:]):
+                row, hi = (_bisect(key, w, row, hi, np.less),
+                           _bisect(key, w, row, hi, np.less_equal))
+        row = np.minimum(row, self.size - 1)
+        return np.where((keys[:, row] == want).all(axis=0), row, -1)
 
     def classes(self, B):
         """Partition of the support into classes of states that agree on every
@@ -128,31 +138,20 @@ class DistributionTable:
 
         Returns ``(labels, sizes)``: ``labels[i]`` numbers the class of state
         ``i`` and ``sizes[k]`` counts the states of class ``k``, in the order
-        of the rows off ``B`` compared from the first edge to the last.  The
-        row keys (``_class_keys``) less B's digits are ranked by one stable
-        ``lexsort``: the support is lexicographic, so they arrive as long
-        sorted runs.  An edge of ``B`` outside 0..m-1 raises
-        ``ParameterError``.
+        of the rows off ``B`` compared from the first edge to the last: the
+        row keys (``_keys``) less B's digits, ranked by ``_labels``.  An edge
+        of ``B`` outside 0..m-1 raises ``ParameterError``.
         """
         m = self.array.shape[1]
         for e in B:
             if not 0 <= e < m:
                 raise ParameterError(f"block edge {e} out of range 0..{m - 1}")
-        keys, places = self._class_keys
-        keys = list(keys)
+        keys, places = self._keys
+        keys, width = list(keys), len(places[0])
         for e in set(B):
-            g, place = places[e]
-            keys[g] = keys[g] - place * self.array[:, e]
-        order = np.lexsort(keys[::-1])
-        starts = np.zeros(self.size, dtype=bool)
-        starts[0] = True
-        for key in keys:
-            ranked = key[order]
-            starts[1:] |= ranked[1:] != ranked[:-1]
-        rank = starts.astype(np.int64)
-        np.cumsum(rank, out=rank)  # faster in place than from the booleans
-        labels = np.empty_like(rank)
-        labels[order] = rank - 1
+            g, i = divmod(e, width)
+            keys[g] = keys[g] - places[g][i] * self.array[:, e]
+        labels = _labels(keys)
         return labels, np.bincount(labels)
 
     def choices(self, e):
@@ -272,7 +271,7 @@ def enumerate_colorings(tree, lists, cap=ENUMERATION_CAP):
         elif total >= SPLIT_STATES and e + 1 < m and len(rows) ** 2 > total:
             boundary = sorted({f for g in earlier[e + 1:] for f in g if f <= e})
             if math.prod(len(lists[f]) for f in boundary) * total < len(rows) ** 2:
-                prefix, inv = rows, _ranks(rows, lists.q + 2, boundary)[1]
+                prefix, inv = rows, _labels(_digit_keys(rows[:, boundary], lists.q + 2)[0])
                 shared = np.bincount(inv)  # prefixes per boundary tuple
                 rows = np.zeros((len(shared), m), dtype=dtype)
                 rows[inv[:, None], boundary] = prefix[:, boundary]

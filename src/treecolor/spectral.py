@@ -397,14 +397,10 @@ def frozen_probability_formula(delta, q):
             / (math.factorial(2 * delta - q) * math.factorial(q - 1)))
 
 
-def frozen_probability_exact(tree, lists, e, cap=oracle.ENUMERATION_CAP):
-    """Enumerated Pr[|available(e)| <= 1] under the root-color-1 pinning."""
-    return _frozen_probability(oracle.enumerate_colorings(tree, lists, cap=cap), e)
-
-
 def _frozen_probability(dist, e):
-    """``frozen_probability_exact`` on the support ``dist``: the colors
-    available to ``e`` are its class under the block (e,) (``choices``)."""
+    """Pr[|available(e)| <= 1] on the support ``dist`` pinned to color 1 at
+    ``e``: the colors available to ``e`` are its class under the block (e,)
+    (``choices``)."""
     available = dist.conditional({e: 1}).choices(e)
     return int(np.count_nonzero(available <= 1)) / len(available)
 

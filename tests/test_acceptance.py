@@ -16,6 +16,7 @@ import pytest
 
 import dense_forms as df
 from conftest import record_criterion
+from lemma_checks import check_monotonicity
 from path_reference import (reference_leaf_count_check, reference_stage_one_moves,
                             reference_tail_probability_check, unpack)
 from treecolor import canonical, dynamics, oracle, spectral
@@ -307,11 +308,11 @@ def test_criterion_9_edge_dynamics():
     ok &= tz.check_block_factorization(d4, {b: C * (1 + 1e-9) for b in blocks}).ok
     # monotonicity on three nested instances
     p3 = path_tree(3)
-    ok &= tz.check_monotonicity(p3, {0, 1, 2}, 3)["ok"]
-    ok &= tz.check_monotonicity(path_tree(5), {0, 1, 2}, 3)["ok"]
+    ok &= check_monotonicity(p3, {0, 1, 2}, 3)["ok"]
+    ok &= check_monotonicity(path_tree(5), {0, 1, 2}, 3)["ok"]
     t2d3 = build_complete_regular(3, 2)
     two_star = set(sorted(t2d3.level_edges(1))[:2])
-    ok &= tz.check_monotonicity(t2d3, two_star, 4)["ok"]
+    ok &= check_monotonicity(t2d3, two_star, 4)["ok"]
     elapsed = time.time() - start
     assert _record(9, f"pair-move paths, block factorization, monotonicity ({elapsed:.0f}s)", ok)
 

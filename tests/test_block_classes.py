@@ -223,7 +223,7 @@ def test_classes_are_numbered_by_the_rows_off_the_block(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(oracle, "KEY_LIMIT", 1)
             cut = oracle.DistributionTable(tree, lists, dist.array)
-            assert len(cut._class_keys[0]) == m
+            assert len(cut._keys[0]) == m
             for B, want in zip(blocks, keyed):
                 for got, w in zip(cut.classes(B), want):
                     assert np.array_equal(got, w) and got.dtype == w.dtype, B

@@ -405,16 +405,16 @@ def test_congestion_builds_one_family_per_orbit(monkeypatch):
 
 
 def test_congestion_flips_every_family_on_one_table(monkeypatch):
-    # one flip per tree, on the tree's one index table, whose rows stack the
+    # one flip per tree, so one index table, whose rows stack the
     # fiber of a toward b once for every root-color pair a < b: the (b, a)
     # family's ends are the inverse of the (a, b) flip; singleton rates come
     # from choices, and classes serves the pair blocks alone
     flips, blocks = [], []
     inner, classes = canonical.flip_rows, oracle.DistributionTable.classes
 
-    def recording(tree, colors, e, b, tab=None):
-        flips.append((colors.copy(), np.broadcast_to(b, len(colors)).copy(), tab))
-        return inner(tree, colors, e, b, tab)
+    def recording(tree, colors, e, b):
+        flips.append((colors.copy(), np.broadcast_to(b, len(colors)).copy()))
+        return inner(tree, colors, e, b)
 
     def counted(dist, B):
         blocks.append(tuple(B))
@@ -428,8 +428,7 @@ def test_congestion_flips_every_family_on_one_table(monkeypatch):
         flips.clear()
         blocks.clear()
         compute_congestion(tree, lists, kind)
-        ((colors, to, tab),) = flips
-        assert isinstance(tab, canonical._Tables)
+        ((colors, to),) = flips
         rows, pairs = dist.rows_of(colors), [(a, b) for a, b in families(lists, r) if a < b]
         assert len(rows) == sum(len(fiber(dist, r, a)) for a, _ in pairs)
         for a, b in pairs:
@@ -458,14 +457,14 @@ def test_flip_couplings_in_one_pass_match_one_pair_calls():
     for delta, ell, q, _ in PATH_INSTANCES:
         tree, lists, dist = star_instance(delta, ell, q)
         pairs = families(lists, hanging_root_edge(tree))
-        got = canonical._flip_couplings(tree, lists, pairs, dist, canonical._Tables(tree))
+        got = canonical._flip_couplings(tree, lists, pairs, dist)
         assert len(got) == len(pairs)
         for (a, b), c in zip(pairs, got):
             want = flip_coupling(tree, lists, a, b, dist)
             assert (c.a, c.b, c.weight) == (want.a, want.b, want.weight)
             assert np.array_equal(c.pairs, want.pairs) and c.pairs.dtype == want.pairs.dtype
     with pytest.raises(ParameterError, match="distinct colors from the root list"):
-        canonical._flip_couplings(tree, lists, [(1, 2), (2, 2)], dist, None)
+        canonical._flip_couplings(tree, lists, [(1, 2), (2, 2)], dist)
 
 
 def test_first_uses_match_unique_in_order_of_first_use():

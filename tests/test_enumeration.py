@@ -328,7 +328,7 @@ def test_rows_of_without_key_overflow():
     # columns split into groups of 30, 30 and 10
     long = oracle.enumerate_colorings(path_tree(70), uniform_lists(path_tree(70), 2))
     assert long.size == 2
-    assert [hi - lo for lo, hi, *_ in long._row_keys[0]] == [30, 30, 10]
+    assert [len(place) for place in long._keys[1]] == [30, 30, 10]
     assert_rows_of_matches_index(long, rng)
     # 300 colors are stored as uint16
     star = build_complete_regular(2, 1)
@@ -337,6 +337,35 @@ def test_rows_of_without_key_overflow():
     assert_rows_of_matches_index(wide, rng)
     assert wide.rows_of([[300, 299], [299, 299], [301, 1]]).tolist() == [wide.size - 1, -1, -1]
     assert wide.rows_of(np.array([[1, 301], [0, 1]], dtype=np.uint16)).tolist() == [-1, -1]
+
+
+@pytest.mark.parametrize("tree,q", [(path_tree(10), 3), (build_complete_regular(3, 2), 4),
+                                    (build_hanging_root(3, 2), 5)])
+def test_rows_of_in_key_groups_matches_index(tree, q, monkeypatch):
+    # one column per key group, then two: the first group is searched and
+    # each later one bisected among the rows that match the groups before it
+    rng = np.random.default_rng(30)
+    for width, key_limit in ((1, 1), (2, (q + 2) ** 2 + 1)):
+        monkeypatch.setattr(oracle, "KEY_LIMIT", key_limit)
+        dist = oracle.enumerate_colorings(tree, uniform_lists(tree, q))
+        m = tree.n_edges
+        assert dist.size >= 1000
+        cut = [len(place) for place in dist._keys[1]]
+        assert cut == [width] * (m // width) + [1] * (m % width)
+        assert_rows_of_matches_index(dist, rng)
+        # colors outside 1..q in one random cell of each row
+        probe = dist.array.astype(np.int64)
+        probe[np.arange(len(probe)), rng.integers(0, m, len(probe))] = rng.choice(
+            [-1, 0, q + 1, q + 2, 255, 2 ** 40], len(probe))
+        assert dist.rows_of(probe).tolist() == [-1] * len(probe)
+
+
+def test_rows_of_refuses_rows_out_of_order():
+    dist = oracle.enumerate_colorings(path_tree(4), uniform_lists(path_tree(4), 3))
+    for array in (dist.array[::-1], np.repeat(dist.array, 2, axis=0)):
+        table = oracle.DistributionTable(dist.tree, dist.lists, array)
+        with pytest.raises(VerificationError, match="do not ascend strictly"):
+            table.rows_of(dist.array[:1])
 
 
 @pytest.mark.parametrize("tree,q", HANGING)

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 import dense_forms as df
 import lanczos_reference
+from lemma_checks import frozen_probability_exact
 from treecolor import dynamics, oracle, spectral
 from treecolor.colorings import (ListSpec, pinned_root_lists, star_root_lists,
                                  uniform_lists)
@@ -522,7 +523,7 @@ def test_frozen_probability_enumeration_values():
     cases = [(double_star(), 4, 2.0 / 3.0), (double_star(), 5, 1.0 / 6.0),
              (double_star(), 6, 0.0), (build_complete_regular(2, 2), 3, 0.5)]
     for tree, q, expect in cases:
-        got = spectral.frozen_probability_exact(tree, uniform_lists(tree, q), 0)
+        got = frozen_probability_exact(tree, uniform_lists(tree, q), 0)
         assert abs(got - expect) < 1e-12
 
 

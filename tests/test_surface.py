@@ -9,8 +9,6 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # into an artifact or move to ``tests/``; a name that joins this list is new
 # dead surface, and one that leaves it must leave this list too.
 UNREFERENCED = [
-    "spectral.frozen_probability_exact",
-    "tensorization.check_monotonicity",
     "tensorization.f_hat",
 ]
 
@@ -59,3 +57,13 @@ def test_unreferenced_public_names_are_pinned():
         unreferenced += [f"{module}.{name}" for name in public_top_level_names(_parse(path))
                          if name not in refs]
     assert sorted(unreferenced) == UNREFERENCED
+
+
+def test_key_limit_is_read_by_one_function():
+    # one exact row key serves lookup and grouping: a second reader of
+    # KEY_LIMIT would be a second key, with its own cut rule
+    module = _parse(os.path.join(REPO, "src", "treecolor", "oracle.py"))
+    readers = [node.name for node in ast.walk(module) if isinstance(node, ast.FunctionDef)
+               and any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                       and n.id == "KEY_LIMIT" for n in ast.walk(node))]
+    assert readers == ["_digit_keys"]

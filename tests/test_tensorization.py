@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import dense_forms as df
+from lemma_checks import check_monotonicity, restrict_tree
 from treecolor import canonical, dynamics, oracle, spectral
 from treecolor import tensorization as tz
 from treecolor.colorings import star_root_lists, uniform_lists
@@ -461,14 +462,14 @@ def test_verify_induction_one_spare_color_published_constants():
 
 def test_restrict_tree_and_monotonicity():
     p5 = path_tree(5)
-    sub = tz.restrict_tree(p5, {0, 1, 2})
+    sub = restrict_tree(p5, {0, 1, 2})
     assert sub.n_edges == 3
     with pytest.raises(ParameterError):
-        tz.restrict_tree(p5, {2, 3})  # does not touch the root
+        restrict_tree(p5, {2, 3})  # does not touch the root
 
-    rec_same = tz.check_monotonicity(path_tree(3), {0, 1, 2}, 3)
+    rec_same = check_monotonicity(path_tree(3), {0, 1, 2}, 3)
     assert rec_same["ok"]
-    rec = tz.check_monotonicity(p5, {0, 1, 2}, 3)
+    rec = check_monotonicity(p5, {0, 1, 2}, 3)
     assert rec["ok_singleton"] and rec["ok_pairs"]
 
 
