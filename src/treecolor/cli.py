@@ -71,6 +71,16 @@ def load_config(path, overrides):
     return doc
 
 
+def _open_output(path, newline=None):
+    """``path`` opened for writing, its directory made first; a path that
+    cannot be made or opened is a config error that names it."""
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
+
+
 _FIELD_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
                 bool: (bool, "a boolean")}
 
@@ -103,7 +113,10 @@ def build_tree(spec):
             raise ConfigError("path needs n_edges >= 1")
         return tree_from_parents([None] + list(range(n)), 0)
     if shape == "file":
-        return load_tree(spec["file"])
+        try:
+            return load_tree(spec["file"])
+        except OSError as exc:
+            raise ConfigError(f"cannot read tree file {spec['file']}: {exc}")
     raise ConfigError(f"unknown tree shape {shape!r}")
 
 
@@ -339,8 +352,7 @@ def cmd_sweep(cfg, out):
         rows.append({param: value, "tree_hash": doc["tree_hash"],
                      "n_edges": n_edges, "N": tm.n, "t_rel": rep.t_rel,
                      "t_rel_per_edge": rep.t_rel / n_edges})
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "sweep.csv"), "w", newline="") as fh:
+    with _open_output(os.path.join(out, "sweep.csv"), newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
@@ -381,9 +393,8 @@ def main(argv=None):
         out = cfg.get("out") or "results"
         doc, summary, failure = COMMANDS[args.command](cfg, out)
         doc["config"] = {k: v for k, v in cfg.items() if k != "out"}
-        os.makedirs(out, exist_ok=True)
         path = os.path.join(out, args.command.replace("-", "_") + ".json")
-        with open(path, "w") as fh:
+        with _open_output(path) as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
         print(f"{args.command}: {summary} -> {path}")
         if failure is not None:

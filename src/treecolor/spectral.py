@@ -3,13 +3,16 @@
 Transition matrices are sparse (CSR), one product over the block classes,
 and chains are simulated on their rows (``TransitionMatrix.sample``).
 Both ends of their spectrum off the constants come from one plain Lanczos
-recurrence on one scratch vector, with Ritz checks by LAPACK ``dstebz`` and
-``dstein``; its Ritz vectors are summed from the Krylov vectors it keeps up
-to ``LANCZOS_BASIS_BYTES`` and from a replay of the steps past them: the
-report carries the residual and the operator applications, and a solve that
-does not converge, or whose residual is too large, raises.  Mixing times
-evolve the distributions from one start per color orbit on the same matrix,
-up to ``MIXING_CAP`` states.
+recurrence on one scratch vector, each Krylov vector divided in place into
+the product array it came from, with Ritz checks by LAPACK ``dstebz`` and
+``dstein`` that take the bottom pair only once the top one has converged;
+its Ritz vectors are summed, both ends at once, from the Krylov vectors it
+keeps up to ``LANCZOS_BASIS_BYTES`` and from a replay of the steps past
+them: the report carries the residual and the operator applications, and a
+solve that does not converge, or whose residual is too large, raises.
+Irreducibility is one strongly connected component of the matrix.  Mixing
+times evolve the distributions from one start per color orbit on the same
+matrix, up to ``MIXING_CAP`` states.
 """
 
 from __future__ import annotations
@@ -55,15 +58,17 @@ class TransitionMatrix:
         return self.dist.size
 
     def components(self):
-        """Connected components of the matrix pattern; 1 iff the chain is
-        irreducible.  Counted once, on first use."""
+        """Strongly connected components of the matrix pattern; 1 iff the
+        chain is irreducible.  P is symmetric, so they are its connected
+        components, counted without building P^T.  Counted once, on first
+        use."""
         return self._components
 
     @cached_property
     def _components(self):
         from scipy.sparse.csgraph import connected_components
 
-        return connected_components(self.matrix, directed=False)[0]
+        return connected_components(self.matrix, directed=True, connection="strong")[0]
 
     def row_sum_error(self):
         s = np.asarray(self.matrix.sum(axis=1)).ravel()
@@ -178,7 +183,10 @@ class SpectralReport:
 def _recurrence(P, v, v_prev=None, beta=0.0):
     """The Lanczos recurrence of P on the mean-zero vectors, from a unit
     mean-zero ``v``: yields (v_j, alpha_j, beta_j, w_j), where
-    v_{j+1} = w_j / beta_j.  Given v_{j-1} and beta_{j-1} it resumes at v_j.
+    v_{j+1} = w_j / beta_j, divided in place on resuming, so v_{j+1} is the
+    array w_j (the product P v_j) and a step allocates one vector; a caller
+    that needs w_j itself reads it before the next step.  Given v_{j-1} and
+    beta_{j-1} it resumes at v_j.
     The mean leaves w_j = P v_j - alpha_j v_j - beta_{j-1} v_{j-1} last, so
     the rounding these subtractions put back on the constant is gone before
     a small beta_j scales w_j up.  alpha_j v_j and beta_{j-1} v_{j-1} go
@@ -195,7 +203,7 @@ def _recurrence(P, v, v_prev=None, beta=0.0):
         w -= w.sum() / n
         beta = math.sqrt(w @ w)
         yield v, alpha, beta, w
-        v_prev, v = v, w / beta
+        v_prev, v = v, np.divide(w, beta, out=w)
 
 
 def _ritz_pair(d, e, i):
@@ -219,11 +227,12 @@ def _lanczos_ends(P, seed, want_min):
     matvecs).
 
     Every ``LANCZOS_CHECK`` steps the extreme Ritz pairs (theta, s) of T_k
-    are taken (``_ritz_pair``); the recurrence stops once every wanted pair
-    has |beta_k s_k| <= ``LANCZOS_TOL``, or once beta_k <= ``LANCZOS_TOL``
-    (an invariant subspace).  The Krylov vectors are kept while they fit in
+    are taken (``_ritz_pair``), the top one first and the bottom one only if
+    the top one passes; the recurrence stops once every wanted pair has
+    |beta_k s_k| <= ``LANCZOS_TOL``, or once beta_k <= ``LANCZOS_TOL`` (an
+    invariant subspace).  The Krylov vectors are kept while they fit in
     ``LANCZOS_BASIS_BYTES`` (at least two); the Ritz vectors are summed over
-    them, a row at a time through one scratch vector.  A solve past a budget
+    them, both at once through one scratch array.  A solve past a budget
     of h vectors replays steps h..k-1 from the last two kept vectors, so
     memory stays O(N) and ``matvecs`` counts k plus the k - h replayed ones.
     """
@@ -240,22 +249,29 @@ def _lanczos_ends(P, seed, want_min):
         k = len(alphas)
         if beta <= LANCZOS_TOL or k % LANCZOS_CHECK == 0:
             d, e = np.array(alphas), np.array(betas[:-1])
-            ends = [_ritz_pair(d, e, i) for i in ([0, k - 1] if want_min else [k - 1])]
+            # the top pair first, the bottom one only if the top converged;
             # |s_k| <= 1, so beta_k <= LANCZOS_TOL also stops here
-            if all(beta * abs(s[-1, 0]) <= LANCZOS_TOL for _, s in ends):
+            ends = []  # [bottom, top] at the stop
+            for i in ([k - 1, 0] if want_min else [k - 1]):
+                theta, s = _ritz_pair(d, e, i)
+                if not beta * abs(s[-1, 0]) <= LANCZOS_TOL:  # a NaN fails too
+                    break
+                ends.insert(0, (theta, s))
+            else:  # every wanted pair converged
                 break
         if k >= LANCZOS_STEPS:
             raise VerificationError(f"Lanczos did not converge in {k} steps")
     del w  # only the replay needs w_j; holding the last one adds a vector to the peak
     h, matvecs, vectors = len(basis), k, basis
     if k > h:
-        # v_h .. v_{k-1} again, from the products P v_{h-1} .. P v_{k-2}
+        # v_h .. v_{k-1} again, from the products P v_{h-1} .. P v_{k-2};
+        # each w_j / beta_j is taken before the recurrence divides w_j in place
         tail = islice(_recurrence(P, basis[-1], basis[-2], betas[h - 2]), k - h)
         vectors, matvecs = chain(basis, (w / beta for _, _, beta, w in tail)), 2 * k - h
-    vecs, scratch = np.zeros((len(ends), len(v0))), np.empty_like(v0)
+    vecs = np.zeros((len(ends), len(v0)))
+    scratch = np.empty_like(vecs)
     for c, v in zip(np.hstack([s for _, s in ends]), vectors):
-        for row, c_i in zip(vecs, c):
-            row += np.multiply(c_i, v, out=scratch)
+        vecs += np.multiply(c[:, None], v, out=scratch)
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     return np.concatenate([theta for theta, _ in ends]), vecs.T, matvecs
 

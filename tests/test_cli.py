@@ -158,6 +158,33 @@ def test_tree_file_root_out_of_range_is_a_config_error(tmp_path, capsys, lines):
     assert captured.err.startswith("config error: malformed tree file: root")
 
 
+@pytest.mark.parametrize("make", [lambda path: None, os.mkdir], ids=["missing", "directory"])
+def test_unreadable_tree_file_is_a_config_error(tmp_path, capsys, make):
+    tree_file = str(tmp_path / "tree.txt")
+    make(tree_file)
+    cfg = write_cfg(tmp_path, {"command": "count", "q": 3,
+                               "tree": {"shape": "file", "file": tree_file}})
+    assert main(["count", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot read tree file {tree_file}: ")
+
+
+@pytest.mark.parametrize("command, doc, name", [
+    ("count", {}, "count.json"),
+    ("sweep", {"sweep": {"param": "n_edges", "values": [2], "command": "gap"}}, "sweep.csv"),
+], ids=["json", "sweep_csv"])
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, command, doc, name):
+    out = tmp_path / "out"
+    out.write_text("")
+    cfg = write_cfg(tmp_path, dict(doc, tree={"shape": "path", "n_edges": 2}, q=3))
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write {out / name}: ")
+    assert out.read_text() == ""
+
+
 def test_count_with_more_digits_than_int_str_limit(tmp_path):
     cfg = write_cfg(tmp_path, {
         "command": "count",

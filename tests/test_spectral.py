@@ -236,6 +236,75 @@ def test_solver_matches_reference_bit_for_bit(monkeypatch):
                 assert rep.export() == ref.export(), case
 
 
+def recorded_solve(monkeypatch, P, want_min):
+    """``_lanczos_ends(P, 7, want_min)`` and its Ritz checks, as (k, i,
+    whether |beta_k s_k| <= LANCZOS_TOL) per ``_ritz_pair`` call."""
+    calls, betas = [], []
+    ritz_pair, recurrence = spectral._ritz_pair, spectral._recurrence
+
+    def recorded_pair(d, e, i):
+        theta, s = ritz_pair(d, e, i)
+        k = len(d)
+        calls.append((k, i, betas[k - 1] * abs(s[-1, 0]) <= spectral.LANCZOS_TOL))
+        return theta, s
+
+    def recorded_recurrence(*args):
+        for step in recurrence(*args):
+            betas.append(step[2])
+            yield step
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_ritz_pair", recorded_pair)
+        m.setattr(spectral, "_recurrence", recorded_recurrence)
+        return spectral._lanczos_ends(P, 7, want_min), calls
+
+
+def test_ritz_checks_take_the_bottom_pair_only_after_the_top_converged(monkeypatch):
+    for tm in reference_chains():
+        for want_min in (True, False):
+            result, calls = recorded_solve(monkeypatch, tm.matrix, want_min)
+            checks = {}
+            for k, i, ok in calls:
+                checks.setdefault(k, []).append((i, ok))
+            case = (tm.kind, tm.n, want_min)
+            for k, ((i, top_ok), *bottom) in checks.items():
+                # the top pair first; the bottom one only if the top passed
+                assert i == k - 1, case
+                assert [i for i, _ in bottom] == ([0] if want_min and top_ok else []), case
+            # only the last check stops, and it holds both wanted pairs
+            oks = [all(ok for _, ok in pairs) for pairs in checks.values()]
+            assert oks == [False] * (len(oks) - 1) + [True], case
+            assert len(checks[max(checks)]) == 1 + want_min, case
+            ref = lanczos_reference.lanczos_ends(tm.matrix, 7, want_min)
+            assert all(np.array_equal(a, b) for a, b in zip(result, ref)), case
+
+
+def test_sparse_gap_chain_makes_eleven_ritz_checks(monkeypatch):
+    # heat-bath Glauber on the 8-edge path at q=4 (N = 8748) stops at step
+    # 72; taking both pairs at every check made 18 calls
+    p8 = path_tree(8)
+    tm = spectral.transition_matrix(p8, uniform_lists(p8, 4), dynamics.HEATBATH_GLAUBER)
+    (vals, vecs, matvecs), calls = recorded_solve(monkeypatch, tm.matrix, True)
+    assert len(calls) == 11
+    ref_vals, ref_vecs, ref_matvecs = lanczos_reference.lanczos_ends(tm.matrix, 7, True)
+    assert np.array_equal(vals, ref_vals) and matvecs == ref_matvecs == 72
+
+
+def test_recurrence_divides_each_product_in_place():
+    # v_{j+1} is the array w_j, holding w_j / beta_j: one new vector per step
+    p5 = path_tree(5)
+    tm = spectral.transition_matrix(p5, uniform_lists(p5, 3), dynamics.HEATBATH_GLAUBER)
+    v0 = np.random.default_rng(7).standard_normal(tm.n)
+    v0 -= v0.mean()
+    v0 /= np.linalg.norm(v0)
+    w_prev = None
+    for v, _, beta, w in itertools.islice(spectral._recurrence(tm.matrix, v0), 12):
+        if w_prev is not None:
+            assert v is w_prev and np.array_equal(v, w_next)
+        assert w is not v
+        w_prev, w_next = w, w / beta
+
+
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
 def test_failed_tridiagonal_eigensolve_raises(monkeypatch, routine):
     import scipy.linalg.lapack as lapack
