@@ -18,7 +18,8 @@ support (``build_paths``): numpy walks over all start colorings at once give
 the alternating paths, the Stage-I detours and every step's edits, and each
 state is looked up as a support row, so no coloring becomes a tuple.  A
 family whose order runs through the color classes of one already built is
-that one's image (``map_paths``) and is not built again.  The expected
+that one's image under a color permutation (``map_paths``, through the
+table's checked ``row_map``) and is not built again.  The expected
 congestion these paths place on each tree level is computed exactly by
 enumeration.
 
@@ -406,39 +407,24 @@ def build_paths(family, dist, starts):
     return batch
 
 
-def map_paths(batch, family, dist, maps=None):
+def map_paths(batch, family, dist):
     """The paths of ``family`` as the image of ``batch`` under the color
     permutation pi sending ``batch.family.order`` onto ``family.order``.
 
     The construction only ever takes the first color of the family's order
     that passes a test pi carries over, so the path from pi(sigma) is pi of
-    the path from sigma.  Rows are mapped through pi's row map: one
-    ``rows_of`` lookup of the permuted support or, when pi = s o t for two
-    maps kept in ``maps`` (pi's bytes -> (pi, row map), shared across
-    calls), the composition perm_s[perm_t].  Every map must be a
-    bijection of the support carrying fiber a0 onto fiber a (else
-    ``VerificationError``, as for a pi breaking a list), checked in O(N);
-    only then is it kept.  Paths are put in ascending order of their mapped
-    start rows, as ``build_paths`` puts them.
+    the path from sigma.  Rows are mapped through pi's checked row map
+    (``DistributionTable.row_map``), which must also carry fiber a0 onto
+    fiber a (else ``VerificationError``).  Paths are put in ascending order
+    of their mapped start rows, as ``build_paths`` puts them.
     """
     pi = np.zeros(dist.lists.q + 1, dtype=dist.array.dtype)
     pi[list(batch.family.order)] = family.order
-    maps = {} if maps is None else maps
-    for s, perm_s in maps.values():  # pi = s o t with t = s^-1 o pi
-        t = maps.get(np.argsort(s).astype(pi.dtype)[pi].tobytes())
-        if t is not None:
-            perm = perm_s[t[1]]
-            break
-    else:
-        perm = dist.rows_of(np.take(pi, dist.array))
+    perm = dist.row_map(pi)
     root = dist.array[:, family.r]
-    hit = np.zeros(dist.size, dtype=bool)
-    hit[perm] = True
-    if not (perm.min() >= 0 and hit.all()
-            and np.array_equal(root[perm] == family.a, root == batch.family.a)):
+    if not np.array_equal(root[perm] == family.a, root == batch.family.a):
         raise VerificationError(f"the color map {batch.family.order} -> "
                                 f"{family.order} is not a bijection of the fibers")
-    maps[pi.tobytes()] = (pi, perm)
     steps, states = batch.lengths, batch.lengths + 1
     first_state = np.cumsum(states) - states
     order = np.argsort(perm[batch.rows[first_state]])
@@ -617,8 +603,8 @@ def compute_congestion(tree, lists, path_kind):
 
     Paths are built once per orbit of families under the list-keeping color
     permutations: a family whose order runs through the ``color_classes`` of
-    a built one is that one's image (``map_paths``, whose row maps are kept
-    and composed across families), any other is built.  Every family is
+    a built one is that one's image (``map_paths``, through the row maps
+    the table keeps and composes), any other is built.  Every family is
     checked by ``verify_paths`` and counted on support rows; its end rows
     come from the flip couplings of every pair a < b, made in one
     ``flip_rows`` pass, whose inverses give the (b, a) ends, since the flip
@@ -651,7 +637,7 @@ def compute_congestion(tree, lists, path_kind):
     for c in _flip_couplings(tree, lists, pairs, dist):
         ends[c.a, c.b] = c.pairs[:, 1]
         ends[c.b, c.a] = fibers[c.a][np.argsort(c.pairs[:, 1])]
-    per_pair, built, maps = {}, {}, {}  # built: one batch per orbit
+    per_pair, built = {}, {}  # built: one batch per orbit
     for a in root_colors:
         for b in root_colors:
             if a == b:
@@ -659,7 +645,7 @@ def compute_congestion(tree, lists, path_kind):
             family = path_family(tree, lists, a, b, path_kind)
             key = tuple(lists.color_classes[list(family.order)].tolist())
             if key in built:
-                batch = map_paths(built[key], family, dist, maps)
+                batch = map_paths(built[key], family, dist)
             else:
                 batch = built[key] = build_paths(family, dist, fibers[a])
             src, dst, block_of, blocks = verify_paths(dist, batch, ends.pop((a, b)))

@@ -5,7 +5,8 @@ Usage::
     treecolor <command> --config <file> [--out <dir>] [--seed <u64>]
 
 Commands read a YAML config (a key the command does not read is an error,
-flags override file values), run one module pipeline and return
+flags override file values; an ``--out`` that is no directory is refused
+first), run one module pipeline and return
 ``(doc, summary, failure)``.  ``main`` alone adds the config echo, dumps
 ``doc`` to ``<command>.json`` (``-`` becomes ``_``) and prints
 ``<command>: <summary> -> <path>``; ``sweep`` also writes ``sweep.csv``.
@@ -82,17 +83,18 @@ def _open_output(path, newline=None):
 
 
 _FIELD_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
-                bool: (bool, "a boolean")}
+                bool: (bool, "a boolean"), list: (list, "a nonempty list")}
 
 
 def _field(value, name, kind=int, positive=False):
     """The config field ``name`` as a ``kind``: an int field takes only ints,
     a float field ints and floats (returned as a float), a bool field only
-    booleans.  YAML reads ``true`` as a boolean and ``"2"`` as a string, so
-    neither is a number; with ``positive`` anything below 1 is refused too."""
+    booleans, a list field only nonempty lists.  YAML reads ``true`` as a
+    boolean and ``"2"`` as a string, so neither is a number; with
+    ``positive`` anything below 1 is refused too."""
     types, noun = _FIELD_KINDS[kind]
     if (isinstance(value, bool) != (kind is bool) or not isinstance(value, types)
-            or (positive and value < 1)):
+            or (positive and value < 1) or value == []):
         raise ConfigError(f"{name} must be {'a positive integer' if positive else noun}, "
                           f"not {value!r}")
     return kind(value)
@@ -298,7 +300,7 @@ def cmd_induction(cfg, out):
 def cmd_star_analysis(cfg, out):
     import numpy as np
 
-    deltas = cfg.get("delta_range") or [2, 3, 4]
+    deltas = _field(cfg.get("delta_range", [2, 3, 4]), "delta_range", list)
     rows, bad = [], []
     for i, delta in enumerate(deltas):
         delta = _field(delta, f"delta_range[{i}]")
@@ -329,15 +331,14 @@ def cmd_star_analysis(cfg, out):
 
 def cmd_sweep(cfg, out):
     spec = cfg.get("sweep")
-    if not isinstance(spec, dict) or "param" not in spec or not spec.get("values"):
-        raise ConfigError("sweep needs {param, values, command}, with at least one value")
+    if not isinstance(spec, dict) or "param" not in spec or "values" not in spec:
+        raise ConfigError("sweep needs {param, values, command}")
     _check_keys(spec, {"param", "values", "command"}, "sweep")
-    sub = spec.get("command", "gap")
-    if sub != "gap":
+    if spec.get("command", "gap") != "gap":
         raise ConfigError("sweep currently drives the gap command")
     param = spec["param"]
     rows = []
-    for value in spec["values"]:
+    for value in _field(spec["values"], "sweep.values", list):
         sub_cfg = {k: v for k, v in cfg.items() if k not in ("sweep",)}
         tree_cfg = dict(sub_cfg.get("tree", {}))
         if param in _TREE_KEYS:
@@ -391,9 +392,11 @@ def main(argv=None):
             raise ConfigError(
                 f"config declares command {declared!r}, invoked {args.command!r}")
         out = cfg.get("out") or "results"
+        path = os.path.join(out, args.command.replace("-", "_") + ".json")
+        if os.path.exists(out) and not os.path.isdir(out):  # refused before the work
+            raise ConfigError(f"cannot write {path}: {out} is not a directory")
         doc, summary, failure = COMMANDS[args.command](cfg, out)
         doc["config"] = {k: v for k, v in cfg.items() if k != "out"}
-        path = os.path.join(out, args.command.replace("-", "_") + ".json")
         with _open_output(path) as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
         print(f"{args.command}: {summary} -> {path}")

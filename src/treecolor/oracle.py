@@ -8,7 +8,9 @@ by a flat mask.  On large supports it extends, past a split edge h, only the
 distinct colorings of the boundary edges that later edges read, and joins
 each prefix row to the suffix rows of its boundary tuple (``_join``), so no
 step copies the whole support.  A coloring is a row, and the support is kept
-only as the array: ``DistributionTable.rows_of`` maps colorings back to rows.
+only as the array: ``DistributionTable.rows_of`` maps colorings back to rows,
+and ``DistributionTable.row_map`` gives the checked row action of a color
+permutation, which orbit starts and mapped path families share.
 ``count_colorings`` gets the same number by dynamic programming and works on
 trees far too large to enumerate.  ``DistributionTable.classes`` groups the
 support into the classes of states that agree off a block of edges, from
@@ -98,6 +100,7 @@ class DistributionTable:
         if self.size == 0:
             raise InfeasiblePinningError("empty support")
         self.weight = 1.0 / self.size
+        self._maps = {}  # the checked row maps of ``row_map``: pi's bytes -> (pi, map)
 
     @cached_property
     def _keys(self):
@@ -131,6 +134,25 @@ class DistributionTable:
                            _bisect(key, w, row, hi, np.less_equal))
         row = np.minimum(row, self.size - 1)
         return np.where((keys[:, row] == want).all(axis=0), row, -1)
+
+    def row_map(self, pi):
+        """The row of pi(x) for every row x, for a permutation ``pi`` of the
+        colors 0..q (an array, pi[0] = 0, of the table's dtype so that maps
+        compose): one ``rows_of`` lookup of the permuted support or, when
+        pi = s o t for two maps kept on the table, the composition
+        perm_s[perm_t].  The map must be a bijection of the support (else
+        ``VerificationError``, as for a pi breaking a list), checked in O(N);
+        only then is it kept, with pi."""
+        for s, perm_s in self._maps.values():  # pi = s o t with t = s^-1 o pi
+            if (t := self._maps.get(np.argsort(s).astype(pi.dtype)[pi].tobytes())) is not None:
+                perm = perm_s[t[1]]
+                break
+        else:
+            perm = self.rows_of(np.take(pi, self.array))
+        if not (perm.min() >= 0 and np.bincount(perm, minlength=self.size).all()):
+            raise VerificationError(f"color map {pi.tolist()} is not a bijection of the support")
+        self._maps[pi.tobytes()] = (pi, perm)
+        return perm
 
     def classes(self, B):
         """Partition of the support into classes of states that agree on every

@@ -12,7 +12,8 @@ them: the report carries the residual and the operator applications, and a
 solve that does not converge, or whose residual is too large, raises.
 Irreducibility is one strongly connected component of the matrix.  Mixing
 times evolve the distributions from one start per color orbit on the same
-matrix, up to ``MIXING_CAP`` states.
+matrix, up to ``MIXING_CAP`` states; the orbits come from the row maps of
+color swaps (``DistributionTable.row_map``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, combinations, islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -318,22 +319,22 @@ def spectral_report(tm, compute_lambda_min=True, seed=7):
 
 
 def orbit_starts(dist):
-    """One support row per orbit of the color permutations that keep every
-    list, that is every class of ``ListSpec.color_classes``.  Every kind
-    commutes with them and mu is uniform, so TV(delta_x P^t, mu) is constant
-    on an orbit.  Within each class, a row's colors are renamed in order of
-    first appearance; rows with one such canonical form make one orbit."""
-    group = dist.lists.color_classes
-    a, rows = dist.array.astype(np.intp), np.arange(dist.size)
-    rank = np.full((dist.size, dist.lists.q + 1), -1)
-    used = np.zeros((dist.size, group.max() + 1), dtype=np.intp)
-    for col in a.T:
-        new = rank[rows, col] < 0
-        r, c = rows[new], col[new]
-        rank[r, c] = used[r, group[c]]
-        used[r, group[c]] += 1
-    canonical = group[a] * a.shape[1] + rank[rows[:, None], a]
-    return np.unique(canonical, axis=0, return_index=True)[1]
+    """The least support row of each orbit of the color permutations that
+    keep every list, that is every class of ``ListSpec.color_classes``,
+    ascending.  Every kind commutes with them and mu is uniform, so
+    TV(delta_x P^t, mu) is constant on an orbit.  The swaps of two colors
+    of one class generate the group: each row's label falls to the least
+    label of its images under their row maps (``DistributionTable.row_map``)
+    until no label changes."""
+    group, q = dist.lists.color_classes, dist.lists.q
+    maps = [dist.row_map(np.r_[:c, d, c + 1:d, c, d + 1:q + 1].astype(dist.array.dtype))
+            for c, d in combinations(range(1, q + 1), 2) if group[c] == group[d]]
+    label, last = np.arange(dist.size), None
+    while not np.array_equal(label, last):
+        last = label.copy()
+        for perm in maps:
+            np.minimum(label, label[perm], out=label)
+    return np.flatnonzero(label == np.arange(dist.size))
 
 
 def mixing_time(tm, eps=0.25, cap=MIXING_CAP):

@@ -549,7 +549,7 @@ def test_composed_row_maps_match_rows_of(monkeypatch):
         (a0, b0), *rest = families(lists, r)
         source = build_paths(path_family(tree, lists, a0, b0, GLAUBER_PATHS), dist,
                              fiber(dist, r, a0))
-        maps, looked_up, rows_of = {}, [], dist.rows_of
+        looked_up, rows_of = [], dist.rows_of
 
         def counted(colors):
             looked_up.append(len(colors))
@@ -559,7 +559,8 @@ def test_composed_row_maps_match_rows_of(monkeypatch):
             m.setattr(dist, "rows_of", counted)
             for a, b in rest:
                 canonical.map_paths(source, path_family(tree, lists, a, b, GLAUBER_PATHS),
-                                    dist, maps)
+                                    dist)
+        maps = dist._maps
         assert len(maps) == len(rest) == 5 and looked_up == [dist.size] * 2
         for pi, perm in maps.values():
             assert np.array_equal(perm, dist.rows_of(pi[dist.array]))
@@ -567,10 +568,10 @@ def test_composed_row_maps_match_rows_of(monkeypatch):
         (one, perm), two = list(maps.values())[:2]
         broken = perm.copy()
         broken[0] = perm[1]
-        kept = {one.tobytes(): (one, broken), two[0].tobytes(): two}
+        dist._maps = {one.tobytes(): (one, broken), two[0].tobytes(): two}
         with pytest.raises(VerificationError, match="not a bijection"):
             canonical.map_paths(source, path_family(tree, lists, *rest[2], GLAUBER_PATHS),
-                                dist, kept)
+                                dist)
 
 
 def test_congestion_with_families_no_color_map_relates(monkeypatch):

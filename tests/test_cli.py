@@ -172,17 +172,38 @@ def test_unreadable_tree_file_is_a_config_error(tmp_path, capsys, make):
 
 @pytest.mark.parametrize("command, doc, name", [
     ("count", {}, "count.json"),
-    ("sweep", {"sweep": {"param": "n_edges", "values": [2], "command": "gap"}}, "sweep.csv"),
+    ("sweep", {"sweep": {"param": "n_edges", "values": [2], "command": "gap"}}, "sweep.json"),
 ], ids=["json", "sweep_csv"])
-def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, command, doc, name):
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch, command, doc,
+                                             name):
+    # refused before the command runs: nothing is enumerated
+    enumerated = []
+    monkeypatch.setattr(oracle, "enumerate_colorings", lambda *args, **kw: enumerated.append(1))
     out = tmp_path / "out"
     out.write_text("")
     cfg = write_cfg(tmp_path, dict(doc, tree={"shape": "path", "n_edges": 2}, q=3))
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"config error: cannot write {out / name}: ")
-    assert out.read_text() == ""
+    assert captured.err == f"config error: cannot write {out / name}: {out} is not a directory\n"
+    assert out.read_text() == "" and enumerated == []
+
+
+@pytest.mark.parametrize("command, doc, error", [
+    ("star-analysis", {"delta_range": 3}, "delta_range must be a nonempty list, not 3"),
+    ("star-analysis", {"delta_range": []}, "delta_range must be a nonempty list, not []"),
+    ("sweep", {"tree": {"shape": "path", "n_edges": 2}, "q": 3,
+               "sweep": {"param": "n_edges", "values": 5}},
+     "sweep.values must be a nonempty list, not 5"),
+    ("sweep", {"tree": {"shape": "path", "n_edges": 2}, "q": 3,
+               "sweep": {"param": "n_edges", "values": "46"}},
+     "sweep.values must be a nonempty list, not '46'"),
+], ids=["delta_range_int", "delta_range_empty", "values_int", "values_string"])
+def test_list_fields_refuse_other_values(tmp_path, capsys, command, doc, error):
+    cfg = write_cfg(tmp_path, dict(doc, command=command))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_count_with_more_digits_than_int_str_limit(tmp_path):

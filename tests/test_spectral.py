@@ -14,7 +14,7 @@ from treecolor.colorings import (ListSpec, pinned_root_lists, star_root_lists,
 from treecolor.errors import (CapacityError, NonErgodicError, ParameterError,
                               VerificationError)
 from treecolor.trees import (build_complete_regular, build_hanging_root,
-                             tree_from_parents)
+                             hanging_root_edge, tree_from_parents)
 
 
 def path_tree(n):
@@ -498,10 +498,13 @@ def brute_force_orbits(dist):
 
 
 def orbit_cases():
-    p4, star = path_tree(4), build_complete_regular(3, 1)
+    p4, star, hang = path_tree(4), build_complete_regular(3, 1), build_hanging_root(2, 3)
     custom = ListSpec(4, [{1, 2, 3}, {1, 2, 3}, {2, 3, 4}, {1, 2, 3, 4}])
+    # the root list {1, 2, 4}: the class {1, 2, 4} is no run of consecutive colors
+    r = hanging_root_edge(hang)
+    skip = ListSpec(4, [{1, 2, 4} if e == r else {1, 2, 3, 4} for e in range(hang.n_edges)])
     return MIXING_CASES + [(p4, uniform_lists(p4, 3)), (p4, custom),
-                           (star, uniform_lists(star, 5))]
+                           (star, uniform_lists(star, 5)), (hang, skip)]
 
 
 def test_color_classes_match_brute_force_permutations():
@@ -522,9 +525,22 @@ def test_orbit_starts_match_brute_force_orbits():
     for tree, lists in orbit_cases():
         dist = oracle.enumerate_colorings(tree, lists)
         least = brute_force_orbits(dist)
-        count, starts = len(np.unique(least)), spectral.orbit_starts(dist)
-        assert len(starts) == count, (tree.n_edges, lists)
-        assert len(np.unique(least[starts])) == count
+        assert np.array_equal(spectral.orbit_starts(dist), np.unique(least)), (
+            tree.n_edges, lists.lists)
+
+
+def test_row_maps_of_class_swaps_match_rows_of():
+    for tree, lists in orbit_cases():
+        dist, classes = oracle.enumerate_colorings(tree, lists), lists.color_classes
+        for c, d in itertools.combinations(range(1, lists.q + 1), 2):
+            pi = np.arange(lists.q + 1)
+            pi[[c, d]] = d, c
+            if classes[c] == classes[d]:
+                assert np.array_equal(dist.row_map(pi), dist.rows_of(pi[dist.array])), (
+                    tree.n_edges, lists.lists, c, d)
+            else:  # the swap breaks a list: some permuted row leaves the support
+                with pytest.raises(VerificationError, match="not a bijection"):
+                    dist.row_map(pi)
 
 
 def test_mixing_time_raises_on_reducible_chain():

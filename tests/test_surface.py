@@ -67,3 +67,15 @@ def test_key_limit_is_read_by_one_function():
                and any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
                        and n.id == "KEY_LIMIT" for n in ast.walk(node))]
     assert readers == ["_digit_keys"]
+
+
+def test_rows_of_is_called_by_four_functions():
+    # the row map of a color permutation is one lookup, in ``row_map``: a
+    # fifth caller of ``rows_of`` may be a second copy of that action
+    callers = set()
+    for path in glob.glob(os.path.join(REPO, "src", "treecolor", "*.py")):
+        callers |= {node.name for node in ast.walk(_parse(path))
+                    if isinstance(node, ast.FunctionDef)
+                    and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                            and n.func.attr == "rows_of" for n in ast.walk(node))}
+    assert callers == {"row_map", "_flip_couplings", "build_paths", "verify_paths"}
