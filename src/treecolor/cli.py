@@ -83,14 +83,14 @@ def _open_output(path, newline=None):
 
 
 _FIELD_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
-                bool: (bool, "a boolean"), list: (list, "a nonempty list")}
+                bool: (bool, "a boolean"), list: (list, "a nonempty list"), str: (str, "a string")}
 
 
 def _field(value, name, kind=int, positive=False):
     """The config field ``name`` as a ``kind``: an int field takes only ints,
-    a float field ints and floats (returned as a float), a bool field only
-    booleans, a list field only nonempty lists.  YAML reads ``true`` as a
-    boolean and ``"2"`` as a string, so neither is a number; with
+    a float field ints and floats (returned as a float), a bool, list or str
+    field only booleans, nonempty lists or strings.  YAML reads ``true`` as
+    a boolean and ``"2"`` as a string, so neither is a number; with
     ``positive`` anything below 1 is refused too."""
     types, noun = _FIELD_KINDS[kind]
     if (isinstance(value, bool) != (kind is bool) or not isinstance(value, types)
@@ -391,7 +391,7 @@ def main(argv=None):
         if declared is not None and declared != args.command:
             raise ConfigError(
                 f"config declares command {declared!r}, invoked {args.command!r}")
-        out = cfg.get("out") or "results"
+        out = _field(cfg.get("out") or "results", "out", str)
         path = os.path.join(out, args.command.replace("-", "_") + ".json")
         if os.path.exists(out) and not os.path.isdir(out):  # refused before the work
             raise ConfigError(f"cannot write {path}: {out} is not a directory")

@@ -19,8 +19,8 @@ which every block-averaging matrix of the package is built.
 There is one exact row key (``_digit_keys``): the colors as digits of radix
 q+2, the first column most significant, in groups of columns whose keys stay
 below ``KEY_LIMIT``.  The table caches it for its rows, which must ascend
-strictly, so ``rows_of`` searches it (a color outside 1..q is the digit q+1,
-which no row has); ``classes`` ranks it less a block's digits, and the
+strictly, so ``rows_of`` searches it, or past one group the rows' bytes
+(``_row_bytes``); ``classes`` ranks it less a block's digits, and the
 builder its boundary tuples, by one ranking (``_labels``).
 ``DistributionTable.choices`` counts a singleton block's class sizes by list
 membership instead, with no sort.
@@ -74,15 +74,11 @@ def _labels(keys):
     return labels
 
 
-def _bisect(key, want, lo, hi, before):
-    """Per query, the first index of its ascending slice ``key[lo:hi]`` whose
-    value is not ``before`` (``np.less`` or ``np.less_equal``) its ``want``:
-    one vectorised bisection over all queries."""
-    while (live := lo < hi).any():
-        mid = (lo + hi) // 2
-        right = live & before(key.take(mid, mode="clip"), want)
-        lo, hi = np.where(right, mid + 1, lo), np.where(live & ~right, mid, hi)
-    return lo
+def _row_bytes(colors):
+    """Each row of ``colors`` as one void item, big-endian so that the items'
+    byte order is the rows' lexicographic order."""
+    big = np.ascontiguousarray(colors, dtype=colors.dtype.newbyteorder(">"))
+    return big.view(f"V{big.shape[1] * big.itemsize}").ravel()
 
 
 class DistributionTable:
@@ -100,13 +96,13 @@ class DistributionTable:
         if self.size == 0:
             raise InfeasiblePinningError("empty support")
         self.weight = 1.0 / self.size
-        self._maps = {}  # the checked row maps of ``row_map``: pi's bytes -> (pi, map)
+        self._maps = {}  # the checked row maps of ``row_map``: pi^-1's bytes -> (pi, map)
 
     @cached_property
     def _keys(self):
         """``_digit_keys`` of the rows, which must ascend strictly (the first
-        group that differs grows), else ``VerificationError``: lookups
-        search them."""
+        group that differs grows), else ``VerificationError``: ``rows_of``
+        searches in that order."""
         keys, places = _digit_keys(self.array, self.lists.q + 2)
         steps = np.diff(keys)
         ascend = steps[-1] > 0
@@ -116,24 +112,25 @@ class DistributionTable:
             raise VerificationError("support rows do not ascend strictly")
         return keys, places
 
+    @cached_property
+    def _bytes(self):  # ``rows_of`` searches these past one key group
+        return _row_bytes(self.array)
+
     def rows_of(self, colors):
         """The support row of each coloring in ``colors`` (k x m), or -1 for
         a coloring outside the support, any color outside 1..q (no row has
-        one) read as the digit q+1: a ``searchsorted`` of its first key
-        group and, past that group, a bisection of each later group inside
-        the rows that match the groups before it."""
-        keys, radix = self._keys[0], self.lists.q + 2
-        digits = np.minimum(colors, radix - 1, dtype=np.int64)
-        digits[digits < 0] = radix - 1
-        want = _digit_keys(digits, radix)[0]
-        row = np.searchsorted(keys[0], want[0])
-        if len(keys) > 1:
-            hi = np.searchsorted(keys[0], want[0], "right")
-            for key, w in zip(keys[1:], want[1:]):
-                row, hi = (_bisect(key, w, row, hi, np.less),
-                           _bisect(key, w, row, hi, np.less_equal))
-        row = np.minimum(row, self.size - 1)
-        return np.where((keys[:, row] == want).all(axis=0), row, -1)
+        one) written as 0: one ``searchsorted`` of the row key when it is
+        one group, else of the rows' bytes (``_bytes``), both in the rows'
+        lexicographic order, which ``_keys`` checks."""
+        keys, q = self._keys[0], self.lists.q
+        colors = np.asarray(colors)
+        colors = np.where((colors >= 1) & (colors <= q), colors, 0).astype(self.array.dtype)
+        if len(keys) == 1:
+            table, want = keys[0], _digit_keys(colors, q + 2)[0][0]
+        else:
+            table, want = self._bytes, _row_bytes(colors)
+        row = np.minimum(np.searchsorted(table, want), self.size - 1)
+        return np.where(table[row] == want, row, -1)
 
     def row_map(self, pi):
         """The row of pi(x) for every row x, for a permutation ``pi`` of the
@@ -142,16 +139,17 @@ class DistributionTable:
         pi = s o t for two maps kept on the table, the composition
         perm_s[perm_t].  The map must be a bijection of the support (else
         ``VerificationError``, as for a pi breaking a list), checked in O(N);
-        only then is it kept, with pi."""
-        for s, perm_s in self._maps.values():  # pi = s o t with t = s^-1 o pi
-            if (t := self._maps.get(np.argsort(s).astype(pi.dtype)[pi].tobytes())) is not None:
+        only then is it kept, with pi, keyed by pi^-1."""
+        inv = np.argsort(pi).astype(pi.dtype)
+        for s, perm_s in self._maps.values():  # pi = s o t with t^-1 = pi^-1 o s
+            if (t := self._maps.get(inv[s].tobytes())) is not None:
                 perm = perm_s[t[1]]
                 break
         else:
             perm = self.rows_of(np.take(pi, self.array))
         if not (perm.min() >= 0 and np.bincount(perm, minlength=self.size).all()):
             raise VerificationError(f"color map {pi.tolist()} is not a bijection of the support")
-        self._maps[pi.tobytes()] = (pi, perm)
+        self._maps[inv.tobytes()] = (pi, perm)
         return perm
 
     def classes(self, B):

@@ -422,8 +422,8 @@ def _frozen_probability(dist, e):
     return int(np.count_nonzero(available <= 1)) / len(available)
 
 
-def lower_bound_check(tree, e, q, kind=dynamics.HEATBATH_GLAUBER):
-    """Frozen-edge probability and the conductance lower bound on T_rel.
+def lower_bound_check(tree, e, q):
+    """Frozen-edge probability and the conductance lower bound on heat-bath T_rel.
 
     Returns a record with the enumerated probability, the closed-form value,
     the bound n*delta/(2(q-delta)^2) (n = edge count) and the exact
@@ -443,7 +443,7 @@ def lower_bound_check(tree, e, q, kind=dynamics.HEATBATH_GLAUBER):
     p_formula = frozen_probability_formula(delta, q)
     n_edges = tree.n_edges
     trel_bound = n_edges * delta / (2.0 * (q - delta) ** 2)
-    tm = transition_matrix(tree, lists, kind, dist=dist)
+    tm = transition_matrix(tree, lists, dynamics.HEATBATH_GLAUBER, dist=dist)
     rep = spectral_report(tm)
     return {
         "delta": delta, "q": q, "n_edges": n_edges,

@@ -71,7 +71,7 @@ def test_spectral_commands_report_the_solver(tmp_path, monkeypatch):
     assert seeds == [5, 5, 5]
 
 
-def test_config_errors(tmp_path):
+def test_config_errors(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"tree": {"shape": "mystery"}, "q": 3})
     assert main(["gap", "--config", cfg]) == 2
 
@@ -107,6 +107,12 @@ def test_config_errors(tmp_path):
     cfg7 = write_cfg(tmp_path, {"command": "induction", "tree": [1, 2], "q": 4},
                      "c7.yaml")
     assert main(["induction", "--config", cfg7, "--out", str(tmp_path / "o7")]) == 2
+
+    cfg8 = write_cfg(tmp_path, {"tree": {"shape": "path", "n_edges": 2}, "q": 3, "out": 5},
+                     "c8.yaml")
+    capsys.readouterr()
+    assert main(["gap", "--config", cfg8]) == 2
+    assert capsys.readouterr().err == "config error: out must be a string, not 5\n"
 
 
 def test_malformed_yaml_is_a_config_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ of the support (its tuples and index as the tests read them, conditionals,
 marginals, export) must agree.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -339,11 +340,27 @@ def test_rows_of_without_key_overflow():
     assert wide.rows_of(np.array([[1, 301], [0, 1]], dtype=np.uint16)).tolist() == [-1, -1]
 
 
+def test_rows_of_searches_bytes_in_color_order(monkeypatch):
+    # the 300-color star with its key in two groups: its uint16 rows are
+    # searched by their bytes, which follow the colors only big-endian (1
+    # and 257 share their low byte, as 0 and 256 do)
+    star, q = build_complete_regular(2, 1), 300
+    monkeypatch.setattr(oracle, "KEY_LIMIT", (q + 2) ** 2)
+    wide = oracle.enumerate_colorings(star, uniform_lists(star, q))
+    assert wide.array.dtype == np.uint16 and len(wide._keys[0]) == 2
+    index = index_of(wide)
+    probe = list(itertools.product([1, 255, 256, 257, 299, 300, 0, 301], repeat=2))
+    want = [index.get(s, -1) for s in probe]
+    assert wide.rows_of(probe).tolist() == want
+    assert wide.rows_of(np.array(probe, dtype=np.uint16)).tolist() == want
+    assert want.count(-1) == 8 * 8 - 6 * 5  # the members: two distinct colors of 1..q
+
+
 @pytest.mark.parametrize("tree,q", [(path_tree(10), 3), (build_complete_regular(3, 2), 4),
                                     (build_hanging_root(3, 2), 5)])
 def test_rows_of_in_key_groups_matches_index(tree, q, monkeypatch):
-    # one column per key group, then two: the first group is searched and
-    # each later one bisected among the rows that match the groups before it
+    # one column per key group, then two: the key spans several groups, so
+    # the rows are searched by their bytes
     rng = np.random.default_rng(30)
     for width, key_limit in ((1, 1), (2, (q + 2) ** 2 + 1)):
         monkeypatch.setattr(oracle, "KEY_LIMIT", key_limit)
@@ -370,8 +387,8 @@ def test_rows_of_refuses_rows_out_of_order():
 
 @pytest.mark.parametrize("tree,q", HANGING)
 def test_rows_of_colors_outside_the_lists(tree, q):
-    # every color outside 1..q is read as the one digit q+1, which no row
-    # carries, whatever the input dtype and in every column
+    # every color outside 1..q is written as 0, which no row carries,
+    # whatever the input dtype and in every column
     dist = oracle.enumerate_colorings(tree, uniform_lists(tree, q))
     assert dist.array.dtype == np.uint8
     row = dist.size // 2

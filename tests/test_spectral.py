@@ -543,6 +543,23 @@ def test_row_maps_of_class_swaps_match_rows_of():
                     dist.row_map(pi)
 
 
+def test_orbit_starts_invert_each_kept_map_once(monkeypatch):
+    # a kept map is kept with its inverse permutation, so trying the kept
+    # maps as factors of a new one inverts none of them again
+    star = build_complete_regular(3, 1)
+    dist = oracle.enumerate_colorings(star, uniform_lists(star, 9))
+    argsort, calls = np.argsort, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    starts = spectral.orbit_starts(dist)
+    assert len(dist._maps) == math.comb(9, 2) and 0 < len(calls) <= len(dist._maps)
+    assert starts.tolist() == [0]
+
+
 def test_mixing_time_raises_on_reducible_chain():
     star = build_complete_regular(3, 1)
     tm = spectral.transition_matrix(star, uniform_lists(star, 3),
