@@ -31,12 +31,13 @@ host, 4,100 rows of a 6,561 x 8 uint8 array took 51 us by fancy indexing
 against 4 us by ``take``, and a ``sum`` along 8 columns of 4,100 booleans took
 98 us against 37 us as a column loop.  They sort shuffled int64 keys with the
 default ``np.sort``/``np.argsort`` (numpy's SIMD quicksort), and take the
-stable kind (timsort) only where its order names a failure: on that host
-(AVX-512, numpy 2.4), 4,100 shuffled keys took 275-316 us by a stable
-``argsort``, 62-80 us by the default one and 25-30 us by ``np.sort``.  So
-``_first_uses`` counts a family's transitions from one default ``argsort``,
-and ``verify_paths`` finds a revisit by ``np.sort``, sorting stably only to
-name the first one.
+stable kind (timsort) only on keys in long sorted runs or where its order names
+a failure: on that host (AVX-512, numpy 2.4), 4,100 shuffled keys took 275-316
+us by a stable ``argsort``, 62-80 us by the default one and 25-30 us by
+``np.sort``.  So ``_first_uses`` counts a family's transitions and
+``compute_congestion`` splits their loads by level, each by one default
+``argsort``, and ``verify_paths`` finds a revisit by a stable ``np.sort`` of
+its path-major keys, sorting stably by index only to name the first one.
 """
 
 from __future__ import annotations
@@ -509,7 +510,7 @@ def verify_paths(dist, batch, ends=None):
     check(np.flatnonzero(~legal[block_of]), "step",
           lambda i: f"changed a disallowed block {blocks[block_of[i]]}")
     visit = path_of * dist.size + rows
-    ranked = np.sort(visit)
+    ranked = np.sort(visit, kind="stable")  # timsort: path-major sorted runs
     if (ranked[1:] == ranked[:-1]).any():
         order = np.argsort(visit, kind="stable")  # a revisit sorts after the visit
         check(order[1:][visit[order[1:]] == visit[order[:-1]]], "state",
@@ -657,11 +658,15 @@ def compute_congestion(tree, lists, path_kind):
             # their running sums are the floats of a per-transition loop
             p_ra = 1.0 / len(fibers[a])
             load = np.float_power(counts * p_ra, 2) * n / (1.0 / size)
+            # one default argsort of unique keys puts the loads in runs by
+            # level (the pair blocks, -1, first), each in order of first use
+            order = np.argsort((level + 1) * len(level) + np.arange(len(level)))
+            cuts = np.cumsum(np.bincount(level + 1, minlength=ell + 2)).tolist()
+            load, leaf = np.take(load, order), np.take(counts, order[cuts[-2]:])
+            sums = [_running_sum(load[i:j]) for i, j in zip([0] + cuts, cuts)]
             per_pair[(a, b)] = PairCongestion(
                 a, b, len(fibers[a]), len(fibers[b]), x, y, counts,
-                {t: _running_sum(load[level == t]) for t in range(ell + 1)},
-                _running_sum(load[level < 0]),
-                _running_sum(counts[level == ell] ** 2 / n))
+                dict(enumerate(sums[1:])), sums[0], _running_sum(leaf ** 2 / n))
     return CongestionReport(tree, lists, path_kind, n, per_pair, dist)
 
 

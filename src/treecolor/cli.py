@@ -66,8 +66,6 @@ def load_config(path, overrides):
         raise ConfigError(f"cannot read config: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
-    if not isinstance(doc.get("caps") or {}, dict):
-        raise ConfigError("caps must be a mapping")
     doc.update({k: v for k, v in overrides.items() if v is not None})
     return doc
 
@@ -83,18 +81,19 @@ def _open_output(path, newline=None):
 
 
 _FIELD_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
-                bool: (bool, "a boolean"), list: (list, "a nonempty list"), str: (str, "a string")}
+                bool: (bool, "a boolean"), list: (list, "a nonempty list"),
+                str: (str, "a nonempty string")}
 
 
 def _field(value, name, kind=int, positive=False):
     """The config field ``name`` as a ``kind``: an int field takes only ints,
     a float field ints and floats (returned as a float), a bool, list or str
-    field only booleans, nonempty lists or strings.  YAML reads ``true`` as
-    a boolean and ``"2"`` as a string, so neither is a number; with
-    ``positive`` anything below 1 is refused too."""
+    field only booleans, nonempty lists or nonempty strings.  YAML reads
+    ``true`` as a boolean and ``"2"`` as a string, so neither is a number;
+    with ``positive`` anything below 1 is refused too."""
     types, noun = _FIELD_KINDS[kind]
     if (isinstance(value, bool) != (kind is bool) or not isinstance(value, types)
-            or (positive and value < 1) or value == []):
+            or (positive and value < 1) or value in ([], "")):
         raise ConfigError(f"{name} must be {'a positive integer' if positive else noun}, "
                           f"not {value!r}")
     return kind(value)
@@ -145,7 +144,10 @@ def _kind(cfg):
 
 
 def _cap(cfg, name, default):
-    return _field((cfg.get("caps") or {}).get(name, default), f"caps.{name}", positive=True)
+    caps = {} if cfg.get("caps") is None else cfg["caps"]
+    if not isinstance(caps, dict):
+        raise ConfigError(f"caps must be a mapping, not {caps!r}")
+    return _field(caps.get(name, default), f"caps.{name}", positive=True)
 
 
 def _instance(cfg):
@@ -337,17 +339,15 @@ def cmd_sweep(cfg, out):
     if spec.get("command", "gap") != "gap":
         raise ConfigError("sweep currently drives the gap command")
     param = spec["param"]
+    if param in ("command", "out") or param not in _TREE_KEYS | _COMMAND_KEYS["gap"]:
+        raise ConfigError(f"cannot sweep over {param!r}")
     rows = []
     for value in _field(spec["values"], "sweep.values", list):
-        sub_cfg = {k: v for k, v in cfg.items() if k not in ("sweep",)}
-        tree_cfg = dict(sub_cfg.get("tree", {}))
+        sub_cfg = {k: v for k, v in cfg.items() if k != "sweep"}
         if param in _TREE_KEYS:
-            tree_cfg[param] = value
-        elif param in _COMMAND_KEYS["gap"]:
+            sub_cfg["tree"] = dict(cfg.get("tree", {}), **{param: value})
+        else:  # a swept tree replaces the whole tree section
             sub_cfg[param] = value
-        else:
-            raise ConfigError(f"cannot sweep over {param!r}")
-        sub_cfg["tree"] = tree_cfg
         tm, rep, doc = _spectral_doc(sub_cfg)
         n_edges = tm.dist.tree.n_edges
         rows.append({param: value, "tree_hash": doc["tree_hash"],
@@ -375,15 +375,17 @@ COMMANDS = {
 }
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="treecolor",
+    description="exact verification pipelines for edge-coloring chains on trees")
+_PARSER.add_argument("command", choices=sorted(COMMANDS))
+_PARSER.add_argument("--config", required=True)
+_PARSER.add_argument("--out", default=None)
+_PARSER.add_argument("--seed", type=int, default=None)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="treecolor",
-        description="exact verification pipelines for edge-coloring chains on trees")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", required=True)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config, {"seed": args.seed, "out": args.out})
         _check_keys(cfg, _COMMAND_KEYS[args.command], f"{args.command} config")
@@ -391,7 +393,7 @@ def main(argv=None):
         if declared is not None and declared != args.command:
             raise ConfigError(
                 f"config declares command {declared!r}, invoked {args.command!r}")
-        out = _field(cfg.get("out") or "results", "out", str)
+        out = "results" if cfg.get("out") is None else _field(cfg["out"], "out", str)
         path = os.path.join(out, args.command.replace("-", "_") + ".json")
         if os.path.exists(out) and not os.path.isdir(out):  # refused before the work
             raise ConfigError(f"cannot write {path}: {out} is not a directory")

@@ -119,14 +119,15 @@ class DistributionTable:
     def rows_of(self, colors):
         """The support row of each coloring in ``colors`` (k x m), or -1 for
         a coloring outside the support, any color outside 1..q (no row has
-        one) written as 0: one ``searchsorted`` of the row key when it is
-        one group, else of the rows' bytes (``_bytes``), both in the rows'
-        lexicographic order, which ``_keys`` checks."""
-        keys, q = self._keys[0], self.lists.q
+        one) written as 0: one ``searchsorted`` of the row key, made with the
+        table's place values, when it is one group, else of the rows' bytes
+        (``_bytes``), both in the rows' lexicographic order, which ``_keys``
+        checks."""
+        (keys, places), q = self._keys, self.lists.q
         colors = np.asarray(colors)
         colors = np.where((colors >= 1) & (colors <= q), colors, 0).astype(self.array.dtype)
         if len(keys) == 1:
-            table, want = keys[0], _digit_keys(colors, q + 2)[0][0]
+            table, want = keys[0], colors @ places[0]
         else:
             table, want = self._bytes, _row_bytes(colors)
         row = np.minimum(np.searchsorted(table, want), self.size - 1)
@@ -186,13 +187,14 @@ class DistributionTable:
                         (tree.edge_parent_vertex[e], tree.edge_child_vertex[e]))
         member = np.zeros(self.lists.q + 1, dtype=bool)
         member[sorted(self.lists[e])] = True
-        held = {f: member[self.array[:, f]] for f in upper + lower}
+        col = {f: self.array[:, f] for f in upper + lower}
+        held = {f: np.take(member, c) for f, c in col.items()}
         s = np.full(self.size, len(self.lists[e]), dtype=np.int64)
         for f in upper + lower:
             s -= held[f]
         for f in upper:
             for g in lower:
-                s += held[f] & (self.array[:, f] == self.array[:, g])
+                s += held[f] & (col[f] == col[g])
         return s
 
     def conditional(self, pinned):

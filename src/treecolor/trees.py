@@ -176,16 +176,16 @@ def build_hanging_root(delta, ell):
         raise ParameterError("depth ell must be >= 1")
     d = delta - 1
     parent = [None, 0]  # vertex 1 carries the d-ary tree
+    levels = [0]  # per edge in BFS order: its child vertex's depth less one
     frontier = [1]
-    for _ in range(1, ell + 1):
+    for level in range(1, ell + 1):
         nxt = []
         for v in frontier:
             for _ in range(d):
                 parent.append(v)
                 nxt.append(len(parent) - 1)
         frontier = nxt
-    tree = Tree(parent, root=0)
-    levels = tuple(lv - 1 for lv in tree.edge_levels)
+        levels += [level] * len(nxt)
     return Tree(parent, root=0, edge_levels=levels)
 
 

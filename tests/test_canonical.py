@@ -890,3 +890,45 @@ def test_congestion_of_the_benchmark_trees_is_pinned(delta, ell, q):
     # through JSON, so a list for a tuple does not count, but an int for a
     # float or any changed digit does
     assert json.dumps(congestion_digest(rep)) == json.dumps(pinned)
+
+
+def mask_sums(rep):
+    """Each family's (level sums, pair-block sum, leaf sum) the way one
+    boolean mask per level makes them: each used transition's block and
+    class size re-read from the support, its load made as
+    ``compute_congestion`` makes it, and the loads at each level summed in
+    order of first use."""
+    dist, tree = rep.dist, rep.tree
+    n, ell = dist.size, tree.max_level
+    singles = np.column_stack([dist.choices(e) for e in range(tree.n_edges)])
+    sums = {}
+    for ab, pc in rep.per_pair.items():
+        changed = dist.array[pc.x] != dist.array[pc.y]
+        single = changed.sum(axis=1) == 1
+        lo = changed.argmax(axis=1)
+        hi = tree.n_edges - 1 - changed[:, ::-1].argmax(axis=1)
+        level = np.where(single, np.array(tree.edge_levels)[lo], -1)
+        size = singles[pc.x, lo]
+        for i in np.flatnonzero(~single).tolist():
+            labels, sizes = dist.classes((lo[i], hi[i]))
+            size[i] = sizes[labels[pc.x[i]]]
+        load = np.float_power(pc.counts * (1.0 / pc.fiber_a), 2) * n / (1.0 / size)
+        sums[ab] = ({t: canonical._running_sum(load[level == t]) for t in range(ell + 1)},
+                    canonical._running_sum(load[level < 0]),
+                    canonical._running_sum(pc.counts[level == ell] ** 2 / n))
+    return sums
+
+
+@pytest.mark.parametrize("delta, ell, q, kind, pair_moves", [
+    (2, 7, 4, GLAUBER_PATHS, False), (3, 2, 5, GLAUBER_PATHS, False),
+    (2, 7, 3, EDGE_PATHS, True), (3, 1, 4, EDGE_PATHS, False)])
+def test_level_runs_sum_as_the_level_masks(delta, ell, q, kind, pair_moves):
+    # the benchmark's two trees with single moves; pair-move paths need q =
+    # delta + 1 and odd depth, so hanging_root(2,7) at q=3 (which makes pair
+    # moves) and, for delta = 3, depth one (which makes none)
+    tree = build_hanging_root(delta, ell)
+    rep = compute_congestion(tree, star_root_lists(tree, q), kind)
+    sums = mask_sums(rep)
+    for ab, pc in rep.per_pair.items():
+        assert repr((pc.xi_levels, pc.xi_pairs, pc.r_leaf)) == repr(sums[ab]), ab
+    assert any(pc.xi_pairs for pc in rep.per_pair.values()) == pair_moves

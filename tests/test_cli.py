@@ -1,3 +1,4 @@
+import argparse
 import csv
 import glob
 import json
@@ -112,7 +113,7 @@ def test_config_errors(tmp_path, capsys):
                      "c8.yaml")
     capsys.readouterr()
     assert main(["gap", "--config", cfg8]) == 2
-    assert capsys.readouterr().err == "config error: out must be a string, not 5\n"
+    assert capsys.readouterr().err == "config error: out must be a nonempty string, not 5\n"
 
 
 def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
@@ -402,6 +403,57 @@ def test_sweep_misspelled_key_is_a_config_error(tmp_path, capsys):
     })
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "unknown sweep fields: ['comand']" in capsys.readouterr().err
+
+
+def test_sweep_over_the_tree_replaces_the_tree_section(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "tree": {"shape": "path", "n_edges": 3}, "q": 3,
+        "sweep": {"param": "tree", "values": [{"shape": "path", "n_edges": 2},
+                                              {"shape": "path", "n_edges": 4}]},
+    })
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "sweep.json")) as fh:
+        rows = json.load(fh)["rows"]
+    assert [(row["n_edges"], row["N"]) for row in rows] == [(2, 6), (4, 24)]
+    assert rows[0]["tree_hash"] != rows[1]["tree_hash"]
+
+
+@pytest.mark.parametrize("param, values, error", [
+    ("caps", [5], "caps must be a mapping, not 5"),
+    ("command", ["gap"], "cannot sweep over 'command'"),
+    ("out", ["elsewhere"], "cannot sweep over 'out'"),
+], ids=["caps", "command", "out"])
+def test_sweep_refuses_what_it_cannot_sweep(tmp_path, capsys, param, values, error):
+    cfg = write_cfg(tmp_path, {"tree": {"shape": "path", "n_edges": 2}, "q": 3,
+                               "sweep": {"param": param, "values": values}})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("out", [False, 0, [], ""], ids=["false", "zero", "empty_list", "empty_string"])
+def test_out_that_is_no_nonempty_string_is_refused(tmp_path, monkeypatch, capsys, out):
+    # a falsy out is not the default: only an absent or null one is
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, {"tree": {"shape": "path", "n_edges": 2}, "q": 3, "out": out})
+    assert main(["count", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: out must be a nonempty string, not {out!r}\n"
+    assert not os.path.exists(tmp_path / "results")
+    cfg = write_cfg(tmp_path, {"tree": {"shape": "path", "n_edges": 2}, "q": 3, "out": None})
+    assert main(["count", "--config", cfg]) == 0
+    assert os.path.exists(tmp_path / "results" / "count.json")
+
+
+def test_main_builds_no_argument_parser(tmp_path, monkeypatch):
+    # one parser, built when the module loads, serves every call
+    def refuse(*args, **kwargs):
+        raise AssertionError("ArgumentParser built")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    cfg = write_cfg(tmp_path, {"tree": {"shape": "path", "n_edges": 2}, "q": 3})
+    for _ in range(2):
+        assert main(["count", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 # The whole congestion.json of hanging_root(2, 3) for both path kinds: a

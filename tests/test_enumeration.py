@@ -356,6 +356,21 @@ def test_rows_of_searches_bytes_in_color_order(monkeypatch):
     assert want.count(-1) == 8 * 8 - 6 * 5  # the members: two distinct colors of 1..q
 
 
+def test_one_group_rows_of_keys_queries_with_the_cached_place_values(monkeypatch):
+    # the table keys its rows once; a lookup in one key group reuses those
+    # place values and makes no key of its own
+    tree = build_hanging_root(3, 2)
+    dist = oracle.enumerate_colorings(tree, star_root_lists(tree, 5))
+    assert len(dist._keys[0]) == 1
+    calls, digit_keys = [], oracle._digit_keys
+    monkeypatch.setattr(oracle, "_digit_keys", lambda *args: calls.append(args) or digit_keys(*args))
+    assert dist.rows_of(dist.array).tolist() == list(range(dist.size))
+    improper = dist.array[:3].copy()
+    improper[:, 1] = improper[:, 0]  # the root edge's color on its child edge
+    assert dist.rows_of(improper).tolist() == [-1] * 3
+    assert calls == []
+
+
 @pytest.mark.parametrize("tree,q", [(path_tree(10), 3), (build_complete_regular(3, 2), 4),
                                     (build_hanging_root(3, 2), 5)])
 def test_rows_of_in_key_groups_matches_index(tree, q, monkeypatch):

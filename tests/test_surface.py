@@ -1,5 +1,6 @@
 import ast
 import glob
+import json
 import os
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -79,3 +80,28 @@ def test_rows_of_is_called_by_four_functions():
                     and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                             and n.func.attr == "rows_of" for n in ast.walk(node))}
     assert callers == {"row_map", "_flip_couplings", "build_paths", "verify_paths"}
+
+
+def test_mutant_snippets_occur_once_in_src():
+    # tests/mutants.json: hand mutations of src/, each with the tests known
+    # to fail on it.  A snippet found once in src/ still names the code it
+    # breaks, so a refactor that moves that code updates the catalogue; every
+    # expected failure names a test function that exists.
+    with open(os.path.join(REPO, "tests", "mutants.json")) as fh:
+        mutants = json.load(fh)["mutants"]
+    sources = {}
+    for path in glob.glob(os.path.join(REPO, "src", "treecolor", "*.py")):
+        with open(path) as fh:
+            sources[os.path.relpath(path, REPO)] = fh.read()
+    tests = {}
+    assert len({m["id"] for m in mutants}) == len(mutants)
+    for m in mutants:
+        assert sources[m["file"]].count(m["snippet"]) == 1, m["id"]
+        assert sum(text.count(m["snippet"]) for text in sources.values()) == 1, m["id"]
+        assert m["replacement"] != m["snippet"] and m["fails"], m["id"]
+        for test in m["fails"]:
+            path, name = test.split("[")[0].split("::")
+            if path not in tests:
+                tests[path] = {node.name for node in ast.walk(_parse(os.path.join(REPO, path)))
+                               if isinstance(node, ast.FunctionDef)}
+            assert name.startswith("test_") and name in tests[path], test

@@ -1,5 +1,6 @@
 import pytest
 
+from treecolor import trees
 from treecolor.errors import ParameterError
 from treecolor.trees import (Tree, build_complete_regular, build_hanging_root,
                              hanging_root_edge, load_tree, save_tree,
@@ -40,6 +41,27 @@ def test_hanging_root_shapes():
     t2 = build_hanging_root(3, 2)
     assert t2.n_edges == 7
     assert [len(t2.level_edges(i)) for i in range(3)] == [1, 2, 4]
+
+
+def test_hanging_root_builds_one_tree(monkeypatch):
+    # the levels come from the vertex depths: those of a second build of the
+    # same parent array, less one
+    builds = []
+
+    class Counted(Tree):
+        def __init__(self, *args, **kwargs):
+            builds.append(args)
+            super().__init__(*args, **kwargs)
+
+    for delta in (2, 3, 4):
+        for ell in (1, 2, 3, 4):
+            builds.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(trees, "Tree", Counted)
+                tree = build_hanging_root(delta, ell)
+            assert len(builds) == 1
+            levels = tuple(lv - 1 for lv in Tree(list(tree.parent), 0).edge_levels)
+            assert tree.edge_levels == levels and tree.max_level == ell
 
 
 def test_bad_parameters():
