@@ -172,20 +172,27 @@ def cmd_count(cfg, out):
     return {"tree_hash": tree.content_hash(), "count": n}, n, None
 
 
-def _spectral_doc(cfg):
+def _spectral_inputs(cfg):
+    """The typed inputs of a spectral pipeline: tree, lists, kind, sparse cap
+    and seed (None for the default)."""
     tree, lists = _instance(cfg)
     kind = _kind(cfg)
-    tm = spectral.transition_matrix(
-        tree, lists, kind, sparse_cap=_cap(cfg, "sparse", spectral.SPARSE_CAP))
+    cap = _cap(cfg, "sparse", spectral.SPARSE_CAP)
     seed = cfg.get("seed")
+    return tree, lists, kind, cap, None if seed is None else _field(seed, "seed")
+
+
+def _spectral_doc(inputs):
+    tree, lists, kind, cap, seed = inputs
+    tm = spectral.transition_matrix(tree, lists, kind, sparse_cap=cap)
     rep = (spectral.spectral_report(tm) if seed is None
-           else spectral.spectral_report(tm, seed=_field(seed, "seed")))
+           else spectral.spectral_report(tm, seed=seed))
     doc = dict(rep.export(), tree_hash=tree.content_hash(), kind=kind, q=lists.q)
     return tm, rep, doc
 
 
 def cmd_gap(cfg, out):
-    tm, rep, doc = _spectral_doc(cfg)
+    tm, rep, doc = _spectral_doc(_spectral_inputs(cfg))
     return doc, f"N={tm.n} t_rel={rep.t_rel:.6g}", None
 
 
@@ -193,7 +200,7 @@ def cmd_mix(cfg, out):
     eps = _field(cfg.get("eps", 0.25), "eps", float)
     if not 1e-9 <= eps < 1:  # a total-variation distance never exceeds 1
         raise ConfigError(f"eps must lie in [1e-9, 1), not {eps!r}")
-    tm, rep, doc = _spectral_doc(cfg)
+    tm, rep, doc = _spectral_doc(_spectral_inputs(cfg))
     t_mix = spectral.mixing_time(tm, eps, cap=_cap(cfg, "mixing", spectral.MIXING_CAP))
     bound = rep.t_rel * (1.0 + tm.dist.tree.n_edges * math.log(tm.dist.lists.q))
     doc.update({"eps": eps, "t_mix": t_mix, "t_rel_bound": bound,
@@ -203,7 +210,7 @@ def cmd_mix(cfg, out):
 
 
 def cmd_conductance(cfg, out):
-    tm, rep, doc = _spectral_doc(cfg)
+    tm, rep, doc = _spectral_doc(_spectral_inputs(cfg))
     phi, cut = spectral.conductance_star(tm)
     sandwich_ok = (phi * phi / 2.0 <= 1.0 / rep.t_rel + 1e-12
                    and 1.0 / rep.t_rel <= 2.0 * phi + 1e-12)
@@ -341,14 +348,17 @@ def cmd_sweep(cfg, out):
     param = spec["param"]
     if param in ("command", "out") or param not in _TREE_KEYS | _COMMAND_KEYS["gap"]:
         raise ConfigError(f"cannot sweep over {param!r}")
-    rows = []
-    for value in _field(spec["values"], "sweep.values", list):
+    values, inputs = _field(spec["values"], "sweep.values", list), []
+    for value in values:  # every swept config is typed before the first solve
         sub_cfg = {k: v for k, v in cfg.items() if k != "sweep"}
         if param in _TREE_KEYS:
             sub_cfg["tree"] = dict(cfg.get("tree", {}), **{param: value})
         else:  # a swept tree replaces the whole tree section
             sub_cfg[param] = value
-        tm, rep, doc = _spectral_doc(sub_cfg)
+        inputs.append(_spectral_inputs(sub_cfg))
+    rows = []
+    for value, sub_inputs in zip(values, inputs):
+        tm, rep, doc = _spectral_doc(sub_inputs)
         n_edges = tm.dist.tree.n_edges
         rows.append({param: value, "tree_hash": doc["tree_hash"],
                      "n_edges": n_edges, "N": tm.n, "t_rel": rep.t_rel,
@@ -356,7 +366,9 @@ def cmd_sweep(cfg, out):
     with _open_output(os.path.join(out, "sweep.csv"), newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
-        writer.writerows(rows)
+        # a swept mapping or list is written as JSON, as in sweep.json
+        writer.writerows({**row, param: json.dumps(row[param])}
+                         if isinstance(row[param], (dict, list)) else row for row in rows)
     return {"rows": rows}, f"{len(rows)} rows", None
 
 

@@ -3,7 +3,9 @@
 Transition matrices are sparse (CSR), one product over the block classes,
 and chains are simulated on their rows (``TransitionMatrix.sample``).
 Both ends of their spectrum off the constants come from one plain Lanczos
-recurrence on one scratch vector, each Krylov vector divided in place into
+recurrence on one scratch vector, each product a direct call of scipy's CSR
+kernel (``_csr_matvec``) into a fresh zeroed array, bit for bit ``P @ v``
+without its dispatch, and each Krylov vector divided in place into
 the product array it came from, with Ritz checks by LAPACK ``dstebz`` and
 ``dstein`` that take the bottom pair only once the top one has converged;
 its Ritz vectors are summed, both ends at once, from the Krylov vectors it
@@ -181,13 +183,25 @@ class SpectralReport:
                 "residual": self.residual, "matvecs": self.matvecs}
 
 
+def _csr_matvec():
+    """scipy's CSR matrix-vector kernel, the one ``P @ v`` runs for a float
+    CSR ``P`` and vector ``v`` after its Python dispatch, a fixed cost per
+    call that a Lanczos step need not pay.  It lives in the private
+    ``scipy.sparse._sparsetools``, so the tests check it against ``P @ v``
+    bit for bit."""
+    from scipy.sparse._sparsetools import csr_matvec
+
+    return csr_matvec
+
+
 def _recurrence(P, v, v_prev=None, beta=0.0):
-    """The Lanczos recurrence of P on the mean-zero vectors, from a unit
-    mean-zero ``v``: yields (v_j, alpha_j, beta_j, w_j), where
+    """The Lanczos recurrence of the CSR matrix P on the mean-zero vectors,
+    from a unit mean-zero ``v``: yields (v_j, alpha_j, beta_j, w_j), where
     v_{j+1} = w_j / beta_j, divided in place on resuming, so v_{j+1} is the
     array w_j (the product P v_j) and a step allocates one vector; a caller
     that needs w_j itself reads it before the next step.  Given v_{j-1} and
-    beta_{j-1} it resumes at v_j.
+    beta_{j-1} it resumes at v_j.  P v_j is ``_csr_matvec`` summed into a
+    fresh zeroed array, as ``P @ v`` computes it.
     The mean leaves w_j = P v_j - alpha_j v_j - beta_{j-1} v_{j-1} last, so
     the rounding these subtractions put back on the constant is gone before
     a small beta_j scales w_j up.  alpha_j v_j and beta_{j-1} v_{j-1} go
@@ -195,9 +209,10 @@ def _recurrence(P, v, v_prev=None, beta=0.0):
     float operations of ``w.mean()`` and ``np.linalg.norm(w)``."""
     if v_prev is None:
         v_prev = np.zeros_like(v)
-    n, scratch = len(v), np.empty_like(v)
+    n, scratch, matvec = len(v), np.empty_like(v), _csr_matvec()
     while True:
-        w = P @ v
+        w = np.zeros(n)
+        matvec(n, n, P.indptr, P.indices, P.data, v, w)
         alpha = float(v @ w)
         w -= np.multiply(alpha, v, out=scratch)
         w -= np.multiply(beta, v_prev, out=scratch)

@@ -417,6 +417,25 @@ def test_sweep_over_the_tree_replaces_the_tree_section(tmp_path):
         rows = json.load(fh)["rows"]
     assert [(row["n_edges"], row["N"]) for row in rows] == [(2, 6), (4, 24)]
     assert rows[0]["tree_hash"] != rows[1]["tree_hash"]
+    # sweep.csv holds each swept tree as JSON, as sweep.json does
+    with open(os.path.join(out, "sweep.csv")) as fh:
+        cells = [json.loads(row["tree"]) for row in csv.DictReader(fh)]
+    assert cells == [row["tree"] for row in rows]
+
+
+def test_sweep_types_every_value_before_the_first_solve(tmp_path, monkeypatch, capsys):
+    reports, report = [], spectral.spectral_report
+
+    def counted(tm, *args, **kwargs):
+        reports.append(tm.n)
+        return report(tm, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "spectral_report", counted)
+    cfg = write_cfg(tmp_path, {"tree": {"shape": "path", "n_edges": 3}, "q": 3,
+                               "sweep": {"param": "caps", "values": [{}, 5]}})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: caps must be a mapping, not 5\n"
+    assert reports == [] and not os.path.exists(tmp_path / "out")
 
 
 @pytest.mark.parametrize("param, values, error", [

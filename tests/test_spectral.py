@@ -177,29 +177,68 @@ def test_tail_replay_matches_unbudgeted_solve(monkeypatch):
 
 
 def test_matvecs_count_the_products_that_ran(monkeypatch):
-    class Counted:
-        def __init__(self, P):
-            self.P, self.shape, self.calls = P, P.shape, 0
+    kernel, calls = spectral._csr_matvec(), []
 
-        def __matmul__(self, x):
-            self.calls += 1
-            return self.P @ x
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
 
+    monkeypatch.setattr(spectral, "_csr_matvec", lambda: counted)
     p6 = path_tree(6)
     tm = spectral.transition_matrix(p6, uniform_lists(p6, 3),
                                     dynamics.HEATBATH_GLAUBER)
 
     def counted_solves():
         for want_min in (True, False):
-            P = Counted(tm.matrix)
-            matvecs = spectral._lanczos_ends(P, 7, want_min)[2]
-            assert P.calls == matvecs, want_min
+            calls.clear()
+            matvecs = spectral._lanczos_ends(tm.matrix, 7, want_min)[2]
+            assert len(calls) == matvecs, want_min
             yield matvecs
 
     below = list(counted_solves())
     monkeypatch.setattr(spectral, "LANCZOS_BASIS_BYTES", 2 * 8 * tm.n)
     above = list(counted_solves())
     assert all(a > b for a, b in zip(above, below))
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_direct_product_is_matmul_bit_for_bit(index_dtype):
+    # ``_csr_matvec`` is a private scipy kernel: into a zeroed array it must
+    # give exactly ``P @ v``, on every chain of the zoo and both index widths
+    draw = np.random.default_rng(3).standard_normal
+    for tree, q in ZOO:
+        for kind in (dynamics.HEATBATH_GLAUBER, dynamics.UNIFORM_GLAUBER,
+                     dynamics.NEIGHBOR_PAIR):
+            P = spectral.transition_matrix(tree, uniform_lists(tree, q), kind).matrix
+            assert P.indices.dtype == P.indptr.dtype == np.int32
+            indptr, indices = P.indptr.astype(index_dtype), P.indices.astype(index_dtype)
+            x, w = draw(P.shape[0]), np.zeros(P.shape[0])
+            spectral._csr_matvec()(P.shape[0], P.shape[1], indptr, indices, P.data, x, w)
+            assert np.array_equal(w, P @ x), (kind, P.shape)
+
+
+def test_lanczos_makes_no_matmul_call(monkeypatch):
+    # the Lanczos steps, replayed ones too, call the kernel; only the
+    # residual check in spectral_report multiplies by P
+    calls = []
+    matmul = sp.csr_matrix.__matmul__
+
+    def counted(self, other):
+        calls.append(other.shape)
+        return matmul(self, other)
+
+    p6 = path_tree(6)
+    tm = spectral.transition_matrix(p6, uniform_lists(p6, 3), dynamics.HEATBATH_GLAUBER)
+    for h in (None, 2):
+        with monkeypatch.context() as m:
+            if h is not None:
+                m.setattr(spectral, "LANCZOS_BASIS_BYTES", h * 8 * tm.n)
+            ref_vals, ref_vecs, ref_matvecs = lanczos_reference.lanczos_ends(tm.matrix, 7, True)
+            m.setattr(sp.csr_matrix, "__matmul__", counted)
+            vals, vecs, matvecs = spectral._lanczos_ends(tm.matrix, 7, True)
+        assert calls == [], h
+        assert matvecs == ref_matvecs > spectral.LANCZOS_CHECK
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
 
 
 def reference_chains():
