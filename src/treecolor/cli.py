@@ -4,16 +4,19 @@ Usage::
 
     treecolor <command> --config <file> [--out <dir>] [--seed <u64>]
 
-Commands read a YAML config (a key the command does not read is an error,
-flags override file values; an ``--out`` that is no directory is refused
-first), run one module pipeline and return
-``(doc, summary, failure)``.  ``main`` alone adds the config echo, dumps
-``doc`` to ``<command>.json`` (``-`` becomes ``_``) and prints
-``<command>: <summary> -> <path>``; ``sweep`` also writes ``sweep.csv``.
-Spectral docs hold ``SpectralReport.export()``, ``gap`` too.
-Exit codes: 0 success, 2 config error, 3 capacity exceeded, 4 a checked
-inequality failed; stderr then names it, as ``<command>: FAILED (<failure>)``
-or, when the pipeline raises, ``verification failure: <message>``.
+Commands read a YAML config; flags override file values.  ``main`` types
+the whole config by ``_FIELDS`` once, before any work: an unknown key, a
+missing required field, a value of the wrong kind and an ``--out`` that is no
+directory are refused first.  A command runs one module pipeline on the typed
+values and returns ``(doc, summary, failure)``.  ``main`` alone adds the
+config echo (the config as written), dumps ``doc`` to ``<command>.json``
+(``-`` becomes ``_``) and prints ``<command>: <summary> -> <path>``; ``sweep``
+also writes ``sweep.csv``.  Spectral docs hold ``SpectralReport.export()``,
+``gap`` too.  Exit codes: 0 success, 2 config error, 3 capacity exceeded, 4 a
+checked inequality failed (stderr names it, as ``<command>: FAILED
+(<failure>)`` or, when the pipeline raises, ``verification failure:
+<message>``), 1 any other package error (``error: <message>``).  Any other
+exception is a program fault: it propagates with its traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -49,13 +52,13 @@ _COMMAND_KEYS = {command: {"command", "out", "seed", *keys.split()} for command,
     "star-analysis": "delta_range",
     "sweep": "tree q lists pinned_color kind caps sweep",
 }.items()}
-_TREE_KEYS = {"shape", "delta", "depth", "n_edges", "file"}
-
-
-def _check_keys(doc, allowed, where):
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")
+# The keys of a tree section, by shape, and of a sweep section; a sweep may
+# set any tree key and any key gap reads, but command and out.
+_SHAPE_KEYS = {shape: {"shape", *keys.split()} for shape, keys in {
+    "complete_regular": "delta depth", "hanging_root": "delta depth",
+    "path": "n_edges", "file": "file"}.items()}
+_SWEEP_KEYS = {"param", "values", "command"}
+_SWEPT = set().union(_COMMAND_KEYS["gap"], *_SHAPE_KEYS.values()) - {"command", "out"}
 
 
 def load_config(path, overrides):
@@ -76,21 +79,21 @@ def _open_output(path, newline=None):
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         return open(path, "w", newline=newline)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot write {path}: {exc}")
 
 
 _FIELD_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
                 bool: (bool, "a boolean"), list: (list, "a nonempty list"),
-                str: (str, "a nonempty string")}
+                str: (str, "a nonempty string"), dict: (dict, "a mapping")}
 
 
 def _field(value, name, kind=int, positive=False):
-    """The config field ``name`` as a ``kind``: an int field takes only ints,
-    a float field ints and floats (returned as a float), a bool, list or str
-    field only booleans, nonempty lists or nonempty strings.  YAML reads
-    ``true`` as a boolean and ``"2"`` as a string, so neither is a number;
-    with ``positive`` anything below 1 is refused too."""
+    """The config field ``name`` as a ``kind``: an int field takes only ints, a
+    float field ints and floats (returned as a float), a bool, list, str or dict
+    field only booleans, nonempty lists, nonempty strings or mappings.  YAML reads
+    ``true`` as a boolean and ``"2"`` as a string, so neither is a number; with
+    ``positive`` anything below 1 is refused too."""
     types, noun = _FIELD_KINDS[kind]
     if (isinstance(value, bool) != (kind is bool) or not isinstance(value, types)
             or (positive and value < 1) or value in ([], "")):
@@ -100,71 +103,120 @@ def _field(value, name, kind=int, positive=False):
 
 
 def build_tree(spec):
-    if not isinstance(spec, dict):
-        raise ConfigError("tree section must be a mapping")
-    _check_keys(spec, _TREE_KEYS, "tree")
-    shape = spec.get("shape")
-    if shape in ("complete_regular", "hanging_root"):
-        build = build_complete_regular if shape == "complete_regular" else build_hanging_root
-        return build(_field(spec["delta"], "tree.delta"),
-                     _field(spec["depth"], "tree.depth"))
-    if shape == "path":
-        n = _field(spec["n_edges"], "tree.n_edges")
-        if n < 1:
-            raise ConfigError("path needs n_edges >= 1")
-        return tree_from_parents([None] + list(range(n)), 0)
+    """The tree of a ``tree`` section, typed by the keys of its shape."""
+    spec = _field(spec, "tree", dict)
+    shape = _typed({"shape": spec.get("shape")}, {"shape"}, "tree", "tree.")["shape"]
+    spec = _typed(spec, _SHAPE_KEYS[shape], "tree", "tree.")
     if shape == "file":
         try:
             return load_tree(spec["file"])
         except OSError as exc:
             raise ConfigError(f"cannot read tree file {spec['file']}: {exc}")
-    raise ConfigError(f"unknown tree shape {shape!r}")
+    if shape == "path":
+        if spec["n_edges"] < 1:
+            raise ConfigError("path needs n_edges >= 1")
+        return tree_from_parents([None] + list(range(spec["n_edges"])), 0)
+    build = build_complete_regular if shape == "complete_regular" else build_hanging_root
+    return build(spec["delta"], spec["depth"])
 
 
-def build_lists(tree, cfg):
-    q = _field(cfg.get("q", 0), "q")
-    if q < 1:
-        raise ConfigError("config needs a positive q")
-    preset = cfg.get("lists", "uniform")
-    if preset == "uniform":
-        return uniform_lists(tree, q)
-    if preset == "star_root":
-        return star_root_lists(tree, q)
-    if preset == "pinned_root":
-        return pinned_root_lists(tree, q, _field(cfg.get("pinned_color", 1), "pinned_color"))
-    raise ConfigError(f"unknown list preset {preset!r}")
+def _caps(caps):  # cap names stay open: a config may still carry the retired dense cap
+    return {name: _field(cap, f"caps.{name}", positive=True)
+            for name, cap in _field(caps, "caps", dict).items()}
 
 
-def _kind(cfg):
-    kind = cfg.get("kind", dynamics.HEATBATH_GLAUBER)
-    if kind not in (dynamics.UNIFORM_GLAUBER, dynamics.HEATBATH_GLAUBER,
-                    dynamics.NEIGHBOR_PAIR):
-        raise ConfigError(f"unknown chain kind {kind!r}")
-    return kind
+def _seed(seed):
+    if _field(seed, "seed") < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, not {seed!r}")
+    return seed
 
 
-def _cap(cfg, name, default):
-    caps = {} if cfg.get("caps") is None else cfg["caps"]
-    if not isinstance(caps, dict):
-        raise ConfigError(f"caps must be a mapping, not {caps!r}")
-    return _field(caps.get(name, default), f"caps.{name}", positive=True)
+def _eps(eps):
+    eps = _field(eps, "eps", float)
+    if not 1e-9 <= eps < 1:  # a total-variation distance never exceeds 1
+        raise ConfigError(f"eps must lie in [1e-9, 1), not {eps!r}")
+    return eps
+
+
+def _alpha(alpha):
+    if not isinstance(alpha, list):
+        raise ConfigError(f"alpha must be a list of per-level weights, not {alpha!r}")
+    return [_field(x, f"alpha[{i}]", float) for i, x in enumerate(alpha)]
+
+
+def _delta_range(deltas):
+    return [_field(d, f"delta_range[{i}]")
+            for i, d in enumerate(_field(deltas, "delta_range", list))]
+
+
+def _sweep(spec):
+    spec = _typed(_field(spec, "sweep", dict), _SWEEP_KEYS, "sweep", "sweep.")
+    if spec["command"] not in (None, "gap"):
+        raise ConfigError("sweep currently drives the gap command")
+    if spec["param"] not in _SWEPT:
+        raise ConfigError(f"cannot sweep over {spec['param']!r}")
+    return spec
+
+
+REQUIRED = object()
+# Each config key, then each key of tree and sweep sections: its kind, and the
+# default an absent or null key takes, or REQUIRED.  A kind is a type of
+# _FIELD_KINDS, a tuple of the values allowed or a function that types the
+# value.  Keys are typed in this order, so a tree is refused before its q.
+_FIELDS = {
+    "command": (str, None), "out": (str, "results"), "seed": (_seed, None),
+    "tree": (build_tree, REQUIRED), "q": (int, REQUIRED),
+    "lists": (("uniform", "star_root", "pinned_root"), "uniform"), "pinned_color": (int, 1),
+    "kind": ((*dynamics.SINGLE_EDGE_KINDS, dynamics.NEIGHBOR_PAIR), dynamics.HEATBATH_GLAUBER),
+    "caps": (_caps, {}), "include_states": (bool, False), "eps": (_eps, 0.25),
+    "edge": (int, 0), "strict": (bool, True), "blocks": (("pairs",), None),
+    "paths": ((canonical.GLAUBER_PATHS, canonical.EDGE_PATHS), canonical.GLAUBER_PATHS),
+    "alpha": (_alpha, None), "ell": (int, 1), "gamma": (float, None),
+    "delta_range": (_delta_range, [2, 3, 4]), "sweep": (_sweep, REQUIRED),
+    "shape": (tuple(_SHAPE_KEYS), REQUIRED), "delta": (int, REQUIRED),
+    "depth": (int, REQUIRED), "n_edges": (int, REQUIRED), "file": (str, REQUIRED),
+    "param": (str, REQUIRED), "values": (list, REQUIRED),
+}
+
+
+def _typed(doc, keys, where, prefix=""):
+    """The fields ``keys`` of the mapping ``doc``, named ``prefix + key`` and
+    typed by ``_FIELDS`` in its order; any other key of ``doc`` is refused."""
+    if unknown := set(doc) - keys:
+        raise ConfigError(f"unknown {where} fields: {sorted(unknown, key=str)}")
+    typed = {}
+    for key, (kind, default) in _FIELDS.items():
+        if key not in keys:
+            continue
+        name, value = prefix + key, doc.get(key)
+        if value is None and default is REQUIRED:
+            raise ConfigError(f"{name} is required")
+        if isinstance(kind, tuple) and value not in (None, *kind):
+            absent = "" if default is REQUIRED else " or absent"
+            raise ConfigError(f"{name} must be {' or '.join(kind)}{absent}, not {value!r}")
+        if value is None or isinstance(kind, tuple):
+            typed[key] = default if value is None else value
+        else:
+            typed[key] = _field(value, name, kind) if kind in _FIELD_KINDS else kind(value)
+    return typed
 
 
 def _instance(cfg):
-    tree = build_tree(cfg["tree"])
-    return tree, build_lists(tree, cfg)
+    tree, q, preset = cfg["tree"], cfg["q"], cfg["lists"]
+    if preset == "pinned_root":
+        return tree, pinned_root_lists(tree, q, cfg["pinned_color"])
+    return tree, (uniform_lists if preset == "uniform" else star_root_lists)(tree, q)
 
 
-def cmd_enumerate(cfg, out):
-    include_states = _field(cfg.get("include_states", False), "include_states", bool)
+def cmd_enumerate(cfg, raw):
     tree, lists = _instance(cfg)
     dist = oracle.enumerate_colorings(
-        tree, lists, cap=_cap(cfg, "enumeration", oracle.ENUMERATION_CAP))
-    doc = dist.export(include_states=include_states)
+        tree, lists, cap=cfg["caps"].get("enumeration", oracle.ENUMERATION_CAP))
+    doc = dist.export(include_states=cfg["include_states"])
     return doc, f"{dist.size} proper colorings", None
 
 
-def cmd_count(cfg, out):
+def cmd_count(cfg, raw):
     tree, lists = _instance(cfg)
     # str() of an int raises past sys.get_int_max_str_digits() digits (4300
     # by default); Decimal prints them all.
@@ -172,36 +224,24 @@ def cmd_count(cfg, out):
     return {"tree_hash": tree.content_hash(), "count": n}, n, None
 
 
-def _spectral_inputs(cfg):
-    """The typed inputs of a spectral pipeline: tree, lists, kind, sparse cap
-    and seed (None for the default)."""
-    tree, lists = _instance(cfg)
-    kind = _kind(cfg)
-    cap = _cap(cfg, "sparse", spectral.SPARSE_CAP)
-    seed = cfg.get("seed")
-    return tree, lists, kind, cap, None if seed is None else _field(seed, "seed")
-
-
-def _spectral_doc(inputs):
-    tree, lists, kind, cap, seed = inputs
-    tm = spectral.transition_matrix(tree, lists, kind, sparse_cap=cap)
-    rep = (spectral.spectral_report(tm) if seed is None
-           else spectral.spectral_report(tm, seed=seed))
-    doc = dict(rep.export(), tree_hash=tree.content_hash(), kind=kind, q=lists.q)
+def _spectral_doc(cfg, tree, lists):
+    tm = spectral.transition_matrix(tree, lists, cfg["kind"],
+                                    sparse_cap=cfg["caps"].get("sparse", spectral.SPARSE_CAP))
+    rep = (spectral.spectral_report(tm) if cfg["seed"] is None
+           else spectral.spectral_report(tm, seed=cfg["seed"]))
+    doc = dict(rep.export(), tree_hash=tree.content_hash(), kind=cfg["kind"], q=lists.q)
     return tm, rep, doc
 
 
-def cmd_gap(cfg, out):
-    tm, rep, doc = _spectral_doc(_spectral_inputs(cfg))
+def cmd_gap(cfg, raw):
+    tm, rep, doc = _spectral_doc(cfg, *_instance(cfg))
     return doc, f"N={tm.n} t_rel={rep.t_rel:.6g}", None
 
 
-def cmd_mix(cfg, out):
-    eps = _field(cfg.get("eps", 0.25), "eps", float)
-    if not 1e-9 <= eps < 1:  # a total-variation distance never exceeds 1
-        raise ConfigError(f"eps must lie in [1e-9, 1), not {eps!r}")
-    tm, rep, doc = _spectral_doc(_spectral_inputs(cfg))
-    t_mix = spectral.mixing_time(tm, eps, cap=_cap(cfg, "mixing", spectral.MIXING_CAP))
+def cmd_mix(cfg, raw):
+    eps = cfg["eps"]
+    tm, rep, doc = _spectral_doc(cfg, *_instance(cfg))
+    t_mix = spectral.mixing_time(tm, eps, cap=cfg["caps"].get("mixing", spectral.MIXING_CAP))
     bound = rep.t_rel * (1.0 + tm.dist.tree.n_edges * math.log(tm.dist.lists.q))
     doc.update({"eps": eps, "t_mix": t_mix, "t_rel_bound": bound,
                 "t_mix_starts": len(tm.starts)})
@@ -209,8 +249,8 @@ def cmd_mix(cfg, out):
     return doc, f"t_mix({eps})={t_mix} bound={bound:.3f}", failure
 
 
-def cmd_conductance(cfg, out):
-    tm, rep, doc = _spectral_doc(_spectral_inputs(cfg))
+def cmd_conductance(cfg, raw):
+    tm, rep, doc = _spectral_doc(cfg, *_instance(cfg))
     phi, cut = spectral.conductance_star(tm)
     sandwich_ok = (phi * phi / 2.0 <= 1.0 / rep.t_rel + 1e-12
                    and 1.0 / rep.t_rel <= 2.0 * phi + 1e-12)
@@ -220,14 +260,12 @@ def cmd_conductance(cfg, out):
     return doc, f"phi<={phi:.6g} via {cut}", failure
 
 
-def cmd_lowerbound(cfg, out):
-    strict = _field(cfg.get("strict", True), "strict", bool)
-    tree = build_tree(cfg["tree"])
-    rec = spectral.lower_bound_check(tree, _field(cfg.get("edge", 0), "edge"),
-                                     _field(cfg["q"], "q"))
+def cmd_lowerbound(cfg, raw):
+    tree = cfg["tree"]
+    rec = spectral.lower_bound_check(tree, cfg["edge"], cfg["q"])
     failures = spectral.lower_bound_failures(rec)
     relation = "<" if any(f.startswith("T_rel") for f in failures) else ">="
-    if not strict:
+    if not cfg["strict"]:
         failures = [f for f in failures if not f.startswith("frozen probability")]
     doc = dict(rec, tree_hash=tree.content_hash())
     if failures:
@@ -238,36 +276,22 @@ def cmd_lowerbound(cfg, out):
     return doc, summary, doc.get("verification_error")
 
 
-def cmd_congestion(cfg, out):
+def cmd_congestion(cfg, raw):
     tree, lists = _instance(cfg)
-    path_kind = cfg.get("paths", canonical.GLAUBER_PATHS)
-    if path_kind not in (canonical.GLAUBER_PATHS, canonical.EDGE_PATHS):
-        raise ConfigError(f"unknown path family {path_kind!r}")
-    rep = canonical.compute_congestion(tree, lists, path_kind)
+    rep = canonical.compute_congestion(tree, lists, cfg["paths"])
     doc = rep.export()
     doc["xi_root_restricted"] = [rep.xi(t, root_restricted=True)
                                  for t in range(tree.max_level + 1)]
     return doc, f"xi={doc['xi']}", None
 
 
-def _alpha(cfg):
-    """The config's ``alpha`` as floats, None if it gives none."""
-    alpha = cfg.get("alpha")
-    if alpha is not None and not isinstance(alpha, list):
-        raise ConfigError(f"alpha must be a list of per-level weights, not {alpha!r}")
-    return None if alpha is None else [_field(x, f"alpha[{i}]", float)
-                                       for i, x in enumerate(alpha)]
-
-
-def cmd_tensorize(cfg, out):
-    blocks, alpha, failure = cfg.get("blocks"), _alpha(cfg), None
-    if blocks not in (None, "pairs"):
-        raise ConfigError(f"blocks must be pairs or absent, not {blocks!r}")
+def cmd_tensorize(cfg, raw):
+    alpha, failure = cfg["alpha"], None
     tree, lists = _instance(cfg)
     dist = oracle.enumerate_colorings(tree, lists)
     c_single = tz.optimal_at_constant(dist, tz.singleton_blocks(tree))
     doc = {"tree_hash": tree.content_hash(), "at_constant_singletons": c_single}
-    if blocks == "pairs":
+    if cfg["blocks"] == "pairs":
         doc["at_constant_pairs"] = tz.optimal_at_constant(
             dist, dynamics.pair_blocks(tree))
     if alpha is not None:
@@ -279,17 +303,13 @@ def cmd_tensorize(cfg, out):
     return doc, f"C={c_single:.6g}", failure
 
 
-def cmd_induction(cfg, out):
-    tree_cfg = cfg["tree"]
-    tree = build_tree(tree_cfg)
-    if tree_cfg["shape"] != "complete_regular":
+def cmd_induction(cfg, raw):
+    tree, q, ell, alpha, gamma = cfg["tree"], cfg["q"], cfg["ell"], cfg["alpha"], cfg["gamma"]
+    if raw["tree"]["shape"] != "complete_regular":
         raise ConfigError("induction expects a complete_regular tree")
-    delta = tree_cfg["delta"]  # checked by build_tree
-    ell = _field(cfg.get("ell", 1), "ell")
-    q = _field(cfg["q"], "q")
-    alpha, gamma = _alpha(cfg), cfg.get("gamma")
-    gamma = (float(tz.gamma_constant(delta, q, ell)) if gamma is None
-             else _field(gamma, "gamma", float))
+    delta = raw["tree"]["delta"]  # typed with the tree
+    if gamma is None:
+        gamma = float(tz.gamma_constant(delta, q, ell))
     if alpha is None:
         star = build_hanging_root(delta, ell)
         alpha = canonical.compute_congestion(
@@ -306,13 +326,11 @@ def cmd_induction(cfg, out):
     return doc, f"ok={res['ok']} constants={doc['constants']}", failure
 
 
-def cmd_star_analysis(cfg, out):
+def cmd_star_analysis(cfg, raw):
     import numpy as np
 
-    deltas = _field(cfg.get("delta_range", [2, 3, 4]), "delta_range", list)
     rows, bad = [], []
-    for i, delta in enumerate(deltas):
-        delta = _field(delta, f"delta_range[{i}]")
+    for delta in cfg["delta_range"]:
         psi = spectral.star_correlation_matrix(delta)
         closed = spectral.star_correlation_closed_form(delta)
         walk = spectral.star_local_walk(delta)
@@ -335,35 +353,27 @@ def cmd_star_analysis(cfg, out):
             bad.append(delta)
         rows.append(row)
     failure = f"star identities or bounds fail at delta {bad}" if bad else None
-    return {"stars": rows}, f"deltas={list(deltas)} ok={not bad}", failure
+    return {"stars": rows}, f"deltas={cfg['delta_range']} ok={not bad}", failure
 
 
-def cmd_sweep(cfg, out):
-    spec = cfg.get("sweep")
-    if not isinstance(spec, dict) or "param" not in spec or "values" not in spec:
-        raise ConfigError("sweep needs {param, values, command}")
-    _check_keys(spec, {"param", "values", "command"}, "sweep")
-    if spec.get("command", "gap") != "gap":
-        raise ConfigError("sweep currently drives the gap command")
-    param = spec["param"]
-    if param in ("command", "out") or param not in _TREE_KEYS | _COMMAND_KEYS["gap"]:
-        raise ConfigError(f"cannot sweep over {param!r}")
-    values, inputs = _field(spec["values"], "sweep.values", list), []
+def cmd_sweep(cfg, raw):
+    param, values, subs = cfg["sweep"]["param"], cfg["sweep"]["values"], []
     for value in values:  # every swept config is typed before the first solve
-        sub_cfg = {k: v for k, v in cfg.items() if k != "sweep"}
-        if param in _TREE_KEYS:
-            sub_cfg["tree"] = dict(cfg.get("tree", {}), **{param: value})
-        else:  # a swept tree replaces the whole tree section
-            sub_cfg[param] = value
-        inputs.append(_spectral_inputs(sub_cfg))
+        sub = {k: v for k, v in raw.items() if k != "sweep"}
+        if param in _COMMAND_KEYS["gap"]:  # a swept tree replaces the whole tree section
+            sub[param] = value
+        else:
+            sub["tree"] = {**raw["tree"], param: value}
+        sub = _typed(sub, _COMMAND_KEYS["gap"], "gap config")
+        subs.append((sub, _instance(sub)))
     rows = []
-    for value, sub_inputs in zip(values, inputs):
-        tm, rep, doc = _spectral_doc(sub_inputs)
+    for value, (sub, instance) in zip(values, subs):
+        tm, rep, doc = _spectral_doc(sub, *instance)
         n_edges = tm.dist.tree.n_edges
         rows.append({param: value, "tree_hash": doc["tree_hash"],
                      "n_edges": n_edges, "N": tm.n, "t_rel": rep.t_rel,
                      "t_rel_per_edge": rep.t_rel / n_edges})
-    with _open_output(os.path.join(out, "sweep.csv"), newline="") as fh:
+    with _open_output(os.path.join(cfg["out"], "sweep.csv"), newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         # a swept mapping or list is written as JSON, as in sweep.json
@@ -372,19 +382,10 @@ def cmd_sweep(cfg, out):
     return {"rows": rows}, f"{len(rows)} rows", None
 
 
-COMMANDS = {
-    "enumerate": cmd_enumerate,
-    "count": cmd_count,
-    "gap": cmd_gap,
-    "mix": cmd_mix,
-    "conductance": cmd_conductance,
-    "lowerbound": cmd_lowerbound,
-    "congestion": cmd_congestion,
-    "tensorize": cmd_tensorize,
-    "induction": cmd_induction,
-    "star-analysis": cmd_star_analysis,
-    "sweep": cmd_sweep,
-}
+COMMANDS = {"enumerate": cmd_enumerate, "count": cmd_count, "gap": cmd_gap, "mix": cmd_mix,
+            "conductance": cmd_conductance, "lowerbound": cmd_lowerbound,
+            "congestion": cmd_congestion, "tensorize": cmd_tensorize,
+            "induction": cmd_induction, "star-analysis": cmd_star_analysis, "sweep": cmd_sweep}
 
 
 _PARSER = argparse.ArgumentParser(
@@ -399,18 +400,17 @@ _PARSER.add_argument("--seed", type=int, default=None)
 def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
-        cfg = load_config(args.config, {"seed": args.seed, "out": args.out})
-        _check_keys(cfg, _COMMAND_KEYS[args.command], f"{args.command} config")
-        declared = cfg.get("command")
-        if declared is not None and declared != args.command:
+        raw = load_config(args.config, {"seed": args.seed, "out": args.out})
+        cfg = _typed(raw, _COMMAND_KEYS[args.command], f"{args.command} config")
+        if cfg["command"] not in (None, args.command):
             raise ConfigError(
-                f"config declares command {declared!r}, invoked {args.command!r}")
-        out = "results" if cfg.get("out") is None else _field(cfg["out"], "out", str)
+                f"config declares command {cfg['command']!r}, invoked {args.command!r}")
+        out = cfg["out"]
         path = os.path.join(out, args.command.replace("-", "_") + ".json")
         if os.path.exists(out) and not os.path.isdir(out):  # refused before the work
             raise ConfigError(f"cannot write {path}: {out} is not a directory")
-        doc, summary, failure = COMMANDS[args.command](cfg, out)
-        doc["config"] = {k: v for k, v in cfg.items() if k != "out"}
+        doc, summary, failure = COMMANDS[args.command](cfg, raw)
+        doc["config"] = {k: v for k, v in raw.items() if k != "out"}
         with _open_output(path) as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
         print(f"{args.command}: {summary} -> {path}")
@@ -418,7 +418,7 @@ def main(argv=None):
             print(f"{args.command}: FAILED ({failure})", file=sys.stderr)
             return 4
         return 0
-    except (ConfigError, ParameterError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

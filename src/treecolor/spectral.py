@@ -444,6 +444,8 @@ def lower_bound_check(tree, e, q):
     the bound n*delta/(2(q-delta)^2) (n = edge count) and the exact
     relaxation time; ``lower_bound_failures`` says which of them disagree.
     """
+    if not 0 <= e < tree.n_edges:
+        raise ParameterError(f"edge {e} out of range 0..{tree.n_edges - 1}")
     delta = tree.max_degree
     u = tree.edge_parent_vertex[e]
     v = tree.edge_child_vertex[e]

@@ -216,20 +216,18 @@ def load_tree(path):
     Levels are recomputed generically (root-incident edges at level 1), so a
     hanging-root tree round-trips its shape but not its level-0 convention.
     """
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise ParameterError("tree file too short")
-    n = int(tokens[0])
-    root = int(tokens[1])
-    body = tokens[2:]
+    try:  # a NUL byte in the path, bytes that are no UTF-8, text that is no integers, one token
+        with open(path, encoding="utf-8") as fh:
+            n, root, *body = [int(token) for token in fh.read().split()]
+    except ValueError as exc:
+        raise ParameterError(f"malformed tree file: {exc}") from None
     if len(body) != 2 * (n - 1):
         raise ParameterError("tree file has wrong number of edge lines")
     if not 0 <= root < n:
         raise ParameterError(f"malformed tree file: root {root} of {n} vertices")
     parent = [None] * n
     for i in range(n - 1):
-        child, par = int(body[2 * i]), int(body[2 * i + 1])
+        child, par = body[2 * i], body[2 * i + 1]
         if not 0 <= child < n or child == root or parent[child] is not None:
             raise ParameterError(f"malformed edge list: child {child} of {n} vertices")
         parent[child] = par

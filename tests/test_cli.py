@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import glob
 import json
@@ -12,7 +13,7 @@ import pytest
 import yaml
 
 import treecolor
-from treecolor import oracle, spectral
+from treecolor import cli, oracle, spectral
 from treecolor.cli import load_config, main
 from treecolor.colorings import uniform_lists
 from treecolor.oracle import count_colorings
@@ -670,3 +671,185 @@ def test_keys_another_command_reads_are_config_errors(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "config error: unknown gap config fields: ['alpha', 'blocks', 'eps', 'strict']\n")
     assert not (tmp_path / "o").exists()
+
+
+ACCEPTANCE = os.path.join(REPO, "configs", "acceptance")
+
+
+def acceptance_fields():
+    """(config, field) for every field a bundled acceptance config may carry:
+    its command's keys, its tree shape's and its sweep section's."""
+    cases = []
+    for path in sorted(glob.glob(os.path.join(ACCEPTANCE, "*.yaml"))):
+        doc = yaml.safe_load(open(path))
+        sections = [("", cli._COMMAND_KEYS[doc["command"]])]
+        if isinstance(doc.get("tree"), dict):
+            sections.append(("tree.", cli._SHAPE_KEYS[doc["tree"]["shape"]]))
+        if "sweep" in doc:
+            sections.append(("sweep.", cli._SWEEP_KEYS))
+        cases += [(os.path.basename(path), prefix + key) for prefix, keys in sections
+                  for key in sorted(keys)]
+    return cases
+
+
+def required_fields():
+    """Every REQUIRED field of _FIELDS in every acceptance config."""
+    return [(config, field) for config, field in acceptance_fields()
+            if cli._FIELDS[field.rpartition(".")[2]][1] is cli.REQUIRED]
+
+
+def first_reader_of_each_field():
+    """Each entry of _FIELDS, in the first acceptance config that reads it."""
+    first = {}
+    for config, field in acceptance_fields():
+        first.setdefault(field.rpartition(".")[2], (config, field))
+    return [first[key] for key in cli._FIELDS]
+
+
+def run_acceptance_config_with(tmp_path, monkeypatch, config, field, *value):
+    """Exit code of the acceptance config, writing to ``tmp_path / "o"``, with
+    ``field`` set to ``value``, or deleted when no value is given."""
+    monkeypatch.chdir(tmp_path)
+    doc = yaml.safe_load(open(os.path.join(ACCEPTANCE, config)))
+    command, doc["out"] = doc["command"], str(tmp_path / "o")
+    if doc.get("tree", {}).get("shape") == "file":  # a path relative to the repo
+        doc["tree"]["file"] = os.path.join(REPO, doc["tree"]["file"])
+    section, _, key = field.rpartition(".")
+    target = doc[section] if section else doc
+    if value:
+        target[key] = value[0]
+    else:
+        del target[key]
+    return main([command, "--config", write_cfg(tmp_path, doc)])
+
+
+@pytest.mark.parametrize("config, field", required_fields())
+def test_missing_required_field_is_named(tmp_path, capsys, monkeypatch, config, field):
+    assert run_acceptance_config_with(tmp_path, monkeypatch, config, field) == 2
+    assert capsys.readouterr().err == f"config error: {field} is required\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_command_and_shape_has_a_required_field_case():
+    configs = {config for config, _ in required_fields()}
+    docs = [yaml.safe_load(open(os.path.join(ACCEPTANCE, c))) for c in configs]
+    assert {d["command"] for d in docs} == set(cli._COMMAND_KEYS) - {"star-analysis"}
+    assert {d["tree"]["shape"] for d in docs} == set(cli._SHAPE_KEYS)
+
+
+@pytest.mark.parametrize("config, field", first_reader_of_each_field())
+def test_every_field_refuses_a_value_of_another_kind_by_name(tmp_path, capsys, monkeypatch,
+                                                             config, field):
+    # true is no value of any kind but bool, and 1 is no boolean
+    wrong = 1 if cli._FIELDS[field.rpartition(".")[2]][0] is bool else True
+    assert run_acceptance_config_with(tmp_path, monkeypatch, config, field, wrong) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field} must be ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_config_table_follows_the_field_table():
+    def shown(default):
+        if default is cli.REQUIRED:
+            return "required"
+        return "absent" if default is None else f"`{json.dumps(default).strip(chr(34))}`"
+
+    lines = open(os.path.join(REPO, "README.md")).read().splitlines()
+    start = lines.index("| key | read by | value | default |") + 2
+    rows = [line[2:-2].split(" | ") for line in lines[start:lines.index("", start)]]
+    assert [(row[0], row[-1]) for row in rows] == [
+        (f"`{key}`", shown(default)) for key, (_, default) in cli._FIELDS.items()]
+
+
+def test_each_key_has_one_field_entry_and_every_entry_is_read():
+    with open(cli.__file__) as fh:
+        module = ast.parse(fh.read())
+    table = next(node.value for node in module.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "_FIELDS" for t in node.targets))
+    entries = [key.value for key in table.keys]
+    assert len(entries) == len(set(entries))  # a repeated key would hide its first entry
+    keys = set().union(*cli._COMMAND_KEYS.values(), *cli._SHAPE_KEYS.values(), cli._SWEEP_KEYS)
+    assert set(entries) == keys
+    read = {node.slice.value for node in ast.walk(module) if isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Constant)}
+    assert keys <= read
+
+
+@pytest.mark.parametrize("fault", [KeyError, TypeError, ValueError])
+def test_program_fault_propagates_out_of_main(tmp_path, monkeypatch, fault):
+    # only ConfigError and ParameterError are config errors; a fault keeps its
+    # traceback and Python exits 1
+    def broken(*args, **kwargs):
+        raise fault("a fault inside the pipeline")
+
+    monkeypatch.setattr(oracle, "count_colorings", broken)
+    cfg = write_cfg(tmp_path, {"tree": {"shape": "path", "n_edges": 2}, "q": 3})
+    with pytest.raises(fault, match="a fault inside the pipeline"):
+        main(["count", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("content", [b"abc 0\n", b"1 x\n", b"\xff\xfe 0\n", b"3\n"],
+                         ids=["letters", "second_token", "not_utf8", "one_token"])
+def test_tree_file_that_is_no_integers_is_a_config_error(tmp_path, capsys, content):
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_bytes(content)
+    cfg = write_cfg(tmp_path, {"command": "count", "q": 3,
+                               "tree": {"shape": "file", "file": str(tree_file)}})
+    assert main(["count", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: malformed tree file: ")
+
+
+def test_tree_file_that_is_no_string_is_refused_unread(tmp_path, capsys, monkeypatch):
+    # open(0) would read the tree from stdin and close it
+    loads = []
+    monkeypatch.setattr(cli, "load_tree", loads.append)
+    cfg = write_cfg(tmp_path, {"tree": {"shape": "file", "file": 0}, "q": 3})
+    assert main(["count", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: tree.file must be a nonempty string, not 0\n"
+    assert loads == []
+
+
+@pytest.mark.parametrize("edge", [99, -1])
+def test_lowerbound_refuses_an_edge_out_of_range(tmp_path, capsys, edge):
+    cfg = write_cfg(tmp_path, {"tree": {"shape": "complete_regular", "delta": 2, "depth": 2},
+                               "q": 3, "edge": edge})
+    assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: edge {edge} out of range 0..3\n"
+
+
+def test_negative_seed_is_refused_by_name(tmp_path, capsys, monkeypatch):
+    reports = []
+    monkeypatch.setattr(spectral, "spectral_report", lambda *args, **kw: reports.append(kw))
+    cfg = write_cfg(tmp_path, {"tree": {"shape": "path", "n_edges": 2}, "q": 3})
+    assert main(["gap", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: seed must be a nonnegative integer, not -1\n"
+    assert reports == []
+
+
+@pytest.mark.parametrize("doc, error", [
+    ({"tree": {"shape": "path", "n_edges": 2}, "sweep": {"param": "q", "values": [3, 4]}},
+     "q is required"),
+    ({"tree": {"shape": "path"}, "q": 3, "sweep": {"param": "n_edges", "values": [2, 3]}},
+     "tree.n_edges is required"),
+    ({"tree": {"shape": "path", "n_edges": 2}, "q": 3,
+      "sweep": {"param": "delta", "values": [2, 3]}}, "unknown tree fields: ['delta']"),
+], ids=["q", "tree_key", "key_of_another_shape"])
+def test_sweep_base_is_typed_as_a_gap_config(tmp_path, capsys, doc, error):
+    # the base must be a whole gap config, and a tree key belongs to a shape
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc, error", [
+    ({"tree": {"shape": "path", "n_edges": 2}, "q": 3, "out": "a\0b"},
+     "cannot write a\0b/count.json: embedded null byte"),
+    ({"tree": {"shape": "file", "file": "a\0b"}, "q": 3},
+     "malformed tree file: embedded null byte"),
+], ids=["out", "tree_file"])
+def test_path_with_a_nul_byte_is_a_config_error(tmp_path, capsys, monkeypatch, doc, error):
+    monkeypatch.chdir(tmp_path)
+    assert main(["count", "--config", write_cfg(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
