@@ -18,10 +18,10 @@ support (``build_paths``): numpy walks over all start colorings at once give
 the alternating paths, the Stage-I detours and every step's edits, and each
 state is looked up as a support row, so no coloring becomes a tuple.  A
 family whose order runs through the color classes of one already built is
-that one's image under a color permutation (``map_paths``, through the
-table's checked ``row_map``) and is not built again.  The expected
-congestion these paths place on each tree level is computed exactly by
-enumeration.
+that one's image under a color permutation: the built family's verified
+steps sent through the table's exact ``row_map`` (``map_steps``), neither
+built, verified nor sorted again.  The expected congestion these paths
+place on each tree level is computed exactly by enumeration.
 
 At these sizes the passes pay mostly for numpy's per-call costs, so they read
 rows of narrow 2-D arrays with ``np.take(..., axis=0)`` and scattered cells as
@@ -34,7 +34,7 @@ default ``np.sort``/``np.argsort`` (numpy's SIMD quicksort), and take the
 stable kind (timsort) only on keys in long sorted runs or where its order names
 a failure: on that host (AVX-512, numpy 2.4), 4,100 shuffled keys took 275-316
 us by a stable ``argsort``, 62-80 us by the default one and 25-30 us by
-``np.sort``.  So ``_first_uses`` counts a family's transitions and
+``np.sort``.  So ``_runs`` groups a built family's transitions and
 ``compute_congestion`` splits their loads by level, each by one default
 ``argsort``, and ``verify_paths`` finds a revisit by a stable ``np.sort`` of
 its path-major keys, sorting stably by index only to name the first one.
@@ -408,41 +408,6 @@ def build_paths(family, dist, starts):
     return batch
 
 
-def map_paths(batch, family, dist):
-    """The paths of ``family`` as the image of ``batch`` under the color
-    permutation pi sending ``batch.family.order`` onto ``family.order``.
-
-    The construction only ever takes the first color of the family's order
-    that passes a test pi carries over, so the path from pi(sigma) is pi of
-    the path from sigma.  Rows are mapped through pi's checked row map
-    (``DistributionTable.row_map``), which must also carry fiber a0 onto
-    fiber a (else ``VerificationError``).  Paths are put in ascending order
-    of their mapped start rows, as ``build_paths`` puts them.
-    """
-    pi = np.zeros(dist.lists.q + 1, dtype=dist.array.dtype)
-    pi[list(batch.family.order)] = family.order
-    perm = dist.row_map(pi)
-    root = dist.array[:, family.r]
-    if not np.array_equal(root[perm] == family.a, root == batch.family.a):
-        raise VerificationError(f"the color map {batch.family.order} -> "
-                                f"{family.order} is not a bijection of the fibers")
-    steps, states = batch.lengths, batch.lengths + 1
-    first_state = np.cumsum(states) - states
-    order = np.argsort(perm[batch.rows[first_state]])
-    step = _segments(np.cumsum(steps) - steps, steps, order)
-    rows = batch.rows[_segments(first_state, states, order)]
-    return PathBatch(family, steps[order], np.take(batch.edges, step, axis=0),
-                     np.take(pi, np.take(batch.colors, step, axis=0)), batch.stages[step],
-                     np.where(rows < 0, -1, perm[rows]))
-
-
-def _segments(first, lengths, order):
-    """The indices of the segments [first, first + lengths) in ``order``."""
-    first, lengths = first[order], lengths[order]
-    shift = first - (np.cumsum(lengths) - lengths)
-    return np.repeat(shift, lengths) + np.arange(lengths.sum())
-
-
 def path_blocks_for_kind(tree, path_kind):
     """Blocks a canonical path of the given kind may legally change."""
     singles = {(e,) for e in range(tree.n_edges)}
@@ -518,10 +483,64 @@ def verify_paths(dist, batch, ends=None):
     if ends is None:
         ends = dist.rows_of(flip_rows(tree, dist.array[rows[first]], batch.family.r,
                                       batch.family.b))
-    check(last[rows[last] != ends], "state",
-          lambda i: f"ends at row {rows[i]}, not at row {ends[path_of[i]]}, "
-                    f"the flip of the start")
+    _check_ends(rows[first], rows[last], ends, batch.lengths)
     return src, dst, block_of, blocks
+
+
+def _check_ends(starts, got, ends, lengths):
+    """Raise ``VerificationError`` at the first path, in path order, whose
+    end row ``got`` is not its row of ``ends``, the flip of its start."""
+    bad = np.flatnonzero(got != ends)
+    if len(bad):
+        i = bad[0]
+        raise VerificationError(f"canonical path from row {starts[i]}, state {lengths[i]}: "
+                                f"ends at row {got[i]}, not at row {ends[i]}, "
+                                f"the flip of the start")
+
+
+@dataclass
+class FamilySteps:
+    """The verified steps of one family's paths from every row of fiber a,
+    in path order (ascending start rows): what ``verify_paths`` returns, and
+    the steps grouped by transition (``_runs`` of src * N + dst)."""
+    family: PathFamily
+    lengths: np.ndarray        # steps per path
+    src: np.ndarray            # per step, the support rows it moves between
+    dst: np.ndarray
+    block_of: np.ndarray       # per step, the index in ``blocks`` of its block
+    blocks: list
+    runs: tuple                # (order, bounds) of ``_runs``
+
+
+def map_steps(steps, family, dist, ends):
+    """The steps of ``family``, the image of the verified ``steps`` under the
+    color permutation pi sending ``steps.family.order`` onto ``family.order``
+    (the construction takes the first color of an order that passes a test
+    pi carries over).  pi's row map is exact (``DistributionTable.row_map``),
+    so every check of ``verify_paths`` carries over; the fibers and ``ends``
+    are checked (else ``VerificationError``), and paths put in ascending
+    order of their start rows, as ``build_paths`` puts them."""
+    pi = np.zeros(dist.lists.q + 1, dtype=dist.array.dtype)
+    pi[list(steps.family.order)] = family.order
+    perm = dist.row_map(pi)
+    root = dist.array[:, family.r]
+    starts = np.take(perm, np.flatnonzero(root == steps.family.a))  # per path, its image's start
+    order = np.argsort(starts)
+    starts = np.take(starts, order)
+    if not np.array_equal(starts, np.flatnonzero(root == family.a)):
+        raise VerificationError(f"the color map {steps.family.order} -> "
+                                f"{family.order} is not a bijection of the fibers")
+    lengths = np.take(steps.lengths, order)
+    first = np.cumsum(lengths) - lengths
+    step = np.repeat(np.take(np.cumsum(steps.lengths) - steps.lengths, order) - first, lengths)
+    step += np.arange(len(step))  # per mapped step, its step of ``steps``
+    src, dst = np.take(perm, np.take(steps.src, step)), np.take(perm, np.take(steps.dst, step))
+    _check_ends(starts, np.take(dst, first + lengths - 1), ends, lengths)
+    at = np.empty_like(step)  # per step of ``steps``, its mapped step
+    at[step] = np.arange(len(step))
+    runs, bounds = steps.runs
+    return FamilySteps(family, lengths, src, dst, np.take(steps.block_of, step), steps.blocks,
+                       (np.take(at, runs), bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +621,11 @@ def compute_congestion(tree, lists, path_kind):
     """Exact expected congestion of the canonical-path family, per ordered
     root-color pair and per tree level (plus the root-pair block class).
 
-    Paths are built once per orbit of families under the list-keeping color
-    permutations: a family whose order runs through the ``color_classes`` of
-    a built one is that one's image (``map_paths``, through the row maps
-    the table keeps and composes), any other is built.  Every family is
-    checked by ``verify_paths`` and counted on support rows; its end rows
+    Paths are built, checked by ``verify_paths`` and grouped by transition
+    once per orbit of families under the list-keeping color permutations: a
+    family whose order runs through the ``color_classes`` of a built one is
+    that one's image (``map_steps``, through the row maps the table keeps
+    and composes), whose order of first use alone is found anew.  End rows
     come from the flip couplings of every pair a < b, made in one
     ``flip_rows`` pass, whose inverses give the (b, a) ends, since the flip
     is an involution.  A move that changes block B out of state x
@@ -638,7 +657,7 @@ def compute_congestion(tree, lists, path_kind):
     for c in _flip_couplings(tree, lists, pairs, dist):
         ends[c.a, c.b] = c.pairs[:, 1]
         ends[c.b, c.a] = fibers[c.a][np.argsort(c.pairs[:, 1])]
-    per_pair, built = {}, {}  # built: one batch per orbit
+    per_pair, built = {}, {}  # built: the verified steps of one family per orbit
     for a in root_colors:
         for b in root_colors:
             if a == b:
@@ -646,13 +665,16 @@ def compute_congestion(tree, lists, path_kind):
             family = path_family(tree, lists, a, b, path_kind)
             key = tuple(lists.color_classes[list(family.order)].tolist())
             if key in built:
-                batch = map_paths(built[key], family, dist)
+                steps = map_steps(built[key], family, dist, ends.pop((a, b)))
             else:
-                batch = built[key] = build_paths(family, dist, fibers[a])
-            src, dst, block_of, blocks = verify_paths(dist, batch, ends.pop((a, b)))
-            first, counts = _first_uses(src * n + dst)
-            x, y = src[first], dst[first]
-            block = np.array([slot[blk] for blk in blocks], dtype=np.intp)[block_of[first]]
+                batch = build_paths(family, dist, fibers[a])
+                src, dst, block_of, blocks = verify_paths(dist, batch, ends.pop((a, b)))
+                steps = built[key] = FamilySteps(family, batch.lengths, src, dst, block_of,
+                                                 blocks, _runs(src * n + dst))
+            first, counts = _first_uses(*steps.runs)
+            x, y = steps.src[first], steps.dst[first]
+            block = np.array([slot[blk] for blk in steps.blocks],
+                             dtype=np.intp)[steps.block_of[first]]
             size, level = np.take(class_size, block * n + x), block_level[block]
             # float_power is libm pow, as Python's ** is, so the loads and
             # their running sums are the floats of a per-transition loop
@@ -670,19 +692,24 @@ def compute_congestion(tree, lists, path_kind):
     return CongestionReport(tree, lists, path_kind, n, per_pair, dist)
 
 
-def _first_uses(key):
-    """The distinct values of ``key`` in order of first use, as the index
-    of each one's first use and its number of uses.  One default (SIMD,
-    unstable) ``argsort``: the run heads of the sorted keys give the counts,
-    the least index in each run its first use, and a table indexed by first
-    use puts the runs in that order with no second sort."""
+def _runs(key):
+    """The indices of ``key`` grouped by value, from one default (SIMD,
+    unstable) ``argsort``: those of one value are ``order[bounds[i]:bounds[i +
+    1]]``, in no particular order."""
     order = np.argsort(key)
     ranked = np.take(key, order)
     bounds = np.ones(len(key) + 1, dtype=bool)
     np.not_equal(ranked[1:], ranked[:-1], out=bounds[1:-1])
-    bounds = np.flatnonzero(bounds)  # the run heads, then len(key)
+    return order, np.flatnonzero(bounds)  # the run heads, then len(key)
+
+
+def _first_uses(order, bounds):
+    """The runs of ``_runs`` in order of first use, as the index of each
+    one's first use and its number of uses: the least index in each run is
+    its first use, and a table indexed by first use puts the runs in that
+    order with no second sort."""
     first = np.minimum.reduceat(order, bounds[:-1])
-    at = np.full(len(key), -1, dtype=np.intp)
+    at = np.full(len(order), -1, dtype=np.intp)
     at[first] = np.arange(len(first))
     used = at[at >= 0]
     return first[used], np.diff(bounds)[used]
@@ -715,7 +742,7 @@ def routing_bound_ell1(delta):
     if any(len(blk) != 1 for blk in blocks):
         raise VerificationError("depth-one routing made a pair move")
     level = np.array([tree.edge_levels[blk[0]] for blk in blocks])[block_of]
-    first, counts = _first_uses(src * dist.size + dst)
+    first, counts = _first_uses(*_runs(src * dist.size + dst))
     expected = {t: int(np.count_nonzero(level == t)) / len(starts) for t in (0, 1)}
     maxmult = {t: int(counts[level[first] == t].max(initial=0)) for t in (0, 1)}
     alpha0 = 4.0 * expected[0] * maxmult[0]

@@ -102,6 +102,16 @@ def _field(value, name, kind=int, positive=False):
     return kind(value)
 
 
+def _at_least(least, name):
+    """The kind of an int field, ``name`` in full, that is at least ``least``:
+    refused by name before any work, as the pipelines would refuse it later."""
+    def kind(value):
+        if _field(value, name) < least:
+            raise ConfigError(f"{name} must be an integer >= {least}, not {value!r}")
+        return value
+    return kind
+
+
 def build_tree(spec):
     """The tree of a ``tree`` section, typed by the keys of its shape."""
     spec = _field(spec, "tree", dict)
@@ -113,8 +123,6 @@ def build_tree(spec):
         except OSError as exc:
             raise ConfigError(f"cannot read tree file {spec['file']}: {exc}")
     if shape == "path":
-        if spec["n_edges"] < 1:
-            raise ConfigError("path needs n_edges >= 1")
         return tree_from_parents([None] + list(range(spec["n_edges"])), 0)
     build = build_complete_regular if shape == "complete_regular" else build_hanging_root
     return build(spec["delta"], spec["depth"])
@@ -145,7 +153,7 @@ def _alpha(alpha):
 
 
 def _delta_range(deltas):
-    return [_field(d, f"delta_range[{i}]")
+    return [_at_least(2, f"delta_range[{i}]")(d)
             for i, d in enumerate(_field(deltas, "delta_range", list))]
 
 
@@ -162,19 +170,21 @@ REQUIRED = object()
 # Each config key, then each key of tree and sweep sections: its kind, and the
 # default an absent or null key takes, or REQUIRED.  A kind is a type of
 # _FIELD_KINDS, a tuple of the values allowed or a function that types the
-# value.  Keys are typed in this order, so a tree is refused before its q.
+# value, as ``_at_least`` does an integer with a lower bound.  Keys are typed
+# in this order, so a tree is refused before its q.
 _FIELDS = {
     "command": (str, None), "out": (str, "results"), "seed": (_seed, None),
-    "tree": (build_tree, REQUIRED), "q": (int, REQUIRED),
+    "tree": (build_tree, REQUIRED), "q": (_at_least(1, "q"), REQUIRED),
     "lists": (("uniform", "star_root", "pinned_root"), "uniform"), "pinned_color": (int, 1),
     "kind": ((*dynamics.SINGLE_EDGE_KINDS, dynamics.NEIGHBOR_PAIR), dynamics.HEATBATH_GLAUBER),
     "caps": (_caps, {}), "include_states": (bool, False), "eps": (_eps, 0.25),
     "edge": (int, 0), "strict": (bool, True), "blocks": (("pairs",), None),
     "paths": ((canonical.GLAUBER_PATHS, canonical.EDGE_PATHS), canonical.GLAUBER_PATHS),
-    "alpha": (_alpha, None), "ell": (int, 1), "gamma": (float, None),
+    "alpha": (_alpha, None), "ell": (_at_least(1, "ell"), 1), "gamma": (float, None),
     "delta_range": (_delta_range, [2, 3, 4]), "sweep": (_sweep, REQUIRED),
-    "shape": (tuple(_SHAPE_KEYS), REQUIRED), "delta": (int, REQUIRED),
-    "depth": (int, REQUIRED), "n_edges": (int, REQUIRED), "file": (str, REQUIRED),
+    "shape": (tuple(_SHAPE_KEYS), REQUIRED), "delta": (_at_least(2, "tree.delta"), REQUIRED),
+    "depth": (_at_least(1, "tree.depth"), REQUIRED),
+    "n_edges": (_at_least(1, "tree.n_edges"), REQUIRED), "file": (str, REQUIRED),
     "param": (str, REQUIRED), "values": (list, REQUIRED),
 }
 

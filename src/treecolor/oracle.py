@@ -9,8 +9,8 @@ distinct colorings of the boundary edges that later edges read, and joins
 each prefix row to the suffix rows of its boundary tuple (``_join``), so no
 step copies the whole support.  A coloring is a row, and the support is kept
 only as the array: ``DistributionTable.rows_of`` maps colorings back to rows,
-and ``DistributionTable.row_map`` gives the checked row action of a color
-permutation, which orbit starts and mapped path families share.
+and ``DistributionTable.row_map`` gives the checked, exact row action of a
+color permutation, which orbit starts and mapped path families share.
 ``count_colorings`` gets the same number by dynamic programming and works on
 trees far too large to enumerate.  ``DistributionTable.classes`` groups the
 support into the classes of states that agree off a block of edges, from
@@ -138,18 +138,21 @@ class DistributionTable:
         colors 0..q (an array, pi[0] = 0, of the table's dtype so that maps
         compose): one ``rows_of`` lookup of the permuted support or, when
         pi = s o t for two maps kept on the table, the composition
-        perm_s[perm_t].  The map must be a bijection of the support (else
-        ``VerificationError``, as for a pi breaking a list), checked in O(N);
-        only then is it kept, with pi, keyed by pi^-1."""
-        inv = np.argsort(pi).astype(pi.dtype)
+        perm_s[perm_t].  The map must be exact, row perm[x] being pi(x) for
+        every row x, so a bijection of the support (else
+        ``VerificationError``, as for a pi breaking a list), checked in
+        O(N m) in both branches; only then is it kept, with pi, keyed by
+        pi^-1."""
+        inv, image = np.argsort(pi).astype(pi.dtype), np.take(pi, self.array)
         for s, perm_s in self._maps.values():  # pi = s o t with t^-1 = pi^-1 o s
             if (t := self._maps.get(inv[s].tobytes())) is not None:
                 perm = perm_s[t[1]]
                 break
         else:
-            perm = self.rows_of(np.take(pi, self.array))
-        if not (perm.min() >= 0 and np.bincount(perm, minlength=self.size).all()):
-            raise VerificationError(f"color map {pi.tolist()} is not a bijection of the support")
+            perm = self.rows_of(image)
+        if not (perm.min() >= 0 and np.array_equal(np.take(self.array, perm, axis=0), image)):
+            raise VerificationError(f"color map {pi.tolist()} is not a bijection "
+                                    f"x -> pi(x) of the support")
         self._maps[inv.tobytes()] = (pi, perm)
         return perm
 

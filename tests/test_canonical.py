@@ -42,6 +42,21 @@ def fiber(dist, r, a):
     return np.flatnonzero(dist.array[:, r] == a)
 
 
+def flip_ends(dist, a, b):
+    """The end rows of the (a, b) family, in path order: the flip of fiber a."""
+    return flip_coupling(dist.tree, dist.lists, a, b, dist).pairs[:, 1]
+
+
+def family_steps(dist, a, b, kind, ends=None):
+    """The (a, b) family's paths from all of fiber a, built and verified, as
+    ``compute_congestion`` keeps the family it builds."""
+    family = path_family(dist.tree, dist.lists, a, b, kind)
+    batch = build_paths(family, dist, fiber(dist, hanging_root_edge(dist.tree), a))
+    src, dst, block_of, blocks = verify_paths(dist, batch, ends)
+    return canonical.FamilySteps(family, batch.lengths, src, dst, block_of, blocks,
+                                 canonical._runs(src * dist.size + dst))
+
+
 def fiber_paths(dist, a, b, kind):
     """The (a, b) family's paths from every root-color-a row, read out of one
     ``build_paths`` batch."""
@@ -395,13 +410,77 @@ def counting(monkeypatch, name):
 
 
 def test_congestion_builds_one_family_per_orbit(monkeypatch):
-    # star-root lists: every (a, b) family is the image of the (1, 2) one
+    # star-root lists: every (a, b) family is the image of the (1, 2) one,
+    # whose verified steps the others take through the exact row map
     tree, lists, _ = star_instance(2, 3, 4)
     built = counting(monkeypatch, "build_paths")
     verified = counting(monkeypatch, "verify_paths")
     compute_congestion(tree, lists, GLAUBER_PATHS)
     assert built == [(1, 2)]
-    assert verified == families(lists, hanging_root_edge(tree))
+    assert verified == [(1, 2)]
+
+
+# (delta, ell, q, kind): the instances on which every family is built and
+# every family but one per orbit is mapped
+ORBIT_INSTANCES = [(2, 3, 4, GLAUBER_PATHS), (2, 7, 4, GLAUBER_PATHS),
+                   (3, 2, 5, GLAUBER_PATHS), (2, 3, 3, EDGE_PATHS)]
+
+
+@pytest.mark.parametrize("delta, ell, q, kind", ORBIT_INSTANCES)
+def test_congestion_of_mapped_families_equals_every_family_built(monkeypatch, delta, ell, q,
+                                                                 kind):
+    tree, lists, _ = star_instance(delta, ell, q)
+    r = hanging_root_edge(tree)
+    with monkeypatch.context() as m:
+        built = counting(m, "build_paths")
+        mapped = compute_congestion(tree, lists, kind).per_pair
+    assert built == [families(lists, r)[0]]
+    monkeypatch.setattr(lists, "color_classes", np.arange(lists.q + 1))
+    built = counting(monkeypatch, "build_paths")
+    every = compute_congestion(tree, lists, kind).per_pair
+    assert built == families(lists, r) == list(mapped)
+    for ab, pc in every.items():
+        got = mapped[ab]
+        for name in ("x", "y", "counts"):
+            assert np.array_equal(getattr(got, name), getattr(pc, name)), (ab, name)
+        assert repr((got.xi_levels, got.xi_pairs, got.r_leaf)) == repr(
+            (pc.xi_levels, pc.xi_pairs, pc.r_leaf)), ab
+
+
+@pytest.mark.parametrize("delta, ell, q, kind", ORBIT_INSTANCES)
+def test_mapped_steps_match_the_verified_built_family(delta, ell, q, kind):
+    tree, lists, dist = star_instance(delta, ell, q)
+    (a0, b0), *rest = families(lists, hanging_root_edge(tree))
+    source = family_steps(dist, a0, b0, kind, flip_ends(dist, a0, b0))
+    for a, b in rest:
+        ends = flip_ends(dist, a, b)
+        got = canonical.map_steps(source, path_family(tree, lists, a, b, kind), dist, ends)
+        want = family_steps(dist, a, b, kind, ends)
+        assert (got.family.a, got.family.b) == (a, b)
+        for name in ("lengths", "src", "dst"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (a, b, name)
+        assert ([got.blocks[i] for i in got.block_of.tolist()]
+                == [want.blocks[i] for i in want.block_of.tolist()]), (a, b)
+        for g, w in zip(canonical._first_uses(*got.runs), canonical._first_uses(*want.runs)):
+            assert np.array_equal(g, w), (a, b)
+
+
+def test_mapped_family_with_a_corrupted_end_raises():
+    # the mapped ends are checked against the flip couplings, with the
+    # message verify_paths gives for the same family built
+    tree, lists, dist = star_instance(2, 3, 4)
+    source = family_steps(dist, 1, 2, GLAUBER_PATHS)
+    for a, b in ((1, 3), (2, 1), (3, 2)):
+        family = path_family(tree, lists, a, b, GLAUBER_PATHS)
+        ends = flip_ends(dist, a, b)
+        bad = ends.copy()
+        bad[5] = ends[6]
+        with pytest.raises(VerificationError) as built:
+            verify_paths(dist, build_paths(family, dist, fiber(dist, family.r, a)), bad)
+        with pytest.raises(VerificationError, match=rf"state \d+: ends at row {ends[5]}, "
+                                                    rf"not at row {ends[6]}, the flip") as mapped:
+            canonical.map_steps(source, family, dist, bad)
+        assert str(mapped.value) == str(built.value)
 
 
 def test_congestion_flips_every_family_on_one_table(monkeypatch):
@@ -474,7 +553,7 @@ def test_first_uses_match_unique_in_order_of_first_use():
     for key in (shuffled, np.array([7]), np.zeros(0, dtype=np.int64)):
         _, first, counts = np.unique(key, return_index=True, return_counts=True)
         used = np.argsort(first)
-        got_first, got_counts = canonical._first_uses(key)
+        got_first, got_counts = canonical._first_uses(*canonical._runs(key))
         for got, want in ((got_first, first[used]), (got_counts, counts[used])):
             assert np.array_equal(got, want) and got.dtype == want.dtype
 
@@ -547,8 +626,8 @@ def test_composed_row_maps_match_rows_of(monkeypatch):
         tree, lists, dist = star_instance(delta, ell, q)
         r = hanging_root_edge(tree)
         (a0, b0), *rest = families(lists, r)
-        source = build_paths(path_family(tree, lists, a0, b0, GLAUBER_PATHS), dist,
-                             fiber(dist, r, a0))
+        source = family_steps(dist, a0, b0, GLAUBER_PATHS)
+        ends = {(a, b): flip_ends(dist, a, b) for a, b in rest}
         looked_up, rows_of = [], dist.rows_of
 
         def counted(colors):
@@ -558,8 +637,8 @@ def test_composed_row_maps_match_rows_of(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(dist, "rows_of", counted)
             for a, b in rest:
-                canonical.map_paths(source, path_family(tree, lists, a, b, GLAUBER_PATHS),
-                                    dist)
+                canonical.map_steps(source, path_family(tree, lists, a, b, GLAUBER_PATHS),
+                                    dist, ends[a, b])
         maps = dist._maps
         assert len(maps) == len(rest) == 5 and looked_up == [dist.size] * 2
         for pi, perm in maps.values():
@@ -570,8 +649,8 @@ def test_composed_row_maps_match_rows_of(monkeypatch):
         broken[0] = perm[1]
         dist._maps = {one.tobytes(): (one, broken), two[0].tobytes(): two}
         with pytest.raises(VerificationError, match="not a bijection"):
-            canonical.map_paths(source, path_family(tree, lists, *rest[2], GLAUBER_PATHS),
-                                dist)
+            canonical.map_steps(source, path_family(tree, lists, *rest[2], GLAUBER_PATHS),
+                                dist, ends[rest[2]])
 
 
 def test_congestion_with_families_no_color_map_relates(monkeypatch):
@@ -590,9 +669,9 @@ def test_congestion_with_families_no_color_map_relates(monkeypatch):
     # the permutation between their orders breaks the root list, and mapping
     # one family onto the other says so
     dist = oracle.enumerate_colorings(tree, lists)
-    source = build_paths(one_two, dist, fiber(dist, r, 1))
+    source = family_steps(dist, 1, 2, GLAUBER_PATHS)
     with pytest.raises(VerificationError, match="not a bijection"):
-        canonical.map_paths(source, one_four, dist)
+        canonical.map_steps(source, one_four, dist, flip_ends(dist, 1, 4))
     with monkeypatch.context() as m:
         built = counting(m, "build_paths")
         rep = compute_congestion(tree, lists, GLAUBER_PATHS)
@@ -620,10 +699,10 @@ def test_congestion_with_families_no_color_map_relates(monkeypatch):
 def test_mapped_family_with_a_corrupted_row_map_raises(monkeypatch):
     tree, lists, dist = star_instance(2, 3, 4)
     r = hanging_root_edge(tree)
-    source = build_paths(path_family(tree, lists, 1, 2, GLAUBER_PATHS), dist,
-                         fiber(dist, r, 1))
+    source = family_steps(dist, 1, 2, GLAUBER_PATHS)
     family = path_family(tree, lists, 1, 3, GLAUBER_PATHS)
-    verify_paths(dist, canonical.map_paths(source, family, dist))
+    ends = flip_ends(dist, 1, 3)
+    canonical.map_steps(source, family, dist, ends)
     rows_of = dist.rows_of
     i, j = fiber(dist, r, 1)[:2]
     # the map of (1, 2)'s order (3, 4, 1, 2) onto (1, 3)'s (2, 4, 1, 3)
@@ -638,14 +717,13 @@ def test_mapped_family_with_a_corrupted_row_map_raises(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(dist, "rows_of", lambda colors: corrupt(rows_of(colors)))
             with pytest.raises(VerificationError, match="not a bijection"):
-                canonical.map_paths(source, family, dist)
-    # a bijection of the fibers that is not pi's row map leaves the paths
-    # broken, which verify_paths finds
+                canonical.map_steps(source, family, dist, ends)
+    # a bijection of the fibers that is not pi's row map is refused by the
+    # mapping itself, which no verify_paths call follows
     with monkeypatch.context() as m:
         m.setattr(dist, "rows_of", lambda colors: swapped(i, j)(rows_of(colors)))
-        batch = canonical.map_paths(source, family, dist)
-    with pytest.raises(VerificationError):
-        verify_paths(dist, batch)
+        with pytest.raises(VerificationError, match=r"is not a bijection x -> pi\(x\)"):
+            canonical.map_steps(source, family, dist, ends)
 
 
 def test_congestion_values_depth_one():

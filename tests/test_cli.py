@@ -305,6 +305,36 @@ def test_real_boolean_and_blocks_fields_refuse_other_values(tmp_path, capsys, co
     assert not (tmp_path / "o").exists()
 
 
+# each was refused inside its pipeline by a bound that named no config field
+# ("delta must be >= 2", "delta must be >= 1", "depth ell must be >= 1", ...)
+@pytest.mark.parametrize("command, doc, error", [
+    ("count", {"tree": {"shape": "path", "n_edges": 2}, "q": 0},
+     "q must be an integer >= 1, not 0"),
+    ("induction", dict(INDUCTION, ell=0), "ell must be an integer >= 1, not 0"),
+    ("star-analysis", {"delta_range": [1]}, "delta_range[0] must be an integer >= 2, not 1"),
+    ("star-analysis", {"delta_range": [2, 0]}, "delta_range[1] must be an integer >= 2, not 0"),
+    ("count", {"tree": {"shape": "complete_regular", "delta": 1, "depth": 2}, "q": 3},
+     "tree.delta must be an integer >= 2, not 1"),
+    ("congestion", {"tree": {"shape": "hanging_root", "delta": 2, "depth": 0}, "q": 4},
+     "tree.depth must be an integer >= 1, not 0"),
+    ("count", {"tree": {"shape": "path", "n_edges": 0}, "q": 3},
+     "tree.n_edges must be an integer >= 1, not 0"),
+    ("sweep", {"tree": {"shape": "path", "n_edges": 2}, "q": 3,
+               "sweep": {"param": "q", "values": [3, -1]}}, "q must be an integer >= 1, not -1"),
+])
+def test_fields_below_their_range_are_refused_by_name(tmp_path, capsys, monkeypatch, command,
+                                                      doc, error):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a pipeline ran")
+
+    for name in ("enumerate_colorings", "count_colorings"):
+        monkeypatch.setattr(oracle, name, no_work)
+    cfg = write_cfg(tmp_path, dict(doc, command=command))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not (tmp_path / "o").exists()
+
+
 # a total-variation distance is at most 1, so eps >= 1 holds at t = 0
 @pytest.mark.parametrize("eps", [1.0, 2.0, 1e-10])
 def test_mix_refuses_eps_outside_unit_interval(tmp_path, capsys, eps):

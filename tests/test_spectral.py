@@ -582,6 +582,19 @@ def test_row_maps_of_class_swaps_match_rows_of():
                     dist.row_map(pi)
 
 
+def test_orbit_starts_refuse_a_row_map_that_is_not_pi(monkeypatch):
+    # a lookup that swaps two rows still gives a bijection of the support,
+    # but not x -> pi(x): the row map refuses it before any label moves
+    star = build_complete_regular(3, 1)
+    dist = oracle.enumerate_colorings(star, uniform_lists(star, 4))
+    rows_of = dist.rows_of
+    monkeypatch.setattr(dist, "rows_of",
+                        lambda colors: rows_of(colors)[np.r_[1, 0, 2:len(colors)]])
+    with pytest.raises(VerificationError, match=r"is not a bijection x -> pi\(x\)"):
+        spectral.orbit_starts(dist)
+    assert not dist._maps
+
+
 def test_orbit_starts_invert_each_kept_map_once(monkeypatch):
     # a kept map is kept with its inverse permutation, so trying the kept
     # maps as factors of a new one inverts none of them again
