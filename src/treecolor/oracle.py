@@ -11,10 +11,11 @@ step copies the whole support.  A coloring is a row, and the support is kept
 only as the array: ``DistributionTable.rows_of`` maps colorings back to rows,
 and ``DistributionTable.row_map`` gives the checked, exact row action of a
 color permutation, which orbit starts and mapped path families share.
-``count_colorings`` gets the same number by dynamic programming and works on
-trees far too large to enumerate.  ``DistributionTable.classes`` groups the
-support into the classes of states that agree off a block of edges, from
-which every block-averaging matrix of the package is built.
+``count_colorings`` gets the same number by the tree sum-product, one
+subset DP over each edge's children, and works on trees far too large to
+enumerate.  ``DistributionTable.classes`` groups the support into the
+classes of states that agree off a block of edges, from which every
+block-averaging matrix of the package, and ``marginal``, is built.
 
 There is one exact row key (``_digit_keys``): the colors as digits of radix
 q+2, the first column most significant, in groups of columns whose keys stay
@@ -214,16 +215,18 @@ class DistributionTable:
 
     def marginal(self, S):
         """Map color-tuple on the sorted edge set ``S`` -> probability, keyed
-        in order of first appearance in the support."""
+        in order of first appearance in the support: the ``classes`` of the
+        edges off ``S``, ordered by their least rows."""
         S = sorted(S)
         n = self.tree.n_edges
         if not S or S[0] < 0 or S[-1] >= n:
             raise ParameterError(f"marginal needs a nonempty set of edges in 0..{n - 1}")
-        keys, first, counts = np.unique(self.array[:, S], axis=0,
-                                        return_index=True, return_counts=True)
-        order = np.argsort(first)
-        return {tuple(k): v / self.size
-                for k, v in zip(keys[order].tolist(), counts[order].tolist())}
+        labels, sizes = self.classes(set(range(n)) - set(S))
+        # each class's least row: the head of its run in a stable sort
+        heads = np.argsort(labels, kind="stable")[np.cumsum(sizes) - sizes]
+        order = np.argsort(heads)
+        keys = self.array[heads[order]][:, S]
+        return {tuple(k): v / self.size for k, v in zip(keys.tolist(), sizes[order].tolist())}
 
     def export(self, include_states=False):
         doc = {
@@ -334,49 +337,44 @@ def _join(prefix, inv, suffix, ids, h):
 
 
 def count_colorings(tree, lists):
-    """Exact count by a bottom-up dynamic program.
+    """Exact count by the tree sum-product (Mézard and Montanari, 2009,
+    ch. 14), bottom-up over the edges.
 
-    For each vertex the table maps the color of its parent edge to the number
-    of proper extensions strictly below that edge.  Children at a vertex are
-    combined with a color-subset DP so sibling colors stay distinct.  Counts
-    are Python integers, so there is no overflow on deep trees.
+    ``below[e][c]`` counts the proper colorings strictly below edge e that
+    leave e its color c.  One subset DP per edge (``_combine_children``)
+    counts the colorings of its child edges and their subtrees by the set
+    of colors the children take; ``below[e][c]`` is their total less the
+    ways whose set holds c, read in one pass over the sets' bits.  The root
+    sums its children's table.  Counts are Python integers, so there is no
+    overflow on deep trees.
     """
     below = {}  # edge -> {color: extension count below the edge}
-
     for e in range(tree.n_edges - 1, -1, -1):
-        kids = tree.child_edges[e]
-        table = {}
-        for c in lists[e]:
-            table[c] = _combine_children(kids, below, lists, frozenset([c]))
-        below[e] = table
-
+        ways = _combine_children(tree.child_edges[e], below)
+        held = {}  # color -> ways whose set holds it
+        for mask, n in ways.items():
+            while mask:
+                c = mask.bit_length() - 1
+                held[c] = held.get(c, 0) + n
+                mask ^= 1 << c
+        total = sum(ways.values())
+        below[e] = {c: total - held.get(c, 0) for c in lists[e]}
     top = [tree.edge_of_child[v] for v in tree.children[tree.root]]
-    return _combine_children(tuple(top), below, lists, frozenset())
+    return sum(_combine_children(top, below).values())
 
 
-def _combine_children(kid_edges, below, lists, forbidden):
-    """Sum over distinct-color assignments to sibling edges of the product of
-    their subtree counts, avoiding the ``forbidden`` colors."""
-    if not kid_edges:
-        return 1
-    palette = sorted(set().union(*(lists[k] for k in kid_edges)) - forbidden)
-    pos = {c: i for i, c in enumerate(palette)}
+def _combine_children(kid_edges, below):
+    """The proper colorings of the sibling edges ``kid_edges`` and their
+    subtrees, counted by the set of colors the siblings take: a dict from
+    that set, bit c for color c, to the sum of the products of their
+    subtree counts."""
     acc = {0: 1}
     for k in kid_edges:
+        moves = [(1 << c, cnt) for c, cnt in below[k].items() if cnt]
         nxt = {}
-        tab = below[k]
         for mask, ways in acc.items():
-            for c in lists[k]:
-                if c in forbidden:
-                    continue
-                bit = 1 << pos[c]
-                if mask & bit:
-                    continue
-                cnt = tab[c]
-                if cnt:
-                    key = mask | bit
-                    nxt[key] = nxt.get(key, 0) + ways * cnt
+            for bit, cnt in moves:
+                if not mask & bit:
+                    nxt[mask | bit] = nxt.get(mask | bit, 0) + ways * cnt
         acc = nxt
-        if not acc:
-            return 0
-    return sum(acc.values())
+    return acc

@@ -101,6 +101,20 @@ def assert_matches_reference(tree, lists):
         assert all(type(k[0]) is int and type(p) is float for k, p in got.items())
 
 
+@pytest.mark.parametrize("tree,q", HANGING)
+def test_marginal_makes_no_unique_call(tree, q, monkeypatch):
+    dist = oracle.enumerate_colorings(tree, star_root_lists(tree, q))
+    states, m = states_of(dist), tree.n_edges
+    blocks = [[0], [m - 1], [1, m - 2], [0, m // 2, m - 1], list(range(m))]
+    want = [list(reference_marginal(states, S).items()) for S in blocks]
+
+    def unique(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", unique)
+    assert [list(dist.marginal(S).items()) for S in blocks] == want
+
+
 @pytest.mark.parametrize("tree,q", ZOO)
 def test_uniform_support_matches_recursive_enumerator(tree, q):
     assert_matches_reference(tree, uniform_lists(tree, q))

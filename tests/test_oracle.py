@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 
 from treecolor import oracle
 from coloring_reference import is_proper, states_of
-from treecolor.colorings import star_root_lists, uniform_lists
+from enumeration_reference import reference_rows
+from treecolor.colorings import ListSpec, star_root_lists, uniform_lists
 from treecolor.errors import (CapacityError, InfeasiblePinningError,
                               ParameterError)
 from treecolor.trees import (build_complete_regular, build_hanging_root,
@@ -60,6 +62,52 @@ def test_count_matches_enumeration():
     assert n == 103680
     d = oracle.enumerate_colorings(t2, lists)
     assert d.size == n
+
+
+def random_tree_and_lists(rng):
+    """A tree of 1..10 edges whose vertices have degree at most 4, with a
+    random nonempty list of colors in 1..q, q <= 6, on each edge."""
+    parent, degree = [None], [0]
+    for v in range(1, rng.randint(2, 11)):
+        u = rng.choice([u for u in range(v) if degree[u] < 4])
+        parent.append(u)
+        degree[u] += 1
+        degree.append(1)
+    tree = tree_from_parents(parent, 0)
+    q = rng.randint(1, 6)
+    lists = ListSpec(q, [rng.sample(range(1, q + 1), rng.randint(1, q))
+                         for _ in range(tree.n_edges)])
+    return tree, lists
+
+
+def test_count_matches_reference_rows_on_random_lists():
+    # empty supports too, which ``enumerate_colorings`` refuses to build
+    rng = random.Random(38)
+    counts = []
+    for _ in range(200):
+        tree, lists = random_tree_and_lists(rng)
+        counts.append(oracle.count_colorings(tree, lists))
+        assert counts[-1] == len(reference_rows(tree, lists)), (tree.parent, lists.lists)
+    assert 0 in counts and max(counts) > 10_000
+
+
+def test_count_runs_one_sibling_dp_per_edge(monkeypatch):
+    calls = []
+    combine = oracle._combine_children
+
+    def counted(*args):
+        calls.append(args[0])
+        return combine(*args)
+
+    monkeypatch.setattr(oracle, "_combine_children", counted)
+    rng = random.Random(5)
+    regular, hanging = build_complete_regular(3, 2), build_hanging_root(2, 3)
+    cases = [(regular, uniform_lists(regular, 5)), (hanging, star_root_lists(hanging, 4)),
+             *(random_tree_and_lists(rng) for _ in range(20))]
+    for tree, lists in cases:
+        calls.clear()
+        oracle.count_colorings(tree, lists)
+        assert len(calls) == tree.n_edges + 1
 
 
 def test_capacity_error_names_count():
