@@ -16,12 +16,13 @@ realize that flip as a sequence of legal chain moves in three stages:
 Each (a, b) family of paths is built in one batch on rows of the enumerated
 support (``build_paths``): numpy walks over all start colorings at once give
 the alternating paths, the Stage-I detours and every step's edits, and each
-state is looked up as a support row, so no coloring becomes a tuple.  A
-family whose order runs through the color classes of one already built is
-that one's image under a color permutation: the built family's verified
-steps sent through the table's exact ``row_map`` (``map_steps``), neither
-built, verified nor sorted again.  The expected congestion these paths
-place on each tree level is computed exactly by enumeration.
+state is looked up as a support row, so no coloring becomes a tuple.  The
+expected congestion these paths place on each tree level is an exact
+rational, summed in integers and rounded once.  A family whose order runs
+through the color classes of one already built is that one's image under a
+color permutation, which keeps every congestion sum: it takes the built
+family's sums and counts, and its transitions through the table's exact
+``row_map``, neither built, verified nor counted again.
 
 At these sizes the passes pay mostly for numpy's per-call costs, so they read
 rows of narrow 2-D arrays with ``np.take(..., axis=0)`` and scattered cells as
@@ -34,10 +35,10 @@ default ``np.sort``/``np.argsort`` (numpy's SIMD quicksort), and take the
 stable kind (timsort) only on keys in long sorted runs or where its order names
 a failure: on that host (AVX-512, numpy 2.4), 4,100 shuffled keys took 275-316
 us by a stable ``argsort``, 62-80 us by the default one and 25-30 us by
-``np.sort``.  So ``_runs`` groups a built family's transitions and
-``compute_congestion`` splits their loads by level, each by one default
-``argsort``, and ``verify_paths`` finds a revisit by a stable ``np.sort`` of
-its path-major keys, sorting stably by index only to name the first one.
+``np.sort``.  So ``_runs`` groups a built family's transitions by one
+default ``argsort``, and ``verify_paths`` finds a revisit by a stable
+``np.sort`` of its path-major keys, sorting stably by index only to name the
+first one.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import oracle
 from .colorings import star_root_lists
-from .errors import ParameterError, UnsupportedRegimeError, VerificationError
+from .errors import CapacityError, ParameterError, UnsupportedRegimeError, VerificationError
 from .trees import build_hanging_root, hanging_root_edge
 
 GLAUBER_PATHS = "glauber"
@@ -498,63 +499,22 @@ def _check_ends(starts, got, ends, lengths):
                                 f"the flip of the start")
 
 
-@dataclass
-class FamilySteps:
-    """The verified steps of one family's paths from every row of fiber a,
-    in path order (ascending start rows): what ``verify_paths`` returns, and
-    the steps grouped by transition (``_runs`` of src * N + dst)."""
-    family: PathFamily
-    lengths: np.ndarray        # steps per path
-    src: np.ndarray            # per step, the support rows it moves between
-    dst: np.ndarray
-    block_of: np.ndarray       # per step, the index in ``blocks`` of its block
-    blocks: list
-    runs: tuple                # (order, bounds) of ``_runs``
-
-
-def map_steps(steps, family, dist, ends):
-    """The steps of ``family``, the image of the verified ``steps`` under the
-    color permutation pi sending ``steps.family.order`` onto ``family.order``
-    (the construction takes the first color of an order that passes a test
-    pi carries over).  pi's row map is exact (``DistributionTable.row_map``),
-    so every check of ``verify_paths`` carries over; the fibers and ``ends``
-    are checked (else ``VerificationError``), and paths put in ascending
-    order of their start rows, as ``build_paths`` puts them."""
-    pi = np.zeros(dist.lists.q + 1, dtype=dist.array.dtype)
-    pi[list(steps.family.order)] = family.order
-    perm = dist.row_map(pi)
-    root = dist.array[:, family.r]
-    starts = np.take(perm, np.flatnonzero(root == steps.family.a))  # per path, its image's start
-    order = np.argsort(starts)
-    starts = np.take(starts, order)
-    if not np.array_equal(starts, np.flatnonzero(root == family.a)):
-        raise VerificationError(f"the color map {steps.family.order} -> "
-                                f"{family.order} is not a bijection of the fibers")
-    lengths = np.take(steps.lengths, order)
-    first = np.cumsum(lengths) - lengths
-    step = np.repeat(np.take(np.cumsum(steps.lengths) - steps.lengths, order) - first, lengths)
-    step += np.arange(len(step))  # per mapped step, its step of ``steps``
-    src, dst = np.take(perm, np.take(steps.src, step)), np.take(perm, np.take(steps.dst, step))
-    _check_ends(starts, np.take(dst, first + lengths - 1), ends, lengths)
-    at = np.empty_like(step)  # per step of ``steps``, its mapped step
-    at[step] = np.arange(len(step))
-    runs, bounds = steps.runs
-    return FamilySteps(family, lengths, src, dst, np.take(steps.block_of, step), steps.blocks,
-                       (np.take(at, runs), bounds))
-
-
 # ---------------------------------------------------------------------------
 # Congestion
 
 
 @dataclass
 class PairCongestion:
+    """The congestion of the (a, b) family.  Its transitions come in the
+    order of the family built for its orbit: the order of first use there,
+    and for a family mapped from it, the images of those, in the same order.
+    Every float is an exact rational rounded once."""
     a: int
     b: int
     fiber_a: int
     fiber_b: int
-    x: np.ndarray              # the used transitions x -> y as support rows,
-    y: np.ndarray              # in order of first use
+    x: np.ndarray              # the used transitions x -> y as support rows
+    y: np.ndarray
     counts: np.ndarray         # paths using each of them
     xi_levels: dict            # level -> full-measure congestion sum
     xi_pairs: float            # same for the root-pair blocks
@@ -562,7 +522,8 @@ class PairCongestion:
 
     @property
     def usage(self):
-        """(row, row) of the support -> paths using it, in order of first use."""
+        """(row, row) of the support -> paths using it, in the order of
+        ``x`` and ``y``."""
         return dict(zip(zip(self.x.tolist(), self.y.tolist()), self.counts.tolist()))
 
     def restricted_scale(self, n_states):
@@ -621,17 +582,27 @@ def compute_congestion(tree, lists, path_kind):
     """Exact expected congestion of the canonical-path family, per ordered
     root-color pair and per tree level (plus the root-pair block class).
 
-    Paths are built, checked by ``verify_paths`` and grouped by transition
-    once per orbit of families under the list-keeping color permutations: a
-    family whose order runs through the ``color_classes`` of a built one is
-    that one's image (``map_steps``, through the row maps the table keeps
-    and composes), whose order of first use alone is found anew.  End rows
-    come from the flip couplings of every pair a < b, made in one
-    ``flip_rows`` pass, whose inverses give the (b, a) ends, since the flip
-    is an involution.  A move that changes block B out of state x
-    has heat-bath rate 1/s, with s the size of the class of x under B:
+    With F the size of fiber a, a transition used by k of the (a, b) paths
+    and moving block B out of state x loads its class N s (k / F)^2, where
+    the heat-bath rate 1/s has s the size of the class of x under B:
     ``DistributionTable.choices(e)`` for a singleton (e,), and
-    ``DistributionTable.classes(B)`` for a pair.
+    ``DistributionTable.classes(B)`` for a pair.  So each level's sum is N S
+    / F^2 for the integer S = sum k^2 s, added as Python ints from int64
+    terms (which F^2 max s < 2^63 keeps exact, else ``CapacityError``) and
+    rounded once by int/int division; the leaf term sum k^2 / N likewise.
+
+    Paths are built, checked by ``verify_paths`` and counted once per orbit
+    of families under the list-keeping color permutations.  A family whose
+    order runs through the ``color_classes`` of a built one is that one's
+    image under the permutation pi sending one order onto the other, which
+    keeps every class size, fiber size and level: it takes the built pair's
+    sums and counts, and its transitions are theirs through pi's exact
+    ``row_map`` (which the table keeps and composes).  That the map is a
+    bijection of the fibers, and that it sends the built paths' ends to the
+    flips of the mapped starts, is checked (else ``VerificationError``).
+    End rows come from the flip couplings of every pair a < b, made in one
+    ``flip_rows`` pass, whose inverses give the (b, a) ends, since the flip
+    is an involution.
     """
     r = hanging_root_edge(tree)
     root_colors = sorted(lists[r])
@@ -652,44 +623,63 @@ def compute_congestion(tree, lists, path_kind):
         else:
             labels, sizes = dist.classes(block)
             class_size[k] = sizes[labels]
+    if max(map(len, fibers.values())) ** 2 * int(class_size.max()) >= 2 ** 63:
+        raise CapacityError("congestion terms count^2 * class size overflow int64")
     pairs = [(a, b) for a in root_colors for b in root_colors if a < b]
     ends = {}  # the flip of fiber a, and its inverse for (b, a)
     for c in _flip_couplings(tree, lists, pairs, dist):
         ends[c.a, c.b] = c.pairs[:, 1]
         ends[c.b, c.a] = fibers[c.a][np.argsort(c.pairs[:, 1])]
-    per_pair, built = {}, {}  # built: the verified steps of one family per orbit
+    per_pair, built = {}, {}  # built: per orbit, the arguments of ``_mapped_pair``
     for a in root_colors:
         for b in root_colors:
             if a == b:
                 continue
             family = path_family(tree, lists, a, b, path_kind)
             key = tuple(lists.color_classes[list(family.order)].tolist())
+            end = ends.pop((a, b))
             if key in built:
-                steps = map_steps(built[key], family, dist, ends.pop((a, b)))
-            else:
-                batch = build_paths(family, dist, fibers[a])
-                src, dst, block_of, blocks = verify_paths(dist, batch, ends.pop((a, b)))
-                steps = built[key] = FamilySteps(family, batch.lengths, src, dst, block_of,
-                                                 blocks, _runs(src * n + dst))
-            first, counts = _first_uses(*steps.runs)
-            x, y = steps.src[first], steps.dst[first]
-            block = np.array([slot[blk] for blk in steps.blocks],
-                             dtype=np.intp)[steps.block_of[first]]
-            size, level = np.take(class_size, block * n + x), block_level[block]
-            # float_power is libm pow, as Python's ** is, so the loads and
-            # their running sums are the floats of a per-transition loop
-            p_ra = 1.0 / len(fibers[a])
-            load = np.float_power(counts * p_ra, 2) * n / (1.0 / size)
-            # one default argsort of unique keys puts the loads in runs by
-            # level (the pair blocks, -1, first), each in order of first use
-            order = np.argsort((level + 1) * len(level) + np.arange(len(level)))
-            cuts = np.cumsum(np.bincount(level + 1, minlength=ell + 2)).tolist()
-            load, leaf = np.take(load, order), np.take(counts, order[cuts[-2]:])
-            sums = [_running_sum(load[i:j]) for i, j in zip([0] + cuts, cuts)]
+                per_pair[(a, b)] = _mapped_pair(dist, family, *built[key], fibers, end)
+                continue
+            batch = build_paths(family, dist, fibers[a])
+            src, dst, block_of, blocks = verify_paths(dist, batch, end)
+            first, counts = _first_uses(*_runs(src * n + dst))
+            x, y = src[first], dst[first]
+            block = np.array([slot[blk] for blk in blocks], dtype=np.intp)[block_of[first]]
+            level, terms = block_level[block], counts * counts * np.take(class_size, block * n + x)
+            sums = [sum(terms[level == t].tolist()) for t in range(-1, ell + 1)]
+            f2 = len(fibers[a]) ** 2
             per_pair[(a, b)] = PairCongestion(
                 a, b, len(fibers[a]), len(fibers[b]), x, y, counts,
-                dict(enumerate(sums[1:])), sums[0], _running_sum(leaf ** 2 / n))
+                {t: n * s / f2 for t, s in enumerate(sums[1:])}, n * sums[0] / f2,
+                sum((counts[level == ell] ** 2).tolist()) / n)
+            built[key] = (family, per_pair[(a, b)], batch.lengths, end)
     return CongestionReport(tree, lists, path_kind, n, per_pair, dist)
+
+
+def _mapped_pair(dist, family, source, pc, lengths, source_ends, fibers, ends):
+    """The ``PairCongestion`` of ``family`` from that of the built family
+    ``source``, its image under the color permutation pi sending
+    ``source.order`` onto ``family.order`` (the construction takes the first
+    color of an order that passes a test pi carries over).  pi's row map is
+    exact (``DistributionTable.row_map``), so the image of each verified
+    path of ``lengths`` steps, from start x to its row of ``source_ends``,
+    runs from pi(x) to pi(that row); the images must biject the fibers and
+    end at ``ends``, the flips of the mapped starts in ascending order, else
+    ``VerificationError``."""
+    pi = np.zeros(dist.lists.q + 1, dtype=dist.array.dtype)
+    pi[list(source.order)] = family.order
+    perm = dist.row_map(pi)
+    starts = np.take(perm, fibers[source.a])  # per built path, its image's start
+    order = np.argsort(starts)
+    if not np.array_equal(np.take(starts, order), fibers[family.a]):
+        raise VerificationError(f"the color map {source.order} -> "
+                                f"{family.order} is not a bijection of the fibers")
+    _check_ends(fibers[family.a], np.take(perm, np.take(source_ends, order)), ends,
+                np.take(lengths, order))
+    return PairCongestion(family.a, family.b, pc.fiber_a, len(fibers[family.b]),
+                          np.take(perm, pc.x), np.take(perm, pc.y), pc.counts,
+                          dict(pc.xi_levels), pc.xi_pairs, pc.r_leaf)
 
 
 def _runs(key):
@@ -713,11 +703,6 @@ def _first_uses(order, bounds):
     at[first] = np.arange(len(first))
     used = at[at >= 0]
     return first[used], np.diff(bounds)[used]
-
-
-def _running_sum(values):
-    """The float sum of ``values`` added left to right from 0.0."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import mul, sub
 
 import numpy as np
 
@@ -341,40 +342,40 @@ def count_colorings(tree, lists):
     ch. 14), bottom-up over the edges.
 
     ``below[e][c]`` counts the proper colorings strictly below edge e that
-    leave e its color c.  One subset DP per edge (``_combine_children``)
-    counts the colorings of its child edges and their subtrees by the set
-    of colors the children take; ``below[e][c]`` is their total less the
-    ways whose set holds c, read in one pass over the sets' bits.  The root
-    sums its children's table.  Counts are Python integers, so there is no
-    overflow on deep trees.
+    leave e its color c.  One subset DP per edge (``_combine_children``),
+    keyed by sets of child edges, counts the colorings of its children and
+    their subtrees, and for every color c of L_e at once those in which no
+    child takes c: ``below[e][c]``.  The root takes its children's total.
+    Counts are Python integers, so there is no overflow on deep trees.
     """
     below = {}  # edge -> {color: extension count below the edge}
     for e in range(tree.n_edges - 1, -1, -1):
-        ways = _combine_children(tree.child_edges[e], below)
-        held = {}  # color -> ways whose set holds it
-        for mask, n in ways.items():
-            while mask:
-                c = mask.bit_length() - 1
-                held[c] = held.get(c, 0) + n
-                mask ^= 1 << c
-        total = sum(ways.values())
-        below[e] = {c: total - held.get(c, 0) for c in lists[e]}
+        below[e] = _combine_children([below[k] for k in tree.child_edges[e]], lists[e])[1]
     top = [tree.edge_of_child[v] for v in tree.children[tree.root]]
-    return sum(_combine_children(top, below).values())
+    return _combine_children([below[k] for k in top], ())[0]
 
 
-def _combine_children(kid_edges, below):
-    """The proper colorings of the sibling edges ``kid_edges`` and their
-    subtrees, counted by the set of colors the siblings take: a dict from
-    that set, bit c for color c, to the sum of the products of their
-    subtree counts."""
-    acc = {0: 1}
-    for k in kid_edges:
-        moves = [(1 << c, cnt) for c, cnt in below[k].items() if cnt]
-        nxt = {}
-        for mask, ways in acc.items():
-            for bit, cnt in moves:
-                if not mask & bit:
-                    nxt[mask | bit] = nxt.get(mask | bit, 0) + ways * cnt
-        acc = nxt
-    return acc
+def _combine_children(tables, colors):
+    """The proper colorings of sibling edges and their subtrees, from each
+    sibling's table {color: subtree count}: their total, and per color c of
+    ``colors`` the number in which no sibling takes c.
+
+    A subset DP keyed by sets S of siblings: W(S) counts the colorings of S,
+    and A(S)[c] those in which no sibling of S takes c.  A coloring of S that
+    uses c gives it to one sibling i, so A(S)[c] = W(S) - sum_{i in S}
+    t_i[c] A(S - i)[c], and W(S) = sum_c t_i[c] A(S - i)[c] for any one i in
+    S.  Each A(S) is a list over U, the colors some sibling may take, made a
+    whole list at a time, so for d siblings the DP costs O(|U| 2^d d), and
+    the colors of ``colors`` outside U avoid every sibling: W of all."""
+    used = sorted({c for t in tables for c, n in t.items() if n})
+    weights = [[t.get(c, 0) for c in used] for t in tables]
+    ways, avoid = [1], [[1] * len(used)]
+    for s in range(1, 1 << len(tables)):
+        kids = [(w, avoid[s ^ (1 << i)]) for i, w in enumerate(weights) if s >> i & 1]
+        ways.append(sum(map(mul, *kids[0])))
+        row = [ways[-1]] * len(used)
+        for w, a in kids:
+            row = list(map(sub, row, map(mul, w, a)))
+        avoid.append(row)
+    total, avoid = ways[-1], dict(zip(used, avoid[-1]))
+    return total, {c: avoid.get(c, total) for c in colors}

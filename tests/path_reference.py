@@ -13,7 +13,8 @@ The per-coloring lemmas behind the congestion bound are checked here too:
 ``reference_gamma_stats`` walks the Stage-I detours of one coloring, and
 ``reference_leaf_count_check`` and ``reference_tail_probability_check`` set
 them against the closed forms ``leaf_count_bound`` and
-``tail_probability_bound``.
+``tail_probability_bound``.  ``exact_congestion`` is the per-transition
+oracle for the congestion sums, in Python ints.
 """
 
 import math
@@ -236,9 +237,37 @@ def tail_probability_bound(delta, ell, s, x):
     return val
 
 
+def exact_congestion(dist, usage, fiber_a, class_size=None):
+    """The congestion of one family from its ``usage`` {(x, y): paths}, one
+    transition at a time in Python ints: a move x -> y used by k of the F =
+    ``fiber_a`` paths, changing block B at level t (-1 for a pair block),
+    adds k^2 s to S_t, with s the size of the class of x under B re-read
+    from the support by ``dist.classes`` (or ``class_size(x, B)``); each
+    level reports N S_t / F^2 and the leaf term sum k^2 / N, each an int/int
+    division, so rounded once.  Returns (xi_levels, xi_pairs, r_leaf)."""
+    tree, n, classes = dist.tree, dist.size, {}
+    if class_size is None:
+        def class_size(x, block):
+            if block not in classes:
+                classes[block] = dist.classes(block)
+            labels, sizes = classes[block]
+            return int(sizes[labels[x]])
+    ell = tree.max_level
+    sums, leaf = dict.fromkeys(range(-1, ell + 1), 0), 0
+    for (x, y), k in usage.items():
+        x, k = int(x), int(k)
+        block = tuple(np.flatnonzero(dist.array[x] != dist.array[y]).tolist())
+        s = class_size(x, block)
+        level = tree.edge_levels[block[0]] if len(block) == 1 else -1
+        sums[level] += k * k * s
+        leaf += k * k if level == ell else 0
+    f2 = fiber_a * fiber_a
+    return {t: n * sums[t] / f2 for t in range(ell + 1)}, n * sums[-1] / f2, leaf / n
+
+
 def leaf_multiplicity_sums(report, a, b):
-    """Per source row of the (a, b) usage, in order of first use, the sum of
-    count**2 over its leaf transitions: single-edge moves at the deepest
+    """Per source row of the (a, b) usage, in the order of its transitions,
+    the sum of count**2 over its leaf transitions: single-edge moves at the deepest
     level, found by diffing the two rows of each used transition."""
     pc, array, tree = report.per_pair[(a, b)], report.dist.array, report.tree
     changed = array[pc.x] != array[pc.y]

@@ -18,6 +18,7 @@ import scipy.sparse as sp
 
 from coloring_reference import (available_colors, block_assignments, index_of,
                                 states_of)
+from path_reference import exact_congestion
 from treecolor import dynamics, oracle, spectral
 from treecolor import tensorization as tz
 from treecolor.canonical import EDGE_PATHS, GLAUBER_PATHS, compute_congestion
@@ -281,26 +282,14 @@ def test_congestion_rates_match_block_assignments():
         tree = build_hanging_root(delta, ell)
         lists = star_root_lists(tree, q)
         rep = compute_congestion(tree, lists, kind)
-        n, states = rep.n_states, states_of(rep.dist)
+        states = states_of(rep.dist)
+
+        def assignments(x, block):  # s, whose 1/s is the rate of moving block out of x
+            return len(block_assignments(tree, lists, states[x], block))
+
         for pc in rep.per_pair.values():
-            p_ra = 1.0 / pc.fiber_a
-            xi_levels = {t: 0.0 for t in range(ell + 1)}
-            xi_pairs = r_leaf = 0.0
-            for (x, y), count in pc.usage.items():
-                x, y = states[x], states[y]
-                diff = tuple(e for e in range(tree.n_edges) if x[e] != y[e])
-                rate = 1.0 / len(block_assignments(tree, lists, x, diff))
-                load = (count * p_ra) ** 2 * n / rate
-                if len(diff) == 1:
-                    lvl = tree.edge_levels[diff[0]]
-                    xi_levels[lvl] += load
-                    if lvl == ell:
-                        r_leaf += count ** 2 / n
-                else:
-                    xi_pairs += load
-            assert pc.xi_levels == xi_levels
-            assert pc.xi_pairs == xi_pairs
-            assert pc.r_leaf == r_leaf
+            want = exact_congestion(rep.dist, pc.usage, pc.fiber_a, assignments)
+            assert repr((pc.xi_levels, pc.xi_pairs, pc.r_leaf)) == repr(want)
 
 
 def one_step_targets(tree, lists, kind, state, block_spec=None):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 import numpy as np
 
 from coloring_reference import alternating_path, flip, index_of, states_of
-from path_reference import (CanonicalPath, batch_of_paths,
+from path_reference import (CanonicalPath, batch_of_paths, exact_congestion,
                             leaf_multiplicity_sums, reference_gamma_stats,
                             reference_leaf_count_check, reference_path,
                             reference_routing_bound_ell1,
@@ -47,14 +48,22 @@ def flip_ends(dist, a, b):
     return flip_coupling(dist.tree, dist.lists, a, b, dist).pairs[:, 1]
 
 
-def family_steps(dist, a, b, kind, ends=None):
-    """The (a, b) family's paths from all of fiber a, built and verified, as
-    ``compute_congestion`` keeps the family it builds."""
+def built_usage(dist, a, b, kind):
+    """The (a, b) family's paths from all of fiber a, built and verified
+    against the flip, counted per transition: {(x, y): paths}."""
     family = path_family(dist.tree, dist.lists, a, b, kind)
     batch = build_paths(family, dist, fiber(dist, hanging_root_edge(dist.tree), a))
-    src, dst, block_of, blocks = verify_paths(dist, batch, ends)
-    return canonical.FamilySteps(family, batch.lengths, src, dst, block_of, blocks,
-                                 canonical._runs(src * dist.size + dst))
+    src, dst, _, _ = verify_paths(dist, batch, flip_ends(dist, a, b))
+    return collections.Counter(zip(src.tolist(), dst.tolist()))
+
+
+def row_map_of(dist, a0, b0, a, b):
+    """The support rows of pi(x) for every row x, pi the color map sending
+    the (a0, b0) family's order onto the (a, b) family's, by ``rows_of``."""
+    q = dist.lists.q
+    pi = np.zeros(q + 1, dtype=dist.array.dtype)
+    pi[list(color_order(q, a0, b0))] = color_order(q, a, b)
+    return dist.rows_of(pi[dist.array])
 
 
 def fiber_paths(dist, a, b, kind):
@@ -346,10 +355,11 @@ def test_congestion_checks_paths_on_support_rows(monkeypatch):
 
 
 def reference_congestion(tree, lists, kind):
-    """Usage and loads from the per-start reference paths, counted per
-    transition of state tuples in first-use order and summed in that order."""
+    """Usage from the per-start reference paths, counted per transition of
+    state tuples in first-use order, with its sums made by
+    ``exact_congestion`` and its leaf multiplicity sums per source row."""
     dist = oracle.enumerate_colorings(tree, lists)
-    r, n, ell = hanging_root_edge(tree), dist.size, tree.max_level
+    r, ell = hanging_root_edge(tree), tree.max_level
     states, index = states_of(dist), index_of(dist)
     out = {}
     for a, b in families(lists, r):
@@ -361,48 +371,51 @@ def reference_congestion(tree, lists, kind):
             for move, block in zip(path.transitions(), path.blocks):
                 usage[move] = usage.get(move, 0) + 1
                 moved[move] = tuple(sorted(block))
-        p_ra = 1.0 / len(starts)
-        class_size = {block: dist.classes(block) for block in set(moved.values())}
-        xi_levels = {t: 0.0 for t in range(ell + 1)}
-        xi_pairs = r_leaf = 0.0
-        leaf_sums = {}
+        rows, leaf_sums = {}, {}
         for (x, y), count in usage.items():
+            rows[index[x], index[y]] = count
             block = moved[(x, y)]
-            labels, sizes = class_size[block]
-            rate = 1.0 / int(sizes[labels[index[x]]])
-            load = (count * p_ra) ** 2 * n / rate
-            if len(block) == 1:
-                xi_levels[tree.edge_levels[block[0]]] += load
-                if tree.edge_levels[block[0]] == ell:
-                    r_leaf += count ** 2 / n
-                    leaf_sums[index[x]] = leaf_sums.get(index[x], 0) + count ** 2
-            else:
-                xi_pairs += load
-        out[(a, b)] = ([((index[x], index[y]), c) for (x, y), c in usage.items()],
-                       xi_levels, xi_pairs, r_leaf, list(leaf_sums.items()))
+            if len(block) == 1 and tree.edge_levels[block[0]] == ell:
+                leaf_sums[index[x]] = leaf_sums.get(index[x], 0) + count ** 2
+        out[(a, b)] = (rows, *exact_congestion(dist, rows, len(starts)), leaf_sums)
     return out
 
 
-def test_congestion_is_bit_identical_to_per_transition_loop():
+def assert_matches_reference(rep, reference, built):
+    """Every pair of ``rep`` against ``reference_congestion``: the same usage
+    and leaf sums, the sums bit for bit, and for the pairs ``built``, the
+    transitions in the reference's order of first use."""
+    for ab, (usage, xi_levels, xi_pairs, r_leaf, leaf_sums) in reference.items():
+        pc = rep.per_pair[ab]
+        assert pc.usage == usage, ab
+        assert repr((pc.xi_levels, pc.xi_pairs, pc.r_leaf)) == repr(
+            (xi_levels, xi_pairs, r_leaf)), ab
+        assert leaf_multiplicity_sums(rep, *ab) == leaf_sums, ab
+        if ab in built:
+            assert list(pc.usage) == list(usage), ab
+            assert list(leaf_multiplicity_sums(rep, *ab)) == list(leaf_sums), ab
+
+
+def test_congestion_is_bit_identical_to_per_transition_loop(monkeypatch):
+    built = counting(monkeypatch, "build_paths")
     for delta, ell, q, kind in PATH_INSTANCES:
         tree, lists, _ = star_instance(delta, ell, q)
+        built.clear()
         rep = compute_congestion(tree, lists, kind)
-        for ab, (usage, xi_levels, xi_pairs, r_leaf, leaf_sums) in (
-                reference_congestion(tree, lists, kind).items()):
-            pc = rep.per_pair[ab]
-            assert list(pc.usage.items()) == usage
-            assert repr((pc.xi_levels, pc.xi_pairs, pc.r_leaf)) == repr(
-                (xi_levels, xi_pairs, r_leaf))
-            assert list(leaf_multiplicity_sums(rep, *ab).items()) == leaf_sums
+        assert_matches_reference(rep, reference_congestion(tree, lists, kind), built)
 
 
 def counting(monkeypatch, name):
-    """Replace ``canonical.<name>`` by a wrapper that records its families."""
+    """Replace ``canonical.<name>`` by a wrapper that records its families
+    (for ``_first_uses``, the number of runs)."""
     calls, inner = [], getattr(canonical, name)
 
     def counted(*args):
-        family = args[1].family if name == "verify_paths" else args[0]
-        calls.append((family.a, family.b))
+        if name == "_first_uses":
+            calls.append(len(args[1]) - 1)
+        else:
+            family = args[1].family if name == "verify_paths" else args[0]
+            calls.append((family.a, family.b))
         return inner(*args)
 
     monkeypatch.setattr(canonical, name, counted)
@@ -411,13 +424,16 @@ def counting(monkeypatch, name):
 
 def test_congestion_builds_one_family_per_orbit(monkeypatch):
     # star-root lists: every (a, b) family is the image of the (1, 2) one,
-    # whose verified steps the others take through the exact row map
+    # whose sums and counts the others take, with their transitions through
+    # the exact row map: one family built, verified and counted
     tree, lists, _ = star_instance(2, 3, 4)
     built = counting(monkeypatch, "build_paths")
     verified = counting(monkeypatch, "verify_paths")
-    compute_congestion(tree, lists, GLAUBER_PATHS)
+    counted = counting(monkeypatch, "_first_uses")
+    rep = compute_congestion(tree, lists, GLAUBER_PATHS)
     assert built == [(1, 2)]
     assert verified == [(1, 2)]
+    assert counted == [len(rep.per_pair[1, 2].counts)]
 
 
 # (delta, ell, q, kind): the instances on which every family is built and
@@ -439,47 +455,87 @@ def test_congestion_of_mapped_families_equals_every_family_built(monkeypatch, de
     built = counting(monkeypatch, "build_paths")
     every = compute_congestion(tree, lists, kind).per_pair
     assert built == families(lists, r) == list(mapped)
+    # the built pair equal down to its order of first use, and every pair
+    # to its usage and its sums, bit for bit
+    first = families(lists, r)[0]
+    for name in ("x", "y", "counts"):
+        assert np.array_equal(getattr(mapped[first], name), getattr(every[first], name)), name
     for ab, pc in every.items():
         got = mapped[ab]
-        for name in ("x", "y", "counts"):
-            assert np.array_equal(getattr(got, name), getattr(pc, name)), (ab, name)
+        assert (got.fiber_a, got.fiber_b, got.usage) == (pc.fiber_a, pc.fiber_b, pc.usage), ab
         assert repr((got.xi_levels, got.xi_pairs, got.r_leaf)) == repr(
             (pc.xi_levels, pc.xi_pairs, pc.r_leaf)), ab
 
 
+def test_congestion_is_invariant_under_color_relabeling():
+    # relabel the colors by sigma, which moves the largest root color to q:
+    # where sigma carries the (a, b) family's order onto the (sigma a,
+    # sigma b) family's, that family of the relabeled instance is the image
+    # of the first, whether built or mapped there, and its congestion is the
+    # same, bit for bit
+    checked = 0
+    for delta, ell, q, kind in ORBIT_INSTANCES:
+        tree, lists, dist = star_instance(delta, ell, q)
+        top = max(lists[hanging_root_edge(tree)])
+        sigma = np.arange(q + 1, dtype=dist.array.dtype)
+        sigma[[top, q]] = q, top
+        relabeled = colorings.ListSpec(q, [{int(sigma[c]) for c in s} for s in lists.lists])
+        rep, image = (compute_congestion(tree, ls, kind) for ls in (lists, relabeled))
+        perm = image.dist.rows_of(sigma[dist.array]).tolist()
+        assert min(perm) >= 0
+        for (a, b), pc in rep.per_pair.items():
+            sa, sb = int(sigma[a]), int(sigma[b])
+            if tuple(sigma[list(color_order(q, a, b))].tolist()) != color_order(q, sa, sb):
+                continue
+            got = image.per_pair[sa, sb]
+            assert got.usage == {(perm[x], perm[y]): k for (x, y), k in pc.usage.items()}
+            assert repr((got.xi_levels, got.xi_pairs, got.r_leaf)) == repr(
+                (pc.xi_levels, pc.xi_pairs, pc.r_leaf)), (a, b)
+            checked += 1
+    assert checked >= len(ORBIT_INSTANCES)
+
+
 @pytest.mark.parametrize("delta, ell, q, kind", ORBIT_INSTANCES)
 def test_mapped_steps_match_the_verified_built_family(delta, ell, q, kind):
+    # each mapped pair uses the transitions of its own family built and
+    # verified, listed as the images of the built pair's, in its order
     tree, lists, dist = star_instance(delta, ell, q)
     (a0, b0), *rest = families(lists, hanging_root_edge(tree))
-    source = family_steps(dist, a0, b0, kind, flip_ends(dist, a0, b0))
+    rep = compute_congestion(tree, lists, kind)
+    source = rep.per_pair[a0, b0]
     for a, b in rest:
-        ends = flip_ends(dist, a, b)
-        got = canonical.map_steps(source, path_family(tree, lists, a, b, kind), dist, ends)
-        want = family_steps(dist, a, b, kind, ends)
-        assert (got.family.a, got.family.b) == (a, b)
-        for name in ("lengths", "src", "dst"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), (a, b, name)
-        assert ([got.blocks[i] for i in got.block_of.tolist()]
-                == [want.blocks[i] for i in want.block_of.tolist()]), (a, b)
-        for g, w in zip(canonical._first_uses(*got.runs), canonical._first_uses(*want.runs)):
-            assert np.array_equal(g, w), (a, b)
+        got, perm = rep.per_pair[a, b], row_map_of(dist, a0, b0, a, b)
+        assert got.usage == built_usage(dist, a, b, kind), (a, b)
+        for name in ("x", "y"):
+            assert np.array_equal(getattr(got, name), perm[getattr(source, name)]), (a, b)
+        assert np.array_equal(got.counts, source.counts), (a, b)
 
 
-def test_mapped_family_with_a_corrupted_end_raises():
+def test_mapped_family_with_a_corrupted_end_raises(monkeypatch):
     # the mapped ends are checked against the flip couplings, with the
     # message verify_paths gives for the same family built
     tree, lists, dist = star_instance(2, 3, 4)
-    source = family_steps(dist, 1, 2, GLAUBER_PATHS)
-    for a, b in ((1, 3), (2, 1), (3, 2)):
+    couplings = canonical._flip_couplings
+    for a, b in ((1, 3), (2, 3)):
         family = path_family(tree, lists, a, b, GLAUBER_PATHS)
         ends = flip_ends(dist, a, b)
         bad = ends.copy()
         bad[5] = ends[6]
+
+        def corrupted(*args, bad=bad, ab=(a, b)):
+            out = couplings(*args)
+            for c in out:
+                if (c.a, c.b) == ab:
+                    c.pairs[:, 1] = bad
+            return out
+
         with pytest.raises(VerificationError) as built:
             verify_paths(dist, build_paths(family, dist, fiber(dist, family.r, a)), bad)
-        with pytest.raises(VerificationError, match=rf"state \d+: ends at row {ends[5]}, "
-                                                    rf"not at row {ends[6]}, the flip") as mapped:
-            canonical.map_steps(source, family, dist, bad)
+        message = rf"state \d+: ends at row {ends[5]}, not at row {ends[6]}, the flip"
+        with monkeypatch.context() as m:
+            m.setattr(canonical, "_flip_couplings", corrupted)
+            with pytest.raises(VerificationError, match=message) as mapped:
+                compute_congestion(tree, lists, GLAUBER_PATHS)
         assert str(mapped.value) == str(built.value)
 
 
@@ -622,35 +678,51 @@ def test_verify_paths_refuses_a_recorded_edge_out_of_range():
 def test_composed_row_maps_match_rows_of(monkeypatch):
     # with three root colors, the maps of two transpositions compose into
     # the other three, and each is still checked
+    enumerate_colorings = oracle.enumerate_colorings
+    row_map, rows_of = oracle.DistributionTable.row_map, oracle.DistributionTable.rows_of
     for delta, ell, q in ((2, 3, 4), (2, 7, 4), (3, 2, 5)):
-        tree, lists, dist = star_instance(delta, ell, q)
-        r = hanging_root_edge(tree)
-        (a0, b0), *rest = families(lists, r)
-        source = family_steps(dist, a0, b0, GLAUBER_PATHS)
-        ends = {(a, b): flip_ends(dist, a, b) for a, b in rest}
-        looked_up, rows_of = [], dist.rows_of
+        tree = build_hanging_root(delta, ell)
+        lists = star_root_lists(tree, q)
+        tables, mapping, looked_up = [], [], []
 
-        def counted(colors):
-            looked_up.append(len(colors))
-            return rows_of(colors)
+        def capturing(*args, **kwargs):
+            tables.append(enumerate_colorings(*args, **kwargs))
+            return tables[-1]
+
+        def tracked(dist, pi):
+            mapping.append(pi)
+            try:
+                return row_map(dist, pi)
+            finally:
+                mapping.pop()
+
+        def counted(dist, colors):
+            if mapping:
+                looked_up.append(len(colors))
+            return rows_of(dist, colors)
 
         with monkeypatch.context() as m:
-            m.setattr(dist, "rows_of", counted)
-            for a, b in rest:
-                canonical.map_steps(source, path_family(tree, lists, a, b, GLAUBER_PATHS),
-                                    dist, ends[a, b])
+            m.setattr(oracle, "enumerate_colorings", capturing)
+            m.setattr(oracle.DistributionTable, "row_map", tracked)
+            m.setattr(oracle.DistributionTable, "rows_of", counted)
+            compute_congestion(tree, lists, GLAUBER_PATHS)
+        (dist,) = tables
         maps = dist._maps
-        assert len(maps) == len(rest) == 5 and looked_up == [dist.size] * 2
+        assert len(maps) == 5 and looked_up == [dist.size] * 2
         for pi, perm in maps.values():
             assert np.array_equal(perm, dist.rows_of(pi[dist.array]))
-        # a kept map that is no bijection spoils the maps composed from it
-        (one, perm), two = list(maps.values())[:2]
+        # a kept map that is no bijection spoils the maps composed from it:
+        # the last one kept, which the third mapped family is composed of
+        *_, (last, perm) = maps.values()
         broken = perm.copy()
         broken[0] = perm[1]
-        dist._maps = {one.tobytes(): (one, broken), two[0].tobytes(): two}
-        with pytest.raises(VerificationError, match="not a bijection"):
-            canonical.map_steps(source, path_family(tree, lists, *rest[2], GLAUBER_PATHS),
-                                dist, ends[rest[2]])
+        fresh = enumerate_colorings(tree, lists)
+        fresh._maps = {np.argsort(last).astype(last.dtype).tobytes(): (last, broken)}
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "enumerate_colorings", lambda *args: fresh)
+            with pytest.raises(VerificationError, match="not a bijection"):
+                compute_congestion(tree, lists, GLAUBER_PATHS)
+        assert len(fresh._maps) == 3
 
 
 def test_congestion_with_families_no_color_map_relates(monkeypatch):
@@ -667,22 +739,17 @@ def test_congestion_with_families_no_color_map_relates(monkeypatch):
     assert (lists.color_classes[list(one_two.order)].tolist()
             != lists.color_classes[list(one_four.order)].tolist())
     # the permutation between their orders breaks the root list, and mapping
-    # one family onto the other says so
-    dist = oracle.enumerate_colorings(tree, lists)
-    source = family_steps(dist, 1, 2, GLAUBER_PATHS)
-    with pytest.raises(VerificationError, match="not a bijection"):
-        canonical.map_steps(source, one_four, dist, flip_ends(dist, 1, 4))
+    # one family onto the other, as one class of all colors would, says so
+    with monkeypatch.context() as m:
+        m.setattr(lists, "color_classes", np.zeros(lists.q + 1, dtype=np.intp))
+        with pytest.raises(VerificationError, match="not a bijection"):
+            compute_congestion(tree, lists, GLAUBER_PATHS)
     with monkeypatch.context() as m:
         built = counting(m, "build_paths")
+        counted = counting(m, "_first_uses")
         rep = compute_congestion(tree, lists, GLAUBER_PATHS)
-    assert built == [(1, 2), (1, 4)]
-    for ab, (usage, xi_levels, xi_pairs, r_leaf, leaf_sums) in (
-            reference_congestion(tree, lists, GLAUBER_PATHS).items()):
-        pc = rep.per_pair[ab]
-        assert list(pc.usage.items()) == usage
-        assert repr((pc.xi_levels, pc.xi_pairs, pc.r_leaf)) == repr(
-            (xi_levels, xi_pairs, r_leaf))
-        assert list(leaf_multiplicity_sums(rep, *ab).items()) == leaf_sums
+    assert built == [(1, 2), (1, 4)] and len(counted) == 2
+    assert_matches_reference(rep, reference_congestion(tree, lists, GLAUBER_PATHS), built)
     # and equal to building every family, each color in a class of its own
     monkeypatch.setattr(lists, "color_classes", np.arange(lists.q + 1))
     built = counting(monkeypatch, "build_paths")
@@ -690,40 +757,48 @@ def test_congestion_with_families_no_color_map_relates(monkeypatch):
     assert built == families(lists, r)
     for ab, pc in every.items():
         got = rep.per_pair[ab]
-        for name in ("x", "y", "counts"):
-            assert np.array_equal(getattr(got, name), getattr(pc, name)), (ab, name)
+        assert got.usage == pc.usage, ab
         assert repr((got.xi_levels, got.xi_pairs, got.r_leaf)) == repr(
             (pc.xi_levels, pc.xi_pairs, pc.r_leaf)), ab
 
 
 def test_mapped_family_with_a_corrupted_row_map_raises(monkeypatch):
+    # the first mapped family, (1, 3), looks its row map up; a lookup made
+    # wrong there is refused before any congestion is reported
     tree, lists, dist = star_instance(2, 3, 4)
     r = hanging_root_edge(tree)
-    source = family_steps(dist, 1, 2, GLAUBER_PATHS)
-    family = path_family(tree, lists, 1, 3, GLAUBER_PATHS)
-    ends = flip_ends(dist, 1, 3)
-    canonical.map_steps(source, family, dist, ends)
-    rows_of = dist.rows_of
+    compute_congestion(tree, lists, GLAUBER_PATHS)
     i, j = fiber(dist, r, 1)[:2]
     # the map of (1, 2)'s order (3, 4, 1, 2) onto (1, 3)'s (2, 4, 1, 3)
     # sends root color 3 to 2, outside fiber 1
     k = fiber(dist, r, 3)[0]
+    row_map = oracle.DistributionTable.row_map
 
     def swapped(u, v):
         return lambda rows: rows[np.r_[:u, v, u + 1:v, u, v + 1:len(rows)]]
 
+    def corrupting(corrupt):
+        def corrupted(table, pi):
+            rows_of = table.rows_of
+            table.rows_of = lambda colors: corrupt(rows_of(colors))
+            try:
+                return row_map(table, pi)
+            finally:
+                del table.rows_of
+        return corrupted
+
     for corrupt in (lambda rows: np.where(np.arange(len(rows)) == i, rows[j], rows),
                     swapped(i, k)):
         with monkeypatch.context() as m:
-            m.setattr(dist, "rows_of", lambda colors: corrupt(rows_of(colors)))
+            m.setattr(oracle.DistributionTable, "row_map", corrupting(corrupt))
             with pytest.raises(VerificationError, match="not a bijection"):
-                canonical.map_steps(source, family, dist, ends)
+                compute_congestion(tree, lists, GLAUBER_PATHS)
     # a bijection of the fibers that is not pi's row map is refused by the
-    # mapping itself, which no verify_paths call follows
+    # row map's own check, which no verify_paths call follows
     with monkeypatch.context() as m:
-        m.setattr(dist, "rows_of", lambda colors: swapped(i, j)(rows_of(colors)))
+        m.setattr(oracle.DistributionTable, "row_map", corrupting(swapped(i, j)))
         with pytest.raises(VerificationError, match=r"is not a bijection x -> pi\(x\)"):
-            canonical.map_steps(source, family, dist, ends)
+            compute_congestion(tree, lists, GLAUBER_PATHS)
 
 
 def test_congestion_values_depth_one():
@@ -968,14 +1043,19 @@ def test_congestion_of_the_benchmark_trees_is_pinned(delta, ell, q):
     # through JSON, so a list for a tuple does not count, but an int for a
     # float or any changed digit does
     assert json.dumps(congestion_digest(rep)) == json.dumps(pinned)
+    # and the pinned floats are the exact sums, each rounded once
+    for (a, b), pc in rep.per_pair.items():
+        xi_levels, xi_pairs, r_leaf = exact_congestion(rep.dist, pc.usage, pc.fiber_a)
+        entry = pinned["pairs"][f"{a}->{b}"]
+        assert (entry["xi_levels"], entry["xi_pairs"], entry["r_leaf"]) == (
+            [[t, v] for t, v in xi_levels.items()], xi_pairs, r_leaf), (a, b)
 
 
 def mask_sums(rep):
     """Each family's (level sums, pair-block sum, leaf sum) the way one
     boolean mask per level makes them: each used transition's block and
-    class size re-read from the support, its load made as
-    ``compute_congestion`` makes it, and the loads at each level summed in
-    order of first use."""
+    class size re-read from the support, its term count^2 * size, and the
+    terms at each level summed as Python ints, N S / F^2 rounded once."""
     dist, tree = rep.dist, rep.tree
     n, ell = dist.size, tree.max_level
     singles = np.column_stack([dist.choices(e) for e in range(tree.n_edges)])
@@ -990,10 +1070,12 @@ def mask_sums(rep):
         for i in np.flatnonzero(~single).tolist():
             labels, sizes = dist.classes((lo[i], hi[i]))
             size[i] = sizes[labels[pc.x[i]]]
-        load = np.float_power(pc.counts * (1.0 / pc.fiber_a), 2) * n / (1.0 / size)
-        sums[ab] = ({t: canonical._running_sum(load[level == t]) for t in range(ell + 1)},
-                    canonical._running_sum(load[level < 0]),
-                    canonical._running_sum(pc.counts[level == ell] ** 2 / n))
+        counts, f2 = pc.counts.tolist(), pc.fiber_a ** 2
+        terms = [k * k * s for k, s in zip(counts, size.tolist())]
+        at = {t: np.flatnonzero(level == t).tolist() for t in range(-1, ell + 1)}
+        total = {t: sum(terms[i] for i in rows) for t, rows in at.items()}
+        sums[ab] = ({t: n * total[t] / f2 for t in range(ell + 1)}, n * total[-1] / f2,
+                    sum(counts[i] ** 2 for i in at[ell]) / n)
     return sums
 
 
@@ -1009,4 +1091,5 @@ def test_level_runs_sum_as_the_level_masks(delta, ell, q, kind, pair_moves):
     sums = mask_sums(rep)
     for ab, pc in rep.per_pair.items():
         assert repr((pc.xi_levels, pc.xi_pairs, pc.r_leaf)) == repr(sums[ab]), ab
+        assert repr(sums[ab]) == repr(exact_congestion(rep.dist, pc.usage, pc.fiber_a)), ab
     assert any(pc.xi_pairs for pc in rep.per_pair.values()) == pair_moves

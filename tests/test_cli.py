@@ -506,19 +506,17 @@ def test_main_builds_no_argument_parser(tmp_path, monkeypatch):
         assert main(["count", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
-# The whole congestion.json of hanging_root(2, 3) for both path kinds: a
-# faster compute_congestion must keep every float to its last digit.
+# The whole congestion.json of hanging_root(2, 3) for both path kinds: each
+# congestion is an exact rational, so every float is that rational rounded
+# once, to its last digit.
 PINNED_CONGESTION = {
     "glauber": {
         "q": 4, "delta": 2, "ell": 3, "kind": "glauber",
         "tree_hash": "fcf31591e02c70b2",
-        "r_ab": {f"{a}->{b}": 0.024691358024691357
-                 for a in (1, 2, 3) for b in (1, 2, 3) if a != b},
-        "xi": [12.444444444444448, 6.000000000000001, 1.5555555555555554,
-               0.6666666666666666],
+        "r_ab": {f"{a}->{b}": 2 / 81 for a in (1, 2, 3) for b in (1, 2, 3) if a != b},
+        "xi": [112 / 9, 6.0, 14 / 9, 2 / 3],
         "xi_pair_blocks": 0.0,
-        "xi_root_restricted": [8.296296296296298, 4.0, 1.0370370370370368,
-                               0.4444444444444444],
+        "xi_root_restricted": [224 / 27, 4.0, 28 / 27, 4 / 9],
     },
     "edge": {
         "q": 3, "delta": 2, "ell": 3, "kind": "edge",

@@ -6,7 +6,8 @@ import pytest
 from treecolor import oracle
 from coloring_reference import is_proper, states_of
 from enumeration_reference import reference_rows
-from treecolor.colorings import ListSpec, star_root_lists, uniform_lists
+from treecolor.colorings import (ListSpec, pinned_root_lists, star_root_lists,
+                                 uniform_lists)
 from treecolor.errors import (CapacityError, InfeasiblePinningError,
                               ParameterError)
 from treecolor.trees import (build_complete_regular, build_hanging_root,
@@ -108,6 +109,19 @@ def test_count_runs_one_sibling_dp_per_edge(monkeypatch):
         calls.clear()
         oracle.count_colorings(tree, lists)
         assert len(calls) == tree.n_edges + 1
+
+
+def test_count_at_q_4000_matches_the_closed_form():
+    # a pinned root and full lists at q = 4,000: the two child edges of each
+    # internal vertex below the root edge take an ordered pair of the q - 1
+    # colors their parent edge leaves, so the count is perm(q - 1, 2) to the
+    # number of those vertices; the DP runs over the colors, not over the
+    # sets of colors the two children take
+    tree, q = build_hanging_root(3, 4), 4000
+    internal = sum(1 for kids in tree.children if kids) - 1  # not the root vertex
+    assert internal == 15
+    count = oracle.count_colorings(tree, pinned_root_lists(tree, q, 1))
+    assert count == math.perm(q - 1, 2) ** internal
 
 
 def test_capacity_error_names_count():
