@@ -4,7 +4,8 @@ Usage::
 
     treecolor <command> --config <file> [--out <dir>] [--seed <u64>]
 
-Commands read a YAML config; flags override file values.  ``main`` types
+Commands read a YAML config; flags override file values, and a relative
+``tree.file`` is read from the config file's directory.  ``main`` types
 the whole config by ``_FIELDS`` once, before any work: an unknown key, a
 missing required field, a value of the wrong kind and an ``--out`` that is no
 directory are refused first.  A command runs one module pipeline on the typed
@@ -70,6 +71,27 @@ def load_config(path, overrides):
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
     doc.update({k: v for k, v in overrides.items() if v is not None})
+    return doc
+
+
+def _files_at(doc, base):
+    """``doc`` with the ``file`` of its tree section, and of each tree section
+    or file it sweeps, joined to ``base``, the config file's directory: an
+    absolute path is kept, and a value of another kind is left to the typing."""
+    def at(path):
+        return os.path.join(base, path) if isinstance(path, str) and path else path
+
+    def tree(spec):
+        if isinstance(spec, dict) and "file" in spec:
+            return dict(spec, file=at(spec["file"]))
+        return spec
+
+    doc = dict(doc, tree=tree(doc["tree"])) if "tree" in doc else dict(doc)
+    sweep = doc.get("sweep")
+    if (isinstance(sweep, dict) and sweep.get("param") in ("tree", "file")
+            and isinstance(sweep.get("values"), list)):
+        swept = tree if sweep["param"] == "tree" else at
+        doc["sweep"] = dict(sweep, values=[swept(v) for v in sweep["values"]])
     return doc
 
 
@@ -237,8 +259,10 @@ def cmd_count(cfg, raw):
 def _spectral_doc(cfg, tree, lists):
     tm = spectral.transition_matrix(tree, lists, cfg["kind"],
                                     sparse_cap=cfg["caps"].get("sparse", spectral.SPARSE_CAP))
-    rep = (spectral.spectral_report(tm) if cfg["seed"] is None
-           else spectral.spectral_report(tm, seed=cfg["seed"]))
+    seed = {} if cfg["seed"] is None else {"seed": cfg["seed"]}
+    # a heat-bath P is PSD, so its gap reads lambda_2 alone; uniform Glauber's needs both ends
+    rep = spectral.spectral_report(
+        tm, compute_lambda_min=tm.kind == dynamics.UNIFORM_GLAUBER, **seed)
     doc = dict(rep.export(), tree_hash=tree.content_hash(), kind=cfg["kind"], q=lists.q)
     return tm, rep, doc
 
@@ -411,7 +435,8 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
         raw = load_config(args.config, {"seed": args.seed, "out": args.out})
-        cfg = _typed(raw, _COMMAND_KEYS[args.command], f"{args.command} config")
+        read = _files_at(raw, os.path.dirname(args.config))
+        cfg = _typed(read, _COMMAND_KEYS[args.command], f"{args.command} config")
         if cfg["command"] not in (None, args.command):
             raise ConfigError(
                 f"config declares command {cfg['command']!r}, invoked {args.command!r}")
@@ -419,7 +444,7 @@ def main(argv=None):
         path = os.path.join(out, args.command.replace("-", "_") + ".json")
         if os.path.exists(out) and not os.path.isdir(out):  # refused before the work
             raise ConfigError(f"cannot write {path}: {out} is not a directory")
-        doc, summary, failure = COMMANDS[args.command](cfg, raw)
+        doc, summary, failure = COMMANDS[args.command](cfg, read)
         doc["config"] = {k: v for k, v in raw.items() if k != "out"}
         with _open_output(path) as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)

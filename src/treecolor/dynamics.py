@@ -32,6 +32,13 @@ BLOCK = "BLOCK"
 SINGLE_EDGE_KINDS = (UNIFORM_GLAUBER, HEATBATH_GLAUBER)
 
 
+def check_block_weights(weights):
+    """Refuse a block weight that is negative or not finite.  A heat-bath
+    matrix sum_B w_B Pi_B is PSD because every w_B >= 0."""
+    if not all(math.isfinite(w) and w >= 0 for w in weights):
+        raise ParameterError("block weights must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class BlockSpec:
     """Weighted block collection for the BLOCK kind."""
@@ -42,8 +49,7 @@ class BlockSpec:
     def __post_init__(self):
         if len(self.blocks) != len(self.weights):
             raise ParameterError("blocks and weights must align")
-        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
-            raise ParameterError("block weights must be finite and nonnegative")
+        check_block_weights(self.weights)
         if not any(w > 0 for w in self.weights):
             raise ParameterError("at least one block weight must be positive")
 

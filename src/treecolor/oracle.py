@@ -367,6 +367,8 @@ def _combine_children(tables, colors):
     S.  Each A(S) is a list over U, the colors some sibling may take, made a
     whole list at a time, so for d siblings the DP costs O(|U| 2^d d), and
     the colors of ``colors`` outside U avoid every sibling: W of all."""
+    if not tables:  # a leaf: one empty coloring below it, whatever its color
+        return 1, dict.fromkeys(colors, 1)
     used = sorted({c for t in tables for c, n in t.items() if n})
     weights = [[t.get(c, 0) for c in used] for t in tables]
     ways, avoid = [1], [[1] * len(used)]

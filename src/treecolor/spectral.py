@@ -2,16 +2,17 @@
 
 Transition matrices are sparse (CSR), one product over the block classes,
 and chains are simulated on their rows (``TransitionMatrix.sample``).
-Both ends of their spectrum off the constants come from one plain Lanczos
-recurrence on one scratch vector, each product a direct call of scipy's CSR
-kernel (``_csr_matvec``) into a fresh zeroed array, bit for bit ``P @ v``
-without its dispatch, and each Krylov vector divided in place into
-the product array it came from, with Ritz checks by LAPACK ``dstebz`` and
-``dstein`` that take the bottom pair only once the top one has converged;
-its Ritz vectors are summed, both ends at once, from the Krylov vectors it
-keeps up to ``LANCZOS_BASIS_BYTES`` and from a replay of the steps past
-them: the report carries the residual and the operator applications, and a
-solve that does not converge, or whose residual is too large, raises.
+The top of their spectrum off the constants, and its bottom where it is
+asked for, come from one plain Lanczos recurrence on one scratch vector,
+each product a direct call of scipy's CSR kernel (``_csr_matvec``) into a
+fresh zeroed array, bit for bit ``P @ v`` without its dispatch, and each
+Krylov vector divided in place into the product array it came from, with
+Ritz checks by LAPACK ``dstebz`` and ``dstein`` that take the bottom pair
+only once the top one has converged; its Ritz vectors are summed, both ends
+at once, from the Krylov vectors it keeps up to ``LANCZOS_BASIS_BYTES`` and
+from a replay of the steps past them: the report carries the residual and
+the operator applications, and a solve that does not converge, or whose
+residual is too large, raises.
 Irreducibility is one strongly connected component of the matrix.  Mixing
 times evolve the distributions from one start per color orbit on the same
 matrix, up to ``MIXING_CAP`` states; the orbits come from the row maps of
@@ -110,9 +111,12 @@ class TransitionMatrix:
 def block_average(dist, blocks, weights):
     """sum_B w_B Pi_B as one product (M D) M^T with sorted indices: M stacks
     the class membership of the blocks (``DistributionTable.classes``), one
-    unit entry per state and block, and D is w_B / s on a class of size s."""
+    unit entry per state and block, and D is w_B / s on a class of size s.
+    Every P is built here, and a weight that is negative or not finite is
+    refused, so every heat-bath P is PSD: its absolute gap is 1 - lambda_2."""
     import scipy.sparse as sp
 
+    dynamics.check_block_weights(weights)
     n, nb, k = dist.size, len(blocks), 0
     cols = np.empty((n, nb), dtype=np.int32 if n * nb < 2 ** 31 else np.int64)
     vals = np.empty((n, nb))
@@ -177,8 +181,10 @@ class SpectralReport:
     matvecs: int
 
     def export(self):
+        """JSON fields; a lambda_min not computed (NaN) exports as null."""
+        lam_min = None if math.isnan(self.lambda_min) else self.lambda_min
         return {"N": self.n_states, "lambda2": self.lambda2,
-                "lambda_min": self.lambda_min, "gap": self.gap,
+                "lambda_min": lam_min, "gap": self.gap,
                 "t_rel": self.t_rel, "method": self.method,
                 "residual": self.residual, "matvecs": self.matvecs}
 
@@ -298,11 +304,13 @@ def spectral_report(tm, compute_lambda_min=True, seed=7):
     P must have unit row sums and is symmetric (mu is uniform), so its top
     pair (1, 1/sqrt(N)) is known.  One Lanczos recurrence off the constants
     (``_lanczos_ends``, from a start drawn with ``seed``) gives lambda_2 as
-    its top Ritz value and lambda_min as its bottom one (NaN without
-    ``compute_lambda_min``).  Row sums off 1 (or not finite), lambda_2 above
-    1, non-convergence, a residual max ||Px - lambda x|| over the reported
-    pairs above ``RESIDUAL_TOL`` and a heat-bath lambda_min below the floor
-    raise; a single state has no gap.
+    its top Ritz value and lambda_min as its bottom one.  Without
+    ``compute_lambda_min`` the recurrence stops at lambda_2, lambda_min is
+    NaN and the gap is 1 - lambda_2: the absolute gap of a PSD P, as every
+    heat-bath P is (``block_average``).  Row sums off 1 (or not finite),
+    lambda_2 above 1, non-convergence, a residual max ||Px - lambda x|| over
+    the reported pairs above ``RESIDUAL_TOL`` and a heat-bath lambda_min
+    below the floor raise; a single state has no gap.
     """
     ncomp = tm.components()
     if ncomp != 1:
@@ -461,7 +469,7 @@ def lower_bound_check(tree, e, q):
     n_edges = tree.n_edges
     trel_bound = n_edges * delta / (2.0 * (q - delta) ** 2)
     tm = transition_matrix(tree, lists, dynamics.HEATBATH_GLAUBER, dist=dist)
-    rep = spectral_report(tm)
+    rep = spectral_report(tm, compute_lambda_min=False)  # heat-bath: the gap reads lambda_2
     return {
         "delta": delta, "q": q, "n_edges": n_edges,
         "p_frozen_exact": p_exact,

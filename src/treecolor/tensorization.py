@@ -48,8 +48,7 @@ def factorization_constant(dist, weights, given=None):
     """
     import scipy.sparse as sp
 
-    if not all(math.isfinite(c) and c >= 0 for c in weights.values()):
-        raise ParameterError("block weights must be finite and nonnegative")
+    dynamics.check_block_weights(weights.values())
     weights = {tuple(b): float(c) for b, c in weights.items() if c > 0}
     if given is None:
         k = dist.size

@@ -73,6 +73,72 @@ def test_spectral_commands_report_the_solver(tmp_path, monkeypatch):
     assert seeds == [5, 5, 5]
 
 
+HEATBATH_KINDS = ("HEATBATH_GLAUBER", "NEIGHBOR_PAIR")  # the heat-bath kinds a config may name
+
+
+def test_spectral_commands_ask_for_lambda_min_only_for_uniform_glauber(tmp_path, monkeypatch):
+    # a heat-bath P is PSD, so its gap is 1 - lambda_2: the solve stops there
+    wants = []
+    solve = spectral._lanczos_ends
+
+    def spying(P, seed, want_min):
+        wants.append(want_min)
+        return solve(P, seed, want_min)
+
+    monkeypatch.setattr(spectral, "_lanczos_ends", spying)
+    base = {"tree": {"shape": "path", "n_edges": 3}, "q": 3}
+    runs = [("gap", {"kind": kind}) for kind in (*HEATBATH_KINDS, "UNIFORM_GLAUBER")] + [
+        (command, {}) for command in ("mix", "conductance")] + [
+        ("sweep", {"sweep": {"param": "n_edges", "values": [2, 3]}}),
+        ("lowerbound", {"tree": {"shape": "complete_regular", "delta": 2, "depth": 2},
+                        "strict": False})]
+    for i, (command, extra) in enumerate(runs):
+        cfg = write_cfg(tmp_path, dict(base, command=command, **extra), f"c{i}.yaml")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / f"o{i}")]) == 0
+    assert wants == [False, False, True, False, False, False, False, False]
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"{name} is no JSON value")
+
+
+@pytest.mark.parametrize("command, kind", [("gap", kind) for kind in (
+    *HEATBATH_KINDS, "UNIFORM_GLAUBER")] + [("mix", "HEATBATH_GLAUBER"),
+                                            ("conductance", "HEATBATH_GLAUBER")])
+def test_spectral_json_is_strict(tmp_path, command, kind):
+    cfg = write_cfg(tmp_path, {"command": command, "tree": {"shape": "path", "n_edges": 3},
+                               "q": 3, "kind": kind})
+    out = str(tmp_path / "out")
+    assert main([command, "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, f"{command}.json")) as fh:
+        doc = json.load(fh, parse_constant=_raise_on_constant)
+    if kind == "UNIFORM_GLAUBER":
+        assert math.isfinite(doc["lambda_min"]) and doc["lambda_min"] <= doc["lambda2"]
+    else:
+        assert doc["lambda_min"] is None
+    assert doc["t_rel"] == 1.0 / doc["gap"]
+
+
+# the uniform-Glauber gap of the 4-edge path at q=3, as written before the
+# heat-bath solves stopped at lambda_2: uniform Glauber keeps both ends, bit for bit
+PINNED_UNIFORM_GAP = {
+    "N": 24, "gap": 0.028396314093353192, "kind": "UNIFORM_GLAUBER",
+    "lambda2": 0.9716036859066468, "lambda_min": 0.4532039322659308, "matvecs": 13,
+    "method": "lanczos", "q": 3, "residual": 7.861494254617655e-16,
+    "t_rel": 35.21583810886473, "tree_hash": "fcf31591e02c70b2",
+}
+
+
+def test_uniform_glauber_gap_json_is_pinned(tmp_path):
+    config = {"command": "gap", "tree": {"shape": "path", "n_edges": 4}, "q": 3,
+              "kind": "UNIFORM_GLAUBER"}
+    out = str(tmp_path / "out")
+    assert main(["gap", "--config", write_cfg(tmp_path, config), "--out", out]) == 0
+    doc = json.load(open(os.path.join(out, "gap.json")))
+    assert json.dumps(doc, sort_keys=True) == json.dumps(
+        dict(PINNED_UNIFORM_GAP, config=config), sort_keys=True)
+
+
 def test_config_errors(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"tree": {"shape": "mystery"}, "q": 3})
     assert main(["gap", "--config", cfg]) == 2
@@ -389,6 +455,36 @@ def test_lowerbound_summary_says_when_the_bound_fails(tmp_path, capsys, monkeypa
     assert "lowerbound: FAILED (T_rel 0.5 below the bound 1.875)" in captured.err
 
 
+def test_shipped_lowerbound_config_runs_from_any_directory(tmp_path, monkeypatch, capsys):
+    # its tree file is named beside it, and read from the config's directory
+    monkeypatch.chdir(tmp_path)
+    config = os.path.join(REPO, "configs", "acceptance", "06_lowerbound.yaml")
+    assert main(["lowerbound", "--config", config, "--out", "o"]) == 0
+    assert capsys.readouterr().out.startswith("lowerbound: p_exact=0.166667 p_formula=0.5 ")
+    doc = json.load(open(tmp_path / "o" / "lowerbound.json"))
+    assert doc["config"]["tree"]["file"] == "double_star.txt"  # echoed as written
+
+
+def test_swept_tree_files_are_read_from_the_config_directory(tmp_path, monkeypatch):
+    configs, elsewhere = tmp_path / "configs", tmp_path / "elsewhere"
+    configs.mkdir()
+    elsewhere.mkdir()
+    (configs / "p2.txt").write_text("3 0\n1 0\n2 1\n")
+    (elsewhere / "p3.txt").write_text("4 0\n1 0\n2 1\n3 2\n")
+    monkeypatch.chdir(elsewhere)
+    base = {"command": "sweep", "tree": {"shape": "file", "file": "p2.txt"}, "q": 3}
+    for param, values in (("tree", [{"shape": "file", "file": "p2.txt"},
+                                    {"shape": "file", "file": str(elsewhere / "p3.txt")}]),
+                          ("file", ["p2.txt", str(elsewhere / "p3.txt")])):
+        cfg = write_cfg(configs, dict(base, sweep={"param": param, "values": values}),
+                        f"{param}.yaml")
+        out = str(tmp_path / param)
+        assert main(["sweep", "--config", cfg, "--out", out]) == 0
+        doc = json.load(open(os.path.join(out, "sweep.json")))
+        assert [row["N"] for row in doc["rows"]] == [6, 12]
+        assert doc["config"]["sweep"]["values"] == values
+
+
 def test_tensorize_with_root_certificate(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "command": "tensorize",
@@ -560,7 +656,6 @@ def test_installed_entry_point(tmp_path):
 def test_bundled_acceptance_configs_run_clean(tmp_path, capsys):
     configs = sorted(glob.glob(os.path.join(REPO, "configs", "acceptance", "*.yaml")))
     assert len(configs) >= 10
-    os.chdir(REPO)  # the lowerbound config points at a repo-relative tree file
     for path in configs:
         doc = yaml.safe_load(open(path))
         command = doc["command"]
@@ -740,8 +835,8 @@ def run_acceptance_config_with(tmp_path, monkeypatch, config, field, *value):
     monkeypatch.chdir(tmp_path)
     doc = yaml.safe_load(open(os.path.join(ACCEPTANCE, config)))
     command, doc["out"] = doc["command"], str(tmp_path / "o")
-    if doc.get("tree", {}).get("shape") == "file":  # a path relative to the repo
-        doc["tree"]["file"] = os.path.join(REPO, doc["tree"]["file"])
+    if doc.get("tree", {}).get("shape") == "file":  # a path relative to the config's directory
+        doc["tree"]["file"] = os.path.join(ACCEPTANCE, doc["tree"]["file"])
     section, _, key = field.rpartition(".")
     target = doc[section] if section else doc
     if value:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -82,17 +83,24 @@ def assert_matches_dense_oracle(tm, tol=1e-10):
     assert abs(lam2_only.lambda2 - eigs[-2]) < tol, (tm.kind, tm.n)
 
 
-def test_lanczos_matches_dense_oracle_zoo():
-    # complete_regular(2, 2) with q=4 has a threefold lambda_2 under heat-bath
+HEATBATH_KINDS = (dynamics.HEATBATH_GLAUBER, dynamics.NEIGHBOR_PAIR, dynamics.BLOCK)
+
+
+def zoo_chains(kinds):
+    """The chains of ``kinds`` on the zoo; BLOCK weighs its pair blocks 1, 2, ..."""
     for tree, q in ZOO:
         lists = uniform_lists(tree, q)
         blocks = tuple(dynamics.pair_blocks(tree))
         spec = dynamics.BlockSpec(blocks, tuple(range(1, len(blocks) + 1)))
-        for kind in (dynamics.UNIFORM_GLAUBER, dynamics.HEATBATH_GLAUBER,
-                     dynamics.NEIGHBOR_PAIR, dynamics.BLOCK):
+        for kind in kinds:
             kw = {"block_spec": spec} if kind == dynamics.BLOCK else {}
-            assert_matches_dense_oracle(
-                spectral.transition_matrix(tree, lists, kind, **kw))
+            yield spectral.transition_matrix(tree, lists, kind, **kw)
+
+
+def test_lanczos_matches_dense_oracle_zoo():
+    # complete_regular(2, 2) with q=4 has a threefold lambda_2 under heat-bath
+    for tm in zoo_chains((dynamics.UNIFORM_GLAUBER, *HEATBATH_KINDS)):
+        assert_matches_dense_oracle(tm)
 
 
 def test_lanczos_matches_dense_oracle_at_scale():
@@ -450,6 +458,33 @@ def test_heatbath_spectrum_nonnegative_zoo():
         assert df.detailed_balance_error(tm) < 1e-12
         rep = spectral.spectral_report(tm)
         assert rep.lambda_min >= -1e-9
+
+
+def test_heatbath_gap_from_lambda2_alone_matches_both_ends_zoo():
+    # every heat-bath P is PSD, so stopping at lambda_2 keeps t_rel
+    for tm in zoo_chains(HEATBATH_KINDS):
+        both = spectral.spectral_report(tm)
+        alone = spectral.spectral_report(tm, compute_lambda_min=False)
+        assert abs(alone.t_rel - both.t_rel) <= 1e-12, (tm.kind, tm.n)
+        assert both.lambda_min <= both.lambda2, (tm.kind, tm.n)
+        assert math.isnan(alone.lambda_min) and alone.matvecs <= both.matvecs
+
+
+def test_report_exports_strict_json():
+    # a lambda_min not computed is null, never a bare NaN
+    for tm in zoo_chains((dynamics.UNIFORM_GLAUBER, *HEATBATH_KINDS)):
+        for want_min in (True, False):
+            doc = spectral.spectral_report(tm, compute_lambda_min=want_min).export()
+            json.dumps(doc, allow_nan=False)
+            assert (doc["lambda_min"] is None) == (not want_min)
+
+
+@pytest.mark.parametrize("weight", [-1.0, math.nan])
+def test_block_average_refuses_a_negative_or_nan_weight(weight):
+    p2 = path_tree(2)
+    dist = oracle.enumerate_colorings(p2, uniform_lists(p2, 3))
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
+        spectral.block_average(dist, [(0,), (1,)], [1.0, weight])
 
 
 def test_detailed_balance_block_kinds():
